@@ -3,6 +3,13 @@
  * Generic set-associative, LRU tag array. Shared by the per-SM L1s and the
  * L2 banks; coherence semantics live in the controllers, this class only
  * tracks line presence and state.
+ *
+ * Layout: one packed `line | state` tag word per way (lines are aligned,
+ * so the state fits in the low bits) and a parallel array of LRU stamps.
+ * A lookup scans only the set's tag words — one cache line for an 8-way
+ * L1 set, two for a 16-way L2 set — and touches a stamp only on a hit or
+ * when choosing a victim. Sets are indexed by shift and mask; a set count
+ * that is not a power of two falls back to an exact modulo.
  */
 
 #ifndef GGA_SIM_CACHE_HPP
@@ -28,14 +35,46 @@ enum class LineState : std::uint8_t
 class SetAssocCache
 {
   public:
+    /** Way handle meaning "line not present". */
+    static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
+
     SetAssocCache(std::uint32_t size_bytes, std::uint32_t assoc,
                   std::uint32_t line_bytes);
 
     /** State of @p line; bumps LRU on hit. Invalid if absent. */
-    LineState lookup(Addr line);
+    LineState
+    lookup(Addr line)
+    {
+        const std::uint32_t way = lookupWay(line);
+        return way == kNoWay ? LineState::Invalid : stateAt(way);
+    }
 
-    /** Mutable state pointer without an LRU bump; nullptr if absent. */
-    LineState* find(Addr line);
+    /** Way holding @p line, bumping LRU on hit; kNoWay if absent. */
+    std::uint32_t
+    lookupWay(Addr line)
+    {
+        const std::uint32_t way = findWay(line);
+        if (way != kNoWay)
+            lastUse_[way] = ++useClock_;
+        return way;
+    }
+
+    /** Way holding @p line without an LRU bump; kNoWay if absent. */
+    std::uint32_t findWay(Addr line) const;
+
+    /** State of the line in @p way (a handle from findWay/lookupWay). */
+    LineState
+    stateAt(std::uint32_t way) const
+    {
+        return static_cast<LineState>(tags_[way] & kStateMask);
+    }
+
+    /** Change the state of @p way in place, without an LRU bump. */
+    void
+    setStateAt(std::uint32_t way, LineState st)
+    {
+        tags_[way] = (tags_[way] & ~kStateMask) | static_cast<Addr>(st);
+    }
 
     /** A displaced line from insert(). */
     struct Eviction
@@ -77,20 +116,20 @@ class SetAssocCache
     std::uint32_t assoc() const { return assoc_; }
 
   private:
-    struct Way
-    {
-        Addr line = 0;
-        LineState state = LineState::Invalid;
-        std::uint64_t lastUse = 0;
-    };
+    /** Low tag bits holding the LineState (lines are 4-byte aligned+). */
+    static constexpr Addr kStateMask = 3;
 
-    std::uint32_t setOf(Addr line) const;
+    /** First way of @p line's set. */
+    std::uint32_t setBase(Addr line) const;
 
     std::uint32_t numSets_;
     std::uint32_t assoc_;
-    std::uint32_t lineBytes_;
+    std::uint32_t lineShift_;
+    /** Index sets by mask; otherwise by exact modulo. */
+    bool setsPow2_;
     std::uint64_t useClock_ = 0;
-    std::vector<Way> ways_; // numSets_ x assoc_, row-major
+    std::vector<Addr> tags_;             ///< numSets_ x assoc_, row-major
+    std::vector<std::uint64_t> lastUse_; ///< LRU stamps, same layout
 };
 
 } // namespace gga

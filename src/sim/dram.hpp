@@ -7,6 +7,7 @@
 #ifndef GGA_SIM_DRAM_HPP
 #define GGA_SIM_DRAM_HPP
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +24,7 @@ class Dram
     explicit Dram(const SimParams& params)
         : latency_(params.dramLatency),
           interval_(params.dramServiceInterval),
+          channelsPow2_(std::has_single_bit(params.dramChannels)),
           channelFree_(params.dramChannels, 0)
     {
     }
@@ -34,7 +36,9 @@ class Dram
     Cycles
     access(Cycles t, Addr line, bool is_write)
     {
-        const std::size_t ch = hashMix64(line) % channelFree_.size();
+        const std::uint64_t h = hashMix64(line);
+        const std::size_t ch = channelsPow2_ ? h & (channelFree_.size() - 1)
+                                             : h % channelFree_.size();
         const Cycles start = std::max(t, channelFree_[ch]);
         channelFree_[ch] = start + interval_;
         if (is_write) {
@@ -51,6 +55,8 @@ class Dram
   private:
     Cycles latency_;
     Cycles interval_;
+    /** Pick channels by mask; otherwise by exact modulo. */
+    bool channelsPow2_;
     std::vector<Cycles> channelFree_;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;

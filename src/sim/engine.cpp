@@ -1,18 +1,15 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "support/log.hpp"
 
 namespace gga {
 
-Engine::Engine() = default;
-
 void
 Engine::schedule(Cycles delay, EventFn fn)
 {
-    scheduleAt(now_ + delay, std::move(fn));
+    scheduleAt(now_ + delay, fn);
 }
 
 void
@@ -20,35 +17,123 @@ Engine::scheduleAt(Cycles when, EventFn fn)
 {
     GGA_ASSERT(when >= now_, "cannot schedule into the past: ", when,
                " < ", now_);
-    place(when, std::move(fn));
+    place(allocNode(fn, when), when);
     ++pending_;
 }
 
 void
-Engine::place(Cycles when, EventFn&& fn)
+Engine::park(WaitList& list, EventFn fn)
+{
+    append(list, allocNode(fn, 0));
+}
+
+void
+Engine::wakeFront(WaitList& list, Cycles delay)
+{
+    GGA_ASSERT(!list.empty(), "wakeFront() on an empty wait list");
+    const std::uint32_t n = popFront(list);
+    const Cycles when = now_ + delay;
+    node(n).time = when;
+    place(n, when);
+    ++pending_;
+}
+
+void
+Engine::runAll(WaitList list)
+{
+    // The list is detached: continuations that park on other lists (or
+    // re-register under the same key) cannot extend this sweep. Each node
+    // is recycled only after its callback returns.
+    std::uint32_t n = list.head_;
+    while (n != kNil) {
+        Node& nd = node(n);
+        const std::uint32_t next = nd.next;
+        nd.fn();
+        freeNode(n);
+        n = next;
+    }
+}
+
+std::uint32_t
+Engine::allocNode(const EventFn& fn, Cycles time)
+{
+    if (freeHead_ == kNil)
+        grow();
+    const std::uint32_t n = freeHead_;
+    Node& nd = node(n);
+    freeHead_ = nd.next;
+    nd.fn = fn;
+    nd.time = time;
+    return n;
+}
+
+void
+Engine::freeNode(std::uint32_t n)
+{
+    node(n).next = freeHead_;
+    freeHead_ = n;
+}
+
+void
+Engine::grow()
+{
+    GGA_ASSERT(chunks_.size() < (kNil >> kChunkLog), "event pool exhausted");
+    const auto base =
+        static_cast<std::uint32_t>(chunks_.size() * kNodesPerChunk);
+    chunks_.push_back(std::make_unique<Node[]>(kNodesPerChunk));
+    // Thread the fresh nodes onto the freelist in index order.
+    Node* nodes = chunks_.back().get();
+    for (std::uint32_t i = kNodesPerChunk; i-- > 0;) {
+        nodes[i].next = freeHead_;
+        freeHead_ = base + i;
+    }
+}
+
+void
+Engine::append(WaitList& list, std::uint32_t n)
+{
+    node(n).next = kNil;
+    if (list.tail_ == kNil)
+        list.head_ = n;
+    else
+        node(list.tail_).next = n;
+    list.tail_ = n;
+}
+
+std::uint32_t
+Engine::popFront(WaitList& list)
+{
+    const std::uint32_t n = list.head_;
+    list.head_ = node(n).next;
+    if (list.head_ == kNil)
+        list.tail_ = kNil;
+    return n;
+}
+
+void
+Engine::place(std::uint32_t n, Cycles when)
 {
     // The highest digit (base 1024) in which `when` differs from `now_`
     // picks the wheel level; anything differing above level 2 is far.
     const Cycles delta = when ^ now_;
     if (!(delta >> kLogBuckets))
-        pushBucket(0, digit(when, 0), when, std::move(fn));
+        pushBucket(0, digit(when, 0), n);
     else if (!(delta >> (2 * kLogBuckets)))
-        pushBucket(1, digit(when, 1), when, std::move(fn));
+        pushBucket(1, digit(when, 1), n);
     else if (!(delta >> (3 * kLogBuckets)))
-        pushBucket(2, digit(when, 2), when, std::move(fn));
+        pushBucket(2, digit(when, 2), n);
     else
-        far_.push_back(Event{when, std::move(fn)});
+        append(far_, n);
 }
 
 void
-Engine::pushBucket(std::uint32_t level, std::size_t idx, Cycles when,
-                   EventFn&& fn)
+Engine::pushBucket(std::uint32_t level, std::size_t idx, std::uint32_t n)
 {
     Level& lv = levels_[level];
-    std::vector<Event>& b = lv.buckets[idx];
+    WaitList& b = lv.buckets[idx];
     if (b.empty())
         lv.bits[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-    b.push_back(Event{when, std::move(fn)});
+    append(b, n);
     ++lv.count;
 }
 
@@ -63,7 +148,7 @@ Engine::run()
                 firstSetFrom(levels_[0], digit(now_, 0));
             GGA_ASSERT(idx < kBuckets, "L0 occupancy out of window");
             now_ = (now_ & ~kBucketMask) | static_cast<Cycles>(idx);
-            drainBucket(levels_[0].buckets[idx]);
+            drainBucket(idx);
         } else {
             advance();
         }
@@ -71,23 +156,23 @@ Engine::run()
 }
 
 void
-Engine::drainBucket(std::vector<Event>& bucket)
+Engine::drainBucket(std::size_t idx)
 {
-    // Index loop: a callback may append same-time events to this very
-    // bucket (delay 0); they run in this sweep, in schedule order. Move
-    // each event out before invoking — the append may reallocate.
-    std::size_t i = 0;
-    while (i < bucket.size()) {
-        Event ev = std::move(bucket[i]);
-        ++i;
+    // A callback may append same-time events to this very bucket (delay
+    // 0); they run in this sweep, in schedule order. Nodes never move, so
+    // each callback runs in place; its node is recycled only afterwards,
+    // so nothing the callback schedules can overwrite it.
+    Level& l0 = levels_[0];
+    WaitList& bucket = l0.buckets[idx];
+    while (!bucket.empty()) {
+        const std::uint32_t n = popFront(bucket);
         --pending_;
-        --levels_[0].count;
+        --l0.count;
         ++processed_;
-        ev.fn();
+        node(n).fn();
+        freeNode(n);
     }
-    bucket.clear();
-    const std::size_t idx = digit(now_, 0);
-    levels_[0].bits[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+    l0.bits[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
 }
 
 void
@@ -117,9 +202,9 @@ Engine::advance()
         // Only the far list holds events: jump to the earliest one's
         // top-level block and re-file that block's events inward.
         GGA_ASSERT(!far_.empty(), "pending events lost");
-        Cycles min_time = far_.front().time;
-        for (const Event& ev : far_)
-            min_time = std::min(min_time, ev.time);
+        Cycles min_time = node(far_.head_).time;
+        for (std::uint32_t n = far_.head_; n != kNil; n = node(n).next)
+            min_time = std::min(min_time, node(n).time);
         now_ = min_time & ~((Cycles{1} << (3 * kLogBuckets)) - 1);
         refillFromFar();
     }
@@ -128,30 +213,29 @@ Engine::advance()
 void
 Engine::cascade(std::uint32_t level, std::size_t idx)
 {
-    // place() re-files each event at a strictly lower level, so the
-    // source bucket is never touched while we iterate. FIFO iteration
-    // keeps schedule order within every destination bucket.
+    // place() re-files each node at a strictly lower level, so the
+    // detached source list is never touched while we walk it. FIFO
+    // traversal keeps schedule order within every destination bucket.
     Level& lv = levels_[level];
-    std::vector<Event>& b = lv.buckets[idx];
+    WaitList b = std::move(lv.buckets[idx]);
     lv.bits[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-    lv.count -= b.size();
-    for (Event& ev : b)
-        place(ev.time, std::move(ev.fn));
-    b.clear();
+    for (std::uint32_t n = b.head_; n != kNil;) {
+        const std::uint32_t next = node(n).next;
+        --lv.count;
+        place(n, node(n).time);
+        n = next;
+    }
 }
 
 void
 Engine::refillFromFar()
 {
-    std::vector<Event> keep;
-    keep.reserve(far_.size());
-    for (Event& ev : far_) {
-        if ((ev.time ^ now_) >> (3 * kLogBuckets))
-            keep.push_back(std::move(ev));
-        else
-            place(ev.time, std::move(ev.fn));
+    WaitList far = std::move(far_);
+    for (std::uint32_t n = far.head_; n != kNil;) {
+        const std::uint32_t next = node(n).next;
+        place(n, node(n).time); // still-far nodes re-append to far_
+        n = next;
     }
-    far_ = std::move(keep);
 }
 
 std::size_t

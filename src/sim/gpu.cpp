@@ -26,38 +26,32 @@ Gpu::Gpu(const SimParams& params, CoherenceKind coh, ConsistencyKind con)
 Gpu::~Gpu() = default;
 
 void
+Gpu::fillSm(SmCore& sm)
+{
+    while (sm.residentBlocks() < params_.maxBlocksPerSm &&
+           nextBlock_ < numBlocks_) {
+        const std::uint32_t block = nextBlock_++;
+        const std::uint32_t first = block * params_.threadBlockSize;
+        const std::uint32_t count =
+            std::min(params_.threadBlockSize, gridThreads_ - first);
+        sm.startBlock(block, first, count, *currentFactory_);
+    }
+}
+
+void
 Gpu::dispatchBlocks()
 {
     // Greedy refill: hand pending blocks to any SM with a free slot.
     for (std::uint32_t s = 0; s < params_.numSms && nextBlock_ < numBlocks_;
-         ++s) {
-        SmCore& sm = *sms_[s];
-        while (sm.residentBlocks() < params_.maxBlocksPerSm &&
-               nextBlock_ < numBlocks_) {
-            const std::uint32_t block = nextBlock_++;
-            const std::uint32_t first = block * params_.threadBlockSize;
-            const std::uint32_t count =
-                std::min(params_.threadBlockSize, gridThreads_ - first);
-            sm.startBlock(block, first, count, *currentFactory_);
-        }
-    }
+         ++s)
+        fillSm(*sms_[s]);
 }
 
 void
 Gpu::onBlockComplete(std::uint32_t sm_id)
 {
     ++blocksDone_;
-    if (nextBlock_ < numBlocks_) {
-        SmCore& sm = *sms_[sm_id];
-        while (sm.residentBlocks() < params_.maxBlocksPerSm &&
-               nextBlock_ < numBlocks_) {
-            const std::uint32_t block = nextBlock_++;
-            const std::uint32_t first = block * params_.threadBlockSize;
-            const std::uint32_t count =
-                std::min(params_.threadBlockSize, gridThreads_ - first);
-            sm.startBlock(block, first, count, *currentFactory_);
-        }
-    }
+    fillSm(*sms_[sm_id]);
 }
 
 void
@@ -66,7 +60,6 @@ Gpu::launch(const std::string& name, std::uint32_t num_threads,
 {
     GGA_ASSERT(num_threads > 0, "kernel '", name, "' with zero threads");
     ++kernelsLaunched_;
-    const Cycles launch_start = engine_.now();
 
     currentFactory_ = &make_warp;
     gridThreads_ = num_threads;
@@ -109,7 +102,6 @@ Gpu::launch(const std::string& name, std::uint32_t num_threads,
     GGA_ASSERT(flushes_left == 0, "kernel-end flush incomplete");
 
     const Cycles kernel_end = engine_.now();
-    (void)launch_start;
     for (auto& sm : sms_) {
         sm->accounting().catchUp(kernel_end);
         sm->clearKernelState();

@@ -75,6 +75,8 @@ class Gpu
   private:
     void dispatchBlocks();
     void onBlockComplete(std::uint32_t sm_id);
+    /** Start pending blocks on @p sm until it is full or none remain. */
+    void fillSm(SmCore& sm);
 
     SimParams params_;
     CoherenceKind coh_;

@@ -13,7 +13,7 @@ L1Controller::L1Controller(Engine& engine, const SimParams& params,
       smId_(sm_id),
       l2_(l2),
       tags_(params.l1SizeKiB * 1024, params.l1Assoc, params.lineBytes),
-      mshr_(params.l1Mshrs),
+      mshr_(engine, params.l1Mshrs),
       sb_(params.storeBufferEntries)
 {
 }
@@ -21,9 +21,9 @@ L1Controller::L1Controller(Engine& engine, const SimParams& params,
 void
 L1Controller::retire(Pending* req)
 {
-    // Move the continuation out before recycling: done() may start a new
+    // Copy the continuation out before recycling: done() may start a new
     // request that reuses this very block.
-    EventFn done = std::move(req->done);
+    EventFn done = req->done;
     pendingPool_.destroy(req);
     done();
 }
@@ -39,10 +39,11 @@ L1Controller::finishOne(Pending* req)
 void
 L1Controller::insertLine(Addr line, LineState st)
 {
-    if (LineState* existing = tags_.find(line)) {
+    const std::uint32_t way = tags_.findWay(line);
+    if (way != SetAssocCache::kNoWay) {
         // Upgrade in place (e.g. Valid -> Owned after a GetO).
-        if (st == LineState::Owned || *existing == LineState::Invalid)
-            *existing = st;
+        if (st == LineState::Owned)
+            tags_.setStateAt(way, st);
         return;
     }
     const SetAssocCache::Eviction ev = tags_.insert(line, st);
@@ -58,13 +59,7 @@ void
 L1Controller::fillLine(Addr line, LineState st)
 {
     insertLine(line, st);
-    // Fills never nest (all L2 responses arrive through the engine), so
-    // one scratch vector serves every completion.
-    GGA_ASSERT(fillScratch_.empty(), "re-entrant fill");
-    mshr_.complete(line, fillScratch_);
-    for (EventFn& waiter : fillScratch_)
-        waiter();
-    fillScratch_.clear();
+    engine_.runAll(mshr_.complete(line));
     pumpMshrWaiters();
 }
 
@@ -104,7 +99,7 @@ L1Controller::pumpSbWaiters()
     // future release is guaranteed to pump it.
     std::uint32_t budget = sb_.freeEntries();
     while (budget-- > 0 && !sbWaiters_.empty())
-        engine_.schedule(1, sbWaiters_.take_front());
+        engine_.wakeFront(sbWaiters_, 1);
 }
 
 void
@@ -113,7 +108,7 @@ L1Controller::pumpMshrWaiters()
     std::uint32_t budget = static_cast<std::uint32_t>(
         mshr_.full() ? 0 : params_.l1Mshrs - mshr_.inFlight());
     while (budget-- > 0 && !mshrWaiters_.empty())
-        engine_.schedule(1, mshrWaiters_.take_front());
+        engine_.wakeFront(mshrWaiters_, 1);
 }
 
 void
@@ -144,8 +139,8 @@ L1Controller::retryLoadLine(Addr line, Pending* req)
     }
     if (mshr_.full() && !mshr_.isPending(line)) {
         ++stats_.retries;
-        mshrWaiters_.push_back(
-            [this, line, req] { retryLoadLine(line, req); });
+        engine_.park(
+            mshrWaiters_, [this, line, req] { retryLoadLine(line, req); });
         return;
     }
     startLoadFill(line, req);
@@ -155,7 +150,7 @@ void
 L1Controller::load(const Addr* lines, std::uint32_t count, EventFn done)
 {
     // +1 guard until the loop ends
-    Pending* req = pendingPool_.create(Pending{1, std::move(done)});
+    Pending* req = pendingPool_.create(Pending{1, done});
     for (std::uint32_t i = 0; i < count; ++i) {
         const Addr line = lines[i];
         if (tags_.lookup(line) != LineState::Invalid) {
@@ -167,8 +162,8 @@ L1Controller::load(const Addr* lines, std::uint32_t count, EventFn done)
         if (mshr_.full() && !mshr_.isPending(line)) {
             // Table full: wait for an entry to free up.
             ++stats_.retries;
-            mshrWaiters_.push_back(
-                [this, line, req] { retryLoadLine(line, req); });
+            engine_.park(
+                mshrWaiters_, [this, line, req] { retryLoadLine(line, req); });
         } else {
             startLoadFill(line, req);
         }
@@ -187,7 +182,7 @@ void
 L1Controller::store(const Addr* lines, std::uint32_t count, EventFn done)
 {
     ++stats_.stores;
-    Pending* req = pendingPool_.create(Pending{1, std::move(done)});
+    Pending* req = pendingPool_.create(Pending{1, done});
     stepStore(lines, count, 0, req);
 }
 
@@ -199,8 +194,9 @@ L1Controller::stepStore(const Addr* lines, std::uint32_t count,
         const Addr line = lines[idx];
         if (coh_ == CoherenceKind::Gpu) {
             // Write-combining: mark/allocate dirty, no fetch, no stall.
-            if (LineState* st = tags_.find(line))
-                *st = LineState::Dirty;
+            const std::uint32_t way = tags_.findWay(line);
+            if (way != SetAssocCache::kNoWay)
+                tags_.setStateAt(way, LineState::Dirty);
             else
                 insertLine(line, LineState::Dirty);
             ++idx;
@@ -214,14 +210,14 @@ L1Controller::stepStore(const Addr* lines, std::uint32_t count,
         }
         if (sb_.full()) {
             ++stats_.retries;
-            sbWaiters_.push_back([this, lines, count, idx, req] {
+            engine_.park(sbWaiters_, [this, lines, count, idx, req] {
                 stepStore(lines, count, idx, req);
             });
             return;
         }
         if (mshr_.full() && !mshr_.isPending(line)) {
             ++stats_.retries;
-            mshrWaiters_.push_back([this, lines, count, idx, req] {
+            engine_.park(mshrWaiters_, [this, lines, count, idx, req] {
                 stepStore(lines, count, idx, req);
             });
             return;
@@ -256,7 +252,7 @@ L1Controller::stepStore(const Addr* lines, std::uint32_t count,
 void
 L1Controller::atomic(const Addr* words, std::uint32_t count, EventFn done)
 {
-    Pending* req = pendingPool_.create(Pending{count, std::move(done)});
+    Pending* req = pendingPool_.create(Pending{count, done});
     for (std::uint32_t i = 0; i < count; ++i) {
         if (coh_ == CoherenceKind::Gpu)
             stepGpuAtomic(words[i], req);
@@ -271,8 +267,8 @@ L1Controller::stepGpuAtomic(Addr word, Pending* req)
     // Atomics bypass the L1; an SB entry models the outstanding slot.
     if (sb_.full()) {
         ++stats_.retries;
-        sbWaiters_.push_back(
-            [this, word, req] { stepGpuAtomic(word, req); });
+        engine_.park(
+            sbWaiters_, [this, word, req] { stepGpuAtomic(word, req); });
         return;
     }
     sb_.acquire();
@@ -304,14 +300,14 @@ L1Controller::stepDeNovoAtomic(Addr word, Pending* req)
     }
     if (sb_.full()) {
         ++stats_.retries;
-        sbWaiters_.push_back(
-            [this, word, req] { stepDeNovoAtomic(word, req); });
+        engine_.park(
+            sbWaiters_, [this, word, req] { stepDeNovoAtomic(word, req); });
         return;
     }
     if (mshr_.full() && !mshr_.isPending(line)) {
         ++stats_.retries;
-        mshrWaiters_.push_back(
-            [this, word, req] { stepDeNovoAtomic(word, req); });
+        engine_.park(
+            mshrWaiters_, [this, word, req] { stepDeNovoAtomic(word, req); });
         return;
     }
     const MshrAdd r = mshr_.addWaiter(
@@ -338,13 +334,13 @@ L1Controller::acquireInvalidate(EventFn done)
 {
     const bool keep_owned = coh_ == CoherenceKind::DeNovo;
     stats_.acquireInvalidatedLines += tags_.invalidateForAcquire(keep_owned);
-    engine_.schedule(params_.flashInvalidateLatency, std::move(done));
+    engine_.schedule(params_.flashInvalidateLatency, done);
 }
 
 void
 L1Controller::releaseFlush(EventFn done)
 {
-    Pending* req = pendingPool_.create(Pending{1, std::move(done)});
+    Pending* req = pendingPool_.create(Pending{1, done});
     if (coh_ == CoherenceKind::Gpu) {
         flushScratch_.clear();
         tags_.collectLines(LineState::Dirty, flushScratch_);

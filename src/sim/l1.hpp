@@ -12,9 +12,11 @@
  * owned lines execute locally at the L1.
  *
  * Hot-path storage: per-request Pending blocks come from a freelist pool,
- * stalled continuations wait in ring buffers, and per-word serialization
- * state lives in an open-addressing FlatMap — a memory instruction in
- * steady state touches no allocator. Release flushes complete via drain
+ * continuations stalled on store-buffer or MSHR capacity and those
+ * waiting on a fill are parked on the Engine's event nodes (waking one
+ * relinks its node into the wheel), and per-word serialization state
+ * lives in an open-addressing FlatMap — a memory instruction in steady
+ * state touches no allocator. Release flushes complete via drain
  * notification (the last outstanding store/atomic wakes them) rather
  * than by polling every few cycles.
  */
@@ -34,7 +36,6 @@
 #include "sim/store_buffer.hpp"
 #include "support/flat_map.hpp"
 #include "support/object_pool.hpp"
-#include "support/ring_buffer.hpp"
 #include "support/types.hpp"
 
 namespace gga {
@@ -156,10 +157,8 @@ class L1Controller
     Cycles atomicUnitFree_ = 0;
     std::uint32_t pendingStoreFills_ = 0;
     /** Continuations stalled on store-buffer / MSHR capacity. */
-    RingBuffer<EventFn> sbWaiters_;
-    RingBuffer<EventFn> mshrWaiters_;
-    /** Scratch for MSHR completion waiters (reused across fills). */
-    std::vector<EventFn> fillScratch_;
+    Engine::WaitList sbWaiters_;
+    Engine::WaitList mshrWaiters_;
     /** Release flushes waiting for the store buffer/fills to drain. */
     std::vector<Pending*> drainWaiters_;
     /** Scratch for dirty-line collection at releases (reused). */

@@ -1,5 +1,7 @@
 #include "sim/l2.hpp"
 
+#include <bit>
+
 #include "support/log.hpp"
 #include "support/rng.hpp"
 
@@ -7,7 +9,13 @@ namespace gga {
 
 L2System::L2System(Engine& engine, const SimParams& params,
                    const MeshNoc& noc, Dram& dram)
-    : engine_(engine), params_(params), noc_(noc), dram_(dram)
+    : engine_(engine),
+      params_(params),
+      noc_(noc),
+      dram_(dram),
+      lineShift_(
+          static_cast<std::uint32_t>(std::countr_zero(params.lineBytes))),
+      bankMask_(params.l2Banks - 1)
 {
     banks_.reserve(params.l2Banks);
     for (std::uint32_t b = 0; b < params.l2Banks; ++b)
@@ -29,8 +37,8 @@ L2System::smPortDepart(std::uint32_t sm_id, Cycles extra)
 std::uint32_t
 L2System::bankOf(Addr line) const
 {
-    return static_cast<std::uint32_t>(
-        hashMix64(line / params_.lineBytes) % banks_.size());
+    return static_cast<std::uint32_t>(hashMix64(line >> lineShift_) &
+                                      bankMask_);
 }
 
 Cycles
@@ -45,10 +53,10 @@ Cycles
 L2System::dataReady(Bank& bank, Addr line, Cycles arrival,
                     Cycles service_start, LineState on_fill)
 {
-    if (bank.tags.lookup(line) != LineState::Invalid) {
-        LineState* st = bank.tags.find(line);
+    const std::uint32_t way = bank.tags.lookupWay(line);
+    if (way != SetAssocCache::kNoWay) {
         if (on_fill == LineState::Dirty)
-            *st = LineState::Dirty;
+            bank.tags.setStateAt(way, LineState::Dirty);
         return service_start + params_.l2BankLatency;
     }
     ++stats_.readMisses;
@@ -97,7 +105,7 @@ L2System::read(std::uint32_t sm_id, Addr line, EventFn done)
     const Cycles resp =
         data_at_bank + noc_.latency(noc_.bankNode(b), noc_.smNode(sm_id));
     stats_.readLagSum += resp - engine_.now();
-    engine_.scheduleAt(resp, std::move(done));
+    engine_.scheduleAt(resp, done);
 }
 
 void
@@ -112,8 +120,9 @@ L2System::write(std::uint32_t sm_id, Addr line, EventFn done)
     const Cycles start = occupyBank(bank, arrival, params_.l2ServiceInterval);
 
     // Full-line write-through: no fetch needed; allocate dirty.
-    if (LineState* st = bank.tags.find(line)) {
-        *st = LineState::Dirty;
+    const std::uint32_t way = bank.tags.findWay(line);
+    if (way != SetAssocCache::kNoWay) {
+        bank.tags.setStateAt(way, LineState::Dirty);
     } else {
         const SetAssocCache::Eviction ev =
             bank.tags.insert(line, LineState::Dirty);
@@ -123,7 +132,7 @@ L2System::write(std::uint32_t sm_id, Addr line, EventFn done)
     }
     const Cycles resp = start + params_.l2BankLatency +
                         noc_.latency(noc_.bankNode(b), noc_.smNode(sm_id));
-    engine_.scheduleAt(resp, std::move(done));
+    engine_.scheduleAt(resp, done);
 }
 
 void
@@ -152,7 +161,7 @@ L2System::atomic(std::uint32_t sm_id, Addr word, EventFn done)
     const Cycles resp = exec + params_.atomicServiceInterval +
                         noc_.latency(noc_.bankNode(b), noc_.smNode(sm_id));
     stats_.atomicLagSum += resp - engine_.now();
-    engine_.scheduleAt(resp, std::move(done));
+    engine_.scheduleAt(resp, done);
 }
 
 void
@@ -200,7 +209,7 @@ L2System::getOwnership(std::uint32_t sm_id, Addr line, EventFn done)
     }
     own_free = resp;
     owner_[line] = sm_id;
-    engine_.scheduleAt(resp, std::move(done));
+    engine_.scheduleAt(resp, done);
 }
 
 void
@@ -218,8 +227,9 @@ L2System::releaseOwnership(std::uint32_t sm_id, Addr line)
         smPortDepart(sm_id) +
         noc_.latency(noc_.smNode(sm_id), noc_.bankNode(b));
     const Cycles start = occupyBank(bank, arrival, params_.l2ServiceInterval);
-    if (LineState* st = bank.tags.find(line)) {
-        *st = LineState::Dirty;
+    const std::uint32_t way = bank.tags.findWay(line);
+    if (way != SetAssocCache::kNoWay) {
+        bank.tags.setStateAt(way, LineState::Dirty);
     } else {
         const SetAssocCache::Eviction ev =
             bank.tags.insert(line, LineState::Dirty);

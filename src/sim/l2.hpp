@@ -23,6 +23,7 @@
 #include "sim/noc.hpp"
 #include "sim/params.hpp"
 #include "support/flat_map.hpp"
+#include "support/inline_function.hpp"
 #include "support/types.hpp"
 
 namespace gga {
@@ -118,6 +119,12 @@ class L2System
     /** Depart through the SM's NoC injection port (bandwidth model). */
     Cycles smPortDepart(std::uint32_t sm_id, Cycles extra = 0);
 
+    /**
+     * Line index is line >> lineShift_; & bankMask_ picks the bank
+     * (SimParams::validate() fixes 16 banks and a power-of-two line).
+     */
+    std::uint32_t lineShift_;
+    std::uint32_t bankMask_;
     std::vector<Bank> banks_;
     std::vector<Cycles> smPortFree_;
     /** DeNovo registration directory: line -> owning SM. */

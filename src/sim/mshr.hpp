@@ -4,9 +4,10 @@
  * merging. A full table back-pressures the core (Data stalls).
  *
  * Hot-path storage: entries live in an open-addressing FlatMap (no
- * per-miss node allocation) and the per-entry waiter vectors are
- * recycled through a spare list, so steady-state misses allocate
- * nothing.
+ * per-miss node allocation), and each entry's waiters are parked on the
+ * Engine's event nodes as an Engine::WaitList — an entry is just its fill
+ * kind and a list head, so steady-state misses allocate nothing and a
+ * completed fill hands its waiters to Engine::runAll without copying.
  */
 
 #ifndef GGA_SIM_MSHR_HPP
@@ -14,7 +15,6 @@
 
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "sim/engine.hpp"
 #include "support/flat_map.hpp"
@@ -41,7 +41,8 @@ enum class MshrAdd : std::uint8_t
 class MshrTable
 {
   public:
-    explicit MshrTable(std::uint32_t capacity) : capacity_(capacity)
+    MshrTable(Engine& engine, std::uint32_t capacity)
+        : engine_(engine), capacity_(capacity)
     {
         entries_.reserve(capacity);
     }
@@ -65,13 +66,12 @@ class MshrTable
         if (Entry* e = entries_.find(line)) {
             if (kind == FillKind::Ownership && e->kind == FillKind::Data)
                 return MshrAdd::Conflict;
-            e->waiters.push_back(std::move(waiter));
+            engine_.park(e->waiters, waiter);
             return MshrAdd::Merged;
         }
         Entry& e = entries_[line];
         e.kind = kind;
-        e.waiters = takeSpareVec();
-        e.waiters.push_back(std::move(waiter));
+        engine_.park(e.waiters, waiter);
         return MshrAdd::NewEntry;
     }
 
@@ -84,64 +84,36 @@ class MshrTable
     addRetryOnFill(Addr line, EventFn fn)
     {
         if (Entry* e = entries_.find(line))
-            e->waiters.push_back(std::move(fn));
+            engine_.park(e->waiters, fn);
         else
             fn(); // fill already landed; retry immediately
     }
 
     /**
-     * Complete the fill of @p line, appending its waiters to @p out. The
-     * entry is removed (and its storage recycled) before waiters run.
+     * Complete the fill of @p line: remove the entry and return its
+     * waiters, in arrival order, for Engine::runAll. Empty if the line
+     * is not pending.
      */
-    void
-    complete(Addr line, std::vector<EventFn>& out)
+    Engine::WaitList
+    complete(Addr line)
     {
         Entry* e = entries_.find(line);
         if (e == nullptr)
-            return;
-        for (EventFn& fn : e->waiters)
-            out.push_back(std::move(fn));
-        e->waiters.clear();
-        recycleVec(std::move(e->waiters));
+            return {};
+        Engine::WaitList waiters = std::move(e->waiters);
         entries_.erase(line);
-    }
-
-    /** Convenience overload returning the waiters (tests). */
-    std::vector<EventFn>
-    complete(Addr line)
-    {
-        std::vector<EventFn> out;
-        complete(line, out);
-        return out;
+        return waiters;
     }
 
   private:
     struct Entry
     {
         FillKind kind = FillKind::Data;
-        std::vector<EventFn> waiters;
+        Engine::WaitList waiters;
     };
 
-    std::vector<EventFn>
-    takeSpareVec()
-    {
-        if (spares_.empty())
-            return {};
-        std::vector<EventFn> v = std::move(spares_.back());
-        spares_.pop_back();
-        return v;
-    }
-
-    void
-    recycleVec(std::vector<EventFn>&& v)
-    {
-        if (spares_.size() < capacity_)
-            spares_.push_back(std::move(v));
-    }
-
+    Engine& engine_;
     FlatMap<Addr, Entry> entries_;
-    /** Emptied waiter vectors kept warm for the next miss. */
-    std::vector<std::vector<EventFn>> spares_;
     std::uint32_t capacity_;
 };
 

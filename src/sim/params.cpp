@@ -25,6 +25,7 @@ SimParams::validate() const
     GGA_ASSERT(isPow2(lineBytes), "line size must be a power of two");
     GGA_ASSERT(l2Banks == 16, "the 4x4 mesh hosts exactly 16 L2 banks");
     GGA_ASSERT(maxBlocksPerSm >= 1, "need at least one resident block");
+    GGA_ASSERT(dramChannels >= 1, "need at least one DRAM channel");
     GGA_ASSERT(relaxedAtomicWindow >= 1, "relaxed window must be >= 1");
     const std::uint64_t l1_lines =
         static_cast<std::uint64_t>(l1SizeKiB) * 1024 / lineBytes;

@@ -1,10 +1,12 @@
 /**
  * @file
  * Unit tests for the discrete-event engine: time ordering, FIFO tie
- * breaking, reentrancy, and monotonic time.
+ * breaking, reentrancy, monotonic time, parked continuations, and the
+ * node pool's memory bound.
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -65,6 +67,32 @@ TEST(Engine, ZeroDelayRunsAtSameTime)
     });
     e.run();
     EXPECT_EQ(seen, 7u);
+}
+
+TEST(Engine, ZeroDelayFromCallbackRunsInSameSweep)
+{
+    // Delay-0 events scheduled while their bucket drains join its tail —
+    // also when the running event was the bucket's last — and all run
+    // before anything later.
+    Engine e;
+    std::vector<std::pair<int, Cycles>> ran;
+    const auto note = [&ran, &e](int id) { ran.emplace_back(id, e.now()); };
+    e.schedule(5, [&e, note] {
+        note(0);
+        e.schedule(0, [note] { note(2); });
+    });
+    e.schedule(5, [&e, note] {
+        note(1);
+        e.schedule(0, [&e, note] {
+            note(3);
+            e.schedule(0, [note] { note(4); });
+        });
+    });
+    e.schedule(6, [note] { note(5); });
+    e.run();
+    EXPECT_EQ(ran, (std::vector<std::pair<int, Cycles>>{
+                       {0, 5}, {1, 5}, {2, 5}, {3, 5}, {4, 5}, {5, 6}}));
+    EXPECT_EQ(e.processedEvents(), 6u);
 }
 
 TEST(Engine, CountsProcessedEvents)
@@ -161,6 +189,60 @@ TEST(Engine, InterleavedSchedulingMatchesReferenceOrder)
     ASSERT_EQ(wheel_order.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i)
         EXPECT_EQ(wheel_order[i], ref[i].second) << "position " << i;
+}
+
+TEST(Engine, ParkedContinuationsKeepFifoOrder)
+{
+    Engine e;
+    std::vector<int> order;
+    Engine::WaitList list;
+    for (int i = 0; i < 4; ++i)
+        e.park(list, [&order, i] { order.push_back(i); });
+    EXPECT_TRUE(e.empty()); // parked nodes are not pending events
+
+    // A woken node lands behind the events already in its bucket and
+    // ahead of later ones, exactly where schedule() would put it.
+    e.schedule(1, [&order] { order.push_back(10); });
+    e.wakeFront(list, 1);
+    e.schedule(1, [&order] { order.push_back(11); });
+    e.run();
+    EXPECT_EQ(order, (std::vector<int>{10, 0, 11}));
+    EXPECT_EQ(e.processedEvents(), 3u);
+
+    // runAll runs the rest now, in order, without counting events; a
+    // continuation parking on the same list waits for the next wake.
+    order.clear();
+    e.park(list, [&e, &list, &order] {
+        order.push_back(4);
+        e.park(list, [&order] { order.push_back(5); });
+    });
+    e.runAll(std::move(list));
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(e.processedEvents(), 3u);
+    ASSERT_FALSE(list.empty()); // NOLINT(bugprone-use-after-move)
+    e.wakeFront(list, 0);
+    EXPECT_TRUE(list.empty());
+    e.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(Engine, PoolStaysBoundedUnderSameCycleBursts)
+{
+    // A kernel launch drops a 720-event warp-start burst (15 SMs x 6
+    // blocks x 8 warps) into one bucket. With a burst at every L0 bucket
+    // index, the pool must recycle nodes instead of keeping each
+    // bucket's high-water mark: at most one chunk above the peak.
+    constexpr std::uint32_t kBurst = 720;
+    Engine e;
+    std::uint64_t ran = 0;
+    for (Cycles t = 0; t < 1024; ++t) {
+        for (std::uint32_t i = 0; i < kBurst; ++i)
+            e.scheduleAt(t, [&ran] { ++ran; });
+        e.run();
+    }
+    EXPECT_EQ(ran, 1024u * kBurst);
+    EXPECT_GE(e.nodeCapacity(), kBurst);
+    EXPECT_LE(e.nodeCapacity(), kBurst + Engine::kNodesPerChunk);
 }
 
 } // namespace

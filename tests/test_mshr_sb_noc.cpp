@@ -4,9 +4,13 @@
  * the mesh NoC latency model, and the DRAM channel model.
  */
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/dram.hpp"
+#include "sim/engine.hpp"
 #include "sim/mshr.hpp"
 #include "sim/noc.hpp"
 #include "sim/params.hpp"
@@ -17,24 +21,26 @@ namespace {
 
 TEST(Mshr, NewEntryThenMerge)
 {
-    MshrTable m(4);
-    int calls = 0;
-    EXPECT_EQ(m.addWaiter(64, FillKind::Data, [&calls] { ++calls; }),
+    Engine engine;
+    MshrTable m(engine, 4);
+    std::vector<int> order;
+    EXPECT_EQ(m.addWaiter(64, FillKind::Data, [&order] { order.push_back(1); }),
               MshrAdd::NewEntry);
-    EXPECT_EQ(m.addWaiter(64, FillKind::Data, [&calls] { ++calls; }),
+    EXPECT_EQ(m.addWaiter(64, FillKind::Data, [&order] { order.push_back(2); }),
               MshrAdd::Merged);
     EXPECT_TRUE(m.isPending(64));
-    auto waiters = m.complete(64);
-    EXPECT_EQ(waiters.size(), 2u);
-    for (auto& w : waiters)
-        w();
-    EXPECT_EQ(calls, 2);
+    Engine::WaitList waiters = m.complete(64);
     EXPECT_FALSE(m.isPending(64));
+    EXPECT_TRUE(order.empty()); // completion detaches; runAll runs
+    engine.runAll(std::move(waiters));
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_TRUE(m.complete(64).empty());
 }
 
 TEST(Mshr, OwnershipConflictsWithDataFill)
 {
-    MshrTable m(4);
+    Engine engine;
+    MshrTable m(engine, 4);
     EXPECT_EQ(m.addWaiter(64, FillKind::Data, [] {}), MshrAdd::NewEntry);
     EXPECT_EQ(m.addWaiter(64, FillKind::Ownership, [] {}),
               MshrAdd::Conflict);
@@ -46,17 +52,41 @@ TEST(Mshr, OwnershipConflictsWithDataFill)
 
 TEST(Mshr, CapacityAndRetryOnFill)
 {
-    MshrTable m(1);
+    Engine engine;
+    MshrTable m(engine, 1);
     EXPECT_FALSE(m.full());
-    m.addWaiter(64, FillKind::Data, [] {});
+    int filled = 0;
+    m.addWaiter(64, FillKind::Data, [&filled] { ++filled; });
     EXPECT_TRUE(m.full());
     int retried = 0;
     m.addRetryOnFill(64, [&retried] { ++retried; });
-    auto waiters = m.complete(64);
-    EXPECT_EQ(waiters.size(), 2u);
+    EXPECT_EQ(retried, 0);
+    engine.runAll(m.complete(64));
+    EXPECT_EQ(filled, 1);
+    EXPECT_EQ(retried, 1);
+    EXPECT_FALSE(m.full());
     // Retry attached to an absent line fires immediately.
     m.addRetryOnFill(999, [&retried] { ++retried; });
-    EXPECT_EQ(retried, 1);
+    EXPECT_EQ(retried, 2);
+}
+
+TEST(Mshr, WaitersMayReRegisterWhileRunning)
+{
+    // A waiter that starts a new fill of the same line lands in a fresh
+    // entry, not in the list being run.
+    Engine engine;
+    MshrTable m(engine, 2);
+    int runs = 0;
+    m.addWaiter(64, FillKind::Data, [&m, &runs] {
+        ++runs;
+        EXPECT_EQ(m.addWaiter(64, FillKind::Ownership, [&runs] { ++runs; }),
+                  MshrAdd::NewEntry);
+    });
+    engine.runAll(m.complete(64));
+    EXPECT_EQ(runs, 1);
+    EXPECT_TRUE(m.isPending(64));
+    engine.runAll(m.complete(64));
+    EXPECT_EQ(runs, 2);
 }
 
 TEST(StoreBufferTest, AcquireRelease)

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the support layer: RNG determinism and distributions,
  * statistics helpers, table rendering, inline function/vector, and the
- * hot-path containers (FlatMap, ObjectPool, RingBuffer).
+ * hot-path containers (FlatMap, ObjectPool).
  */
 
 #include <memory>
@@ -15,7 +15,6 @@
 #include "support/inline_function.hpp"
 #include "support/inline_vec.hpp"
 #include "support/object_pool.hpp"
-#include "support/ring_buffer.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -289,35 +288,6 @@ TEST(ObjectPool, RecyclesStorage)
         pool.destroy(r);
     pool.destroy(y);
     EXPECT_EQ(pool.live(), 0u);
-}
-
-TEST(RingBuffer, FifoAcrossGrowth)
-{
-    RingBuffer<int> rb;
-    EXPECT_TRUE(rb.empty());
-    // Interleave pushes and pops so head wraps before growth.
-    for (int i = 0; i < 10; ++i)
-        rb.push_back(i);
-    for (int i = 0; i < 10; ++i) {
-        EXPECT_EQ(rb.front(), i);
-        rb.pop_front();
-    }
-    for (int i = 0; i < 100; ++i)
-        rb.push_back(i);
-    EXPECT_EQ(rb.size(), 100u);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(rb.take_front(), i);
-    EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, MovesOutMoveOnlyElements)
-{
-    RingBuffer<InlineFunction<int()>> rb;
-    rb.push_back([] { return 1; });
-    rb.push_back([] { return 2; });
-    auto f = rb.take_front();
-    EXPECT_EQ(f(), 1);
-    EXPECT_EQ(rb.take_front()(), 2);
 }
 
 TEST(InlineVec, PushUniqueAndOverflowGuards)
