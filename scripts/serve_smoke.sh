@@ -4,7 +4,8 @@
 # first dies holding its lease to exercise expiry and retry — and
 # byte-diff the served render against the offline gga_worker + gga_merge
 # pipeline. Also submits a local single-plan job and checks /stats
-# telemetry is live.
+# telemetry is live, then sends a burst of 40,000 one-shot requests and
+# requires the server to stay up with flat memory.
 #
 # Usage: scripts/serve_smoke.sh [scale]
 #   scale   manifest scale (default 0.05)
@@ -167,6 +168,59 @@ EOF
 
 diff "$work/reference.txt" "$work/served.txt"
 echo "served remote-job render is byte-identical to the offline pipeline"
+
+# --- connection reaping under a one-shot burst ---------------------------
+
+# Every request below opens and closes its own connection, as every
+# in-repo client does, and each connection gets its own server thread.
+# A thread left unjoined keeps its 8 MiB stack mapped, so 40,000 of them
+# would grow VmSize by hundreds of GiB or exhaust the process's memory
+# maps long before the end. The worker goes first so that the burst and
+# the final /stats are the only traffic.
+kill "$worker_pid" 2>/dev/null || true
+wait "$worker_pid" 2>/dev/null || true
+worker_pid=""
+
+python3 - "$port" "$serve_pid" <<'EOF'
+import json, socket, sys, time, urllib.request
+
+port, pid = int(sys.argv[1]), sys.argv[2]
+base = f"http://127.0.0.1:{port}"
+requests = 40000
+
+def vmsize_kib():
+    with open(f"/proc/{pid}/status") as f:
+        for line in f:
+            if line.startswith("VmSize:"):
+                return int(line.split()[1])
+    raise SystemExit("gga_serve has no VmSize: is it still running?")
+
+one_shot = (b"GET /v1/jobs/job-0 HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            b"Connection: close\r\n\r\n")
+before = vmsize_kib()
+start = time.time()
+for i in range(requests):
+    with socket.create_connection(("127.0.0.1", port)) as s:
+        s.sendall(one_shot)
+        reply = b""
+        while chunk := s.recv(4096):
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 404 "), (i, reply[:80])
+elapsed = time.time() - start
+grown_mib = (vmsize_kib() - before) / 1024
+print(f"{requests} one-shot requests in {elapsed:.1f} s; "
+      f"VmSize grew {grown_mib:.1f} MiB")
+
+with urllib.request.urlopen(base + "/healthz") as r:
+    assert r.status == 200, r.status
+with urllib.request.urlopen(base + "/stats") as r:
+    http = json.loads(r.read().decode())["http"]
+print("http stats:", json.dumps(http))
+assert grown_mib < 1024, f"VmSize grew {grown_mib:.1f} MiB"
+# The /stats request itself is the only connection left.
+assert http["connections_live"] == 1, http
+assert http["connections_accepted_total"] >= requests, http
+EOF
 
 kill -TERM "$serve_pid"
 wait "$serve_pid"

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -279,6 +280,13 @@ HttpServer::start(std::uint16_t port, unsigned ioTimeoutMs)
     acceptThread_ = std::thread([this] { acceptLoop(); });
 }
 
+HttpServer::Stats
+HttpServer::stats() const
+{
+    MutexLock lock(mu_);
+    return {live_.size(), acceptedTotal_, rejectedTotal_};
+}
+
 void
 HttpServer::stop(unsigned drainMs)
 {
@@ -301,22 +309,19 @@ HttpServer::stop(unsigned drainMs)
                std::chrono::steady_clock::now() < deadline)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    {
-        MutexLock lock(mu_);
-        // Unblock every connection's recv().
-        for (int fd : connFds_)
-            ::shutdown(fd, SHUT_RDWR);
-    }
     if (acceptThread_.joinable())
         acceptThread_.join();
-    std::vector<std::thread> threads;
     {
         MutexLock lock(mu_);
-        threads.swap(connThreads_);
+        // Unblock every connection's recv(), then wait until each thread
+        // has moved itself to finished_. An fd in live_ is still open:
+        // its thread closes it only after leaving the map.
+        for (const auto& conn : live_)
+            ::shutdown(conn.first, SHUT_RDWR);
+        while (!live_.empty())
+            allClosed_.wait(mu_);
     }
-    for (std::thread& t : threads)
-        if (t.joinable())
-            t.join();
+    joinFinished();
     if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
@@ -328,6 +333,18 @@ HttpServer::stopRequested()
 {
     MutexLock lock(mu_);
     return stopping_;
+}
+
+void
+HttpServer::joinFinished()
+{
+    std::vector<std::thread> done;
+    {
+        MutexLock lock(mu_);
+        done.swap(finished_);
+    }
+    for (std::thread& t : done)
+        t.join();
 }
 
 void
@@ -345,13 +362,43 @@ HttpServer::acceptLoop()
         }
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        MutexLock lock(mu_);
-        if (stopping_) {
-            ::close(fd);
-            return;
+        joinFinished();
+        bool admitted = false;
+        {
+            MutexLock lock(mu_);
+            if (stopping_) {
+                ::close(fd);
+                return;
+            }
+            if (live_.size() < kMaxConnections) {
+                // The new thread's last act takes mu_ to leave live_, so
+                // its entry is in place before it can look for it.
+                std::thread& slot = live_[fd];
+                try {
+                    if (faults::fire("http.thread.fail"))
+                        throw std::system_error(std::make_error_code(
+                            std::errc::resource_unavailable_try_again));
+                    slot = std::thread([this, fd] { serveConnection(fd); });
+                    admitted = true;
+                } catch (const std::system_error& e) {
+                    live_.erase(fd);
+                    GGA_WARN("http: cannot start a connection thread (",
+                             e.what(), "); answering 503");
+                }
+            }
+            if (admitted)
+                ++acceptedTotal_;
+            else
+                ++rejectedTotal_;
         }
-        connFds_.insert(fd);
-        connThreads_.emplace_back([this, fd] { serveConnection(fd); });
+        if (!admitted) {
+            sendAll(fd, formatResponse({503, "application/json",
+                                        "{\"error\":\"too many "
+                                        "connections\"}",
+                                        {{"Retry-After", "1"}}},
+                                       /*close=*/true));
+            ::close(fd);
+        }
     }
 }
 
@@ -458,9 +505,18 @@ HttpServer::serveConnection(int fd)
             break;
     }
 done:
+    {
+        MutexLock lock(mu_);
+        const auto self = live_.find(fd);
+        GGA_ASSERT(self != live_.end(), "connection fd ", fd, " not live");
+        finished_.push_back(std::move(self->second));
+        live_.erase(self);
+        if (live_.empty())
+            allClosed_.notify_all();
+    }
+    // Only now: once closed, the fd number can come back from the very
+    // next accept(), and live_ must no longer hold it by then.
     ::close(fd);
-    MutexLock lock(mu_);
-    connFds_.erase(fd);
 }
 
 HttpResponse

@@ -12,10 +12,6 @@
  * process), and malformed input closes the connection with a 4xx rather
  * than being guessed at. Keep-alive is supported because the worker
  * protocol polls in a tight loop.
- *
- * The handler runs on the connection's thread and may block (long-poll
- * endpoints do); stop() unblocks every connection by shutting the
- * sockets down and then joins, so destruction is always clean.
  */
 
 #ifndef GGA_SERVE_HTTP_HPP
@@ -25,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -74,11 +69,45 @@ std::string httpStatusText(int status);
  * every well-formed request (any method, any path) and must be
  * thread-safe; transport-level garbage is answered with 400 and a close
  * without reaching it.
+ *
+ * Connection lifecycle. The accept thread gives each accepted socket
+ * its own thread, because handlers may block by design (long-polls) and
+ * must not stall anyone else. A connection lives until the peer hangs
+ * up or sends "Connection: close" (every in-repo client does), a read
+ * times out, a request is malformed, or stop() shuts it down. Its
+ * thread then moves its own std::thread handle from the live map to a
+ * finished list, and only after that closes the fd: the kernel hands
+ * the same fd number to the next accept at once, so bookkeeping keyed
+ * by fd must be done while the fd is still ours. The accept thread joins
+ * the finished list before it starts the next thread, so a finished
+ * connection holds its stack only until the next accept, and memory
+ * stays flat however many one-shot requests the server has answered.
+ *
+ * Bound. At most kMaxConnections connections are live. Past the cap the
+ * accept thread answers 503 with "Retry-After: 1" and closes the socket
+ * without starting a thread. A connection whose thread fails to start
+ * (the process is out of threads or address space) gets the same 503,
+ * and the server keeps accepting. stats() counts live, accepted and
+ * rejected connections.
+ *
+ * Shutdown. stop() closes the listener, shuts every live socket down,
+ * waits until every connection thread has left the live map, and joins
+ * them all, so destruction is always clean. A handler parked in a
+ * long-poll does not notice its socket going away; its owner must wake
+ * it first (Service::stop() does), or stop() waits for it.
  */
 class HttpServer
 {
   public:
     using Handler = std::function<HttpResponse(const HttpRequest&)>;
+
+    /** Connection counters, read under the server's mutex. */
+    struct Stats
+    {
+        std::size_t connectionsLive = 0; ///< threads serving a socket now
+        std::uint64_t connectionsAcceptedTotal = 0; ///< given a thread
+        std::uint64_t connectionsRejectedTotal = 0; ///< answered 503
+    };
 
     explicit HttpServer(Handler handler);
 
@@ -111,14 +140,20 @@ class HttpServer
      */
     void stop(unsigned drainMs = 0);
 
+    Stats stats() const;
+
     /** Largest accepted request body, bytes. */
     static constexpr std::size_t kMaxBodyBytes = 64u << 20;
+    /** Most connections served at once; the next one is answered 503. */
+    static constexpr std::size_t kMaxConnections = 256;
 
   private:
     void acceptLoop();
     void serveConnection(int fd);
     /** True once stop() has begun (checked between requests). */
     bool stopRequested();
+    /** Join the threads of connections that have ended. */
+    void joinFinished();
 
     Handler handler_;
     /**
@@ -133,10 +168,15 @@ class HttpServer
     /** Requests currently inside the handler/response write (drain). */
     std::atomic<int> active_{0};
     std::thread acceptThread_;
-    Mutex mu_;
+    mutable Mutex mu_;
+    CondVar allClosed_; ///< signalled when live_ becomes empty
     bool stopping_ GGA_GUARDED_BY(mu_) = false;
-    std::set<int> connFds_ GGA_GUARDED_BY(mu_);
-    std::vector<std::thread> connThreads_ GGA_GUARDED_BY(mu_);
+    /** Open connections: fd -> the thread serving it. */
+    std::map<int, std::thread> live_ GGA_GUARDED_BY(mu_);
+    /** Threads whose connection has ended, waiting to be joined. */
+    std::vector<std::thread> finished_ GGA_GUARDED_BY(mu_);
+    std::uint64_t acceptedTotal_ GGA_GUARDED_BY(mu_) = 0;
+    std::uint64_t rejectedTotal_ GGA_GUARDED_BY(mu_) = 0;
 };
 
 /**

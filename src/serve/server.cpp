@@ -488,9 +488,19 @@ Service::statsResponse()
     exec.set("pinned", Json(es.pinned));
     exec.set("batch_niced", Json(es.batchNiced));
 
+    const HttpServer::Stats hs = http_.stats();
+    Json http = Json::object();
+    http.set("connections_live",
+             Json(static_cast<std::uint64_t>(hs.connectionsLive)));
+    http.set("connections_accepted_total",
+             Json(hs.connectionsAcceptedTotal));
+    http.set("connections_rejected_total",
+             Json(hs.connectionsRejectedTotal));
+
     Json j = jobs_.statsJson();
     j.set("graph_store", std::move(store));
     j.set("executor", std::move(exec));
+    j.set("http", std::move(http));
     j.set("orchestrator", orch_.statsJson());
     if (journal_) {
         Json jj = journal_->statsJson();

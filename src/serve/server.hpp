@@ -6,7 +6,8 @@
  * Endpoints (all bodies JSON):
  *
  *   GET  /healthz                      liveness
- *   GET  /stats                        graph store, executor, jobs, workers
+ *   GET  /stats                        graph store, executor, http
+ *                                      connections, jobs, workers
  *   POST /v1/jobs                      submit {"plan": unit} or
  *                                      {"manifest": ..., "execution":
  *                                      "local"|"remote", "shards": N};

@@ -6,6 +6,11 @@
  * and the remote orchestration protocol — assignment leases, part
  * verification, duplicate discard, retry with backoff, and the
  * byte-identity of a remotely merged job to an in-process runManifest.
+ * The connection tests drive the transport's resource bounds: finished
+ * connection threads are reaped (memory stays flat over thousands of
+ * one-shot requests), live connections are capped with a 503, and
+ * stop() joins everything even with long-polls and idle keep-alives
+ * open.
  */
 
 #include <arpa/inet.h>
@@ -14,6 +19,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -108,6 +115,85 @@ awaitTerminal(Service& svc, const std::string& id)
         since = j.at("version").asU64();
     }
     return "timeout";
+}
+
+/**
+ * A blocking TCP socket connected to 127.0.0.1:@p port; -1 on failure.
+ * Reads time out after 10 s, so a missing response fails the test
+ * instead of hanging it.
+ */
+int
+connectRaw(std::uint16_t port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    timeval tv{};
+    tv.tv_sec = 10;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
+        0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Read from @p fd until the peer closes it. */
+std::string
+readToClose(int fd)
+{
+    std::string out;
+    char chunk[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0)
+        out.append(chunk, static_cast<std::size_t>(n));
+    return out;
+}
+
+/** The /stats "http" section, read through the socketless seam. */
+Json
+httpStats(Service& svc)
+{
+    return parseBody(svc.handle(request("GET", "/stats"))).at("http");
+}
+
+/** Poll /stats until @p n connections are live; false after 10 s. */
+bool
+awaitLiveConnections(Service& svc, std::uint64_t n)
+{
+    for (int i = 0; i < 2000; ++i) {
+        if (httpStats(svc).at("connections_live").asU64() == n)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return false;
+}
+
+/** This process's virtual size (VmSize in /proc/self/status), KiB. */
+std::uint64_t
+vmSizeKib()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoull(line.substr(7));
+    ADD_FAILURE() << "no VmSize in /proc/self/status";
+    return 0;
+}
+
+/** Threads in this process right now. */
+std::size_t
+threadCount()
+{
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<std::size_t>(
+        std::distance(begin(tasks), end(tasks)));
 }
 
 // --- transport -----------------------------------------------------------
@@ -694,15 +780,8 @@ TEST(ServeHttp, StalledRequestTimesOutWith408)
     Service svc(o);
     svc.start();
 
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = connectRaw(svc.port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(svc.port());
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof addr),
-              0);
     // Send half a request line and stall — the classic slow loris.
     const char torso[] = "POST /v1/jobs HTT";
     ASSERT_GT(::send(fd, torso, sizeof torso - 1, 0), 0);
@@ -717,6 +796,148 @@ TEST(ServeHttp, StalledRequestTimesOutWith408)
     // The stalled connection pinned nothing: normal requests still work.
     EXPECT_EQ(httpRequest(svc.port(), "GET", "/healthz").status, 200);
     svc.stop();
+}
+
+// --- connection bounds --------------------------------------------------
+
+TEST(ServeConnections, SequentialOneShotRequestsKeepMemoryFlat)
+{
+    Service svc(quickOptions());
+    svc.start();
+    ASSERT_EQ(httpRequest(svc.port(), "GET", "/healthz").status, 200);
+    const std::uint64_t before = vmSizeKib();
+
+    // Every request closes its connection. A thread left unjoined keeps
+    // its whole stack mapped (8 MiB of address space each, so 2,000 of
+    // them would add about 16 GiB); reaped ones cost nothing. Back-to-
+    // back one-shot connections also get the same fd number over and
+    // over, which any bookkeeping done after close() would trip on.
+    constexpr int kRequests = 2000;
+    int ok = 0;
+    for (int i = 0; i < kRequests; ++i)
+        ok += httpRequest(svc.port(), "GET", "/healthz").status == 200;
+    EXPECT_EQ(ok, kRequests);
+
+    const std::int64_t grownKib = static_cast<std::int64_t>(vmSizeKib()) -
+                                  static_cast<std::int64_t>(before);
+    EXPECT_LT(grownKib, 256 << 10) << "VmSize grew by " << grownKib
+                                   << " KiB over " << kRequests
+                                   << " requests";
+    EXPECT_EQ(httpStats(svc).at("connections_accepted_total").asU64(),
+              static_cast<std::uint64_t>(kRequests) + 1);
+    EXPECT_EQ(httpStats(svc).at("connections_rejected_total").asU64(), 0u);
+    svc.stop();
+}
+
+TEST(ServeConnections, CapAnswers503UntilConnectionsClose)
+{
+    Service svc(quickOptions()); // 30 s read deadline: idlers stay put
+    svc.start();
+
+    // Connect in steps the listen backlog (64) can hold, so no SYN is
+    // dropped and retried a second later.
+    std::vector<int> idle;
+    while (idle.size() < HttpServer::kMaxConnections) {
+        for (int i = 0; i < 32; ++i) {
+            const int fd = connectRaw(svc.port());
+            ASSERT_GE(fd, 0) << "connect " << idle.size();
+            idle.push_back(fd);
+        }
+        ASSERT_TRUE(awaitLiveConnections(svc, idle.size()));
+    }
+
+    // One past the cap: answered 503 with a retry hint, never served.
+    const int extra = connectRaw(svc.port());
+    ASSERT_GE(extra, 0);
+    const std::string reply = readToClose(extra);
+    ::close(extra);
+    EXPECT_EQ(reply.rfind("HTTP/1.1 503 ", 0), 0u) << reply;
+    EXPECT_NE(reply.find("Retry-After: 1\r\n"), std::string::npos) << reply;
+    const Json full = httpStats(svc);
+    EXPECT_EQ(full.at("connections_live").asU64(),
+              HttpServer::kMaxConnections);
+    EXPECT_EQ(full.at("connections_rejected_total").asU64(), 1u);
+
+    // Once the idlers hang up, their threads leave and service resumes.
+    for (const int fd : idle)
+        ::close(fd);
+    ASSERT_TRUE(awaitLiveConnections(svc, 0));
+    EXPECT_EQ(httpRequest(svc.port(), "GET", "/healthz").status, 200);
+    svc.stop();
+}
+
+TEST(ServeConnections, FailedThreadStartAnswers503AndKeepsAccepting)
+{
+    faults::configure("http.thread.fail=1"); // as if pthread_create failed
+    Service svc(quickOptions());
+    svc.start();
+    EXPECT_EQ(httpRequest(svc.port(), "GET", "/healthz").status, 503);
+    EXPECT_EQ(httpRequest(svc.port(), "GET", "/healthz").status, 200);
+    const Json http = httpStats(svc);
+    faults::configure("");
+    EXPECT_EQ(http.at("connections_rejected_total").asU64(), 1u);
+    EXPECT_EQ(http.at("connections_accepted_total").asU64(), 1u);
+    svc.stop();
+}
+
+TEST(ServeConnections, StopJoinsParkedLongPollAndIdleKeepAlives)
+{
+    Service svc(quickOptions());
+    // With no workers connected, a remote job never changes state.
+    const HttpResponse sub = svc.handle(request(
+        "POST", "/v1/jobs", {},
+        "{\"manifest\": " + tinyManifest().toJson().dump() +
+            ", \"execution\": \"remote\", \"shards\": 1}"));
+    ASSERT_EQ(sub.status, 202) << sub.body;
+    const Json snap = parseBody(sub);
+    const std::string id = snap.at("id").asString();
+    const std::size_t threadsBefore = threadCount();
+    svc.start();
+
+    // Two keep-alive connections that answered once and now sit idle.
+    std::vector<int> fds;
+    for (int i = 0; i < 2; ++i) {
+        const int fd = connectRaw(svc.port());
+        ASSERT_GE(fd, 0);
+        const std::string ping = "GET /healthz HTTP/1.1\r\n"
+                                 "Content-Length: 0\r\n\r\n";
+        ASSERT_EQ(::send(fd, ping.data(), ping.size(), 0),
+                  static_cast<ssize_t>(ping.size()));
+        char head[256];
+        ASSERT_GT(::recv(fd, head, sizeof head, 0), 0);
+        fds.push_back(fd);
+    }
+    // And a long-poll parked on the job for far longer than the test.
+    const int poll = connectRaw(svc.port());
+    ASSERT_GE(poll, 0);
+    const std::string park =
+        "GET /v1/jobs/" + id + "?wait_ms=600000&since=" +
+        std::to_string(snap.at("version").asU64()) +
+        " HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
+    ASSERT_EQ(::send(poll, park.data(), park.size(), 0),
+              static_cast<ssize_t>(park.size()));
+    fds.push_back(poll);
+    ASSERT_TRUE(awaitLiveConnections(svc, 3));
+    // Give the poll time to get past the socket and park in its handler.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    svc.stop();
+    const double stopS = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+    EXPECT_LT(stopS, 10.0);
+    EXPECT_EQ(httpStats(svc).at("connections_live").asU64(), 0u);
+    // Every thread start() began has exited: accept, ticker, and all
+    // three connections. The kernel drops a thread from /proc/self/task
+    // a moment after its join returns, hence the short poll.
+    for (int i = 0; i < 200 && threadCount() != threadsBefore; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(threadCount(), threadsBefore);
+    for (const int fd : fds)
+        ::close(fd);
+    // Destroying a joinable std::thread would terminate this binary, so
+    // getting past ~Service() also proves every thread was joined.
 }
 
 // --- end-to-end fault injection ------------------------------------------
