@@ -14,8 +14,7 @@
  *
  * Usage: fig6_best_pred [--csv]
  * Environment: GGA_SCALE in (0,1] scales the inputs down for quick runs;
- * GGA_SESSION_THREADS > 1 widens the executor (GGA_SWEEP_THREADS is the
- * deprecated alias).
+ * GGA_SESSION_THREADS > 1 widens the executor.
  */
 
 #include <cstring>

@@ -1,16 +1,16 @@
 /**
  * @file
- * Wall-clock scaling of the parallel sweepWorkload: sweep one workload's
- * full configuration space at increasing thread counts, verify every run
- * is bit-identical to the serial sweep, and report the speedup. The
- * per-config simulations are independent, so on a multi-core host the
- * fan-out is embarrassingly parallel up to the config count.
+ * Wall-clock scaling of a parallel sweep (submitSweep): sweep one
+ * workload's full configuration space on Sessions of increasing width,
+ * verify every run is bit-identical to the serial sweep, and report the
+ * speedup. The per-config simulations are independent, so on a
+ * multi-core host the fan-out is embarrassingly parallel up to the
+ * config count.
  *
  * Usage: sweep_scaling [APP] [GRAPH] [scale] [max_threads]
  *   APP   in {PR, SSSP, MIS, CLR, BC, CC}      (default MIS)
  *   GRAPH in {AMZ, DCT, EML, OLS, RAJ, WNG}    (default RAJ)
- *   scale in (0, 1]: graph size multiplier      (default 0.25;
- *          exported as GGA_SCALE so the sweep machinery sees it)
+ *   scale in (0, 1]: graph size multiplier      (default 0.25)
  *   max_threads: highest pool size to measure   (default 8)
  */
 
@@ -40,12 +40,15 @@ parsePreset(const std::string& name)
 
 double
 sweepSeconds(const gga::Workload& wl,
-             const std::vector<gga::SystemConfig>& configs,
+             const std::vector<gga::SystemConfig>& configs, double scale,
              unsigned threads, gga::SweepResult& out)
 {
+    gga::SessionOptions opts;
+    opts.scale = scale;
+    opts.threads = threads;
+    gga::Session session(opts);
     const auto start = std::chrono::steady_clock::now();
-    out = gga::sweepWorkload(wl, configs, gga::SimParams{},
-                             gga::SweepOptions{threads});
+    out = gga::submitSweep(session, wl, configs).collect();
     const auto stop = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(stop - start).count();
 }
@@ -80,9 +83,9 @@ main(int argc, char** argv)
     if (!entry)
         GGA_FATAL("unknown app '", app_name, "'");
     const gga::GraphPreset preset = parsePreset(argc > 2 ? argv[2] : "RAJ");
-    // The sweep machinery resolves its graph at the GGA_SCALE evaluation
-    // scale; export the requested scale before anything memoizes it.
-    setenv("GGA_SCALE", argc > 3 ? argv[3] : "0.25", /*overwrite=*/1);
+    const double scale = argc > 3 ? std::atof(argv[3]) : 0.25;
+    if (!(scale > 0.0 && scale <= 1.0))
+        GGA_FATAL("scale must be in (0, 1], got '", argv[3], "'");
     const unsigned max_threads = static_cast<unsigned>(
         std::clamp<long>(argc > 4 ? std::atol(argv[4]) : 8, 1, 256));
 
@@ -92,21 +95,21 @@ main(int argc, char** argv)
     const gga::Workload wl{entry->id, preset};
 
     // Pre-build the graph so timings measure simulation only.
-    const auto graph = session.graphs().get(preset, gga::evaluationScale());
+    const auto graph = session.graphs().get(preset, scale);
     std::cout << "sweep scaling: " << wl.name() << " x " << configs.size()
               << " configs (|V|=" << graph->numVertices()
               << ", |E|=" << graph->numEdges() << ", host cores="
               << std::thread::hardware_concurrency() << ")\n\n";
 
     gga::SweepResult serial;
-    const double serial_s = sweepSeconds(wl, configs, 1, serial);
+    const double serial_s = sweepSeconds(wl, configs, scale, 1, serial);
 
     gga::TextTable table;
     table.setHeader({"Threads", "Seconds", "Speedup", "Identical"});
     table.addRow({"1", gga::fmtDouble(serial_s, 2), "1.00x", "-"});
     for (unsigned t = 2; t <= max_threads; t *= 2) {
         gga::SweepResult parallel;
-        const double s = sweepSeconds(wl, configs, t, parallel);
+        const double s = sweepSeconds(wl, configs, scale, t, parallel);
         table.addRow({std::to_string(t), gga::fmtDouble(s, 2),
                       gga::fmtDouble(serial_s / s, 2) + "x",
                       identical(serial, parallel) ? "yes" : "NO"});

@@ -5,15 +5,12 @@
  * on path — with explicit eviction, an optional LRU byte budget, and a
  * transparent on-disk snapshot cache.
  *
- * Replaces the non-thread-safe function-local cache that used to back
- * workloadGraph(): concurrent callers (e.g. the parallel design-space
- * sweep) may request graphs from any thread; the first requester builds,
- * everyone else blocks on the same build instead of duplicating it.
- * Entries are handed out as shared_ptr so eviction never invalidates a
- * graph an in-flight run is still using. Every entry — full-scale
- * presets included — is store-owned: nothing aliases the deprecated
- * presetGraph() memo any more, so the budget really bounds paper-sized
- * workers.
+ * Concurrent callers (e.g. the parallel design-space sweep) may request
+ * graphs from any thread; the first requester builds, everyone else
+ * blocks on the same build instead of duplicating it. Entries are handed
+ * out as shared_ptr so eviction never invalidates a graph an in-flight
+ * run is still using. Every entry — full-scale presets included — is
+ * store-owned, so the budget really bounds paper-sized workers.
  *
  * The byte budget (setBudgetBytes / SessionOptions::graphBudgetBytes)
  * exists for sharded evaluation: N worker shards on one host must not

@@ -3,9 +3,8 @@
  * Typed per-application functional outputs for the Plan/Session API.
  *
  * Each application publishes a dedicated result struct; a run returns the
- * matching alternative inside the AppOutput variant. This replaces the
- * eight raw output pointers of the legacy AppOutputs sink struct
- * (apps/app.hpp) with owned, type-safe values.
+ * matching alternative inside the AppOutput variant, as owned, type-safe
+ * values the app's runner moves out of its simulated buffers.
  */
 
 #ifndef GGA_API_OUTPUTS_HPP

@@ -4,6 +4,21 @@
 
 namespace gga {
 
+bool
+AppRegistry::Entry::validConfig(const SystemConfig& cfg) const
+{
+    const bool dynamic = properties.traversal == TraversalKind::Dynamic;
+    return dynamic == (cfg.prop == UpdateProp::PushPull);
+}
+
+const char*
+AppRegistry::Entry::configRequirement() const
+{
+    return properties.traversal == TraversalKind::Dynamic
+               ? "has a dynamic traversal and requires PushPull"
+               : "has a static traversal and requires Push or Pull";
+}
+
 const AppRegistry&
 AppRegistry::instance()
 {
@@ -23,8 +38,8 @@ AppRegistry::instance()
 void
 AppRegistry::add(Entry entry)
 {
-    GGA_ASSERT(entry.run && entry.runLegacy && entry.validConfig,
-               "incomplete registry entry for ", entry.name);
+    GGA_ASSERT(entry.run, "registry entry for ", entry.name,
+               " has no runner");
     GGA_ASSERT(find(entry.id) == nullptr,
                "duplicate registration for ", entry.name);
     entries_.push_back(std::move(entry));

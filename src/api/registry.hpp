@@ -4,17 +4,16 @@
  * API.
  *
  * Each application translation unit (src/apps/<app>.cpp) self-registers a
- * complete entry — its typed runner, its legacy sink-based runner, its
- * AlgoProperties, and its valid-configuration predicate — via a
- * registerXxxApp hook. The registry replaces the hardcoded switch dispatch
- * and the fatal-on-invalid-config check that used to live in runWorkload
- * with a table that callers can enumerate, query, and extend.
+ * complete entry — its runner and its AlgoProperties — via a
+ * registerXxxApp hook. Which configurations an app accepts follows from
+ * its traversal kind, so callers can enumerate, query, and filter the
+ * design space through one table.
  */
 
 #ifndef GGA_API_REGISTRY_HPP
 #define GGA_API_REGISTRY_HPP
 
-#include <functional>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,40 +31,32 @@ class AppRegistry
 {
   public:
     /**
-     * Typed runner: fills @p out (when non-null) with the app's output.
-     * The std::uint64_t is the run's RNG seed (see RunPlan::seed); apps
+     * Runs the app on the graph under the configuration and, when the
+     * AppOutput* is non-null, moves the app's output into it. The
+     * std::uint64_t is the run's RNG seed (see RunPlan::seed); apps
      * without stochastic choices ignore it, and seed 0 must reproduce
      * the paper runs exactly (the determinism goldens pin this).
      */
-    using RunnerFn = std::function<RunResult(
-        const CsrGraph&, const SystemConfig&, const SimParams&,
-        std::uint64_t, AppOutput*)>;
-
-    /** Legacy runner with raw-pointer sinks (kept for parity shims). */
-    using LegacyRunnerFn = std::function<RunResult(
-        const CsrGraph&, const SystemConfig&, const SimParams&, AppOutputs*)>;
-
-    /** Is @p cfg's update-propagation dimension valid for this app? */
-    using ConfigPredicate = std::function<bool(const SystemConfig&)>;
+    using RunnerFn = RunResult (*)(const CsrGraph&, const SystemConfig&,
+                                   const SimParams&, std::uint64_t,
+                                   AppOutput*);
 
     /** One registered application. */
     struct Entry
     {
         AppId id{};
-        std::string name;              ///< short uppercase name ("PR", ...)
-        AlgoProperties properties;     ///< paper Table III row
-        std::string configRequirement; ///< human-readable predicate summary
+        std::string name;          ///< short uppercase name ("PR", ...)
+        AlgoProperties properties; ///< paper Table III row
+        RunnerFn run = nullptr;
+
         /**
-         * The app's default hardware point: the SimParams an evaluation
-         * work unit without an explicit params override runs under. All
-         * built-in apps register the paper's Table IV system; the field
-         * is the seam for per-app tuned presets (e.g. a wider relaxed-
-         * atomic window for atomic-heavy apps) without touching callers.
+         * Does this app accept @p cfg? A dynamic traversal requires
+         * PushPull; a static one requires Push or Pull.
          */
-        SimParams params;
-        RunnerFn run;
-        LegacyRunnerFn runLegacy;
-        ConfigPredicate validConfig;
+        bool validConfig(const SystemConfig& cfg) const;
+
+        /** validConfig's rule in words, for validation messages. */
+        const char* configRequirement() const;
     };
 
     /** The process-wide registry with all built-in apps registered. */
@@ -101,8 +92,8 @@ class AppRegistry
 
 /**
  * Self-registration hooks, one per application translation unit. Each app
- * defines its own entry (runner adapters, properties, config predicate)
- * next to its kernels; the registry singleton invokes these once.
+ * defines its own entry next to its kernels; the registry singleton
+ * invokes these once.
  */
 void registerPrApp(AppRegistry& reg);
 void registerSsspApp(AppRegistry& reg);

@@ -1,5 +1,6 @@
 #include "api/session.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <utility>
 
@@ -12,14 +13,8 @@ defaultSessionThreads()
 {
     static const unsigned threads = [] {
         const char* env = std::getenv("GGA_SESSION_THREADS");
-        if (!env) {
-            env = std::getenv("GGA_SWEEP_THREADS");
-            if (!env)
-                return 1u;
-            GGA_WARN("GGA_SWEEP_THREADS is deprecated; set "
-                     "GGA_SESSION_THREADS (or SessionOptions::threads) "
-                     "instead");
-        }
+        if (!env)
+            return 1u;
         const long t = std::atol(env);
         if (t < 1) {
             GGA_WARN("session thread count '", env,
@@ -160,8 +155,7 @@ Session::Session(SessionOptions opts) : opts_(std::move(opts))
     // Give graph builds the executor's width: a cold-start worker spends
     // its first seconds building inputs, and those builds are
     // bit-identical at any thread count.
-    graphs().setBuildThreads(opts_.threads == 0 ? defaultSessionThreads()
-                                                : opts_.threads);
+    graphs().setBuildThreads(threads());
 }
 
 const AppRegistry&
@@ -199,7 +193,7 @@ Session::validate(const RunPlan& plan) const
     if (!plan.plannedConfig())
         return "plan has no configuration (RunPlan::config)";
     if (!entry->validConfig(*plan.plannedConfig()))
-        return entry->name + " " + entry->configRequirement + ", got " +
+        return entry->name + " " + entry->configRequirement() + ", got " +
                plan.plannedConfig()->name();
     return std::nullopt;
 }
@@ -256,11 +250,14 @@ unsigned
 Session::threads() const
 {
     // Once the executor exists, report its real width (the TaskPool may
-    // clamp or fall short of the request); before that, the request.
+    // fall short of the request); before that, the request, clamped as
+    // the TaskPool will clamp it.
     const unsigned actual = actualThreads_.load(std::memory_order_acquire);
     if (actual != 0)
         return actual;
-    return opts_.threads == 0 ? defaultSessionThreads() : opts_.threads;
+    return std::min(opts_.threads == 0 ? defaultSessionThreads()
+                                       : opts_.threads,
+                    TaskPool::kMaxThreads);
 }
 
 TaskPool&

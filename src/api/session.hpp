@@ -12,9 +12,8 @@
  *   out.result.cycles;      // timing
  *   out.pr()->ranks;        // typed functional output
  *
- * This replaces the legacy free-function entry points (runPr, runSssp,
- * ..., runWorkload) and their raw-pointer AppOutputs sinks; those remain
- * as thin deprecated shims for parity testing.
+ * The Session is the one way to run a workload: the figures, manifests,
+ * gga_serve and the benches all reach the simulator through it.
  */
 
 #ifndef GGA_API_SESSION_HPP
@@ -211,10 +210,7 @@ struct SessionOptions
 /** GGA_GRAPH_CACHE environment value, or "" when unset. */
 std::string defaultGraphCacheDir();
 
-/**
- * GGA_SESSION_THREADS environment value; falls back to the deprecated
- * GGA_SWEEP_THREADS (with a one-time warning) and then to 1.
- */
+/** GGA_SESSION_THREADS environment value; 1 when unset or invalid. */
 unsigned defaultSessionThreads();
 
 /** What Session::submit's future throws for a plan that fails validate(). */
@@ -280,7 +276,8 @@ class Session
     /**
      * Executor width: the running TaskPool's actual width once the
      * executor has started, else the resolved request (opts().threads or
-     * the environment default).
+     * the environment default) clamped to TaskPool::kMaxThreads. Graph
+     * builds use the same width.
      */
     unsigned threads() const;
 

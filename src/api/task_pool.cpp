@@ -21,11 +21,6 @@ namespace gga {
 
 namespace {
 
-/** Hard cap: every task is a whole-workload simulation, so widths beyond
- *  this never help, and an unclamped environment value must not spawn
- *  until exhaustion. */
-constexpr unsigned kMaxThreads = 512;
-
 unsigned
 laneIndex(Lane lane)
 {

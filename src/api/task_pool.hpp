@@ -77,10 +77,10 @@ const char* laneName(Lane lane);
 /** Parse a lane name; nullopt on anything else. */
 std::optional<Lane> parseLane(std::string_view name);
 
-/** TaskPool construction knobs (see also the legacy width-only ctor). */
+/** TaskPool construction knobs. */
 struct TaskPoolOptions
 {
-    /** Worker count, clamped to [1, 512]. */
+    /** Worker count, clamped to [1, TaskPool::kMaxThreads]. */
     unsigned threads = 1;
     /**
      * Pin worker i to CPU i mod hardware_concurrency
@@ -88,7 +88,7 @@ struct TaskPoolOptions
      * when unset here; a platform without thread affinity warns once and
      * runs unpinned.
      */
-    std::optional<bool> pinThreads;
+    std::optional<bool> pinThreads = std::nullopt;
     /**
      * Nice delta applied to a worker for the duration of each BATCH-lane
      * task, so that when every CPU is busy, the kernel's own scheduler
@@ -125,18 +125,20 @@ class TaskPool
         bool batchNiced = false; ///< batch tasks run at a higher nice
     };
 
-    explicit TaskPool(TaskPoolOptions opts);
+    /**
+     * Hard cap on the width: every task is a whole-workload simulation,
+     * so widths beyond this never help, and an unclamped environment
+     * value must not spawn until exhaustion.
+     */
+    static constexpr unsigned kMaxThreads = 512;
 
     /**
-     * Start @p threads workers, clamped to [1, 512] (with a warning
-     * above the cap). If the system runs out of thread resources
+     * Start opts.threads workers, clamped to [1, kMaxThreads] (with a
+     * warning above the cap). If the system runs out of thread resources
      * mid-spawn the pool continues at the width it reached; only a pool
      * that cannot spawn a single worker throws.
      */
-    explicit TaskPool(unsigned threads)
-        : TaskPool(TaskPoolOptions{threads, std::nullopt})
-    {
-    }
+    explicit TaskPool(TaskPoolOptions opts);
 
     /** Drains every posted task, then joins the workers. */
     ~TaskPool();

@@ -8,8 +8,6 @@
  * into sigma / the backward accumulator; pull gathers from neighbors.
  */
 
-#include "apps/runner.hpp"
-
 #include "api/registry.hpp"
 #include "apps/kernel_util.hpp"
 #include "support/log.hpp"
@@ -418,11 +416,9 @@ bcBwdPull(Warp& w, BcState& st)
     co_await w.store(wr);
 }
 
-} // namespace
-
 RunResult
 runBc(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
-      AppOutputs* out)
+      std::uint64_t /*seed: the source is fixed*/, AppOutput* out)
 {
     GGA_ASSERT(cfg.prop != UpdateProp::PushPull,
                "BC has a static traversal: use Push or Pull");
@@ -466,36 +462,11 @@ runBc(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
         }
     }
 
-    if (out) {
-        if (out->bcDelta)
-            *out->bcDelta = st.delta.host();
-        if (out->bcLevel)
-            *out->bcLevel = st.level.host();
-        if (out->bcSigma)
-            *out->bcSigma = st.sigma.host();
-    }
+    if (out)
+        *out = BcOutput{std::move(st.delta.host()),
+                        std::move(st.level.host()),
+                        std::move(st.sigma.host())};
     return collectResult(gpu);
-}
-
-
-namespace {
-
-/** Adapter from the legacy sink signature to the typed AppOutput. */
-RunResult
-runBcTyped(const CsrGraph& g, const SystemConfig& cfg,
-           const SimParams& params, std::uint64_t seed, AppOutput* out)
-{
-    (void)seed; // BC's source is fixed; no stochastic choices
-    if (!out)
-        return runBc(g, cfg, params, nullptr);
-    BcOutput typed;
-    AppOutputs sinks;
-    sinks.bcDelta = &typed.delta;
-    sinks.bcLevel = &typed.level;
-    sinks.bcSigma = &typed.sigma;
-    const RunResult r = runBc(g, cfg, params, &sinks);
-    *out = std::move(typed);
-    return r;
 }
 
 } // namespace
@@ -503,18 +474,10 @@ runBcTyped(const CsrGraph& g, const SystemConfig& cfg,
 void
 registerBcApp(AppRegistry& reg)
 {
-    AppRegistry::Entry e;
-    e.id = AppId::Bc;
-    e.name = appName(AppId::Bc);
-    e.properties = algoProperties(AppId::Bc);
-    e.params = SimParams{}; // paper Table IV hardware point
-    e.configRequirement = "has a static traversal and requires Push or Pull";
-    e.run = &runBcTyped;
-    e.runLegacy = &runBc;
-    e.validConfig = [](const SystemConfig& cfg) {
-        return cfg.prop != UpdateProp::PushPull;
-    };
-    reg.add(std::move(e));
+    reg.add({.id = AppId::Bc,
+             .name = appName(AppId::Bc),
+             .properties = algoProperties(AppId::Bc),
+             .run = &runBc});
 }
 
 } // namespace gga

@@ -13,8 +13,6 @@
  * the warp must wait for each returned value regardless of relaxation.
  */
 
-#include "apps/runner.hpp"
-
 #include "api/registry.hpp"
 #include "apps/kernel_util.hpp"
 #include "support/log.hpp"
@@ -176,11 +174,9 @@ ccCompress(Warp& w, CcState& st)
         co_await w.store(wr);
 }
 
-} // namespace
-
 RunResult
 runCc(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
-      AppOutputs* out)
+      std::uint64_t /*seed: CC has no stochastic choices*/, AppOutput* out)
 {
     GGA_ASSERT(cfg.prop == UpdateProp::PushPull,
                "CC has a dynamic traversal: configuration must be PushPull");
@@ -198,28 +194,9 @@ runCc(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
             break;
     }
 
-    if (out && out->ccLabels)
-        *out->ccLabels = st.parent.host();
+    if (out)
+        *out = CcOutput{std::move(st.parent.host())};
     return collectResult(gpu);
-}
-
-
-namespace {
-
-/** Adapter from the legacy sink signature to the typed AppOutput. */
-RunResult
-runCcTyped(const CsrGraph& g, const SystemConfig& cfg,
-           const SimParams& params, std::uint64_t seed, AppOutput* out)
-{
-    (void)seed; // CC has no stochastic choices
-    if (!out)
-        return runCc(g, cfg, params, nullptr);
-    CcOutput typed;
-    AppOutputs sinks;
-    sinks.ccLabels = &typed.labels;
-    const RunResult r = runCc(g, cfg, params, &sinks);
-    *out = std::move(typed);
-    return r;
 }
 
 } // namespace
@@ -227,18 +204,10 @@ runCcTyped(const CsrGraph& g, const SystemConfig& cfg,
 void
 registerCcApp(AppRegistry& reg)
 {
-    AppRegistry::Entry e;
-    e.id = AppId::Cc;
-    e.name = appName(AppId::Cc);
-    e.properties = algoProperties(AppId::Cc);
-    e.params = SimParams{}; // paper Table IV hardware point
-    e.configRequirement = "has a dynamic traversal and requires PushPull";
-    e.run = &runCcTyped;
-    e.runLegacy = &runCc;
-    e.validConfig = [](const SystemConfig& cfg) {
-        return cfg.prop == UpdateProp::PushPull;
-    };
-    reg.add(std::move(e));
+    reg.add({.id = AppId::Cc,
+             .name = appName(AppId::Cc),
+             .properties = algoProperties(AppId::Cc),
+             .run = &runCc});
 }
 
 } // namespace gga

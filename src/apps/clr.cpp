@@ -9,8 +9,6 @@
  * takes color r.
  */
 
-#include "apps/runner.hpp"
-
 #include "api/registry.hpp"
 #include "apps/kernel_util.hpp"
 #include "support/log.hpp"
@@ -220,11 +218,9 @@ clrAssign(Warp& w, ClrState& st)
         co_await w.store(wr);
 }
 
-} // namespace
-
 RunResult
 runClr(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
-       AppOutputs* out, std::uint64_t seed)
+       std::uint64_t seed, AppOutput* out)
 {
     GGA_ASSERT(cfg.prop != UpdateProp::PushPull,
                "CLR has a static traversal: use Push or Pull");
@@ -252,27 +248,9 @@ runClr(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
             break;
     }
 
-    if (out && out->colors)
-        *out->colors = st.color.host();
+    if (out)
+        *out = ClrOutput{std::move(st.color.host())};
     return collectResult(gpu);
-}
-
-
-namespace {
-
-/** Adapter from the legacy sink signature to the typed AppOutput. */
-RunResult
-runClrTyped(const CsrGraph& g, const SystemConfig& cfg,
-            const SimParams& params, std::uint64_t seed, AppOutput* out)
-{
-    if (!out)
-        return runClr(g, cfg, params, nullptr, seed);
-    ClrOutput typed;
-    AppOutputs sinks;
-    sinks.colors = &typed.colors;
-    const RunResult r = runClr(g, cfg, params, &sinks, seed);
-    *out = std::move(typed);
-    return r;
 }
 
 } // namespace
@@ -280,21 +258,10 @@ runClrTyped(const CsrGraph& g, const SystemConfig& cfg,
 void
 registerClrApp(AppRegistry& reg)
 {
-    AppRegistry::Entry e;
-    e.id = AppId::Clr;
-    e.name = appName(AppId::Clr);
-    e.properties = algoProperties(AppId::Clr);
-    e.params = SimParams{}; // paper Table IV hardware point
-    e.configRequirement = "has a static traversal and requires Push or Pull";
-    e.run = &runClrTyped;
-    e.runLegacy = [](const CsrGraph& g, const SystemConfig& cfg,
-                     const SimParams& params, AppOutputs* out) {
-        return runClr(g, cfg, params, out);
-    };
-    e.validConfig = [](const SystemConfig& cfg) {
-        return cfg.prop != UpdateProp::PushPull;
-    };
-    reg.add(std::move(e));
+    reg.add({.id = AppId::Clr,
+             .name = appName(AppId::Clr),
+             .properties = algoProperties(AppId::Clr),
+             .run = &runClr});
 }
 
 } // namespace gga

@@ -59,15 +59,10 @@ planForUnit(const WorkUnit& unit)
     else
         plan.graphFile(unit.path);
     plan.config(unit.config);
-    if (unit.params) {
-        plan.params(*unit.params);
-    } else if (const AppRegistry::Entry* e =
-                   AppRegistry::instance().find(unit.app)) {
-        // The app's registered hardware preset, not the session default:
-        // a unit must run identically no matter which session executes
-        // its shard.
-        plan.params(e->params);
-    }
+    // The paper's Table IV system unless the unit overrides it, never the
+    // session default: a unit must run identically no matter which
+    // session executes its shard.
+    plan.params(unit.params.value_or(SimParams{}));
     plan.collectOutputs(unit.collectOutputs);
     plan.seed(unit.seed);
     return plan;

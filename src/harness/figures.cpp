@@ -227,9 +227,9 @@ buildFigureSet(const std::string& figure, double scale, bool full,
                     set.partialPredicted.push_back(
                         (*partial_predictions)[index]);
                 } else {
-                    // The legacy render-time computation, moved to build
-                    // time: the default GpuGeometry, the workload's
-                    // profile at the figure scale, no DRFrlx.
+                    // Computed at build time, not render time: the default
+                    // GpuGeometry, the workload's profile at the figure
+                    // scale, no DRFrlx.
                     DesignSpaceRestriction restriction;
                     restriction.allowDrfRlx = false;
                     GpuGeometry geom;
@@ -245,8 +245,8 @@ buildFigureSet(const std::string& figure, double scale, bool full,
         }
     }
 
-    // Interleave full/restricted per workload (the legacy submission
-    // order); addUnique drops the units the two sweeps share.
+    // Interleave full/restricted per workload; addUnique drops the units
+    // the two sweeps share.
     std::vector<SweepSpec> ordered;
     for (std::size_t i = 0; i < set.specs.size(); ++i) {
         ordered.push_back(set.specs[i]);

@@ -1,7 +1,6 @@
 #include "harness/sweep.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "api/graph_store.hpp"
@@ -73,16 +72,13 @@ buildSweepSpec(const Workload& workload, std::vector<SystemConfig> configs,
     if (std::find(configs.begin(), configs.end(), baseline) == configs.end())
         configs.push_back(baseline);
     spec.predicted = predicted;
-    // Appended last — exactly where the legacy serial path put a missing
-    // prediction, so the result ordering stays bit-identical.
     if (std::find(configs.begin(), configs.end(), spec.predicted) ==
         configs.end())
         configs.push_back(spec.predicted);
 
     // Sweeps never collect functional outputs (timing/counters only), and
-    // they omit the params override when it is just the app's registered
-    // preset so the unit keys stay canonical across callers.
-    const SimParams& preset = AppRegistry::instance().at(workload.app).params;
+    // they omit the params override when it is just the Table IV default
+    // so the unit keys stay canonical across callers.
     spec.units.reserve(configs.size());
     for (const SystemConfig& cfg : configs) {
         WorkUnit u;
@@ -90,7 +86,7 @@ buildSweepSpec(const Workload& workload, std::vector<SystemConfig> configs,
         u.preset = workload.graph;
         u.scale = scale;
         u.config = cfg;
-        if (!(params == preset))
+        if (params != SimParams{})
             u.params = params;
         spec.units.push_back(std::move(u));
     }
@@ -162,9 +158,8 @@ submitSweep(Session& session, const Workload& workload,
         buildSweepSpec(workload, std::move(configs), run_params, graph_scale);
     Manifest manifest;
     // addUnique: a duplicated configuration in the caller's list is not
-    // an error (the legacy path ran it twice); the single shared unit
-    // fans back out to one result slot per list entry in
-    // sweepFromResults.
+    // an error; the single shared unit fans back out to one result slot
+    // per list entry in sweepFromResults.
     for (const WorkUnit& u : pending.spec_.units)
         manifest.addUnique(u);
     pending.pending_ = submitManifest(session, manifest);
@@ -182,34 +177,6 @@ PendingSweep::collect()
     } catch (const EvalError& err) {
         GGA_FATAL("sweep of ", spec_.workload.name(), ": ", err.what());
     }
-}
-
-SweepResult
-sweepWorkload(Session& session, const Workload& workload,
-              std::vector<SystemConfig> configs,
-              std::optional<SimParams> params, double scale)
-{
-    return submitSweep(session, workload, std::move(configs),
-                       std::move(params), scale)
-        .collect();
-}
-
-SweepResult
-sweepWorkload(const Workload& workload, std::vector<SystemConfig> configs,
-              const SimParams& params, const SweepOptions& opts)
-{
-    SessionOptions session_opts;
-    // Clamp the private pool to the work available: buildSweepSpec adds at
-    // most the baseline and the prediction to @p configs, so anything
-    // wider than that would sit idle for this one sweep.
-    const unsigned requested =
-        opts.threads == 0 ? defaultSessionThreads() : opts.threads;
-    session_opts.threads = static_cast<unsigned>(
-        std::min<std::size_t>(requested, configs.size() + 2));
-    session_opts.scale = resolveScale(opts.scale);
-    session_opts.verboseRuns = true; // match the legacy per-run inform
-    Session session(session_opts);
-    return sweepWorkload(session, workload, std::move(configs), params);
 }
 
 } // namespace gga

@@ -9,7 +9,7 @@
  * submitSweep() turns the spec into a manifest on the session's shared
  * executor, and sweepFromResults() reassembles a SweepResult from any
  * ResultSet covering the spec's units — in-process or merged from worker
- * shards — bit-identically to the old serial run() loop.
+ * shards — bit-identically to a serial run() loop.
  */
 
 #ifndef GGA_HARNESS_SWEEP_HPP
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "api/session.hpp"
-#include "apps/runner.hpp"
 #include "eval/run.hpp"
 #include "harness/workloads.hpp"
 #include "model/decision_tree.hpp"
@@ -51,9 +50,9 @@ struct SweepResult
 /**
  * The declarative shape of one workload's sweep: the configurations in
  * execution order (the caller's list, then the baseline when missing,
- * then the model's prediction when missing — the legacy serial order)
- * and the WorkUnit realizing each, so the sweep can run in-process or be
- * shipped to workers through a Manifest.
+ * then the model's prediction when missing) and the WorkUnit realizing
+ * each, so the sweep can run in-process or be shipped to workers through
+ * a Manifest.
  */
 struct SweepSpec
 {
@@ -67,8 +66,8 @@ struct SweepSpec
  * Build the spec for @p workload: append the baseline and the model's
  * prediction (computed here, via the GraphStore at @p scale) when the
  * caller's list lacks them, and realize each configuration as a WorkUnit
- * at @p scale. @p params is omitted from the units when it matches the
- * app's registered preset, keeping unit keys canonical.
+ * at @p scale. @p params is omitted from the units when it equals
+ * SimParams{}, keeping unit keys canonical.
  */
 SweepSpec buildSweepSpec(const Workload& workload,
                          std::vector<SystemConfig> configs,
@@ -140,40 +139,6 @@ PendingSweep submitSweep(Session& session, const Workload& workload,
                          std::vector<SystemConfig> configs,
                          std::optional<SimParams> params = std::nullopt,
                          double scale = 0.0);
-
-/** submitSweep + collect: the blocking sweep through a shared Session. */
-SweepResult sweepWorkload(Session& session, const Workload& workload,
-                          std::vector<SystemConfig> configs,
-                          std::optional<SimParams> params = std::nullopt,
-                          double scale = 0.0);
-
-/** Execution knobs for the standalone sweepWorkload overload. */
-struct SweepOptions
-{
-    /**
-     * Executor width for the internally-created Session. 0 = the
-     * GGA_SESSION_THREADS environment default (which honors the
-     * deprecated GGA_SWEEP_THREADS as a fallback). The SweepResult is
-     * bit-identical to the serial path at any thread count.
-     */
-    unsigned threads = 0;
-
-    /**
-     * Preset graph scale for the internally-created Session; 0 = the
-     * GGA_SCALE evaluation scale (the legacy default).
-     */
-    double scale = 0.0;
-};
-
-/**
- * Standalone sweep: creates a private Session sized by @p opts. Prefer
- * the Session-taking overload (or submitSweep) so concurrent sweeps share
- * one executor.
- */
-SweepResult sweepWorkload(const Workload& workload,
-                          std::vector<SystemConfig> configs,
-                          const SimParams& params = SimParams{},
-                          const SweepOptions& opts = SweepOptions{});
 
 /** The baseline configuration a workload's Fig. 5 group normalizes to. */
 SystemConfig baselineConfig(const Workload& workload);

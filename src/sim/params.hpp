@@ -89,7 +89,7 @@ struct SimParams
 
     /**
      * Field-wise equality (work units omit their params override when it
-     * matches the app's registered preset).
+     * matches the default Table IV system).
      */
     bool operator==(const SimParams&) const = default;
 };

@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the Plan/Session API layer: registry completeness, plan
- * validation (no aborts on invalid input), old-vs-new output parity for
- * every application, the thread-safe GraphStore, and serial-vs-parallel
- * sweep equivalence.
+ * validation (no aborts on invalid input), typed output collection, the
+ * thread-safe GraphStore, and serial-vs-parallel sweep equivalence.
  */
 
 #include <string>
@@ -15,7 +14,6 @@
 #include "api/graph_store.hpp"
 #include "api/registry.hpp"
 #include "api/session.hpp"
-#include "apps/runner.hpp"
 #include "graph/generator.hpp"
 #include "harness/sweep.hpp"
 #include "harness/workloads.hpp"
@@ -53,7 +51,7 @@ TEST(Registry, AllSixAppsRegistered)
         ASSERT_NE(e, nullptr) << appName(app);
         EXPECT_EQ(e->id, app);
         EXPECT_EQ(e->name, appName(app));
-        EXPECT_TRUE(e->run && e->runLegacy && e->validConfig);
+        EXPECT_NE(e->run, nullptr);
     }
     EXPECT_EQ(reg.find(static_cast<AppId>(99)), nullptr);
 }
@@ -70,7 +68,7 @@ TEST(Registry, PropertiesMatchAlgoProperties)
     }
 }
 
-TEST(Registry, ConfigPredicatesMatchTraversal)
+TEST(Registry, ValidConfigsFollowTraversal)
 {
     const AppRegistry& reg = AppRegistry::instance();
     std::vector<SystemConfig> all = allConfigs(false);
@@ -152,90 +150,25 @@ TEST(RunPlan, ValidationRejectsInvalidAppConfigPair)
 {
     Session session;
     // PR is static: PushPull ("DD1") must be rejected, without aborting.
+    // The README quotes this message.
     std::string error;
     const RunPlan plan =
         RunPlan{}.app(AppId::Pr).graph(GraphPreset::Dct).config("DD1");
-    EXPECT_TRUE(session.validate(plan).has_value());
+    EXPECT_EQ(session.validate(plan),
+              "PR has a static traversal and requires Push or Pull, got DD1");
     EXPECT_FALSE(session.tryRun(plan, &error).has_value());
-    EXPECT_NE(error.find("PR"), std::string::npos);
+    EXPECT_EQ(error, *session.validate(plan));
     // CC is dynamic: a Push config is likewise invalid.
-    EXPECT_TRUE(session
-                    .validate(RunPlan{}
-                                  .app(AppId::Cc)
-                                  .graph(GraphPreset::Dct)
-                                  .config("SG1"))
-                    .has_value());
-}
-
-// --- old-vs-new parity ----------------------------------------------------
-
-TEST(Parity, AllAppsMatchLegacyRunners)
-{
-    Session session;
-    const CsrGraph& g = smallGraph();
-    const SimParams params;
-
-    for (AppId app : kAllApps) {
-        const bool dynamic =
-            algoProperties(app).traversal == TraversalKind::Dynamic;
-        const SystemConfig cfg = parseConfig(dynamic ? "DD1" : "SG1");
-
-        std::vector<float> pr_ranks;
-        std::vector<std::uint32_t> sssp_dist, mis_state, colors, bc_level,
-            cc_labels;
-        std::vector<double> bc_delta, bc_sigma;
-        AppOutputs sinks;
-        sinks.prRanks = &pr_ranks;
-        sinks.ssspDist = &sssp_dist;
-        sinks.misState = &mis_state;
-        sinks.colors = &colors;
-        sinks.bcDelta = &bc_delta;
-        sinks.bcLevel = &bc_level;
-        sinks.bcSigma = &bc_sigma;
-        sinks.ccLabels = &cc_labels;
-        const RunResult old_run = runWorkload(app, g, cfg, params, &sinks);
-
-        const RunOutcome neu = session.run(
-            RunPlan{}.app(app).graph(g, "api-small").config(cfg).params(
-                params));
-
-        EXPECT_EQ(neu.result.cycles, old_run.cycles) << appName(app);
-        EXPECT_EQ(neu.result.kernels, old_run.kernels) << appName(app);
-        EXPECT_TRUE(neu.hasOutput()) << appName(app);
-        switch (app) {
-          case AppId::Pr:
-            ASSERT_NE(neu.pr(), nullptr);
-            EXPECT_EQ(neu.pr()->ranks, pr_ranks);
-            break;
-          case AppId::Sssp:
-            ASSERT_NE(neu.sssp(), nullptr);
-            EXPECT_EQ(neu.sssp()->dist, sssp_dist);
-            break;
-          case AppId::Mis:
-            ASSERT_NE(neu.mis(), nullptr);
-            EXPECT_EQ(neu.mis()->state, mis_state);
-            break;
-          case AppId::Clr:
-            ASSERT_NE(neu.clr(), nullptr);
-            EXPECT_EQ(neu.clr()->colors, colors);
-            break;
-          case AppId::Bc:
-            ASSERT_NE(neu.bc(), nullptr);
-            EXPECT_EQ(neu.bc()->delta, bc_delta);
-            EXPECT_EQ(neu.bc()->level, bc_level);
-            EXPECT_EQ(neu.bc()->sigma, bc_sigma);
-            break;
-          case AppId::Cc:
-            ASSERT_NE(neu.cc(), nullptr);
-            EXPECT_EQ(neu.cc()->labels, cc_labels);
-            break;
-        }
-    }
+    EXPECT_EQ(session.validate(RunPlan{}
+                                   .app(AppId::Cc)
+                                   .graph(GraphPreset::Dct)
+                                   .config("SG1")),
+              "CC has a dynamic traversal and requires PushPull, got SG1");
 }
 
 TEST(Seed, ZeroSeedMatchesUnseededPaperRuns)
 {
-    // seed=0 must be bit-identical to the legacy unseeded runners for
+    // seed=0 must be bit-identical to a plan that never sets a seed, for
     // every app: the golden paper results key off it.
     Session session;
     const CsrGraph& g = smallGraph();
@@ -299,7 +232,9 @@ TEST(Seed, PerturbsRandomizedAppsOnly)
     EXPECT_EQ(prCyclesWith(7), prCyclesWith(0));
 }
 
-TEST(Parity, OutputsCanBeDisabled)
+// --- outputs --------------------------------------------------------------
+
+TEST(Outputs, CanBeDisabled)
 {
     Session session;
     const RunOutcome out = session.run(RunPlan{}
@@ -312,7 +247,7 @@ TEST(Parity, OutputsCanBeDisabled)
     EXPECT_GT(out.result.cycles, 0u);
 }
 
-TEST(Parity, ExplicitPlanCollectOutputsBeatsSessionDefault)
+TEST(Outputs, ExplicitPlanCollectOutputsBeatsSessionDefault)
 {
     SessionOptions opts;
     opts.collectOutputs = false;
@@ -398,14 +333,23 @@ TEST(GraphStoreTest, EvictionKeepsOutstandingHandlesValid)
 
 // --- parallel sweep -------------------------------------------------------
 
+/** A sweep of @p wl on a fresh Session @p threads wide at GGA_SCALE. */
+SweepResult
+sweepAtWidth(const Workload& wl, std::vector<SystemConfig> configs,
+             unsigned threads)
+{
+    SessionOptions opts;
+    opts.scale = evaluationScale();
+    opts.threads = threads;
+    Session session(opts);
+    return submitSweep(session, wl, std::move(configs)).collect();
+}
+
 TEST(ParallelSweep, BitIdenticalToSerial)
 {
     const Workload wl{AppId::Mis, GraphPreset::Raj};
-    const SimParams params;
-    const SweepResult serial =
-        sweepWorkload(wl, figureConfigs(false), params, SweepOptions{1});
-    const SweepResult parallel =
-        sweepWorkload(wl, figureConfigs(false), params, SweepOptions{3});
+    const SweepResult serial = sweepAtWidth(wl, figureConfigs(false), 1);
+    const SweepResult parallel = sweepAtWidth(wl, figureConfigs(false), 3);
 
     ASSERT_EQ(parallel.results.size(), serial.results.size());
     for (std::size_t i = 0; i < serial.results.size(); ++i) {
@@ -429,8 +373,7 @@ TEST(ParallelSweep, DynamicWorkloadAcrossThreads)
     // CC exercises the PushPull body; two threads over its 4 figure
     // configs double as a concurrent-simulator smoke test.
     const Workload wl{AppId::Cc, GraphPreset::Raj};
-    const SweepResult sweep = sweepWorkload(
-        wl, figureConfigs(true), SimParams{}, SweepOptions{2});
+    const SweepResult sweep = sweepAtWidth(wl, figureConfigs(true), 2);
     ASSERT_GE(sweep.results.size(), 4u);
     for (const ConfigResult& r : sweep.results)
         EXPECT_GE(r.run.cycles, sweep.bestCycles);

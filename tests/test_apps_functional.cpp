@@ -10,8 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "api/session.hpp"
 #include "apps/reference.hpp"
-#include "apps/runner.hpp"
 #include "graph/generator.hpp"
 #include "graph/presets.hpp"
 #include "model/config.hpp"
@@ -39,11 +39,12 @@ smallGraph()
     return g;
 }
 
-SimParams
-testParams()
+/** Run @p app on the small graph under @p config, collecting outputs. */
+RunOutcome
+runSmall(AppId app, const std::string& config)
 {
-    SimParams p;
-    return p;
+    return Session().run(
+        RunPlan{}.app(app).graph(smallGraph(), "small").config(config));
 }
 
 class AllConfigs : public ::testing::TestWithParam<std::string>
@@ -57,11 +58,9 @@ class DynConfigs : public ::testing::TestWithParam<std::string>
 TEST_P(AllConfigs, PrMatchesReference)
 {
     const CsrGraph& g = smallGraph();
-    const SystemConfig cfg = parseConfig(GetParam());
-    std::vector<float> ranks;
-    AppOutputs out;
-    out.prRanks = &ranks;
-    runPr(g, cfg, testParams(), &out);
+    const RunOutcome out = runSmall(AppId::Pr, GetParam());
+    ASSERT_NE(out.pr(), nullptr);
+    const std::vector<float>& ranks = out.pr()->ranks;
     const std::vector<double> expect = ref::pagerank(g, kPrIterations);
     ASSERT_EQ(ranks.size(), expect.size());
     for (std::size_t v = 0; v < ranks.size(); ++v) {
@@ -73,65 +72,45 @@ TEST_P(AllConfigs, PrMatchesReference)
 
 TEST_P(AllConfigs, SsspMatchesDijkstra)
 {
-    const CsrGraph& g = smallGraph();
-    const SystemConfig cfg = parseConfig(GetParam());
-    std::vector<std::uint32_t> dist;
-    AppOutputs out;
-    out.ssspDist = &dist;
-    runSssp(g, cfg, testParams(), &out);
-    const std::vector<std::uint32_t> expect = ref::dijkstra(g, 0);
-    ASSERT_EQ(dist, expect);
+    const RunOutcome out = runSmall(AppId::Sssp, GetParam());
+    ASSERT_NE(out.sssp(), nullptr);
+    ASSERT_EQ(out.sssp()->dist, ref::dijkstra(smallGraph(), 0));
 }
 
 TEST_P(AllConfigs, MisIsValidAndConfigInvariant)
 {
-    const CsrGraph& g = smallGraph();
-    const SystemConfig cfg = parseConfig(GetParam());
-    std::vector<std::uint32_t> state;
-    AppOutputs out;
-    out.misState = &state;
-    runMis(g, cfg, testParams(), &out);
-    EXPECT_TRUE(ref::validMis(g, state));
+    const RunOutcome out = runSmall(AppId::Mis, GetParam());
+    ASSERT_NE(out.mis(), nullptr);
+    EXPECT_TRUE(ref::validMis(smallGraph(), out.mis()->state));
 
     // The round structure is deterministic, so every configuration must
     // produce the identical set.
-    std::vector<std::uint32_t> baseline;
-    AppOutputs base_out;
-    base_out.misState = &baseline;
-    runMis(g, parseConfig("TG0"), testParams(), &base_out);
-    EXPECT_EQ(state, baseline);
+    const RunOutcome baseline = runSmall(AppId::Mis, "TG0");
+    ASSERT_NE(baseline.mis(), nullptr);
+    EXPECT_EQ(out.mis()->state, baseline.mis()->state);
 }
 
 TEST_P(AllConfigs, ClrIsProperColoring)
 {
-    const CsrGraph& g = smallGraph();
-    const SystemConfig cfg = parseConfig(GetParam());
-    std::vector<std::uint32_t> colors;
-    AppOutputs out;
-    out.colors = &colors;
-    runClr(g, cfg, testParams(), &out);
-    EXPECT_TRUE(ref::validColoring(g, colors));
+    const RunOutcome out = runSmall(AppId::Clr, GetParam());
+    ASSERT_NE(out.clr(), nullptr);
+    EXPECT_TRUE(ref::validColoring(smallGraph(), out.clr()->colors));
 }
 
 TEST_P(AllConfigs, BcMatchesBrandes)
 {
-    const CsrGraph& g = smallGraph();
-    const SystemConfig cfg = parseConfig(GetParam());
-    std::vector<double> delta;
-    std::vector<std::uint32_t> level;
-    std::vector<double> sigma;
-    AppOutputs out;
-    out.bcDelta = &delta;
-    out.bcLevel = &level;
-    out.bcSigma = &sigma;
-    runBc(g, cfg, testParams(), &out);
-    const ref::BcRef expect = ref::brandes(g, 0);
-    ASSERT_EQ(level, expect.level);
-    for (std::size_t v = 0; v < delta.size(); ++v) {
-        EXPECT_NEAR(sigma[v], expect.sigma[v],
+    const RunOutcome out = runSmall(AppId::Bc, GetParam());
+    ASSERT_NE(out.bc(), nullptr);
+    const BcOutput& bc = *out.bc();
+    const ref::BcRef expect = ref::brandes(smallGraph(), 0);
+    ASSERT_EQ(bc.level, expect.level);
+    ASSERT_EQ(bc.sigma.size(), expect.sigma.size());
+    ASSERT_EQ(bc.delta.size(), expect.delta.size());
+    for (std::size_t v = 0; v < bc.delta.size(); ++v) {
+        EXPECT_NEAR(bc.sigma[v], expect.sigma[v],
                     1e-9 + 1e-9 * expect.sigma[v])
             << "sigma of vertex " << v;
-        EXPECT_NEAR(delta[v], expect.delta[v],
+        EXPECT_NEAR(bc.delta[v], expect.delta[v],
                     1e-9 + 1e-9 * std::abs(expect.delta[v]))
             << "delta of vertex " << v;
     }
@@ -139,14 +118,10 @@ TEST_P(AllConfigs, BcMatchesBrandes)
 
 TEST_P(DynConfigs, CcMatchesUnionFind)
 {
-    const CsrGraph& g = smallGraph();
-    const SystemConfig cfg = parseConfig(GetParam());
-    std::vector<std::uint32_t> labels;
-    AppOutputs out;
-    out.ccLabels = &labels;
-    runCc(g, cfg, testParams(), &out);
-    const std::vector<std::uint32_t> expect = ref::components(g);
-    EXPECT_TRUE(ref::samePartition(labels, expect));
+    const RunOutcome out = runSmall(AppId::Cc, GetParam());
+    ASSERT_NE(out.cc(), nullptr);
+    EXPECT_TRUE(
+        ref::samePartition(out.cc()->labels, ref::components(smallGraph())));
 }
 
 INSTANTIATE_TEST_SUITE_P(DesignSpace, AllConfigs,

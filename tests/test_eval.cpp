@@ -405,7 +405,7 @@ TEST(ShardInvariance, MergedShardsMatchInProcessRun)
             << count << "-shard merge diverged from the in-process run";
     }
 
-    // The sweep view over the merged results reproduces the legacy sweep.
+    // The sweep view over the merged results picks a true BEST.
     const SweepResult sweep = sweepFromResults(specs[0], in_process);
     EXPECT_EQ(sweep.results.size(), specs[0].configs.size());
     for (const ConfigResult& r : sweep.results)
@@ -421,15 +421,15 @@ TEST(ShardInvariance, MergedShardsMatchInProcessRun)
 
 TEST(ShardInvariance, DuplicateConfigsInSweepListAreTolerated)
 {
-    // The legacy sweep ran a duplicated configuration twice; the manifest
-    // path runs the shared unit once and fans it back out to one result
-    // slot per list entry.
+    // The manifest path runs a duplicated configuration's shared unit
+    // once and fans it back out to one result slot per list entry.
     Session session;
     const std::vector<SystemConfig> configs = {parseConfig("TG0"),
                                                parseConfig("TG0")};
-    const SweepResult sweep = sweepWorkload(
-        session, {AppId::Mis, GraphPreset::Dct}, configs, SimParams{},
-        testScale());
+    const SweepResult sweep =
+        submitSweep(session, {AppId::Mis, GraphPreset::Dct}, configs,
+                    SimParams{}, testScale())
+            .collect();
     ASSERT_GE(sweep.results.size(), 2u);
     EXPECT_EQ(sweep.results[0].config, sweep.results[1].config);
     EXPECT_EQ(sweep.results[0].run, sweep.results[1].run);
@@ -686,21 +686,14 @@ TEST(GraphStoreSnapshot, WorkerBudgetBoundsAFullScaleManifest)
     std::filesystem::remove_all(dir);
 }
 
-// --- per-app params presets ----------------------------------------------
-
-TEST(RegistryParams, EveryAppRegistersTheTableIvPreset)
-{
-    for (const AppRegistry::Entry& e : AppRegistry::instance().entries())
-        EXPECT_EQ(e.params, SimParams{}) << e.name;
-}
+// --- unit params ----------------------------------------------------------
 
 TEST(RegistryParams, UnitWithoutParamsRunsTheRegistryPreset)
 {
     const WorkUnit u = presetUnit(AppId::Pr, GraphPreset::Dct, "SGR", 0.1);
     const RunPlan plan = planForUnit(u);
     ASSERT_TRUE(plan.plannedParams().has_value());
-    EXPECT_EQ(*plan.plannedParams(),
-              AppRegistry::instance().at(AppId::Pr).params);
+    EXPECT_EQ(*plan.plannedParams(), SimParams{});
     EXPECT_EQ(plan.outputsRequested(), std::optional<bool>(false));
 }
 

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/runner.hpp"
+#include "api/session.hpp"
 #include "graph/generator.hpp"
 #include "model/config.hpp"
 #include "support/log.hpp"
@@ -33,10 +33,14 @@ propGraph()
     return g;
 }
 
-struct AppParam
+/** Simulate @p app on the property graph under @p config. */
+RunResult
+runProp(AppId app, const std::string& config)
 {
-    AppId app;
-};
+    return Session()
+        .run(RunPlan{}.app(app).graph(propGraph(), "prop").config(config))
+        .result;
+}
 
 class PerApp : public ::testing::TestWithParam<AppId>
 {
@@ -48,12 +52,9 @@ TEST_P(PerApp, PullInsensitiveToConsistency)
     const AppId app = GetParam();
     if (algoProperties(app).traversal == TraversalKind::Dynamic)
         GTEST_SKIP() << "dynamic apps have no pull variant";
-    const Cycles tg0 =
-        runWorkload(app, propGraph(), parseConfig("TG0")).cycles;
-    const Cycles tg1 =
-        runWorkload(app, propGraph(), parseConfig("TG1")).cycles;
-    const Cycles tgr =
-        runWorkload(app, propGraph(), parseConfig("TGR")).cycles;
+    const Cycles tg0 = runProp(app, "TG0").cycles;
+    const Cycles tg1 = runProp(app, "TG1").cycles;
+    const Cycles tgr = runProp(app, "TGR").cycles;
     EXPECT_EQ(tg0, tg1);
     EXPECT_EQ(tg1, tgr);
 }
@@ -64,8 +65,7 @@ TEST_P(PerApp, PullHasNoAtomics)
     const AppId app = GetParam();
     if (algoProperties(app).traversal == TraversalKind::Dynamic)
         GTEST_SKIP();
-    const RunResult r =
-        runWorkload(app, propGraph(), parseConfig("TG0"));
+    const RunResult r = runProp(app, "TG0");
     EXPECT_EQ(r.mem.l2Atomics, 0u);
     EXPECT_EQ(r.mem.l1AtomicHits, 0u);
 }
@@ -76,12 +76,10 @@ TEST_P(PerApp, CoherenceMechanismsAreExclusive)
     const AppId app = GetParam();
     const bool dyn =
         algoProperties(app).traversal == TraversalKind::Dynamic;
-    const RunResult gpu = runWorkload(app, propGraph(),
-                                      parseConfig(dyn ? "DG1" : "SG1"));
+    const RunResult gpu = runProp(app, dyn ? "DG1" : "SG1");
     EXPECT_EQ(gpu.mem.ownershipRequests, 0u);
     EXPECT_EQ(gpu.mem.l1AtomicHits, 0u);
-    const RunResult denovo = runWorkload(app, propGraph(),
-                                         parseConfig(dyn ? "DD1" : "SD1"));
+    const RunResult denovo = runProp(app, dyn ? "DD1" : "SD1");
     EXPECT_EQ(denovo.mem.l2Atomics, 0u);
     EXPECT_GT(denovo.mem.ownershipRequests, 0u);
 }
@@ -92,12 +90,8 @@ TEST_P(PerApp, RelaxationHelpsOrIsNeutral)
     const AppId app = GetParam();
     const bool dyn =
         algoProperties(app).traversal == TraversalKind::Dynamic;
-    const Cycles drf1 =
-        runWorkload(app, propGraph(), parseConfig(dyn ? "DG1" : "SG1"))
-            .cycles;
-    const Cycles rlx =
-        runWorkload(app, propGraph(), parseConfig(dyn ? "DGR" : "SGR"))
-            .cycles;
+    const Cycles drf1 = runProp(app, dyn ? "DG1" : "SG1").cycles;
+    const Cycles rlx = runProp(app, dyn ? "DGR" : "SGR").cycles;
     // Allow 2% modeling noise (different interleavings).
     EXPECT_LT(rlx, drf1 + drf1 / 50);
 }
@@ -108,12 +102,8 @@ TEST_P(PerApp, Drf0IsNeverFasterThanDrf1)
     const AppId app = GetParam();
     const bool dyn =
         algoProperties(app).traversal == TraversalKind::Dynamic;
-    const Cycles drf0 =
-        runWorkload(app, propGraph(), parseConfig(dyn ? "DG0" : "SG0"))
-            .cycles;
-    const Cycles drf1 =
-        runWorkload(app, propGraph(), parseConfig(dyn ? "DG1" : "SG1"))
-            .cycles;
+    const Cycles drf0 = runProp(app, dyn ? "DG0" : "SG0").cycles;
+    const Cycles drf1 = runProp(app, dyn ? "DG1" : "SG1").cycles;
     EXPECT_GE(drf0, drf1);
 }
 
@@ -123,9 +113,9 @@ TEST_P(PerApp, DeterministicReplay)
     const AppId app = GetParam();
     const bool dyn =
         algoProperties(app).traversal == TraversalKind::Dynamic;
-    const SystemConfig cfg = parseConfig(dyn ? "DDR" : "SDR");
-    const RunResult a = runWorkload(app, propGraph(), cfg);
-    const RunResult b = runWorkload(app, propGraph(), cfg);
+    const std::string cfg = dyn ? "DDR" : "SDR";
+    const RunResult a = runProp(app, cfg);
+    const RunResult b = runProp(app, cfg);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.events, b.events);
     EXPECT_EQ(a.kernels, b.kernels);
@@ -137,8 +127,7 @@ TEST_P(PerApp, BreakdownConservation)
     const AppId app = GetParam();
     const bool dyn =
         algoProperties(app).traversal == TraversalKind::Dynamic;
-    const RunResult r = runWorkload(app, propGraph(),
-                                    parseConfig(dyn ? "DG1" : "SG1"));
+    const RunResult r = runProp(app, dyn ? "DG1" : "SG1");
     const double expected = static_cast<double>(r.cycles) * 15;
     EXPECT_NEAR(r.breakdown.total(), expected, expected * 0.01);
 }
@@ -154,10 +143,8 @@ INSTANTIATE_TEST_SUITE_P(AllApps, PerApp,
 /** The DRF0 flush/invalidate machinery engages only under DRF0. */
 TEST(Properties, Drf0FlushesPerAtomic)
 {
-    const RunResult drf0 =
-        runWorkload(AppId::Pr, propGraph(), parseConfig("SG0"));
-    const RunResult drf1 =
-        runWorkload(AppId::Pr, propGraph(), parseConfig("SG1"));
+    const RunResult drf0 = runProp(AppId::Pr, "SG0");
+    const RunResult drf1 = runProp(AppId::Pr, "SG1");
     EXPECT_GT(drf0.mem.acquireInvalidatedLines,
               drf1.mem.acquireInvalidatedLines);
 }
@@ -165,8 +152,7 @@ TEST(Properties, Drf0FlushesPerAtomic)
 /** DeNovo with reuse executes a healthy share of atomics at the L1. */
 TEST(Properties, DeNovoRealizesAtomicReuse)
 {
-    const RunResult r =
-        runWorkload(AppId::Pr, propGraph(), parseConfig("SD1"));
+    const RunResult r = runProp(AppId::Pr, "SD1");
     EXPECT_GT(r.mem.l1AtomicHits, r.mem.ownershipRequests);
 }
 
@@ -174,10 +160,8 @@ TEST(Properties, DeNovoRealizesAtomicReuse)
 TEST(Properties, KernelCountsConfigInvariant)
 {
     for (AppId app : {AppId::Pr, AppId::Mis}) {
-        const auto a =
-            runWorkload(app, propGraph(), parseConfig("TG0")).kernels;
-        const auto b =
-            runWorkload(app, propGraph(), parseConfig("SDR")).kernels;
+        const auto a = runProp(app, "TG0").kernels;
+        const auto b = runProp(app, "SDR").kernels;
         EXPECT_EQ(a, b) << appName(app);
     }
 }

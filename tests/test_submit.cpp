@@ -62,7 +62,7 @@ makeSession(unsigned threads)
 TEST(TaskPoolTest, RunsEveryJobAtSeveralWidths)
 {
     for (unsigned width : {1u, 2u, 4u}) {
-        TaskPool pool(width);
+        TaskPool pool(TaskPoolOptions{width});
         EXPECT_EQ(pool.width(), width);
         std::atomic<int> ran{0};
         std::vector<std::future<int>> futures;
@@ -80,14 +80,14 @@ TEST(TaskPoolTest, RunsEveryJobAtSeveralWidths)
 
 TEST(TaskPoolTest, WidthZeroClampsToOneWorker)
 {
-    TaskPool pool(0);
+    TaskPool pool(TaskPoolOptions{0});
     EXPECT_EQ(pool.width(), 1u);
     EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
 }
 
 TEST(TaskPoolTest, ExceptionsPropagateThroughFutures)
 {
-    TaskPool pool(2);
+    TaskPool pool(TaskPoolOptions{2});
     std::future<int> bad =
         pool.submit([]() -> int { throw std::runtime_error("boom"); });
     EXPECT_THROW(bad.get(), std::runtime_error);
@@ -99,7 +99,7 @@ TEST(TaskPoolTest, DestructorDrainsPostedJobs)
 {
     std::atomic<int> ran{0};
     {
-        TaskPool pool(1);
+        TaskPool pool(TaskPoolOptions{1});
         for (int i = 0; i < 8; ++i)
             pool.post([&ran] { ran.fetch_add(1); });
     }
@@ -108,7 +108,7 @@ TEST(TaskPoolTest, DestructorDrainsPostedJobs)
 
 TEST(TaskPoolTest, InteractiveLaneOvertakesQueuedBatchWork)
 {
-    TaskPool pool(1);
+    TaskPool pool(TaskPoolOptions{1});
     // Park the single worker so everything below queues behind it.
     std::promise<void> gate;
     std::shared_future<void> opened = gate.get_future().share();
@@ -149,7 +149,7 @@ TEST(TaskPoolTest, InteractiveLaneOvertakesQueuedBatchWork)
 
 TEST(TaskPoolTest, PostAllBatchesFanOutThroughStealing)
 {
-    TaskPool pool(4);
+    TaskPool pool(TaskPoolOptions{4});
     std::atomic<int> ran{0};
     std::vector<TaskPool::Task> tasks;
     // The expanding worker pops the slow head in batch order and holds it
@@ -310,6 +310,13 @@ TEST(Submit, ThreadsOptionResolves)
     EXPECT_GE(Session().threads(), 1u); // environment default
 }
 
+TEST(Submit, OversizedWidthIsClampedBeforeTheExecutorStarts)
+{
+    // The constructor hands threads() to the graph builds, so the clamp
+    // must hold before the first submit starts the TaskPool.
+    EXPECT_EQ(makeSession(100000).threads(), TaskPool::kMaxThreads);
+}
+
 // --- sweeps on a shared executor ------------------------------------------
 
 TEST(SubmitSweep, ConcurrentSweepsMatchStandaloneSerial)
@@ -317,19 +324,20 @@ TEST(SubmitSweep, ConcurrentSweepsMatchStandaloneSerial)
     const Workload mis{AppId::Mis, GraphPreset::Raj};
     const Workload cc{AppId::Cc, GraphPreset::Raj};
     const SimParams params;
+    // Every session sweeps at the GGA_SCALE evaluation scale, so only the
+    // executor width differs between the serial and parallel runs.
+    SessionOptions opts;
+    opts.scale = evaluationScale();
 
+    opts.threads = 1;
+    Session serial(opts);
     const SweepResult mis_serial =
-        sweepWorkload(mis, figureConfigs(false), params, SweepOptions{1});
+        submitSweep(serial, mis, figureConfigs(false), params).collect();
     const SweepResult cc_serial =
-        sweepWorkload(cc, figureConfigs(true), params, SweepOptions{1});
+        submitSweep(serial, cc, figureConfigs(true), params).collect();
 
     for (unsigned width : {2u, 4u}) {
-        SessionOptions opts;
         opts.threads = width;
-        // Sweeps default to the session's scale; match the standalone
-        // overload's GGA_SCALE default so the comparison is apples to
-        // apples.
-        opts.scale = evaluationScale();
         Session session(opts);
         // Both sweeps in flight on one executor before either collects.
         PendingSweep a =

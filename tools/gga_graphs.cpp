@@ -282,7 +282,7 @@ main(int argc, char** argv)
         };
 
         int failures = 0;
-        gga::TaskPool pool(width);
+        gga::TaskPool pool(gga::TaskPoolOptions{width});
         std::vector<std::future<Report>> reports;
         reports.reserve(targets.size());
         for (const Target& t : targets)
