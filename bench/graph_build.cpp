@@ -4,10 +4,12 @@
  * pays per input, per preset x scale —
  *
  *   synth_ref_ms      full synthesis, frozen v1 baseline
- *                     (generateGraphReference: one sequential stream)
+ *                     (reference/graph.hpp generateGraphReference: one
+ *                     sequential stream)
  *   synth_parallel_ms full synthesis, current generator (SplitRng
  *                     phases + alias sampling + sharded dedup)
- *   build_serial_ms   CSR construction alone, reference std::sort path
+ *   build_serial_ms   CSR construction alone, frozen std::sort path
+ *                     (reference/graph.hpp buildReferenceSort)
  *   build_parallel_ms CSR construction alone, counting-sort path
  *   snapshot_load_ms  checksummed .csrbin load, copying (ifstream) path
  *   mmap_load_ms      checksummed .csrbin load, zero-copy mmap path
@@ -38,6 +40,7 @@
 #include "graph/generator.hpp"
 #include "graph/presets.hpp"
 #include "graph/snapshot.hpp"
+#include "reference/graph.hpp"
 #include "support/log.hpp"
 
 namespace {
@@ -117,7 +120,7 @@ benchPreset(gga::GraphPreset p, double scale, unsigned threads, int reps,
     gga::CsrGraph serial, parallel;
     for (int r = 0; r < reps; ++r) {
         auto start = std::chrono::steady_clock::now();
-        serial = builder.buildReferenceSort(/*with_weights=*/true);
+        serial = gga::buildReferenceSort(builder, /*with_weights=*/true);
         row.buildSerialMs = std::min(row.buildSerialMs, msSince(start));
 
         builder.threads(threads);

@@ -13,7 +13,7 @@
 #   above; a second argument redirects the single-suite runs)
 #   BUILD_DIR=... to reuse/redirect the build tree (default: build-bench).
 #   BENCH_THREADS=N to pin the graph suite's thread budget (default:
-#   the binary's GGA_BUILD_THREADS/GGA_SESSION_THREADS resolution).
+#   the binary's GGA_SESSION_THREADS resolution).
 #   BENCH_SERVE_SECONDS=S per-phase load duration (default 10)
 #   BENCH_SERVE_SCALE=S / BENCH_SERVE_BATCH_SCALE=S workload scales for
 #   the serve suite (defaults: the load generator's 0.05 / 0.1)

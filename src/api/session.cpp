@@ -265,35 +265,11 @@ Session::executor()
 {
     std::call_once(poolOnce_, [this] {
         pool_ = std::make_unique<TaskPool>(
-            TaskPoolOptions{threads(), opts_.pinThreads});
+            TaskPoolOptions{threads()});
         actualThreads_.store(pool_->width(), std::memory_order_release);
         poolStarted_.store(true, std::memory_order_release);
     });
     return *pool_;
-}
-
-std::size_t
-Session::queueDepth() const
-{
-    if (!poolStarted_.load(std::memory_order_acquire))
-        return 0;
-    return pool_->pending();
-}
-
-unsigned
-Session::runningTasks() const
-{
-    if (!poolStarted_.load(std::memory_order_acquire))
-        return 0;
-    return pool_->active();
-}
-
-std::uint64_t
-Session::completedTasks() const
-{
-    if (!poolStarted_.load(std::memory_order_acquire))
-        return 0;
-    return pool_->completedTotal();
 }
 
 std::future<RunOutcome>

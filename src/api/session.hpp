@@ -183,11 +183,6 @@ struct SessionOptions
      */
     unsigned threads = 0;
     /**
-     * Pin executor workers to CPUs (TaskPoolOptions::pinThreads). Unset =
-     * the GGA_PIN_THREADS environment default.
-     */
-    std::optional<bool> pinThreads;
-    /**
      * LRU byte budget applied to the shared GraphStore (see
      * GraphStore::setBudgetBytes). 0 = leave the store's current budget
      * untouched (the default). Nonzero values configure the process-wide
@@ -284,18 +279,7 @@ class Session
     /** The shared executor, started on first use. */
     TaskPool& executor();
 
-    /**
-     * Telemetry for resident services: tasks posted to the executor but
-     * not yet started, and tasks currently running. Zero before the
-     * executor's lazy start (queue depth of a pool that doesn't exist).
-     */
-    std::size_t queueDepth() const;
-    unsigned runningTasks() const;
-
-    /** Tasks the executor has finished since it started (monotonic). */
-    std::uint64_t completedTasks() const;
-
-    /** Scheduler telemetry; zero-valued before the executor's lazy start. */
+    /** Executor telemetry; zero-valued before the executor's lazy start. */
     TaskPool::Stats executorStats() const;
 
   private:

@@ -1,7 +1,6 @@
 #include "api/task_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string_view>
 #include <system_error>
 
@@ -10,8 +9,6 @@
 
 #if defined(__linux__)
 #include <cerrno>
-#include <pthread.h>
-#include <sched.h>
 #include <sys/resource.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -72,26 +69,14 @@ parseLane(std::string_view name)
     return std::nullopt;
 }
 
-bool
-defaultPinThreads()
-{
-    const char* env = std::getenv("GGA_PIN_THREADS");
-    if (env == nullptr)
-        return false;
-    const std::string_view value(env);
-    return !value.empty() && value != "0" && value != "false";
-}
-
 TaskPool::TaskPool(TaskPoolOptions opts)
 {
     unsigned requested = std::clamp(opts.threads, 1u, kMaxThreads);
     if (opts.threads > kMaxThreads)
         GGA_WARN("TaskPool width ", opts.threads, " clamped to ",
                  kMaxThreads);
-    pinThreads_ = opts.pinThreads.value_or(defaultPinThreads());
 #if defined(__linux__)
-    if (opts.batchNice != 0 && canAdjustNice())
-        batchNice_ = opts.batchNice;
+    batchNiced_ = canAdjustNice();
 #endif
 
     // All Worker objects (and their deques) must exist before any thread
@@ -137,12 +122,6 @@ TaskPool::~TaskPool()
 }
 
 std::size_t
-TaskPool::pending() const
-{
-    return pending(Lane::Interactive) + pending(Lane::Batch);
-}
-
-std::size_t
 TaskPool::pending(Lane lane) const
 {
     const unsigned l = laneIndex(lane);
@@ -176,11 +155,11 @@ TaskPool::stats() const
     Stats s;
     s.interactiveDepth = pending(Lane::Interactive);
     s.batchDepth = pending(Lane::Batch);
+    s.running = active();
+    s.completedTotal = completedTotal();
     s.stealsTotal = steals_.load(std::memory_order_relaxed);
     s.stealFailures = stealFailures_.load(std::memory_order_relaxed);
-    s.pinned = pinThreads_ &&
-               pinnedWorkers_.load(std::memory_order_relaxed) == width();
-    s.batchNiced = batchNice_ != 0;
+    s.batchNiced = batchNiced_;
     return s;
 }
 
@@ -219,8 +198,6 @@ TaskPool::postAll(std::vector<Task> jobs, Lane lane)
 void
 TaskPool::workerLoop(Worker& self)
 {
-    if (pinThreads_)
-        pinSelf(self.index);
     for (;;) {
         std::uint64_t scanned = 0;
         {
@@ -369,15 +346,15 @@ TaskPool::execute(Task task, Lane lane)
     // Batch tasks run niced: once every CPU is busy, lane priority alone
     // cannot preempt a batch unit already executing, but the kernel's
     // scheduler can keep favoring the interactive threads. Reversibility
-    // was verified in the constructor (batchNice_ stays 0 otherwise).
+    // was verified in the constructor (batchNiced_ stays false otherwise).
     int base = 0;
-    const bool demoted = batchNice_ != 0 && lane == Lane::Batch;
+    const bool demoted = batchNiced_ && lane == Lane::Batch;
     if (demoted) {
         errno = 0;
         base = getpriority(PRIO_PROCESS, 0);
         if (base == -1 && errno != 0)
             base = 0;
-        (void)setpriority(PRIO_PROCESS, 0, base + batchNice_);
+        (void)setpriority(PRIO_PROCESS, 0, base + kBatchNice);
     }
 #else
     (void)lane;
@@ -406,31 +383,6 @@ TaskPool::announce(bool everyone)
         cv_.notify_all();
     else
         cv_.notify_one();
-}
-
-void
-TaskPool::pinSelf(unsigned index)
-{
-#if defined(__linux__)
-    const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(index % cores, &set);
-    if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0) {
-        pinnedWorkers_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            GGA_WARN("TaskPool: pthread_setaffinity_np failed; workers "
-                     "run unpinned");
-    }
-#else
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true))
-        GGA_WARN("TaskPool: thread pinning is unsupported on this "
-                 "platform; workers run unpinned");
-    (void)index;
-#endif
 }
 
 } // namespace gga

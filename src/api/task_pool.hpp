@@ -30,11 +30,6 @@
  * shared_ptr for std::function's copyability rule — one heap allocation
  * per task on the submit path, not two.
  *
- * Optional CPU-affinity pinning (TaskPoolOptions::pinThreads or
- * GGA_PIN_THREADS=1): worker i pins to core i mod N via
- * pthread_setaffinity_np on Linux, a graceful no-op elsewhere — the
- * first step of the ROADMAP NUMA item.
- *
  * Destruction drains both lanes: tasks already posted run to completion
  * before the workers join, so futures handed out by submit() never
  * become broken promises.
@@ -56,6 +51,7 @@
 #include <vector>
 
 #include "support/inline_function.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/thread_annotations.hpp"
 #include "support/work_steal_deque.hpp"
@@ -82,27 +78,7 @@ struct TaskPoolOptions
 {
     /** Worker count, clamped to [1, TaskPool::kMaxThreads]. */
     unsigned threads = 1;
-    /**
-     * Pin worker i to CPU i mod hardware_concurrency
-     * (pthread_setaffinity_np). Defaulted from GGA_PIN_THREADS ("1"/"0")
-     * when unset here; a platform without thread affinity warns once and
-     * runs unpinned.
-     */
-    std::optional<bool> pinThreads = std::nullopt;
-    /**
-     * Nice delta applied to a worker for the duration of each BATCH-lane
-     * task, so that when every CPU is busy, the kernel's own scheduler
-     * keeps favoring interactive tasks that lane priority alone cannot
-     * preempt. 0 disables. Applied only where it is reversible (root or
-     * a sufficient RLIMIT_NICE — an unprivileged thread can lower its
-     * priority but not restore it); elsewhere the pool silently runs
-     * un-niced, so the knob is safe to leave on everywhere.
-     */
-    int batchNice = 10;
 };
-
-/** GGA_PIN_THREADS environment value; false when unset. */
-bool defaultPinThreads();
 
 class TaskPool
 {
@@ -114,23 +90,30 @@ class TaskPool
      */
     using Task = InlineFunction<void(), 64>;
 
-    /** Executor telemetry for /stats. */
+    /** Executor telemetry for /stats, read in one call. */
     struct Stats
     {
         std::size_t interactiveDepth = 0; ///< queued, interactive lane
         std::size_t batchDepth = 0;       ///< queued, batch lane
+        unsigned running = 0;             ///< tasks executing now
+        std::uint64_t completedTotal = 0; ///< tasks finished (monotonic)
         std::uint64_t stealsTotal = 0;    ///< successful steals
         std::uint64_t stealFailures = 0;  ///< CAS-race aborts while stealing
-        bool pinned = false; ///< pinning requested and every worker pinned
-        bool batchNiced = false; ///< batch tasks run at a higher nice
+        bool batchNiced = false; ///< batch tasks run at kBatchNice
     };
 
+    /** Width cap: the process-wide thread cap of support/parallel.hpp. */
+    static constexpr unsigned kMaxThreads = gga::kMaxThreads;
+
     /**
-     * Hard cap on the width: every task is a whole-workload simulation,
-     * so widths beyond this never help, and an unclamped environment
-     * value must not spawn until exhaustion.
+     * Nice delta applied to a worker for the duration of each BATCH-lane
+     * task, so that when every CPU is busy, the kernel's own scheduler
+     * keeps favoring interactive tasks that lane priority alone cannot
+     * preempt. Applied only where it is reversible (root or a sufficient
+     * RLIMIT_NICE — an unprivileged thread can lower its priority but
+     * not restore it); elsewhere the pool runs un-niced.
      */
-    static constexpr unsigned kMaxThreads = 512;
+    static constexpr int kBatchNice = 10;
 
     /**
      * Start opts.threads workers, clamped to [1, kMaxThreads] (with a
@@ -148,9 +131,6 @@ class TaskPool
 
     /** Number of running worker threads. */
     unsigned width() const { return spawned_; }
-
-    /** Tasks posted but not yet picked up by a worker, both lanes. */
-    std::size_t pending() const;
 
     /** Tasks posted but not yet picked up, one lane. */
     std::size_t pending(Lane lane) const;
@@ -214,11 +194,7 @@ class TaskPool
   private:
     struct Worker
     {
-        explicit Worker(unsigned idx)
-            : index(idx), rng(0x9e3779b97f4a7c15ull, idx)
-        {
-        }
-        unsigned index;
+        explicit Worker(unsigned idx) : rng(0x9e3779b97f4a7c15ull, idx) {}
         /** One owner deque per lane; elements are heap Task nodes. */
         WorkStealDeque<Task*> deq[kLaneCount];
         SplitRng rng; ///< victim randomization; worker-thread only
@@ -237,7 +213,6 @@ class TaskPool
     void execute(Task task, Lane lane);
     /** Bump the work-visible version and wake @p everyone or one. */
     void announce(bool everyone);
-    void pinSelf(unsigned index);
 
     mutable Mutex mu_;
     CondVar cv_;
@@ -267,9 +242,8 @@ class TaskPool
     std::vector<std::unique_ptr<Worker>> workers_;
     /** Threads actually running (<= workers_.size(); see above). */
     unsigned spawned_ = 0;
-    bool pinThreads_ = false;
-    /** batchNice when adjustment is available and reversible, else 0. */
-    int batchNice_ = 0;
+    /** Whether batch tasks run at kBatchNice (adjustment reversible). */
+    bool batchNiced_ = false;
     /**
      * Tasks enqueued anywhere (injection, expander, expanded units) and
      * not yet finished. The drain condition: workers exit only once
@@ -281,7 +255,6 @@ class TaskPool
     std::atomic<std::uint64_t> completed_{0};
     std::atomic<std::uint64_t> steals_{0};
     std::atomic<std::uint64_t> stealFailures_{0};
-    std::atomic<unsigned> pinnedWorkers_{0};
 };
 
 } // namespace gga

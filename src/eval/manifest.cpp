@@ -39,18 +39,6 @@ Manifest::contains(const std::string& key) const
     return keys_.count(key) != 0;
 }
 
-Manifest
-Manifest::filter(const std::function<bool(const WorkUnit&)>& pred) const
-{
-    Manifest out;
-    out.meta = meta;
-    for (const WorkUnit& u : units_) {
-        if (pred(u))
-            out.append(u);
-    }
-    return out;
-}
-
 double
 Manifest::unitCost(const WorkUnit& unit)
 {

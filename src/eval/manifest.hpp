@@ -4,9 +4,9 @@
  * distribution for the evaluation pipeline.
  *
  * Every figure/table/bench is expressed as a manifest instead of an
- * imperative loop over Session: enumerate the matrix once, optionally
- * filter it, shard it across workers (round-robin or cost-balanced),
- * round-trip it through JSON, and execute each shard anywhere. Because
+ * imperative loop over Session: enumerate the matrix once, shard it
+ * across workers (round-robin or cost-balanced), round-trip it through
+ * JSON, and execute each shard anywhere. Because
  * WorkUnit keys are deterministic and the simulator is deterministic,
  * the merged results never depend on the shard count.
  */
@@ -14,7 +14,6 @@
 #ifndef GGA_EVAL_MANIFEST_HPP
 #define GGA_EVAL_MANIFEST_HPP
 
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -60,9 +59,6 @@ class Manifest
     bool addUnique(WorkUnit unit);
 
     bool contains(const std::string& key) const;
-
-    /** The units for which @p pred holds, same order, same meta. */
-    Manifest filter(const std::function<bool(const WorkUnit&)>& pred) const;
 
     /**
      * The sub-manifest shard @p index of @p count. Deterministic for a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <thread>
 
 #include "support/log.hpp"
 #include "support/parallel.hpp"
@@ -14,9 +13,7 @@ unsigned
 defaultBuildThreads()
 {
     static const unsigned threads = [] {
-        const char* env = std::getenv("GGA_BUILD_THREADS");
-        if (!env)
-            env = std::getenv("GGA_SESSION_THREADS");
+        const char* env = std::getenv("GGA_SESSION_THREADS");
         if (!env)
             return 1u;
         const long t = std::atol(env);
@@ -60,18 +57,12 @@ pairWeight(VertexId u, VertexId v)
 CsrGraph
 GraphBuilder::build(bool with_weights) const
 {
-    return buildCounting(with_weights,
-                         threads_ == 0 ? defaultBuildThreads() : threads_);
-}
-
-CsrGraph
-GraphBuilder::buildCounting(bool with_weights, unsigned threads) const
-{
+    const unsigned threads = threads_ == 0 ? defaultBuildThreads() : threads_;
     const std::size_t raw = srcs_.size();
     const std::size_t n = numVertices_;
     // Give each worker at least ~16k raw edges: below that the fork-join
     // overhead outweighs the split, and the counting construction beats
-    // the reference sort on its own.
+    // a global sort on its own.
     const std::size_t max_useful =
         std::max<std::size_t>(1, raw / (16 * 1024));
     const unsigned T = static_cast<unsigned>(
@@ -184,48 +175,6 @@ GraphBuilder::buildCounting(bool with_weights, unsigned threads) const
             }
         }
     });
-    return CsrGraph(std::move(offsets), std::move(cols), std::move(weights));
-}
-
-CsrGraph
-GraphBuilder::buildReferenceSort(bool with_weights) const
-{
-    // Symmetrize: every raw edge contributes both directions; self-loops
-    // are dropped (or kept as a single u->u edge). Dedup happens after
-    // sorting per row.
-    std::vector<std::uint64_t> pairs;
-    pairs.reserve(srcs_.size() * 2);
-    for (std::size_t i = 0; i < srcs_.size(); ++i) {
-        const VertexId u = srcs_[i];
-        const VertexId v = dsts_[i];
-        if (u == v) {
-            if (keepSelfLoops_)
-                pairs.push_back((static_cast<std::uint64_t>(u) << 32) | v);
-            continue;
-        }
-        pairs.push_back((static_cast<std::uint64_t>(u) << 32) | v);
-        pairs.push_back((static_cast<std::uint64_t>(v) << 32) | u);
-    }
-    std::sort(pairs.begin(), pairs.end());
-    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
-    std::vector<EdgeId> offsets(static_cast<std::size_t>(numVertices_) + 1, 0);
-    for (std::uint64_t p : pairs)
-        offsets[(p >> 32) + 1]++;
-    for (std::size_t v = 0; v < numVertices_; ++v)
-        offsets[v + 1] += offsets[v];
-
-    std::vector<VertexId> cols(pairs.size());
-    std::vector<std::uint32_t> weights;
-    if (with_weights)
-        weights.resize(pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-        cols[i] = static_cast<VertexId>(pairs[i] & 0xffffffffu);
-        if (with_weights) {
-            weights[i] =
-                pairWeight(static_cast<VertexId>(pairs[i] >> 32), cols[i]);
-        }
-    }
     return CsrGraph(std::move(offsets), std::move(cols), std::move(weights));
 }
 

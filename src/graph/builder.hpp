@@ -7,6 +7,7 @@
 #define GGA_GRAPH_BUILDER_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -41,8 +42,10 @@ class GraphBuilder
 
     VertexId numVertices() const { return numVertices_; }
 
-    /** Number of raw (pre-canonicalization) directed edges added so far. */
-    std::size_t numRawEdges() const { return srcs_.size(); }
+    /** The raw (pre-canonicalization) edges added so far, in order:
+     *  edge i is rawSources()[i] -> rawTargets()[i]. */
+    std::span<const VertexId> rawSources() const { return srcs_; }
+    std::span<const VertexId> rawTargets() const { return dsts_; }
 
     /**
      * Keep self-loops in the built graph (one u->u edge each) instead of
@@ -51,6 +54,7 @@ class GraphBuilder
      * round trips.
      */
     void keepSelfLoops(bool keep) { keepSelfLoops_ = keep; }
+    bool keepsSelfLoops() const { return keepSelfLoops_; }
 
     /**
      * Worker threads for build(). 0 (the default) resolves through
@@ -66,11 +70,11 @@ class GraphBuilder
      * Runs the two-pass counting-sort construction: per-thread partitions
      * of the raw edge list are counted and scattered into per-row
      * segments, rows are sorted/deduped in parallel, and the result is
-     * compacted — O(|E| + |V|) instead of the reference path's global
-     * O(|E| log |E|) sort, and parallel across threads(). The output is
-     * byte-identical to buildReferenceSort() at every thread count (the
-     * canonical form — sorted, deduplicated rows — does not depend on
-     * construction order; tests assert it).
+     * compacted — O(|E| + |V|) instead of a global O(|E| log |E|)
+     * sort, and parallel across threads(). The output is byte-identical
+     * to the frozen std::sort path (reference/graph.hpp) at every thread
+     * count (the canonical form — sorted, deduplicated rows — does not
+     * depend on construction order; tests assert it).
      *
      * @param with_weights derive deterministic per-undirected-pair weights
      *        in [1, 31] from a hash of the endpoint ids (both directions of
@@ -79,17 +83,7 @@ class GraphBuilder
      */
     CsrGraph build(bool with_weights = false) const;
 
-    /**
-     * The pre-PR-5 serial build path (pack pairs, std::sort, unique),
-     * kept verbatim as the in-tree measurement baseline and oracle for
-     * build() — the same role the binary-heap engine plays for the time
-     * wheel in bench/micro_substrate.
-     */
-    CsrGraph buildReferenceSort(bool with_weights = false) const;
-
   private:
-    CsrGraph buildCounting(bool with_weights, unsigned threads) const;
-
     VertexId numVertices_;
     bool keepSelfLoops_ = false;
     unsigned threads_ = 0;
@@ -102,8 +96,8 @@ std::uint32_t pairWeight(VertexId u, VertexId v);
 
 /**
  * Build-thread default when GraphBuilder::threads was never set (or set
- * to 0): GGA_BUILD_THREADS, else GGA_SESSION_THREADS, else 1. The
- * GraphStore overrides this with the owning session's executor width.
+ * to 0): GGA_SESSION_THREADS, else 1. The GraphStore overrides this with
+ * the owning session's executor width.
  */
 unsigned defaultBuildThreads();
 

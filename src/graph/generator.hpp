@@ -124,16 +124,6 @@ struct GenSpec
 CsrGraph generateGraph(const GenSpec& spec, unsigned build_threads = 0);
 
 /**
- * The frozen v1 synthesis path: one sequential Xoshiro stream feeding a
- * single global pair set, with a binary-search partner sampler. Kept as
- * the measured baseline for bench/graph_build's synth_speedup column —
- * not content-addressed, never snapshot-cached, and its output differs
- * from generateGraph's.
- */
-CsrGraph generateGraphReference(const GenSpec& spec,
-                                unsigned build_threads = 1);
-
-/**
  * Version of the synthesis algorithm, folded into specContentHash. Bump
  * whenever a change alters any generated graph so content-addressed
  * snapshot caches (GraphStore / .csrbin files) can never serve a graph

@@ -412,10 +412,4 @@ addSweepRows(TextTable& table, const SweepResult& sweep)
     }
 }
 
-double
-geomeanNormalized(const std::vector<double>& normalized)
-{
-    return geomean(normalized);
-}
-
 } // namespace gga

@@ -80,9 +80,6 @@ void addSweepRows(TextTable& table, const SweepResult& sweep);
 std::vector<std::string> breakdownCells(const RunResult& run,
                                         double baseline_cycles);
 
-/** Geometric-mean normalized time of a set of (cycles, baseline) pairs. */
-double geomeanNormalized(const std::vector<double>& normalized);
-
 } // namespace gga
 
 #endif // GGA_HARNESS_FIGURES_HPP

@@ -476,16 +476,15 @@ Service::statsResponse()
     const TaskPool::Stats es = session_.executorStats();
     Json exec = Json::object();
     exec.set("threads", Json(session_.threads()));
-    exec.set("queue_depth",
-             Json(static_cast<std::uint64_t>(session_.queueDepth())));
-    exec.set("running", Json(session_.runningTasks()));
-    exec.set("completed_total", Json(session_.completedTasks()));
+    exec.set("queue_depth", Json(static_cast<std::uint64_t>(
+                                es.interactiveDepth + es.batchDepth)));
+    exec.set("running", Json(es.running));
+    exec.set("completed_total", Json(es.completedTotal));
     exec.set("interactive_depth",
              Json(static_cast<std::uint64_t>(es.interactiveDepth)));
     exec.set("batch_depth", Json(static_cast<std::uint64_t>(es.batchDepth)));
     exec.set("steals_total", Json(es.stealsTotal));
     exec.set("steal_failures", Json(es.stealFailures));
-    exec.set("pinned", Json(es.pinned));
     exec.set("batch_niced", Json(es.batchNiced));
 
     const HttpServer::Stats hs = http_.stats();

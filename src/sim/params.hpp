@@ -77,13 +77,6 @@ struct SimParams
         return (threadBlockSize + warpSize - 1) / warpSize;
     }
 
-    /** Max resident warps per SM (derived). */
-    std::uint32_t
-    maxWarpsPerSm() const
-    {
-        return maxBlocksPerSm * warpsPerBlock();
-    }
-
     /** Panic if the parameter combination is unusable. */
     void validate() const;
 

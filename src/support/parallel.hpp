@@ -15,14 +15,29 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <system_error>
 #include <thread>
 #include <vector>
+
+#include "support/faults.hpp"
 
 namespace gga {
 
 /**
- * Run fn(t) for t in [0, threads): threads-1 workers plus the calling
- * thread. fn must confine its writes to locations owned by t.
+ * Hard cap on the threads one parallel region (a forkJoin, or the
+ * TaskPool executor) starts: widths beyond it never help this workload,
+ * and an unclamped thread count must not spawn until exhaustion.
+ */
+inline constexpr unsigned kMaxThreads = 512;
+
+/**
+ * Run fn(t) exactly once for every t in [0, threads), on at most
+ * kMaxThreads threads counting the caller: thread w runs t = w,
+ * w + width, w + 2 * width, ... If a thread cannot start (resource
+ * exhaustion, or the "fork.thread.fail" fault site), no further threads
+ * are started and the caller runs the indices of every thread that did
+ * not start. fn must confine its writes to locations owned by t; then
+ * which thread ran t never shows in the output.
  */
 template <typename Fn>
 void
@@ -32,11 +47,27 @@ forkJoin(unsigned threads, const Fn& fn)
         fn(0);
         return;
     }
+    const unsigned width = std::min(threads, kMaxThreads);
+    const auto stripe = [&fn, threads, width](unsigned w) {
+        for (unsigned t = w; t < threads; t += width)
+            fn(t);
+    };
     std::vector<std::thread> workers;
-    workers.reserve(threads - 1);
-    for (unsigned t = 1; t < threads; ++t)
-        workers.emplace_back([&fn, t] { fn(t); });
-    fn(0);
+    workers.reserve(width - 1);
+    unsigned started = 1; // stripe 0 is the caller's
+    for (; started < width; ++started) {
+        try {
+            if (faults::fire("fork.thread.fail"))
+                throw std::system_error(std::make_error_code(
+                    std::errc::resource_unavailable_try_again));
+            workers.emplace_back(stripe, started);
+        } catch (const std::system_error&) {
+            break;
+        }
+    }
+    stripe(0);
+    for (unsigned w = started; w < width; ++w)
+        stripe(w);
     for (std::thread& w : workers)
         w.join();
 }

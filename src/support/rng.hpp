@@ -79,8 +79,9 @@ fnv1a(const void* data, std::size_t bytes, std::uint64_t seed = kFnv1aBasis)
 }
 
 /**
- * Xoshiro256** — fast, statistically strong generator used for all graph
- * synthesis.
+ * Xoshiro256** — fast, statistically strong sequential generator. It
+ * drives the frozen v1 graph baseline (reference/graph.cpp) and test
+ * inputs; the current generator draws from SplitRng instead.
  */
 class Xoshiro256StarStar
 {

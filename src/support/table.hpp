@@ -33,8 +33,6 @@ class TextTable
     /** Render as RFC-4180-ish CSV (fields with commas/quotes are quoted). */
     std::string toCsv() const;
 
-    std::size_t numRows() const { return rows_.size(); }
-
   private:
     struct Row
     {

@@ -5,12 +5,14 @@
  * IO, binary snapshot round trips.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <span>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,7 +21,9 @@
 #include "graph/csr.hpp"
 #include "graph/degree_stats.hpp"
 #include "graph/mtx_io.hpp"
+#include "graph/presets.hpp"
 #include "graph/snapshot.hpp"
+#include "reference/graph.hpp"
 #include "support/rng.hpp"
 
 namespace gga {
@@ -119,7 +123,7 @@ TEST(GraphBuilder, CountingBuildMatchesReferenceSortAtAnyThreadCount)
         for (const bool with_weights : {false, true}) {
             GraphBuilder b = messyBuilder(997, 60000, 42);
             b.keepSelfLoops(keep_self_loops);
-            const CsrGraph reference = b.buildReferenceSort(with_weights);
+            const CsrGraph reference = buildReferenceSort(b, with_weights);
             for (const unsigned threads : {1u, 2u, 3u, 8u}) {
                 b.threads(threads);
                 EXPECT_EQ(b.build(with_weights), reference)
@@ -138,12 +142,48 @@ TEST(GraphBuilder, CountingBuildHandlesDegenerateShapes)
     for (VertexId v = 1; v < 64; ++v)
         star.addEdge(0, v);
     star.threads(4);
-    EXPECT_EQ(star.build(true), star.buildReferenceSort(true));
+    EXPECT_EQ(star.build(true), buildReferenceSort(star, true));
 
     GraphBuilder empty(8);
     empty.threads(4);
-    EXPECT_EQ(empty.build(), empty.buildReferenceSort());
+    EXPECT_EQ(empty.build(), buildReferenceSort(empty, false));
     EXPECT_EQ(empty.build().numEdges(), 0u);
+}
+
+/** FNV-1a chained over offsets, targets, weights: the snapshot checksum. */
+std::uint64_t
+csrHash(const CsrGraph& g)
+{
+    const auto offsets = g.rowOffsets();
+    const auto cols = g.colIndices();
+    const auto weights = g.weights();
+    std::uint64_t h = fnv1a(offsets.data(), offsets.size_bytes());
+    h = fnv1a(cols.data(), cols.size_bytes(), h);
+    return fnv1a(weights.data(), weights.size_bytes(), h);
+}
+
+TEST(GeneratorReference, V1OutputIsFrozen)
+{
+    // The v1 baseline shares its draw helpers with generateGraph, so a
+    // v2 edit there would silently move the speedup baseline. These
+    // hashes pin its output at any build-thread count. AMZ..RAJ are
+    // LogNormal/PowerLaw degree-driven, WNG is Grid2d.
+    const std::pair<GraphPreset, std::uint64_t> golden[] = {
+        {GraphPreset::Amz, 0x28478e5293133181ull},
+        {GraphPreset::Dct, 0x799ed975dc4de61full},
+        {GraphPreset::Eml, 0xdf6a65c4f9cac357ull},
+        {GraphPreset::Ols, 0x3adcd5802309a127ull},
+        {GraphPreset::Raj, 0xe9813267b6306df6ull},
+        {GraphPreset::Wng, 0x40e42667ecd5f779ull},
+    };
+    for (const auto& [preset, hash] : golden) {
+        for (const unsigned threads : {1u, 4u}) {
+            const CsrGraph g =
+                generateGraphReference(presetSpecScaled(preset, 0.1), threads);
+            EXPECT_EQ(csrHash(g), hash)
+                << presetName(preset) << " threads=" << threads;
+        }
+    }
 }
 
 TEST(CsrGraph, DegreesAndAccessors)

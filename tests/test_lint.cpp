@@ -99,6 +99,8 @@ TEST(Lint, RngFixtureFires)
                     "determinism-rng");
     expectRuleFires("bad_rng.cpp", "src/graph/fixture.cpp",
                     "determinism-rng");
+    expectRuleFires("bad_rng.cpp", "reference/fixture.cpp",
+                    "determinism-rng");
 }
 
 TEST(Lint, UnorderedFixtureFires)

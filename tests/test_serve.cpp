@@ -287,11 +287,14 @@ TEST(ServeSubmit, BadPriorityIs400AndStatsExposeExecutorLanes)
     ASSERT_NE(exec.find("batch_depth"), nullptr);
     ASSERT_NE(exec.find("steals_total"), nullptr);
     ASSERT_NE(exec.find("steal_failures"), nullptr);
-    ASSERT_NE(exec.find("pinned"), nullptr);
     ASSERT_NE(exec.find("batch_niced"), nullptr);
     // The job drained, so both lanes are idle again.
     EXPECT_EQ(exec.at("interactive_depth").asU64(), 0u);
     EXPECT_EQ(exec.at("batch_depth").asU64(), 0u);
+    // One snapshot: the total depth is the sum of the lane depths.
+    EXPECT_EQ(exec.at("queue_depth").asU64(),
+              exec.at("interactive_depth").asU64() +
+                  exec.at("batch_depth").asU64());
 }
 
 TEST(ServeSubmit, UnknownJobIs404)

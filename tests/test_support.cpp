@@ -1,20 +1,24 @@
 /**
  * @file
  * Unit tests for the support layer: RNG determinism and distributions,
- * statistics helpers, table rendering, inline function/vector, and the
- * hot-path containers (FlatMap, ObjectPool).
+ * statistics helpers, table rendering, inline function/vector, the
+ * hot-path containers (FlatMap, ObjectPool), and forkJoin.
  */
 
 #include <memory>
+#include <set>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "support/faults.hpp"
 #include "support/flat_map.hpp"
 #include "support/inline_function.hpp"
 #include "support/inline_vec.hpp"
 #include "support/object_pool.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -301,6 +305,43 @@ TEST(InlineVec, PushUniqueAndOverflowGuards)
     EXPECT_FALSE(v.contains(3));
     v.clear();
     EXPECT_TRUE(v.empty());
+}
+
+TEST(ForkJoin, OversizedWidthRunsEachIndexOnceOnCappedThreads)
+{
+    // Far past what the system can start: the width is capped, and the
+    // capped threads stripe over every index.
+    constexpr unsigned kIndices = 100000;
+    std::vector<int> runs(kIndices, 0);
+    std::vector<std::thread::id> ranOn(kIndices);
+    forkJoin(kIndices, [&](unsigned t) {
+        ++runs[t];
+        ranOn[t] = std::this_thread::get_id();
+    });
+    for (unsigned t = 0; t < kIndices; ++t)
+        ASSERT_EQ(runs[t], 1) << "index " << t;
+    const std::set<std::thread::id> threads(ranOn.begin(), ranOn.end());
+    EXPECT_LE(threads.size(), kMaxThreads);
+}
+
+TEST(ForkJoin, FailedThreadStartRunsItsIndicesOnTheCaller)
+{
+    faults::configure("fork.thread.fail=3"); // third spawn attempt fails
+    std::vector<int> runs(8, 0);
+    std::vector<std::thread::id> ranOn(8);
+    forkJoin(8, [&](unsigned t) {
+        ++runs[t];
+        ranOn[t] = std::this_thread::get_id();
+    });
+    const std::uint64_t injected = faults::injectedTotal();
+    faults::configure("");
+    EXPECT_EQ(injected, 1u);
+    for (unsigned t = 0; t < 8; ++t)
+        EXPECT_EQ(runs[t], 1) << "index " << t;
+    // Threads 1 and 2 started; the caller ran index 0 and every index
+    // from the failed start on.
+    for (unsigned t : {0u, 3u, 4u, 5u, 6u, 7u})
+        EXPECT_EQ(ranOn[t], std::this_thread::get_id()) << "index " << t;
 }
 
 } // namespace

@@ -22,8 +22,7 @@
  *   --scale    preset scale for --presets entries; default 1.0 (paper size)
  *   --threads  total thread budget, split between concurrent targets and
  *              per-build synthesis threads (pool width = min(T, targets),
- *              each build gets T/width); default
- *              GGA_BUILD_THREADS/GGA_SESSION_THREADS
+ *              each build gets T/width); default GGA_SESSION_THREADS
  *   --verify   load every selected snapshot, rebuild from scratch at two
  *              different thread counts, and require all three byte-
  *              identical (exit 1 on any mismatch or unreadable snapshot)

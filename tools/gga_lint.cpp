@@ -5,11 +5,12 @@
  * mentioning std::mutex or a doc example using rand() never trips it —
  * and applies repo-specific rules that generic tools cannot know:
  *
- *   determinism-rng        src/sim/ and src/graph/ are the determinism
- *                          core behind the golden tests: no rand()/
- *                          srand()/random_device — use support/rng.
- *   determinism-unordered  no std::unordered_map/set in src/sim/ or
- *                          src/graph/: iteration order is
+ *   determinism-rng        src/sim/, src/graph/ and reference/ are the
+ *                          determinism core behind the golden tests:
+ *                          no rand()/srand()/random_device — use
+ *                          support/rng.
+ *   determinism-unordered  no std::unordered_map/set in the determinism
+ *                          core: iteration order is
  *                          implementation-defined and has already been
  *                          a source of nondeterminism bugs in graph
  *                          codes — use support/flat_map.hpp or a sorted
@@ -32,7 +33,8 @@
  *                          clang -Wthread-safety sees every lock.
  *
  * Usage:
- *   gga_lint [--root DIR]              lint the tree under DIR (default .)
+ *   gga_lint [--root DIR]              lint src/ and reference/ under DIR
+ *                                      (default .)
  *   gga_lint [--as RELPATH] FILE...    lint FILEs, scoping rules as if
  *                                      each lived at RELPATH (fixture
  *                                      self-tests)
@@ -363,8 +365,9 @@ lintFile(const std::string& relPath, const std::string& text,
     lexViews(text, code, strings);
     blankPreprocessorLines(code);
 
-    const bool inDeterminismCore =
-        startsWith(relPath, "src/sim/") || startsWith(relPath, "src/graph/");
+    const bool inDeterminismCore = startsWith(relPath, "src/sim/") ||
+                                   startsWith(relPath, "src/graph/") ||
+                                   startsWith(relPath, "reference/");
     const bool inSrc = startsWith(relPath, "src/");
     const bool byteIdentityGated =
         startsWith(relPath, "src/support/json.") ||
@@ -458,16 +461,20 @@ main(int argc, char** argv)
             ++scanned;
         }
     } else {
-        const fs::path srcRoot = fs::path(root) / "src";
-        if (!fs::is_directory(srcRoot)) {
+        if (!fs::is_directory(fs::path(root) / "src")) {
             std::cerr << "gga_lint: no src/ under " << root << "\n";
             return 2;
         }
         std::vector<fs::path> paths;
-        for (const auto& entry : fs::recursive_directory_iterator(srcRoot))
-            if (entry.is_regular_file() &&
-                lintableExtension(entry.path()))
-                paths.push_back(entry.path());
+        for (const char* top : {"src", "reference"}) {
+            const fs::path dir = fs::path(root) / top;
+            if (!fs::is_directory(dir))
+                continue;
+            for (const auto& entry : fs::recursive_directory_iterator(dir))
+                if (entry.is_regular_file() &&
+                    lintableExtension(entry.path()))
+                    paths.push_back(entry.path());
+        }
         // Deterministic report order regardless of directory order.
         std::sort(paths.begin(), paths.end());
         for (const fs::path& p : paths) {

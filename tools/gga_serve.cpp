@@ -7,7 +7,6 @@
  * streamed results, rendered figure tables, and /stats telemetry.
  *
  * Usage: gga_serve [--port P] [--port-file FILE] [--threads T]
- *                  [--pin-threads]
  *                  [--max-queued-per-tenant N] [--lease-ms MS]
  *                  [--retry-base-ms MS] [--retry-cap-ms MS]
  *                  [--max-attempts N] [--tick-ms MS] [--state-dir DIR]
@@ -19,8 +18,6 @@
  *   --port-file  write the bound port to FILE once listening — the
  *                rendezvous for scripts that start with --port 0
  *   --threads    local-job executor width; default GGA_SESSION_THREADS
- *   --pin-threads  pin executor worker i to CPU i mod cores (Linux);
- *                default GGA_PIN_THREADS
  *   --max-queued-per-tenant  admission bound (HTTP 429 past it)
  *   --lease-ms / --retry-base-ms / --retry-cap-ms / --max-attempts
  *                remote-shard lease and capped-exponential-retry policy
@@ -92,8 +89,6 @@ main(int argc, char** argv)
         } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
             opts.session.threads = static_cast<unsigned>(
                 parseCount("--threads", argv[++i]));
-        } else if (!std::strcmp(argv[i], "--pin-threads")) {
-            opts.session.pinThreads = true;
         } else if (!std::strcmp(argv[i], "--max-queued-per-tenant") &&
                    i + 1 < argc) {
             opts.maxQueuedPerTenant = static_cast<std::size_t>(
@@ -154,7 +149,7 @@ main(int argc, char** argv)
         } else {
             GGA_FATAL("unknown argument '", argv[i],
                       "'; usage: gga_serve [--port P] [--port-file FILE] "
-                      "[--threads T] [--pin-threads] "
+                      "[--threads T] "
                       "[--max-queued-per-tenant N] "
                       "[--lease-ms MS] [--retry-base-ms MS] "
                       "[--retry-cap-ms MS] [--max-attempts N] "
