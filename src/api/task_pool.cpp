@@ -287,12 +287,24 @@ TaskPool::takeExpander(Worker& self, Lane lane)
         batch = std::move(queue.front());
         queue.pop_front();
     }
-    // Owner-push in reverse: popBottom is LIFO, so the owner consumes in
-    // batch order; thieves take from the other end regardless.
-    for (std::size_t i = batch.size(); i-- > 0;) {
+    // Interleaved owner-push. Thieves steal from the top (oldest push
+    // first) and the owner pops from the bottom (newest first). Push the
+    // siblings' share, every unit i with i % width != 0, ascending, then
+    // the owner's share, 0, width, 2*width, ..., descending. Both ends
+    // then take the batch in submission order, so each unit starts about
+    // as early as its index says; a plain reverse push would let the
+    // thieves start at the batch's end and leave its middle for last.
+    const std::size_t stride = width();
+    const auto push = [&self, &batch, l](std::size_t i) {
         auto node = std::make_unique<Task>(std::move(batch[i]));
         self.deq[l].pushBottom(node.release());
+    };
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (i % stride != 0)
+            push(i);
     }
+    for (std::size_t k = (batch.size() + stride - 1) / stride; k-- > 0;)
+        push(k * stride);
     // The units are now visible in this worker's deque; wake every
     // sibling to come steal.
     announce(true);

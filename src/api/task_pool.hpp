@@ -150,9 +150,12 @@ class TaskPool
     /**
      * Enqueue a batch on @p lane through one expander task: the worker
      * that dequeues it owner-pushes every element into its Chase–Lev
-     * deque, and idle workers steal. Order of execution is unspecified
-     * (tasks must be independent, as every simulation task is); the
-     * batch counts toward pending() immediately.
+     * deque, and idle workers steal. Units start in about submission
+     * order — the owner pops units 0, width, 2·width, … and the thieves
+     * steal the rest ascending; at width 1, exactly in order. Tasks must
+     * still be independent (as every simulation task is): completion
+     * order is unspecified. The batch counts toward pending()
+     * immediately.
      */
     void postAll(std::vector<Task> jobs, Lane lane);
 

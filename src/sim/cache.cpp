@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "support/log.hpp"
-#include "support/rng.hpp"
 
 namespace gga {
 
@@ -21,35 +20,15 @@ SetAssocCache::SetAssocCache(std::uint32_t size_bytes, std::uint32_t assoc,
     GGA_ASSERT(numSets_ > 0, "cache too small for its associativity");
 }
 
-std::uint32_t
-SetAssocCache::setBase(Addr line) const
-{
-    // Hash the line index so strided graph arrays spread across sets.
-    const std::uint64_t h = hashMix64(line >> lineShift_);
-    const std::uint64_t set = setsPow2_ ? h & (numSets_ - 1) : h % numSets_;
-    return static_cast<std::uint32_t>(set) * assoc_;
-}
-
-std::uint32_t
-SetAssocCache::findWay(Addr line) const
-{
-    const std::uint32_t base = setBase(line);
-    const Addr* set = tags_.data() + base;
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-        if ((set[w] & ~kStateMask) == line && (set[w] & kStateMask) != 0)
-            return base + w;
-    }
-    return kNoWay;
-}
-
 SetAssocCache::Eviction
-SetAssocCache::insert(Addr line, LineState st)
+SetAssocCache::insertAt(const Probe& p, Addr line, LineState st)
 {
     GGA_ASSERT(st != LineState::Invalid, "cannot insert an invalid line");
     GGA_ASSERT((line & kStateMask) == 0, "inserting an unaligned line");
+    GGA_ASSERT(p.way == kNoWay, "inserting a line that is already present");
     // Victim: the first invalid way, else the least recently used one
     // (the first of equals).
-    const std::uint32_t base = setBase(line);
+    const std::uint32_t base = p.base;
     std::uint32_t victim = kNoWay;
     for (std::uint32_t w = base; w < base + assoc_; ++w) {
         const Addr tag = tags_[w];
@@ -70,22 +49,6 @@ SetAssocCache::insert(Addr line, LineState st)
     tags_[victim] = line | static_cast<Addr>(st);
     lastUse_[victim] = ++useClock_;
     return ev;
-}
-
-void
-SetAssocCache::invalidate(Addr line)
-{
-    const std::uint32_t way = findWay(line);
-    if (way != kNoWay)
-        setStateAt(way, LineState::Invalid);
-}
-
-std::vector<Addr>
-SetAssocCache::collectLines(LineState st) const
-{
-    std::vector<Addr> out;
-    collectLines(st, out);
-    return out;
 }
 
 void

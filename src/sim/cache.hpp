@@ -10,6 +10,11 @@
  * L1 set, two for a 16-way L2 set — and touches a stamp only on a hit or
  * when choosing a victim. Sets are indexed by shift and mask; a set count
  * that is not a power of two falls back to an exact modulo.
+ *
+ * One probe per access: probe() hashes the line once and returns its set
+ * with the matching way, and a controller that misses hands that probe
+ * to insertAt(), which picks the victim in the same set without hashing
+ * or scanning for the line again.
  */
 
 #ifndef GGA_SIM_CACHE_HPP
@@ -18,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "support/rng.hpp"
 #include "support/types.hpp"
 
 namespace gga {
@@ -41,28 +47,44 @@ class SetAssocCache
     SetAssocCache(std::uint32_t size_bytes, std::uint32_t assoc,
                   std::uint32_t line_bytes);
 
+    /** Where a line lives: its set and, when present, its way. */
+    struct Probe
+    {
+        std::uint32_t base = 0;     ///< first way of the line's set
+        std::uint32_t way = kNoWay; ///< way holding the line, or kNoWay
+    };
+
+    /** Locate @p line with one hash and one set scan; no LRU bump. */
+    Probe
+    probe(Addr line) const
+    {
+        const std::uint32_t base = setBase(line);
+        const Addr* set = tags_.data() + base;
+        std::uint32_t way = kNoWay;
+        // (tag ^ line) - 1 < kStateMask holds exactly when the tag's line
+        // bits equal @p line and its state is not Invalid (0 wraps to the
+        // maximum). At most one valid way holds a line, so scanning every
+        // way without an early exit finds the same way, branch-free.
+        for (std::uint32_t w = 0; w < assoc_; ++w)
+            way = (set[w] ^ line) - 1 < kStateMask ? base + w : way;
+        return {base, way};
+    }
+
+    /** Mark @p way (from probe()) most recently used. */
+    void touch(std::uint32_t way) { lastUse_[way] = ++useClock_; }
+
     /** State of @p line; bumps LRU on hit. Invalid if absent. */
     LineState
     lookup(Addr line)
     {
-        const std::uint32_t way = lookupWay(line);
-        return way == kNoWay ? LineState::Invalid : stateAt(way);
+        const Probe p = probe(line);
+        if (p.way == kNoWay)
+            return LineState::Invalid;
+        touch(p.way);
+        return stateAt(p.way);
     }
 
-    /** Way holding @p line, bumping LRU on hit; kNoWay if absent. */
-    std::uint32_t
-    lookupWay(Addr line)
-    {
-        const std::uint32_t way = findWay(line);
-        if (way != kNoWay)
-            lastUse_[way] = ++useClock_;
-        return way;
-    }
-
-    /** Way holding @p line without an LRU bump; kNoWay if absent. */
-    std::uint32_t findWay(Addr line) const;
-
-    /** State of the line in @p way (a handle from findWay/lookupWay). */
+    /** State of the line in @p way (a way from probe()). */
     LineState
     stateAt(std::uint32_t way) const
     {
@@ -87,18 +109,30 @@ class SetAssocCache
      * Insert @p line in state @p st (must not be present). Returns the
      * evicted valid line, if any.
      */
-    Eviction insert(Addr line, LineState st);
-
-    /** Drop @p line if present. */
-    void invalidate(Addr line);
-
-    /** Collect all lines currently in state @p st. */
-    std::vector<Addr> collectLines(LineState st) const;
+    Eviction
+    insert(Addr line, LineState st)
+    {
+        return insertAt(Probe{setBase(line), kNoWay}, line, st);
+    }
 
     /**
-     * Append all lines in state @p st to @p out. Callers on the hot path
-     * (release flushes) pass a reused scratch buffer so a flush does not
-     * allocate a fresh vector.
+     * insert() for a line that probe() just reported absent as @p p: the
+     * victim comes from @p p's set, with no second hash.
+     */
+    Eviction insertAt(const Probe& p, Addr line, LineState st);
+
+    /** Drop @p line if present. */
+    void
+    invalidate(Addr line)
+    {
+        const Probe p = probe(line);
+        if (p.way != kNoWay)
+            setStateAt(p.way, LineState::Invalid);
+    }
+
+    /**
+     * Append all lines in state @p st to @p out. Release flushes pass a
+     * reused scratch buffer, so a flush does not allocate.
      */
     void collectLines(LineState st, std::vector<Addr>& out) const;
 
@@ -120,7 +154,15 @@ class SetAssocCache
     static constexpr Addr kStateMask = 3;
 
     /** First way of @p line's set. */
-    std::uint32_t setBase(Addr line) const;
+    std::uint32_t
+    setBase(Addr line) const
+    {
+        // Hash the line index so strided graph arrays spread across sets.
+        const std::uint64_t h = hashMix64(line >> lineShift_);
+        const std::uint64_t set =
+            setsPow2_ ? h & (numSets_ - 1) : h % numSets_;
+        return static_cast<std::uint32_t>(set) * assoc_;
+    }
 
     std::uint32_t numSets_;
     std::uint32_t assoc_;

@@ -48,6 +48,8 @@ Engine::runAll(WaitList list)
     while (n != kNil) {
         Node& nd = node(n);
         const std::uint32_t next = nd.next;
+        if (next != kNil)
+            prefetch(next);
         nd.fn();
         freeNode(n);
         n = next;
@@ -166,6 +168,10 @@ Engine::drainBucket(std::size_t idx)
     WaitList& bucket = l0.buckets[idx];
     while (!bucket.empty()) {
         const std::uint32_t n = popFront(bucket);
+        // Pull in the next node while this callback runs; events the
+        // callback adds go to the tail, so the head still runs next.
+        if (!bucket.empty())
+            prefetch(bucket.head_);
         --pending_;
         --l0.count;
         ++processed_;

@@ -39,14 +39,21 @@ L1Controller::finishOne(Pending* req)
 void
 L1Controller::insertLine(Addr line, LineState st)
 {
-    const std::uint32_t way = tags_.findWay(line);
-    if (way != SetAssocCache::kNoWay) {
+    const SetAssocCache::Probe p = tags_.probe(line);
+    if (p.way != SetAssocCache::kNoWay) {
         // Upgrade in place (e.g. Valid -> Owned after a GetO).
         if (st == LineState::Owned)
-            tags_.setStateAt(way, st);
+            tags_.setStateAt(p.way, st);
         return;
     }
-    const SetAssocCache::Eviction ev = tags_.insert(line, st);
+    allocateLine(p, line, st);
+}
+
+void
+L1Controller::allocateLine(const SetAssocCache::Probe& p, Addr line,
+                           LineState st)
+{
+    const SetAssocCache::Eviction ev = tags_.insertAt(p, line, st);
     if (ev.state == LineState::Dirty) {
         // GPU write-combining victim: write through in the background.
         l2_.write(smId_, ev.line, [] {});
@@ -194,11 +201,11 @@ L1Controller::stepStore(const Addr* lines, std::uint32_t count,
         const Addr line = lines[idx];
         if (coh_ == CoherenceKind::Gpu) {
             // Write-combining: mark/allocate dirty, no fetch, no stall.
-            const std::uint32_t way = tags_.findWay(line);
-            if (way != SetAssocCache::kNoWay)
-                tags_.setStateAt(way, LineState::Dirty);
+            const SetAssocCache::Probe p = tags_.probe(line);
+            if (p.way != SetAssocCache::kNoWay)
+                tags_.setStateAt(p.way, LineState::Dirty);
             else
-                insertLine(line, LineState::Dirty);
+                allocateLine(p, line, LineState::Dirty);
             ++idx;
             continue;
         }

@@ -128,6 +128,12 @@ class L1Controller
     void stepGpuAtomic(Addr word, Pending* req);
     void stepDeNovoAtomic(Addr word, Pending* req);
     void insertLine(Addr line, LineState st);
+    /**
+     * Fill @p line, absent per probe @p p, evicting within @p p's set: a
+     * dirty victim writes through, an owned one releases ownership.
+     */
+    void allocateLine(const SetAssocCache::Probe& p, Addr line,
+                      LineState st);
     bool drained() const;
     /** Complete release flushes once the drain condition holds. */
     void maybeNotifyDrain();

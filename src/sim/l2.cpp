@@ -49,14 +49,30 @@ L2System::occupyBank(Bank& bank, Cycles arrival, Cycles interval)
     return start;
 }
 
+void
+L2System::writeDirty(Bank& bank, Addr line, Cycles service_start)
+{
+    const SetAssocCache::Probe p = bank.tags.probe(line);
+    if (p.way != SetAssocCache::kNoWay) {
+        bank.tags.setStateAt(p.way, LineState::Dirty);
+        return;
+    }
+    const SetAssocCache::Eviction ev =
+        bank.tags.insertAt(p, line, LineState::Dirty);
+    if (ev.state == LineState::Dirty)
+        dram_.access(service_start + params_.l2BankLatency, ev.line,
+                     /*is_write=*/true);
+}
+
 Cycles
 L2System::dataReady(Bank& bank, Addr line, Cycles arrival,
                     Cycles service_start, LineState on_fill)
 {
-    const std::uint32_t way = bank.tags.lookupWay(line);
-    if (way != SetAssocCache::kNoWay) {
+    const SetAssocCache::Probe p = bank.tags.probe(line);
+    if (p.way != SetAssocCache::kNoWay) {
+        bank.tags.touch(p.way);
         if (on_fill == LineState::Dirty)
-            bank.tags.setStateAt(way, LineState::Dirty);
+            bank.tags.setStateAt(p.way, LineState::Dirty);
         return service_start + params_.l2BankLatency;
     }
     ++stats_.readMisses;
@@ -66,7 +82,7 @@ L2System::dataReady(Bank& bank, Addr line, Cycles arrival,
     // channels look busy to unrelated requests.
     const Cycles fill = dram_.access(arrival + params_.l2BankLatency, line,
                                      /*is_write=*/false);
-    const SetAssocCache::Eviction ev = bank.tags.insert(line, on_fill);
+    const SetAssocCache::Eviction ev = bank.tags.insertAt(p, line, on_fill);
     if (ev.state == LineState::Dirty) {
         // The victim's data is already on hand; its write-back drains from
         // the write buffer starting now, not at the fill's future time.
@@ -120,16 +136,7 @@ L2System::write(std::uint32_t sm_id, Addr line, EventFn done)
     const Cycles start = occupyBank(bank, arrival, params_.l2ServiceInterval);
 
     // Full-line write-through: no fetch needed; allocate dirty.
-    const std::uint32_t way = bank.tags.findWay(line);
-    if (way != SetAssocCache::kNoWay) {
-        bank.tags.setStateAt(way, LineState::Dirty);
-    } else {
-        const SetAssocCache::Eviction ev =
-            bank.tags.insert(line, LineState::Dirty);
-        if (ev.state == LineState::Dirty)
-            dram_.access(start + params_.l2BankLatency, ev.line,
-                         /*is_write=*/true);
-    }
+    writeDirty(bank, line, start);
     const Cycles resp = start + params_.l2BankLatency +
                         noc_.latency(noc_.bankNode(b), noc_.smNode(sm_id));
     engine_.scheduleAt(resp, done);
@@ -227,16 +234,7 @@ L2System::releaseOwnership(std::uint32_t sm_id, Addr line)
         smPortDepart(sm_id) +
         noc_.latency(noc_.smNode(sm_id), noc_.bankNode(b));
     const Cycles start = occupyBank(bank, arrival, params_.l2ServiceInterval);
-    const std::uint32_t way = bank.tags.findWay(line);
-    if (way != SetAssocCache::kNoWay) {
-        bank.tags.setStateAt(way, LineState::Dirty);
-    } else {
-        const SetAssocCache::Eviction ev =
-            bank.tags.insert(line, LineState::Dirty);
-        if (ev.state == LineState::Dirty)
-            dram_.access(start + params_.l2BankLatency, ev.line,
-                         /*is_write=*/true);
-    }
+    writeDirty(bank, line, start);
 }
 
 std::optional<std::uint32_t>

@@ -112,6 +112,13 @@ class L2System
     Cycles dataReady(Bank& bank, Addr line, Cycles arrival,
                      Cycles service_start, LineState on_fill);
 
+    /**
+     * Full-line write into the bank: mark the line dirty, or allocate it
+     * dirty with no fetch; a dirty victim's write-back leaves at
+     * @p service_start plus the bank latency.
+     */
+    void writeDirty(Bank& bank, Addr line, Cycles service_start);
+
     Engine& engine_;
     const SimParams& params_;
     const MeshNoc& noc_;

@@ -8,6 +8,9 @@
  * Engine's event nodes as an Engine::WaitList — an entry is just its fill
  * kind and a list head, so steady-state misses allocate nothing and a
  * completed fill hands its waiters to Engine::runAll without copying.
+ * Registering and completing a fill each probe the table once
+ * (FlatMap::tryEmplace, FlatMap::take), and since the map deletes by
+ * backward shift, a table churning at capacity never rehashes.
  */
 
 #ifndef GGA_SIM_MSHR_HPP
@@ -63,16 +66,14 @@ class MshrTable
     MshrAdd
     addWaiter(Addr line, FillKind kind, EventFn waiter)
     {
-        if (Entry* e = entries_.find(line)) {
-            if (kind == FillKind::Ownership && e->kind == FillKind::Data)
-                return MshrAdd::Conflict;
-            engine_.park(e->waiters, waiter);
-            return MshrAdd::Merged;
+        const auto [e, inserted] = entries_.tryEmplace(line);
+        if (inserted) {
+            e->kind = kind;
+        } else if (kind == FillKind::Ownership && e->kind == FillKind::Data) {
+            return MshrAdd::Conflict;
         }
-        Entry& e = entries_[line];
-        e.kind = kind;
-        engine_.park(e.waiters, waiter);
-        return MshrAdd::NewEntry;
+        engine_.park(e->waiters, waiter);
+        return inserted ? MshrAdd::NewEntry : MshrAdd::Merged;
     }
 
     /**
@@ -97,12 +98,9 @@ class MshrTable
     Engine::WaitList
     complete(Addr line)
     {
-        Entry* e = entries_.find(line);
-        if (e == nullptr)
-            return {};
-        Engine::WaitList waiters = std::move(e->waiters);
-        entries_.erase(line);
-        return waiters;
+        Entry done; // keeps an empty list when the line is not pending
+        entries_.take(line, done);
+        return std::move(done.waiters);
     }
 
   private:

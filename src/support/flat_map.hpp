@@ -8,10 +8,11 @@
  * slots), probing is linear, and clear() keeps capacity so resets are
  * allocation-free.
  *
- * Deliberately minimal: no iterators and no rehash-stability guarantees —
- * pointers returned by find()/operator[] are invalidated by any insertion.
- * None of the call sites iterate, so replacing the std containers cannot
- * change observable behavior.
+ * Deliberately minimal: no iterators and no pointer stability —
+ * pointers returned by find()/operator[]/tryEmplace() are invalidated by
+ * any insertion or erasure (erase shifts entries back). None of the call
+ * sites iterate, so replacing the std containers cannot change observable
+ * behavior.
  */
 
 #ifndef GGA_SUPPORT_FLAT_MAP_HPP
@@ -43,9 +44,14 @@ struct FlatHash
 };
 
 /**
- * Open-addressing hash map with tombstone deletion. K must be integral
- * (or provide a custom Hash); V must be default-constructible and
- * move-assignable (move-only types are fine).
+ * Open-addressing hash map with backward-shift deletion. K must be
+ * integral (or provide a custom Hash); V must be default-constructible
+ * and move-assignable (move-only types are fine).
+ *
+ * Erase closes the hole it leaves by shifting later members of the probe
+ * run back, so the table never holds tombstones: a table that churns at
+ * a steady size (an MSHR file) keeps its capacity forever instead of
+ * rehashing to purge deleted slots.
  */
 template <typename K, typename V, typename Hash = FlatHash<K>>
 class FlatMap
@@ -55,24 +61,18 @@ class FlatMap
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+    /** Slots allocated (0 before the first insert or reserve). */
+    std::size_t capacity() const { return ctrl_.size(); }
 
-    bool contains(const K& key) const { return find(key) != nullptr; }
+    bool contains(const K& key) const { return findSlot(key) != kNoSlot; }
 
-    /** Value pointer, or nullptr when absent. Invalidated by inserts. */
+    /** Value pointer, or nullptr when absent. Invalidated by inserts and
+     *  erases. */
     V*
     find(const K& key)
     {
-        if (ctrl_.empty())
-            return nullptr;
-        std::size_t i = probeStart(key);
-        while (true) {
-            const std::uint8_t c = ctrl_[i];
-            if (c == kEmpty)
-                return nullptr;
-            if (c == kFull && slots_[i].key == key)
-                return &slots_[i].val;
-            i = (i + 1) & mask();
-        }
+        const std::size_t i = findSlot(key);
+        return i == kNoSlot ? nullptr : &slots_[i].val;
     }
 
     const V*
@@ -81,54 +81,55 @@ class FlatMap
         return const_cast<FlatMap*>(this)->find(key);
     }
 
-    /** Value for @p key, default-constructed and inserted when absent. */
-    V&
-    operator[](const K& key)
+    /**
+     * The value for @p key and whether it was just inserted
+     * (default-constructed), in one probe. The pointer is invalidated by
+     * any later insert or erase.
+     */
+    std::pair<V*, bool>
+    tryEmplace(const K& key)
     {
         reserveForOne();
         std::size_t i = probeStart(key);
-        std::size_t first_tomb = kNoSlot;
-        while (true) {
-            const std::uint8_t c = ctrl_[i];
-            if (c == kFull && slots_[i].key == key)
-                return slots_[i].val;
-            if (c == kTomb && first_tomb == kNoSlot)
-                first_tomb = i;
-            if (c == kEmpty) {
-                if (first_tomb != kNoSlot) {
-                    i = first_tomb;
-                    --tombs_;
-                }
-                ctrl_[i] = kFull;
-                slots_[i].key = key;
-                slots_[i].val = V{};
-                ++size_;
-                return slots_[i].val;
-            }
+        while (ctrl_[i] == kFull) {
+            if (slots_[i].key == key)
+                return {&slots_[i].val, false};
             i = (i + 1) & mask();
         }
+        ctrl_[i] = kFull;
+        slots_[i].key = key;
+        slots_[i].val = V{};
+        ++size_;
+        return {&slots_[i].val, true};
     }
+
+    /** Value for @p key, default-constructed and inserted when absent. */
+    V& operator[](const K& key) { return *tryEmplace(key).first; }
 
     /** Remove @p key; returns whether it was present. Keeps capacity. */
     bool
     erase(const K& key)
     {
-        if (ctrl_.empty())
+        const std::size_t i = findSlot(key);
+        if (i == kNoSlot)
             return false;
-        std::size_t i = probeStart(key);
-        while (true) {
-            const std::uint8_t c = ctrl_[i];
-            if (c == kEmpty)
-                return false;
-            if (c == kFull && slots_[i].key == key) {
-                ctrl_[i] = kTomb;
-                slots_[i].val = V{}; // release held resources now
-                --size_;
-                ++tombs_;
-                return true;
-            }
-            i = (i + 1) & mask();
-        }
+        eraseAt(i);
+        return true;
+    }
+
+    /**
+     * Move @p key's value into @p out and remove the entry, in one probe.
+     * Returns false (leaving @p out untouched) when @p key is absent.
+     */
+    bool
+    take(const K& key, V& out)
+    {
+        const std::size_t i = findSlot(key);
+        if (i == kNoSlot)
+            return false;
+        out = std::move(slots_[i].val);
+        eraseAt(i);
+        return true;
     }
 
     /** Drop all entries but keep the table's capacity. */
@@ -143,7 +144,6 @@ class FlatMap
         }
         std::fill(ctrl_.begin(), ctrl_.end(), kEmpty);
         size_ = 0;
-        tombs_ = 0;
     }
 
     /** Pre-size the table for @p n entries without rehash churn. */
@@ -166,7 +166,6 @@ class FlatMap
 
     static constexpr std::uint8_t kEmpty = 0;
     static constexpr std::uint8_t kFull = 1;
-    static constexpr std::uint8_t kTomb = 2;
     static constexpr std::size_t kMinCapacity = 16;
     static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
@@ -178,22 +177,52 @@ class FlatMap
         return Hash{}(key) & mask();
     }
 
-    /** Grow (or compact tombstones) so one more insert keeps load < 3/4. */
+    /** Slot holding @p key, or kNoSlot. */
+    std::size_t
+    findSlot(const K& key) const
+    {
+        if (ctrl_.empty())
+            return kNoSlot;
+        std::size_t i = probeStart(key);
+        while (ctrl_[i] == kFull) {
+            if (slots_[i].key == key)
+                return i;
+            i = (i + 1) & mask();
+        }
+        return kNoSlot;
+    }
+
+    /**
+     * Empty slot @p i by backward shift: walk the rest of its probe run
+     * and move back every entry whose home slot does not lie cyclically
+     * inside (hole, j], so each remaining key stays reachable from its
+     * home without crossing an empty slot.
+     */
+    void
+    eraseAt(std::size_t i)
+    {
+        std::size_t hole = i;
+        for (std::size_t j = (i + 1) & mask(); ctrl_[j] == kFull;
+             j = (j + 1) & mask()) {
+            const std::size_t home = probeStart(slots_[j].key);
+            if (((j - home) & mask()) >= ((j - hole) & mask())) {
+                slots_[hole] = std::move(slots_[j]);
+                hole = j;
+            }
+        }
+        ctrl_[hole] = kEmpty;
+        slots_[hole].val = V{}; // release held resources now
+        --size_;
+    }
+
+    /** Double the table when one more insert would pass load 3/4. */
     void
     reserveForOne()
     {
-        if (ctrl_.empty()) {
+        if (ctrl_.empty())
             rehash(kMinCapacity);
-            return;
-        }
-        if ((size_ + tombs_ + 1) * 4 > ctrl_.size() * 3) {
-            // Double only when live entries need it; otherwise the table
-            // is mostly tombstones and an in-place-sized rehash compacts.
-            const std::size_t cap = (size_ + 1) * 4 > ctrl_.size() * 3
-                                        ? ctrl_.size() * 2
-                                        : ctrl_.size();
-            rehash(cap);
-        }
+        else if ((size_ + 1) * 4 > ctrl_.size() * 3)
+            rehash(ctrl_.size() * 2);
     }
 
     void
@@ -204,7 +233,6 @@ class FlatMap
         ctrl_.assign(new_cap, kEmpty);
         slots_.clear();
         slots_.resize(new_cap);
-        tombs_ = 0;
         for (std::size_t i = 0; i < old_ctrl.size(); ++i) {
             if (old_ctrl[i] != kFull)
                 continue;
@@ -220,21 +248,20 @@ class FlatMap
     std::vector<std::uint8_t> ctrl_;
     std::vector<Slot> slots_;
     std::size_t size_ = 0;
-    std::size_t tombs_ = 0;
 };
 
 /**
- * Open-addressing hash set with tombstone deletion — FlatMap without the
- * values. Backs the graph generator's pair-membership tests, where the
- * std::unordered_set node allocations dominated synthesis time. Any key
- * value is legal (occupancy lives in the control bytes, so no sentinel
- * key is reserved).
+ * Open-addressing hash set with backward-shift deletion — FlatMap
+ * without the values. Backs the graph generator's pair-membership tests,
+ * where the std::unordered_set node allocations dominated synthesis
+ * time. Any key value is legal (occupancy lives in the control bytes, so
+ * no sentinel key is reserved).
  *
  * The probing/growth core deliberately mirrors FlatMap's rather than
  * sharing it: instantiating FlatMap with an empty value type would pad
  * every slot (key + empty struct) to twice the key size, and the
  * generator holds millions of live u64 keys. Changes to either table's
- * load-factor or tombstone policy belong in both.
+ * load-factor or deletion policy belong in both.
  */
 template <typename K, typename Hash = FlatHash<K>>
 class FlatSet
@@ -244,22 +271,10 @@ class FlatSet
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+    /** Slots allocated (0 before the first insert or reserve). */
+    std::size_t capacity() const { return ctrl_.size(); }
 
-    bool
-    contains(const K& key) const
-    {
-        if (ctrl_.empty())
-            return false;
-        std::size_t i = probeStart(key);
-        while (true) {
-            const std::uint8_t c = ctrl_[i];
-            if (c == kEmpty)
-                return false;
-            if (c == kFull && slots_[i] == key)
-                return true;
-            i = (i + 1) & mask();
-        }
-    }
+    bool contains(const K& key) const { return findSlot(key) != kNoSlot; }
 
     /** Insert @p key; returns whether it was newly added. */
     bool
@@ -267,46 +282,37 @@ class FlatSet
     {
         reserveForOne();
         std::size_t i = probeStart(key);
-        std::size_t first_tomb = kNoSlot;
-        while (true) {
-            const std::uint8_t c = ctrl_[i];
-            if (c == kFull && slots_[i] == key)
+        while (ctrl_[i] == kFull) {
+            if (slots_[i] == key)
                 return false;
-            if (c == kTomb && first_tomb == kNoSlot)
-                first_tomb = i;
-            if (c == kEmpty) {
-                if (first_tomb != kNoSlot) {
-                    i = first_tomb;
-                    --tombs_;
-                }
-                ctrl_[i] = kFull;
-                slots_[i] = key;
-                ++size_;
-                return true;
-            }
             i = (i + 1) & mask();
         }
+        ctrl_[i] = kFull;
+        slots_[i] = key;
+        ++size_;
+        return true;
     }
 
     /** Remove @p key; returns whether it was present. Keeps capacity. */
     bool
     erase(const K& key)
     {
-        if (ctrl_.empty())
+        const std::size_t i = findSlot(key);
+        if (i == kNoSlot)
             return false;
-        std::size_t i = probeStart(key);
-        while (true) {
-            const std::uint8_t c = ctrl_[i];
-            if (c == kEmpty)
-                return false;
-            if (c == kFull && slots_[i] == key) {
-                ctrl_[i] = kTomb;
-                --size_;
-                ++tombs_;
-                return true;
+        // Backward shift, as in FlatMap::eraseAt.
+        std::size_t hole = i;
+        for (std::size_t j = (i + 1) & mask(); ctrl_[j] == kFull;
+             j = (j + 1) & mask()) {
+            const std::size_t home = probeStart(slots_[j]);
+            if (((j - home) & mask()) >= ((j - hole) & mask())) {
+                slots_[hole] = slots_[j];
+                hole = j;
             }
-            i = (i + 1) & mask();
         }
+        ctrl_[hole] = kEmpty;
+        --size_;
+        return true;
     }
 
     /** Drop all entries but keep the table's capacity. */
@@ -315,7 +321,6 @@ class FlatSet
     {
         std::fill(ctrl_.begin(), ctrl_.end(), kEmpty);
         size_ = 0;
-        tombs_ = 0;
     }
 
     /** Pre-size the table for @p n entries without rehash churn. */
@@ -332,7 +337,6 @@ class FlatSet
   private:
     static constexpr std::uint8_t kEmpty = 0;
     static constexpr std::uint8_t kFull = 1;
-    static constexpr std::uint8_t kTomb = 2;
     static constexpr std::size_t kMinCapacity = 16;
     static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
@@ -344,19 +348,27 @@ class FlatSet
         return Hash{}(key) & mask();
     }
 
+    std::size_t
+    findSlot(const K& key) const
+    {
+        if (ctrl_.empty())
+            return kNoSlot;
+        std::size_t i = probeStart(key);
+        while (ctrl_[i] == kFull) {
+            if (slots_[i] == key)
+                return i;
+            i = (i + 1) & mask();
+        }
+        return kNoSlot;
+    }
+
     void
     reserveForOne()
     {
-        if (ctrl_.empty()) {
+        if (ctrl_.empty())
             rehash(kMinCapacity);
-            return;
-        }
-        if ((size_ + tombs_ + 1) * 4 > ctrl_.size() * 3) {
-            const std::size_t cap = (size_ + 1) * 4 > ctrl_.size() * 3
-                                        ? ctrl_.size() * 2
-                                        : ctrl_.size();
-            rehash(cap);
-        }
+        else if ((size_ + 1) * 4 > ctrl_.size() * 3)
+            rehash(ctrl_.size() * 2);
     }
 
     void
@@ -366,7 +378,6 @@ class FlatSet
         std::vector<K> old_slots = std::move(slots_);
         ctrl_.assign(new_cap, kEmpty);
         slots_.assign(new_cap, K{});
-        tombs_ = 0;
         for (std::size_t i = 0; i < old_ctrl.size(); ++i) {
             if (old_ctrl[i] != kFull)
                 continue;
@@ -381,7 +392,6 @@ class FlatSet
     std::vector<std::uint8_t> ctrl_;
     std::vector<K> slots_;
     std::size_t size_ = 0;
-    std::size_t tombs_ = 0;
 };
 
 } // namespace gga

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the set-associative tag array: hits, LRU eviction, state
- * transitions, flash invalidation semantics for both protocols, and a
- * seeded differential test against the array-of-structs reference.
+ * transitions, flash invalidation semantics for both protocols, the
+ * probe/insertAt single-probe path, and a seeded differential test
+ * against the array-of-structs reference.
  */
 
 #include <string>
@@ -93,10 +94,14 @@ TEST(Cache, CollectAndCleanDirty)
     c.insert(0, LineState::Dirty);
     c.insert(64, LineState::Valid);
     c.insert(128, LineState::Dirty);
-    const auto dirty = c.collectLines(LineState::Dirty);
-    EXPECT_EQ(dirty.size(), 2u);
+    std::vector<Addr> dirty{999}; // appended to, not replaced
+    c.collectLines(LineState::Dirty, dirty);
+    EXPECT_EQ(dirty.size(), 3u);
+    EXPECT_EQ(dirty.front(), 999u);
     c.cleanDirty();
-    EXPECT_TRUE(c.collectLines(LineState::Dirty).empty());
+    dirty.clear();
+    c.collectLines(LineState::Dirty, dirty);
+    EXPECT_TRUE(dirty.empty());
     EXPECT_EQ(c.lookup(0), LineState::Valid);
 }
 
@@ -104,13 +109,29 @@ TEST(Cache, StateUpgradeInPlace)
 {
     SetAssocCache c = tinyCache();
     c.insert(0, LineState::Valid);
-    const std::uint32_t way = c.findWay(0);
-    ASSERT_NE(way, SetAssocCache::kNoWay);
-    EXPECT_EQ(c.stateAt(way), LineState::Valid);
-    c.setStateAt(way, LineState::Owned);
-    EXPECT_EQ(c.lookupWay(0), way);
+    const SetAssocCache::Probe p = c.probe(0);
+    ASSERT_NE(p.way, SetAssocCache::kNoWay);
+    EXPECT_EQ(c.stateAt(p.way), LineState::Valid);
+    c.setStateAt(p.way, LineState::Owned);
+    EXPECT_EQ(c.probe(0).way, p.way);
     EXPECT_EQ(c.lookup(0), LineState::Owned);
-    EXPECT_EQ(c.findWay(64 * 1000), SetAssocCache::kNoWay);
+    EXPECT_EQ(c.probe(64 * 1000).way, SetAssocCache::kNoWay);
+}
+
+TEST(Cache, ProbeIgnoresInvalidatedCopiesOfTheLine)
+{
+    // An invalidated way keeps its line bits; the branch-free match must
+    // still read it as absent (state 0), and a refill must be found.
+    SetAssocCache c(128, 2, 64); // 1 set, 2 ways
+    c.insert(0, LineState::Dirty);
+    c.invalidate(0);
+    EXPECT_EQ(c.probe(0).way, SetAssocCache::kNoWay);
+    c.insert(64, LineState::Valid);
+    c.insertAt(c.probe(0), 0, LineState::Owned);
+    EXPECT_EQ(c.lookup(0), LineState::Owned);
+    EXPECT_EQ(c.invalidateForAcquire(/*keep_owned=*/false), 2u);
+    EXPECT_EQ(c.probe(0).way, SetAssocCache::kNoWay);
+    EXPECT_EQ(c.probe(64).way, SetAssocCache::kNoWay);
 }
 
 /**
@@ -270,18 +291,35 @@ TEST_P(CacheDifferential, MatchesReferenceOnRandomStreams)
     for (int op = 0; op < 200000; ++op) {
         const Addr line = rng.nextBounded(lines) * kLineBytes;
         const std::uint64_t kind = rng.nextBounded(1000);
-        if (kind < 500) {
+        if (kind < 300) {
             ASSERT_EQ(cache.lookup(line), ref.lookup(line)) << "op " << op;
+        } else if (kind < 500) {
+            // The controllers' hit path: probe, then touch on a hit.
+            const SetAssocCache::Probe p = cache.probe(line);
+            const LineState want = ref.lookup(line);
+            ASSERT_EQ(p.way == SetAssocCache::kNoWay,
+                      want == LineState::Invalid)
+                << "op " << op;
+            if (p.way != SetAssocCache::kNoWay) {
+                ASSERT_EQ(cache.stateAt(p.way), want) << "op " << op;
+                cache.touch(p.way);
+            }
         } else if (kind < 850) {
             if (ref.peek(line) != LineState::Invalid)
                 continue;
+            // The controllers' miss path (probe, then insertAt in the
+            // probed set) and plain insert() must evict alike.
             const LineState st = randomState();
-            const SetAssocCache::Eviction got = cache.insert(line, st);
+            const SetAssocCache::Probe p = cache.probe(line);
+            ASSERT_EQ(p.way, SetAssocCache::kNoWay) << "op " << op;
+            const SetAssocCache::Eviction got =
+                rng.nextBounded(2) == 0 ? cache.insertAt(p, line, st)
+                                        : cache.insert(line, st);
             const SetAssocCache::Eviction want = ref.insert(line, st);
             ASSERT_EQ(got.line, want.line) << "op " << op;
             ASSERT_EQ(got.state, want.state) << "op " << op;
         } else if (kind < 950) {
-            const std::uint32_t way = cache.findWay(line);
+            const std::uint32_t way = cache.probe(line).way;
             const LineState want = ref.peek(line);
             ASSERT_EQ(way == SetAssocCache::kNoWay,
                       want == LineState::Invalid)
@@ -307,8 +345,9 @@ TEST_P(CacheDifferential, MatchesReferenceOnRandomStreams)
             for (const LineState st :
                  {LineState::Invalid, LineState::Valid, LineState::Dirty,
                   LineState::Owned}) {
-                ASSERT_EQ(cache.collectLines(st), ref.collectLines(st))
-                    << "op " << op;
+                std::vector<Addr> got;
+                cache.collectLines(st, got);
+                ASSERT_EQ(got, ref.collectLines(st)) << "op " << op;
             }
         }
     }

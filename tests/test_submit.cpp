@@ -172,6 +172,57 @@ TEST(TaskPoolTest, PostAllBatchesFanOutThroughStealing)
     EXPECT_GT(pool.stats().stealsTotal, 0u);
 }
 
+/** Post @p count tasks in one postAll batch; each logs its index when
+ *  it starts, then sleeps @p hold. Returns the start order. */
+std::vector<int>
+batchStartOrder(unsigned width, int count, std::chrono::milliseconds hold)
+{
+    std::mutex mu;
+    std::vector<int> starts;
+    {
+        TaskPool pool(TaskPoolOptions{width});
+        std::vector<TaskPool::Task> tasks;
+        for (int i = 0; i < count; ++i) {
+            tasks.emplace_back([&mu, &starts, i, hold] {
+                {
+                    const std::lock_guard<std::mutex> lock(mu);
+                    starts.push_back(i);
+                }
+                std::this_thread::sleep_for(hold);
+            });
+        }
+        pool.postAll(std::move(tasks), Lane::Batch);
+    } // the destructor drains the batch
+    return starts;
+}
+
+TEST(TaskPoolTest, PostAllStartsABatchInSubmissionOrder)
+{
+    // The owner pops 0, 4, 8, ... from the bottom while the thieves steal
+    // 1, 2, 3, 5, ... from the top: the opening starts all come from the
+    // head of the batch, never its tail.
+    const std::vector<int> starts =
+        batchStartOrder(4, 64, std::chrono::milliseconds(2));
+    ASSERT_EQ(starts.size(), 64u);
+    std::vector<int> seen(64, 0);
+    for (const int i : starts)
+        ++seen[static_cast<std::size_t>(i)];
+    for (int i = 0; i < 64; ++i)
+        EXPECT_EQ(seen[static_cast<std::size_t>(i)], 1) << "unit " << i;
+    for (std::size_t k = 0; k < 8; ++k)
+        EXPECT_LT(starts[k], 32) << "start #" << k;
+}
+
+TEST(TaskPoolTest, PostAllAtWidthOneRunsInExactOrder)
+{
+    const std::vector<int> starts =
+        batchStartOrder(1, 64, std::chrono::milliseconds(0));
+    std::vector<int> want(64);
+    for (int i = 0; i < 64; ++i)
+        want[static_cast<std::size_t>(i)] = i;
+    EXPECT_EQ(starts, want);
+}
+
 // --- stealing determinism -------------------------------------------------
 
 TEST(StealingDeterminism, ManifestBytesIdenticalAcrossWidthsUnderYields)

@@ -2,13 +2,14 @@
  * @file
  * Unit tests for the support layer: RNG determinism and distributions,
  * statistics helpers, table rendering, inline function/vector, the
- * hot-path containers (FlatMap, ObjectPool), and forkJoin.
+ * hot-path containers (FlatMap, FlatSet, ObjectPool), and forkJoin.
  */
 
 #include <memory>
 #include <set>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -222,42 +223,174 @@ TEST(FlatMap, InsertFindErase)
     EXPECT_FALSE(m.erase(7));
     EXPECT_EQ(m.find(7), nullptr);
     EXPECT_EQ(m.size(), 1u);
-    m[7] = 71; // reuses the tombstone
+    m[7] = 71; // the erase emptied 7's slot; this re-inserts it
     EXPECT_EQ(*m.find(7), 71);
 }
 
-TEST(FlatMap, MatchesUnorderedMapUnderChurn)
+/**
+ * Sends every key home to one of the table's last four slots, whatever
+ * its size: probe runs grow long and wrap past the last slot to the
+ * first, so backward-shift deletion must move entries across the wrap.
+ */
+struct WrappingHash
 {
-    FlatMap<std::uint64_t, std::uint64_t> m;
+    std::size_t
+    operator()(std::uint64_t k) const
+    {
+        return ~std::size_t{0} - static_cast<std::size_t>(k & 3);
+    }
+};
+
+template <typename Hash>
+void
+churnAgainstUnorderedMap(std::uint64_t seed)
+{
+    FlatMap<std::uint64_t, std::uint64_t, Hash> m;
     std::unordered_map<std::uint64_t, std::uint64_t> ref;
-    Xoshiro256StarStar rng(99);
-    for (int i = 0; i < 20000; ++i) {
+    Xoshiro256StarStar rng(seed);
+    for (std::uint64_t i = 0; i < 20000; ++i) {
         const std::uint64_t key = rng.nextBounded(512) * 64;
-        switch (rng.nextBounded(3)) {
+        switch (rng.nextBounded(5)) {
           case 0:
             m[key] = key + 1;
             ref[key] = key + 1;
             break;
-          case 1:
-            EXPECT_EQ(m.erase(key), ref.erase(key) != 0);
+          case 1: {
+            const auto [v, inserted] = m.tryEmplace(key);
+            const auto [it, want_inserted] = ref.try_emplace(key, 0);
+            ASSERT_EQ(inserted, want_inserted) << "op " << i;
+            ASSERT_EQ(*v, it->second) << "op " << i;
+            *v = it->second = key + i;
             break;
+          }
+          case 2:
+            ASSERT_EQ(m.erase(key), ref.erase(key) != 0) << "op " << i;
+            break;
+          case 3: {
+            std::uint64_t got = 7;
+            const auto it = ref.find(key);
+            ASSERT_EQ(m.take(key, got), it != ref.end()) << "op " << i;
+            if (it == ref.end()) {
+                EXPECT_EQ(got, 7u) << "a miss must leave out untouched";
+            } else {
+                EXPECT_EQ(got, it->second) << "op " << i;
+                ref.erase(it);
+            }
+            break;
+          }
           default: {
             const auto it = ref.find(key);
             const std::uint64_t* v = m.find(key);
             if (it == ref.end()) {
-                EXPECT_EQ(v, nullptr);
+                ASSERT_EQ(v, nullptr) << "op " << i;
             } else {
-                ASSERT_NE(v, nullptr);
-                EXPECT_EQ(*v, it->second);
+                ASSERT_NE(v, nullptr) << "op " << i;
+                ASSERT_EQ(*v, it->second) << "op " << i;
             }
             break;
           }
         }
+        ASSERT_EQ(m.size(), ref.size()) << "op " << i;
     }
-    EXPECT_EQ(m.size(), ref.size());
+    // Every survivor is still reachable after all the shifting.
+    for (const auto& [key, val] : ref) {
+        ASSERT_NE(m.find(key), nullptr) << key;
+        EXPECT_EQ(*m.find(key), val) << key;
+    }
     m.clear();
     EXPECT_TRUE(m.empty());
     EXPECT_EQ(m.find(64), nullptr);
+}
+
+TEST(FlatMap, MatchesUnorderedMapUnderChurn)
+{
+    churnAgainstUnorderedMap<FlatHash<std::uint64_t>>(99);
+    churnAgainstUnorderedMap<WrappingHash>(100);
+}
+
+TEST(FlatMap, SteadyChurnAtReservedSizeKeepsCapacity)
+{
+    // Shaped like an L1 MSHR table: reserve 128, then a million fills,
+    // each completing a random in-flight line once 128 are live.
+    FlatMap<std::uint64_t, std::uint64_t> m;
+    m.reserve(128);
+    const std::size_t cap = m.capacity();
+    ASSERT_GT(cap, 0u);
+    std::vector<std::uint64_t> live;
+    Xoshiro256StarStar rng(2024);
+    for (std::uint64_t i = 0; i < 1'000'000; ++i) {
+        if (live.size() == 128) {
+            const std::size_t at = rng.nextBounded(live.size());
+            std::uint64_t val = 0;
+            if (i % 2 == 0) {
+                ASSERT_TRUE(m.take(live[at], val)) << "op " << i;
+                ASSERT_EQ(val, live[at] + 1) << "op " << i;
+            } else {
+                ASSERT_TRUE(m.erase(live[at])) << "op " << i;
+            }
+            live[at] = live.back();
+            live.pop_back();
+        }
+        const std::uint64_t line = i * 64;
+        const auto [v, inserted] = m.tryEmplace(line);
+        ASSERT_TRUE(inserted) << "op " << i;
+        *v = line + 1;
+        live.push_back(line);
+        ASSERT_EQ(m.capacity(), cap) << "op " << i;
+    }
+    EXPECT_EQ(m.size(), 128u);
+    for (const std::uint64_t line : live) {
+        ASSERT_NE(m.find(line), nullptr) << line;
+        EXPECT_EQ(*m.find(line), line + 1);
+    }
+}
+
+TEST(FlatSet, MatchesUnorderedSetUnderChurnAcrossTheWrap)
+{
+    FlatSet<std::uint64_t, WrappingHash> s;
+    std::unordered_set<std::uint64_t> ref;
+    Xoshiro256StarStar rng(101);
+    for (std::uint64_t i = 0; i < 20000; ++i) {
+        const std::uint64_t key = rng.nextBounded(512);
+        switch (rng.nextBounded(3)) {
+          case 0:
+            ASSERT_EQ(s.insert(key), ref.insert(key).second) << "op " << i;
+            break;
+          case 1:
+            ASSERT_EQ(s.erase(key), ref.erase(key) != 0) << "op " << i;
+            break;
+          default:
+            ASSERT_EQ(s.contains(key), ref.count(key) != 0) << "op " << i;
+            break;
+        }
+        ASSERT_EQ(s.size(), ref.size()) << "op " << i;
+    }
+    for (const std::uint64_t key : ref)
+        ASSERT_TRUE(s.contains(key)) << key;
+}
+
+TEST(FlatSet, SteadyChurnAtReservedSizeKeepsCapacity)
+{
+    FlatSet<std::uint64_t> s;
+    s.reserve(128);
+    const std::size_t cap = s.capacity();
+    ASSERT_GT(cap, 0u);
+    std::vector<std::uint64_t> live;
+    Xoshiro256StarStar rng(2025);
+    for (std::uint64_t i = 0; i < 1'000'000; ++i) {
+        if (live.size() == 128) {
+            const std::size_t at = rng.nextBounded(live.size());
+            ASSERT_TRUE(s.erase(live[at])) << "op " << i;
+            live[at] = live.back();
+            live.pop_back();
+        }
+        ASSERT_TRUE(s.insert(i)) << "op " << i;
+        live.push_back(i);
+        ASSERT_EQ(s.capacity(), cap) << "op " << i;
+    }
+    EXPECT_EQ(s.size(), 128u);
+    for (const std::uint64_t key : live)
+        ASSERT_TRUE(s.contains(key)) << key;
 }
 
 TEST(FlatMap, HoldsMoveOnlyValues)
