@@ -42,6 +42,7 @@
 #include "graph/snapshot.hpp"
 #include "reference/graph.hpp"
 #include "support/log.hpp"
+#include "support/parallel.hpp"
 
 namespace {
 
@@ -210,7 +211,7 @@ main(int argc, char** argv)
         GGA_FATAL("missing --json OUT");
     gga::setVerbose(false);
     if (threads == 0)
-        threads = gga::defaultBuildThreads();
+        threads = gga::defaultThreads();
 
     const std::string tmp_dir =
         std::filesystem::temp_directory_path().string();

@@ -146,7 +146,7 @@ class GraphStore
 
     /**
      * Worker threads for graph builds (GraphBuilder::threads). 0 = the
-     * defaultBuildThreads() environment default. Sessions set this to
+     * defaultThreads() environment default. Sessions set this to
      * their executor width; builds are bit-identical at any value.
      */
     void setBuildThreads(unsigned threads);

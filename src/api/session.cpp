@@ -5,26 +5,9 @@
 #include <utility>
 
 #include "support/log.hpp"
+#include "support/parallel.hpp"
 
 namespace gga {
-
-unsigned
-defaultSessionThreads()
-{
-    static const unsigned threads = [] {
-        const char* env = std::getenv("GGA_SESSION_THREADS");
-        if (!env)
-            return 1u;
-        const long t = std::atol(env);
-        if (t < 1) {
-            GGA_WARN("session thread count '", env,
-                     "' is invalid; using 1");
-            return 1u;
-        }
-        return static_cast<unsigned>(t);
-    }();
-    return threads;
-}
 
 RunPlan&
 RunPlan::app(AppId a)
@@ -255,8 +238,7 @@ Session::threads() const
     const unsigned actual = actualThreads_.load(std::memory_order_acquire);
     if (actual != 0)
         return actual;
-    return std::min(opts_.threads == 0 ? defaultSessionThreads()
-                                       : opts_.threads,
+    return std::min(opts_.threads == 0 ? defaultThreads() : opts_.threads,
                     TaskPool::kMaxThreads);
 }
 
@@ -264,8 +246,7 @@ TaskPool&
 Session::executor()
 {
     std::call_once(poolOnce_, [this] {
-        pool_ = std::make_unique<TaskPool>(
-            TaskPoolOptions{threads()});
+        pool_ = std::make_unique<TaskPool>(threads());
         actualThreads_.store(pool_->width(), std::memory_order_release);
         poolStarted_.store(true, std::memory_order_release);
     });
@@ -290,9 +271,8 @@ Session::submit(RunPlan plan)
 std::vector<std::future<RunOutcome>>
 Session::submitAll(std::vector<RunPlan> plans)
 {
-    // Batch per lane through postAll: one expander task per lane fans the
-    // plans out across the workers' stealing deques, so the shared
-    // injection lock is touched twice, not once per plan.
+    // Batch per lane through postAll: each lane's plans join its queue
+    // under one lock and start in plan order.
     std::vector<std::future<RunOutcome>> futures;
     futures.reserve(plans.size());
     std::vector<TaskPool::Task> lanes[kLaneCount];

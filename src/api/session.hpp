@@ -177,8 +177,8 @@ struct SessionOptions
     bool verboseRuns = false; ///< GGA_INFORM one line per run
     /**
      * Worker threads of the session's executor (Session::submit). 0 = the
-     * GGA_SESSION_THREADS environment default — see
-     * defaultSessionThreads(). The executor starts lazily on the first
+     * GGA_SESSION_THREADS environment default — see defaultThreads()
+     * (support/parallel.hpp). The executor starts lazily on the first
      * submit, so purely synchronous sessions never spawn threads.
      */
     unsigned threads = 0;
@@ -204,9 +204,6 @@ struct SessionOptions
 
 /** GGA_GRAPH_CACHE environment value, or "" when unset. */
 std::string defaultGraphCacheDir();
-
-/** GGA_SESSION_THREADS environment value; 1 when unset or invalid. */
-unsigned defaultSessionThreads();
 
 /** What Session::submit's future throws for a plan that fails validate(). */
 class PlanError : public std::runtime_error
@@ -263,8 +260,8 @@ class Session
     /**
      * Submit a batch; futures are returned in plan order, so gathering
      * them in order yields results bit-identical to a serial run() loop.
-     * Goes through TaskPool::postAll per lane, so the units fan out over
-     * the workers' stealing deques instead of the shared injection queue.
+     * Goes through TaskPool::postAll per lane, so each lane's plans join
+     * its queue under one lock and start in plan order.
      */
     std::vector<std::future<RunOutcome>> submitAll(std::vector<RunPlan> plans);
 

@@ -69,41 +69,29 @@ parseLane(std::string_view name)
     return std::nullopt;
 }
 
-TaskPool::TaskPool(TaskPoolOptions opts)
+TaskPool::TaskPool(unsigned threads)
 {
-    unsigned requested = std::clamp(opts.threads, 1u, kMaxThreads);
-    if (opts.threads > kMaxThreads)
-        GGA_WARN("TaskPool width ", opts.threads, " clamped to ",
-                 kMaxThreads);
+    const unsigned requested = std::clamp(threads, 1u, kMaxThreads);
+    if (threads > kMaxThreads)
+        GGA_WARN("TaskPool width ", threads, " clamped to ", kMaxThreads);
 #if defined(__linux__)
     batchNiced_ = canAdjustNice();
 #endif
 
-    // All Worker objects (and their deques) must exist before any thread
-    // starts: a worker spawned early probes its siblings' deques.
     workers_.reserve(requested);
-    for (unsigned t = 0; t < requested; ++t)
-        workers_.push_back(std::make_unique<Worker>(t));
-
-    for (auto& w : workers_) {
+    for (unsigned t = 0; t < requested; ++t) {
         try {
-            Worker* self = w.get();
-            w->thread = std::thread([this, self] { workerLoop(*self); });
+            workers_.emplace_back([this] { workerLoop(); });
         } catch (const std::system_error& e) {
-            // Out of thread resources: run with what we got. Running
-            // workers hold pointers into workers_, so it must not
-            // shrink; the threadless tail just owns forever-empty
-            // deques. With zero workers there is no pool to salvage.
-            if (spawned_ == 0) {
-                workers_.clear();
+            // Out of thread resources: run with what we got. With zero
+            // workers there is no pool to salvage.
+            if (workers_.empty())
                 throw;
-            }
-            GGA_WARN("TaskPool spawned ", spawned_, " of ", requested,
-                     " workers (", e.what(),
+            GGA_WARN("TaskPool spawned ", workers_.size(), " of ",
+                     requested, " workers (", e.what(),
                      "); continuing at reduced width");
             break;
         }
-        ++spawned_;
     }
 }
 
@@ -112,53 +100,21 @@ TaskPool::~TaskPool()
     {
         MutexLock lock(mu_);
         stopping_ = true;
-        ++version_;
     }
     cv_.notify_all();
-    for (auto& w : workers_) {
-        if (w->thread.joinable())
-            w->thread.join();
-    }
-}
-
-std::size_t
-TaskPool::pending(Lane lane) const
-{
-    const unsigned l = laneIndex(lane);
-    std::size_t total = 0;
-    {
-        MutexLock lock(mu_);
-        total += injected_[l].size();
-        for (const std::vector<Task>& batch : expanders_[l])
-            total += batch.size();
-    }
-    for (const auto& w : workers_)
-        total += w->deq[l].sizeEstimate();
-    return total;
-}
-
-unsigned
-TaskPool::active() const
-{
-    return active_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-TaskPool::completedTotal() const
-{
-    return completed_.load(std::memory_order_relaxed);
+    for (std::thread& w : workers_)
+        w.join();
 }
 
 TaskPool::Stats
 TaskPool::stats() const
 {
     Stats s;
-    s.interactiveDepth = pending(Lane::Interactive);
-    s.batchDepth = pending(Lane::Batch);
-    s.running = active();
-    s.completedTotal = completedTotal();
-    s.stealsTotal = steals_.load(std::memory_order_relaxed);
-    s.stealFailures = stealFailures_.load(std::memory_order_relaxed);
+    MutexLock lock(mu_);
+    s.interactiveDepth = queues_[laneIndex(Lane::Interactive)].size();
+    s.batchDepth = queues_[laneIndex(Lane::Batch)].size();
+    s.running = running_;
+    s.completedTotal = completed_;
     s.batchNiced = batchNiced_;
     return s;
 }
@@ -167,12 +123,10 @@ void
 TaskPool::post(Task job, Lane lane)
 {
     GGA_ASSERT(job, "TaskPool::post requires a callable job");
-    outstanding_.fetch_add(1, std::memory_order_acq_rel);
     {
         MutexLock lock(mu_);
         GGA_ASSERT(!stopping_, "TaskPool::post after shutdown began");
-        injected_[laneIndex(lane)].push_back(std::move(job));
-        ++version_;
+        queues_[laneIndex(lane)].push_back(std::move(job));
     }
     cv_.notify_one();
 }
@@ -184,176 +138,55 @@ TaskPool::postAll(std::vector<Task> jobs, Lane lane)
         return;
     for (const Task& job : jobs)
         GGA_ASSERT(job, "TaskPool::postAll requires callable jobs");
-    outstanding_.fetch_add(jobs.size(), std::memory_order_acq_rel);
     {
         MutexLock lock(mu_);
         GGA_ASSERT(!stopping_, "TaskPool::postAll after shutdown began");
-        expanders_[laneIndex(lane)].push_back(std::move(jobs));
-        ++version_;
+        std::deque<Task>& queue = queues_[laneIndex(lane)];
+        for (Task& job : jobs)
+            queue.push_back(std::move(job));
     }
-    // Everyone: the batch is about to fan out across the deques.
     cv_.notify_all();
 }
 
 void
-TaskPool::workerLoop(Worker& self)
-{
-    for (;;) {
-        std::uint64_t scanned = 0;
-        {
-            MutexLock lock(mu_);
-            scanned = version_;
-        }
-        if (runOne(self))
-            continue;
-        // The scan found nothing. Sleep only if nothing became visible
-        // since we recorded the version: a producer bumps version_
-        // (under mu_) after publishing, so either we see its version
-        // bump here or the scan saw its work.
-        MutexLock lock(mu_);
-        while (version_ == scanned &&
-               !(stopping_ &&
-                 outstanding_.load(std::memory_order_acquire) == 0))
-            cv_.wait(mu_);
-        if (stopping_ && outstanding_.load(std::memory_order_acquire) == 0)
-            return;
-    }
-}
-
-bool
-TaskPool::runOne(Worker& self)
+TaskPool::workerLoop()
 {
     Task task;
     Lane lane = Lane::Interactive;
-    if (!takeFromLane(self, Lane::Interactive, task)) {
-        if (!takeFromLane(self, Lane::Batch, task))
-            return false;
-        lane = Lane::Batch;
+    while (next(task, lane)) {
+        // Deterministic schedule perturbation: the determinism tests arm
+        // this site to prove results cannot depend on interleaving.
+        if (faults::fire("pool.yield"))
+            std::this_thread::yield();
+        execute(std::move(task), lane);
     }
-    // Deterministic schedule perturbation: the determinism tests arm
-    // this site to prove results cannot depend on interleaving.
-    if (faults::fire("pool.yield"))
-        std::this_thread::yield();
-    execute(std::move(task), lane);
-    return true;
 }
 
 bool
-TaskPool::takeFromLane(Worker& self, Lane lane, Task& out)
-{
-    const unsigned l = laneIndex(lane);
-    Task* node = nullptr;
-    if (self.deq[l].popBottom(node)) {
-        const std::unique_ptr<Task> owned(node);
-        out = std::move(*owned);
-        return true;
-    }
-    if (takeInjected(lane, out))
-        return true;
-    if (takeExpander(self, lane)) {
-        if (self.deq[l].popBottom(node)) {
-            const std::unique_ptr<Task> owned(node);
-            out = std::move(*owned);
-            return true;
-        }
-        // The whole batch was stolen before our own pop — fall through
-        // and steal some of it back.
-    }
-    return stealFromSiblings(self, lane, out);
-}
-
-bool
-TaskPool::takeInjected(Lane lane, Task& out)
+TaskPool::next(Task& out, Lane& lane)
 {
     MutexLock lock(mu_);
-    std::deque<Task>& queue = injected_[laneIndex(lane)];
-    if (queue.empty())
-        return false;
-    out = std::move(queue.front());
-    queue.pop_front();
-    return true;
-}
-
-bool
-TaskPool::takeExpander(Worker& self, Lane lane)
-{
-    const unsigned l = laneIndex(lane);
-    std::vector<Task> batch;
-    {
-        MutexLock lock(mu_);
-        std::deque<std::vector<Task>>& queue = expanders_[l];
-        if (queue.empty())
-            return false;
-        batch = std::move(queue.front());
-        queue.pop_front();
-    }
-    // Interleaved owner-push. Thieves steal from the top (oldest push
-    // first) and the owner pops from the bottom (newest first). Push the
-    // siblings' share, every unit i with i % width != 0, ascending, then
-    // the owner's share, 0, width, 2*width, ..., descending. Both ends
-    // then take the batch in submission order, so each unit starts about
-    // as early as its index says; a plain reverse push would let the
-    // thieves start at the batch's end and leave its middle for last.
-    const std::size_t stride = width();
-    const auto push = [&self, &batch, l](std::size_t i) {
-        auto node = std::make_unique<Task>(std::move(batch[i]));
-        self.deq[l].pushBottom(node.release());
-    };
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (i % stride != 0)
-            push(i);
-    }
-    for (std::size_t k = (batch.size() + stride - 1) / stride; k-- > 0;)
-        push(k * stride);
-    // The units are now visible in this worker's deque; wake every
-    // sibling to come steal.
-    announce(true);
-    return true;
-}
-
-bool
-TaskPool::stealFromSiblings(Worker& self, Lane lane, Task& out)
-{
-    const std::size_t count = workers_.size();
-    if (count < 2)
-        return false;
-    const unsigned l = laneIndex(lane);
-    const std::size_t start = self.rng.nextBounded(count);
-    for (std::size_t probe = 0; probe < count; ++probe) {
-        Worker& victim = *workers_[(start + probe) % count];
-        if (&victim == &self)
-            continue;
-        bool victimEmpty = false;
-        while (!victimEmpty) {
-            Task* node = nullptr;
-            switch (victim.deq[l].steal(node)) {
-            case WorkStealDeque<Task*>::Steal::Got: {
-                steals_.fetch_add(1, std::memory_order_relaxed);
-                const std::unique_ptr<Task> owned(node);
-                out = std::move(*owned);
-                // Cascade: the victim still has work, so make sure
-                // another sleeper comes for it too.
-                if (victim.deq[l].sizeEstimate() > 0)
-                    announce(false);
-                return true;
-            }
-            case WorkStealDeque<Task*>::Steal::Abort:
-                // Lost a race — an element exists, keep contending.
-                stealFailures_.fetch_add(1, std::memory_order_relaxed);
-                break;
-            case WorkStealDeque<Task*>::Steal::Empty:
-                victimEmpty = true;
-                break;
-            }
+    for (;;) {
+        for (const Lane l : {Lane::Interactive, Lane::Batch}) {
+            std::deque<Task>& queue = queues_[laneIndex(l)];
+            if (queue.empty())
+                continue;
+            out = std::move(queue.front());
+            queue.pop_front();
+            lane = l;
+            ++running_;
+            return true;
         }
+        // Both lanes are empty, so a stopping pool has drained.
+        if (stopping_)
+            return false;
+        cv_.wait(mu_);
     }
-    return false;
 }
 
 void
 TaskPool::execute(Task task, Lane lane)
 {
-    active_.fetch_add(1, std::memory_order_relaxed);
 #if defined(__linux__)
     // Batch tasks run niced: once every CPU is busy, lane priority alone
     // cannot preempt a batch unit already executing, but the kernel's
@@ -376,25 +209,9 @@ TaskPool::execute(Task task, Lane lane)
     if (demoted)
         (void)setpriority(PRIO_PROCESS, 0, base);
 #endif
-    active_.fetch_sub(1, std::memory_order_relaxed);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    // Last outstanding task: wake everyone so draining workers (and the
-    // destructor's exit predicate) observe the zero.
-    if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1)
-        announce(true);
-}
-
-void
-TaskPool::announce(bool everyone)
-{
-    {
-        MutexLock lock(mu_);
-        ++version_;
-    }
-    if (everyone)
-        cv_.notify_all();
-    else
-        cv_.notify_one();
+    MutexLock lock(mu_);
+    --running_;
+    ++completed_;
 }
 
 } // namespace gga

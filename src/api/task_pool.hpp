@@ -1,25 +1,17 @@
 /**
  * @file
- * TaskPool: the work-stealing, priority-aware executor behind
- * Session::submit and every gga_serve job.
+ * TaskPool: the priority-aware executor behind Session::submit and every
+ * gga_serve job.
  *
- * Two priority lanes — Interactive and Batch — where dequeue order
- * always prefers interactive work: a resident server mixing small
- * single-plan jobs with paper-sized manifest sweeps no longer
- * head-of-line-blocks the small ones. Within a lane:
+ * Two priority lanes, Interactive and Batch, each one FIFO under one
+ * mutex. A worker takes the head of the interactive queue when it has
+ * one, otherwise the head of the batch queue, so a resident server
+ * mixing small single-plan jobs with paper-sized manifest sweeps never
+ * head-of-line-blocks the small ones. postAll appends a whole batch
+ * under one lock, so its units start in exactly submission order at
+ * every width. A task is a whole simulation, tens of milliseconds, so
+ * the one lock per dequeue never contends measurably.
  *
- *  - Single tasks (post/submit) land in a mutex-guarded global
- *    injection queue, FIFO per lane.
- *  - Batches (postAll) enqueue ONE expander task; the worker that picks
- *    it up pushes every unit into its own lock-free Chase–Lev deque
- *    (support/work_steal_deque.hpp) — the legal owner-side push — and
- *    idle siblings steal from it with randomized victim selection
- *    (SplitRng; gga_lint bans rand()). The shared lock is thus touched
- *    once per batch, not once per unit, and the per-unit hot path is
- *    lock-free.
- *
- * A worker's dequeue priority: own interactive deque, injected
- * interactive, stolen interactive, then the same three for batch.
  * Results stay byte-identical regardless of scheduling order because
  * determinism lives in the task, never the schedule — the fault site
  * "pool.yield" (GGA_FAULTS) perturbs interleavings on demand so tests
@@ -38,11 +30,10 @@
 #ifndef GGA_API_TASK_POOL_HPP
 #define GGA_API_TASK_POOL_HPP
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <thread>
@@ -52,9 +43,7 @@
 
 #include "support/inline_function.hpp"
 #include "support/parallel.hpp"
-#include "support/rng.hpp"
 #include "support/thread_annotations.hpp"
-#include "support/work_steal_deque.hpp"
 
 namespace gga {
 
@@ -73,13 +62,6 @@ const char* laneName(Lane lane);
 /** Parse a lane name; nullopt on anything else. */
 std::optional<Lane> parseLane(std::string_view name);
 
-/** TaskPool construction knobs. */
-struct TaskPoolOptions
-{
-    /** Worker count, clamped to [1, TaskPool::kMaxThreads]. */
-    unsigned threads = 1;
-};
-
 class TaskPool
 {
   public:
@@ -90,15 +72,19 @@ class TaskPool
      */
     using Task = InlineFunction<void(), 64>;
 
-    /** Executor telemetry for /stats, read in one call. */
+    /** Executor telemetry for /stats: one consistent snapshot. */
     struct Stats
     {
         std::size_t interactiveDepth = 0; ///< queued, interactive lane
         std::size_t batchDepth = 0;       ///< queued, batch lane
         unsigned running = 0;             ///< tasks executing now
         std::uint64_t completedTotal = 0; ///< tasks finished (monotonic)
-        std::uint64_t stealsTotal = 0;    ///< successful steals
-        std::uint64_t stealFailures = 0;  ///< CAS-race aborts while stealing
+        /**
+         * Always 0: no worker takes work from another. Kept because
+         * perfbench reads it, directly and as /stats
+         * executor.steals_total.
+         */
+        std::uint64_t stealsTotal = 0;
         bool batchNiced = false; ///< batch tasks run at kBatchNice
     };
 
@@ -116,12 +102,12 @@ class TaskPool
     static constexpr int kBatchNice = 10;
 
     /**
-     * Start opts.threads workers, clamped to [1, kMaxThreads] (with a
+     * Start @p threads workers, clamped to [1, kMaxThreads] (with a
      * warning above the cap). If the system runs out of thread resources
      * mid-spawn the pool continues at the width it reached; only a pool
      * that cannot spawn a single worker throws.
      */
-    explicit TaskPool(TaskPoolOptions opts);
+    explicit TaskPool(unsigned threads);
 
     /** Drains every posted task, then joins the workers. */
     ~TaskPool();
@@ -130,16 +116,7 @@ class TaskPool
     TaskPool& operator=(const TaskPool&) = delete;
 
     /** Number of running worker threads. */
-    unsigned width() const { return spawned_; }
-
-    /** Tasks posted but not yet picked up, one lane. */
-    std::size_t pending(Lane lane) const;
-
-    /** Tasks currently executing on a worker. */
-    unsigned active() const;
-
-    /** Tasks finished since construction (monotonic). */
-    std::uint64_t completedTotal() const;
+    unsigned width() const { return static_cast<unsigned>(workers_.size()); }
 
     /** Point-in-time executor telemetry. */
     Stats stats() const;
@@ -148,14 +125,9 @@ class TaskPool
     void post(Task job, Lane lane = Lane::Batch);
 
     /**
-     * Enqueue a batch on @p lane through one expander task: the worker
-     * that dequeues it owner-pushes every element into its Chase–Lev
-     * deque, and idle workers steal. Units start in about submission
-     * order — the owner pops units 0, width, 2·width, … and the thieves
-     * steal the rest ascending; at width 1, exactly in order. Tasks must
-     * still be independent (as every simulation task is): completion
-     * order is unspecified. The batch counts toward pending()
-     * immediately.
+     * Append a batch to @p lane under one lock. Its units start in
+     * submission order; tasks must still be independent (as every
+     * simulation task is), because completion order is unspecified.
      */
     void postAll(std::vector<Task> jobs, Lane lane);
 
@@ -195,69 +167,23 @@ class TaskPool
     }
 
   private:
-    struct Worker
-    {
-        explicit Worker(unsigned idx) : rng(0x9e3779b97f4a7c15ull, idx) {}
-        /** One owner deque per lane; elements are heap Task nodes. */
-        WorkStealDeque<Task*> deq[kLaneCount];
-        SplitRng rng; ///< victim randomization; worker-thread only
-        std::thread thread;
-    };
-
-    void workerLoop(Worker& self);
-    /** One dequeue attempt across all sources; true if a task ran. */
-    bool runOne(Worker& self);
-    /** Take from one lane: own deque, injection, expanders, then steal. */
-    bool takeFromLane(Worker& self, Lane lane, Task& out);
-    bool takeInjected(Lane lane, Task& out);
-    /** Claim a pending batch and owner-push it into @p self's deque. */
-    bool takeExpander(Worker& self, Lane lane);
-    bool stealFromSiblings(Worker& self, Lane lane, Task& out);
+    void workerLoop();
+    /** Block for the next task, interactive first; false once stopping
+     *  and both lanes are empty. */
+    bool next(Task& out, Lane& lane);
     void execute(Task task, Lane lane);
-    /** Bump the work-visible version and wake @p everyone or one. */
-    void announce(bool everyone);
 
     mutable Mutex mu_;
     CondVar cv_;
-    /** Per-lane injection queues for single (non-batch) tasks. */
-    std::deque<Task> injected_[kLaneCount] GGA_GUARDED_BY(mu_);
-    /**
-     * Batches posted by postAll, waiting for a worker to unpack them
-     * into its own deque (the Chase–Lev owner-push). Stored whole: the
-     * injection lock is taken once per batch, not once per unit.
-     */
-    std::deque<std::vector<Task>> expanders_[kLaneCount]
-        GGA_GUARDED_BY(mu_);
+    std::deque<Task> queues_[kLaneCount] GGA_GUARDED_BY(mu_);
+    unsigned running_ GGA_GUARDED_BY(mu_) = 0;
+    std::uint64_t completed_ GGA_GUARDED_BY(mu_) = 0;
     bool stopping_ GGA_GUARDED_BY(mu_) = false;
-    /**
-     * Bumped (under mu_) every time work becomes visible anywhere —
-     * injection, expansion, or a steal that left the victim non-empty.
-     * Workers sleep only when the version they scanned at is still
-     * current, so a push between "scan found nothing" and "wait" can
-     * never be lost.
-     */
-    std::uint64_t version_ GGA_GUARDED_BY(mu_) = 0;
-    /** Only mutated in the constructor, before and after the spawn loop
-     *  runs — never while workers can observe it. unique_ptr: deque
-     *  addresses must be stable for thieves. May hold more entries than
-     *  spawned threads after a mid-spawn resource failure; the threadless
-     *  tail just owns forever-empty deques. */
-    std::vector<std::unique_ptr<Worker>> workers_;
-    /** Threads actually running (<= workers_.size(); see above). */
-    unsigned spawned_ = 0;
     /** Whether batch tasks run at kBatchNice (adjustment reversible). */
     bool batchNiced_ = false;
-    /**
-     * Tasks enqueued anywhere (injection, expander, expanded units) and
-     * not yet finished. The drain condition: workers exit only once
-     * stopping_ and this reaches zero, so postAll batches still inside
-     * an expander can never be dropped at shutdown.
-     */
-    std::atomic<std::uint64_t> outstanding_{0};
-    std::atomic<unsigned> active_{0};
-    std::atomic<std::uint64_t> completed_{0};
-    std::atomic<std::uint64_t> steals_{0};
-    std::atomic<std::uint64_t> stealFailures_{0};
+    /** The threads that actually started. Mutated only in the
+     *  constructor; the workers never read it. */
+    std::vector<std::thread> workers_;
 };
 
 } // namespace gga

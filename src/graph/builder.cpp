@@ -1,30 +1,12 @@
 #include "graph/builder.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "support/log.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace gga {
-
-unsigned
-defaultBuildThreads()
-{
-    static const unsigned threads = [] {
-        const char* env = std::getenv("GGA_SESSION_THREADS");
-        if (!env)
-            return 1u;
-        const long t = std::atol(env);
-        if (t < 1) {
-            GGA_WARN("build thread count '", env, "' is invalid; using 1");
-            return 1u;
-        }
-        return static_cast<unsigned>(t);
-    }();
-    return threads;
-}
 
 GraphBuilder::GraphBuilder(VertexId num_vertices) : numVertices_(num_vertices)
 {
@@ -57,7 +39,7 @@ pairWeight(VertexId u, VertexId v)
 CsrGraph
 GraphBuilder::build(bool with_weights) const
 {
-    const unsigned threads = threads_ == 0 ? defaultBuildThreads() : threads_;
+    const unsigned threads = threads_ == 0 ? defaultThreads() : threads_;
     const std::size_t raw = srcs_.size();
     const std::size_t n = numVertices_;
     // Give each worker at least ~16k raw edges: below that the fork-join

@@ -58,8 +58,9 @@ class GraphBuilder
 
     /**
      * Worker threads for build(). 0 (the default) resolves through
-     * defaultBuildThreads(). The built graph is bit-identical at every
-     * thread count — threads only change wall time.
+     * defaultThreads() (support/parallel.hpp). The built graph is
+     * bit-identical at every thread count — threads only change wall
+     * time.
      */
     void threads(unsigned t) { threads_ = t; }
 
@@ -93,13 +94,6 @@ class GraphBuilder
 
 /** Deterministic weight in [1, 31] for the undirected pair {u, v}. */
 std::uint32_t pairWeight(VertexId u, VertexId v);
-
-/**
- * Build-thread default when GraphBuilder::threads was never set (or set
- * to 0): GGA_SESSION_THREADS, else 1. The GraphStore overrides this with
- * the owning session's executor width.
- */
-unsigned defaultBuildThreads();
 
 } // namespace gga
 

@@ -436,7 +436,7 @@ generateGraph(const GenSpec& spec, unsigned build_threads)
                "directed edge target must be even (symmetric graph)");
 
     const unsigned threads =
-        build_threads == 0 ? defaultBuildThreads() : build_threads;
+        build_threads == 0 ? defaultThreads() : build_threads;
 
     // Synthesize: protected pairs (never trimmed) + free pairs, and for
     // degree-driven graphs the realized per-vertex degrees so padding

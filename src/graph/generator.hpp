@@ -116,7 +116,7 @@ struct GenSpec
  * @p build_threads value: synthesis decomposes over fixed vertex blocks
  * and hash shards with counter-based per-owner RNG streams (SplitRng),
  * and the CSR construction is canonical, so the output is byte-identical
- * whether it runs on 1 thread or 8. 0 = defaultBuildThreads(). The
+ * whether it runs on 1 thread or 8. 0 = defaultThreads(). The
  * result is directed symmetric with no self-loops and exactly
  * spec.numDirectedEdges edges, with deterministic per-pair weights
  * attached.

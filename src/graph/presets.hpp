@@ -72,7 +72,7 @@ GenSpec presetSpecScaled(GraphPreset p, double scale);
 /**
  * Build a scaled variant: generateGraph(presetSpecScaled(p, scale)).
  * Not memoized; bit-identical at every @p build_threads value
- * (0 = defaultBuildThreads()).
+ * (0 = defaultThreads()).
  */
 CsrGraph buildPresetScaled(GraphPreset p, double scale,
                            unsigned build_threads = 0);

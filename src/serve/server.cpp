@@ -484,7 +484,6 @@ Service::statsResponse()
              Json(static_cast<std::uint64_t>(es.interactiveDepth)));
     exec.set("batch_depth", Json(static_cast<std::uint64_t>(es.batchDepth)));
     exec.set("steals_total", Json(es.stealsTotal));
-    exec.set("steal_failures", Json(es.stealFailures));
     exec.set("batch_niced", Json(es.batchNiced));
 
     const HttpServer::Stats hs = http_.stats();

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <string_view>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -29,6 +30,19 @@ namespace gga {
  * and an unclamped thread count must not spawn until exhaustion.
  */
 inline constexpr unsigned kMaxThreads = 512;
+
+/**
+ * Parse a thread count. The whole of @p text must be a decimal number:
+ * 0, a sign or any other character warns and gives 1, and a count above
+ * kMaxThreads (64-bit overflow included) warns and gives kMaxThreads.
+ */
+unsigned parseThreadCount(std::string_view text);
+
+/**
+ * GGA_SESSION_THREADS through parseThreadCount, read once per process;
+ * 1 when unset. The default width of Session executors and graph builds.
+ */
+unsigned defaultThreads();
 
 /**
  * Run fn(t) exactly once for every t in [0, threads), on at most

@@ -272,7 +272,7 @@ TEST(ServeSubmit, BadPriorityIs400AndStatsExposeExecutorLanes)
               400);
 
     // A valid priority admits; afterwards the executor section carries
-    // the scheduler's lane depths and steal counters.
+    // the scheduler's lane depths.
     const HttpResponse sub = svc.handle(
         request("POST", "/v1/jobs", {},
                 "{\"manifest\": " + manifestText +
@@ -286,7 +286,6 @@ TEST(ServeSubmit, BadPriorityIs400AndStatsExposeExecutorLanes)
     ASSERT_NE(exec.find("interactive_depth"), nullptr);
     ASSERT_NE(exec.find("batch_depth"), nullptr);
     ASSERT_NE(exec.find("steals_total"), nullptr);
-    ASSERT_NE(exec.find("steal_failures"), nullptr);
     ASSERT_NE(exec.find("batch_niced"), nullptr);
     // The job drained, so both lanes are idle again.
     EXPECT_EQ(exec.at("interactive_depth").asU64(), 0u);

@@ -11,6 +11,7 @@
 #include <future>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -62,7 +63,7 @@ makeSession(unsigned threads)
 TEST(TaskPoolTest, RunsEveryJobAtSeveralWidths)
 {
     for (unsigned width : {1u, 2u, 4u}) {
-        TaskPool pool(TaskPoolOptions{width});
+        TaskPool pool(width);
         EXPECT_EQ(pool.width(), width);
         std::atomic<int> ran{0};
         std::vector<std::future<int>> futures;
@@ -80,14 +81,14 @@ TEST(TaskPoolTest, RunsEveryJobAtSeveralWidths)
 
 TEST(TaskPoolTest, WidthZeroClampsToOneWorker)
 {
-    TaskPool pool(TaskPoolOptions{0});
+    TaskPool pool(0);
     EXPECT_EQ(pool.width(), 1u);
     EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
 }
 
 TEST(TaskPoolTest, ExceptionsPropagateThroughFutures)
 {
-    TaskPool pool(TaskPoolOptions{2});
+    TaskPool pool(2);
     std::future<int> bad =
         pool.submit([]() -> int { throw std::runtime_error("boom"); });
     EXPECT_THROW(bad.get(), std::runtime_error);
@@ -99,7 +100,7 @@ TEST(TaskPoolTest, DestructorDrainsPostedJobs)
 {
     std::atomic<int> ran{0};
     {
-        TaskPool pool(TaskPoolOptions{1});
+        TaskPool pool(1);
         for (int i = 0; i < 8; ++i)
             pool.post([&ran] { ran.fetch_add(1); });
     }
@@ -108,12 +109,12 @@ TEST(TaskPoolTest, DestructorDrainsPostedJobs)
 
 TEST(TaskPoolTest, InteractiveLaneOvertakesQueuedBatchWork)
 {
-    TaskPool pool(TaskPoolOptions{1});
+    TaskPool pool(1);
     // Park the single worker so everything below queues behind it.
     std::promise<void> gate;
     std::shared_future<void> opened = gate.get_future().share();
     pool.post([opened] { opened.wait(); }, Lane::Interactive);
-    while (pool.active() == 0)
+    while (pool.stats().running == 0)
         std::this_thread::yield();
 
     std::mutex order_mu;
@@ -134,11 +135,12 @@ TEST(TaskPoolTest, InteractiveLaneOvertakesQueuedBatchWork)
             },
             Lane::Interactive);
     }
-    EXPECT_EQ(pool.pending(Lane::Interactive), 3u);
-    EXPECT_EQ(pool.pending(Lane::Batch), 3u);
+    const TaskPool::Stats queued = pool.stats();
+    EXPECT_EQ(queued.interactiveDepth, 3u);
+    EXPECT_EQ(queued.batchDepth, 3u);
 
     gate.set_value();
-    while (pool.completedTotal() < 7)
+    while (pool.stats().completedTotal < 7)
         std::this_thread::yield();
     // Interactive tasks posted LAST still ran first, FIFO within lanes.
     // (order_mu, not the completion counter, synchronizes the reads.)
@@ -147,29 +149,38 @@ TEST(TaskPoolTest, InteractiveLaneOvertakesQueuedBatchWork)
     EXPECT_EQ(order, want);
 }
 
-TEST(TaskPoolTest, PostAllBatchesFanOutThroughStealing)
+TEST(TaskPoolTest, PostAllBatchesFanOutAcrossWorkers)
 {
-    TaskPool pool(TaskPoolOptions{4});
+    TaskPool pool(4);
     std::atomic<int> ran{0};
-    std::vector<TaskPool::Task> tasks;
-    // The expanding worker pops the slow head in batch order and holds it
-    // for 200ms; its siblings have nothing else, so the remaining units
-    // MUST arrive via steals.
-    tasks.emplace_back([&ran] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    std::mutex ids_mu;
+    std::set<std::thread::id> ids;
+    const auto note = [&ran, &ids_mu, &ids] {
+        {
+            const std::lock_guard<std::mutex> lock(ids_mu);
+            ids.insert(std::this_thread::get_id());
+        }
         ran.fetch_add(1);
+    };
+    std::vector<TaskPool::Task> tasks;
+    // The slow head unit holds its worker for 200ms, so the short units
+    // behind it MUST run on the other workers meanwhile.
+    tasks.emplace_back([note] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        note();
     });
     for (int i = 0; i < 15; ++i) {
-        tasks.emplace_back([&ran] {
+        tasks.emplace_back([note] {
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            ran.fetch_add(1);
+            note();
         });
     }
     pool.postAll(std::move(tasks), Lane::Batch);
-    while (pool.completedTotal() < 16)
+    while (pool.stats().completedTotal < 16)
         std::this_thread::yield();
     EXPECT_EQ(ran.load(), 16);
-    EXPECT_GT(pool.stats().stealsTotal, 0u);
+    const std::lock_guard<std::mutex> lock(ids_mu);
+    EXPECT_GE(ids.size(), 2u);
 }
 
 /** Post @p count tasks in one postAll batch; each logs its index when
@@ -180,7 +191,7 @@ batchStartOrder(unsigned width, int count, std::chrono::milliseconds hold)
     std::mutex mu;
     std::vector<int> starts;
     {
-        TaskPool pool(TaskPoolOptions{width});
+        TaskPool pool(width);
         std::vector<TaskPool::Task> tasks;
         for (int i = 0; i < count; ++i) {
             tasks.emplace_back([&mu, &starts, i, hold] {
@@ -198,9 +209,9 @@ batchStartOrder(unsigned width, int count, std::chrono::milliseconds hold)
 
 TEST(TaskPoolTest, PostAllStartsABatchInSubmissionOrder)
 {
-    // The owner pops 0, 4, 8, ... from the bottom while the thieves steal
-    // 1, 2, 3, 5, ... from the top: the opening starts all come from the
-    // head of the batch, never its tail.
+    // The batch lane is a FIFO: every worker takes the next unit from
+    // the batch's head, so the opening starts all come from the head of
+    // the batch, never its tail.
     const std::vector<int> starts =
         batchStartOrder(4, 64, std::chrono::milliseconds(2));
     ASSERT_EQ(starts.size(), 64u);
@@ -223,9 +234,9 @@ TEST(TaskPoolTest, PostAllAtWidthOneRunsInExactOrder)
     EXPECT_EQ(starts, want);
 }
 
-// --- stealing determinism -------------------------------------------------
+// --- scheduling determinism -----------------------------------------------
 
-TEST(StealingDeterminism, ManifestBytesIdenticalAcrossWidthsUnderYields)
+TEST(SchedulingDeterminism, ManifestBytesIdenticalAcrossWidthsUnderYields)
 {
     // A manifest wide enough to fan out, with seeds making keys distinct.
     Manifest manifest;

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the support layer: RNG determinism and distributions,
  * statistics helpers, table rendering, inline function/vector, the
- * hot-path containers (FlatMap, FlatSet, ObjectPool), and forkJoin.
+ * hot-path containers (FlatMap, FlatSet, ObjectPool), forkJoin, and the
+ * thread-count parse.
  */
 
 #include <memory>
@@ -475,6 +476,30 @@ TEST(ForkJoin, FailedThreadStartRunsItsIndicesOnTheCaller)
     // from the failed start on.
     for (unsigned t : {0u, 3u, 4u, 5u, 6u, 7u})
         EXPECT_EQ(ranOn[t], std::this_thread::get_id()) << "index " << t;
+}
+
+TEST(ThreadCount, ParsesWholeDecimalsAndClampsTheRest)
+{
+    struct Row
+    {
+        const char* text;
+        unsigned want;
+    };
+    const Row rows[] = {
+        {"4", 4},
+        {"4x", 1},  // trailing garbage is garbage, not 4
+        {"0", 1},
+        {"-3", 1},
+        {"abc", 1},
+        {"", 1},
+        {"512", kMaxThreads},
+        {"513", kMaxThreads},
+        {"4294967296", kMaxThreads}, // 2^32: must not wrap to 0
+        {"99999999999999999999", kMaxThreads}, // past 64 bits
+    };
+    for (const Row& row : rows)
+        EXPECT_EQ(parseThreadCount(row.text), row.want)
+            << "'" << row.text << "'";
 }
 
 } // namespace

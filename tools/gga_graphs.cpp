@@ -51,6 +51,7 @@
 #include "graph/presets.hpp"
 #include "graph/snapshot.hpp"
 #include "support/log.hpp"
+#include "support/parallel.hpp"
 
 namespace {
 
@@ -197,7 +198,7 @@ main(int argc, char** argv)
         // build. Generation is deterministic at every split, so this is
         // purely a wall-clock decision.
         const unsigned budget =
-            threads ? threads : gga::defaultBuildThreads();
+            threads ? threads : gga::defaultThreads();
         const unsigned width = static_cast<unsigned>(std::min<std::size_t>(
             std::max(1u, budget), targets.size()));
         const unsigned per_build = std::max(1u, budget / width);
@@ -281,7 +282,7 @@ main(int argc, char** argv)
         };
 
         int failures = 0;
-        gga::TaskPool pool(gga::TaskPoolOptions{width});
+        gga::TaskPool pool(width);
         std::vector<std::future<Report>> reports;
         reports.reserve(targets.size());
         for (const Target& t : targets)

@@ -18,8 +18,9 @@
  *
  * The JSON report (scripts/bench.sh serve -> BENCH_serve.json) carries
  * both phases, the /stats executor snapshot after each, and
- * interactive_p99_improvement = fifo p99 / lanes p99 — the number the
- * serve-load CI job and the PR-tracked trajectory gate on.
+ * interactive_p99_improvement = fifo p99 / lanes p99. The serve-load CI
+ * job gates on the lanes phase: no failed jobs, and interactive p99
+ * below batch p99.
  *
  * Usage: gga_loadgen --port P [--duration-s D] [--interactive N]
  *                    [--batch M] [--batch-units K] [--scale S]
@@ -281,8 +282,8 @@ runPhase(const Options& opt, const std::string& name,
                                         : 0.0));
     out.json.set("lanes", std::move(lanes));
 
-    // The executor's view after the phase (steal counters are cumulative
-    // across phases — the serve-load gate only needs "> 0").
+    // The executor's view after the phase (its counters are cumulative
+    // across phases).
     gga::HttpResponse stats =
         gga::httpRequest(opt.port, "GET", "/stats");
     if (stats.status == 200) {
