@@ -43,6 +43,7 @@
 #include "reference/graph.hpp"
 #include "support/log.hpp"
 #include "support/parallel.hpp"
+#include "support/parse.hpp"
 
 namespace {
 
@@ -191,12 +192,7 @@ main(int argc, char** argv)
         } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
             // Strict parse: a typo'd thread count must not silently
             // record single-threaded numbers in the tracked JSON.
-            const char* text = argv[++i];
-            char* end = nullptr;
-            threads = static_cast<unsigned>(std::strtoul(text, &end, 10));
-            if (end == text || *end != '\0' || text[0] == '-')
-                GGA_FATAL("--threads wants a non-negative integer, got '",
-                          text, "'");
+            threads = gga::parseFlag<unsigned>("--threads", argv[++i]);
         } else if (!std::strcmp(argv[i], "--reps") && i + 1 < argc) {
             reps = std::atoi(argv[++i]);
             if (reps < 1)

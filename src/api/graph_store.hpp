@@ -96,8 +96,9 @@ class GraphStore
      * The MatrixMarket graph at @p path, loaded (with the library's
      * deterministic weights attached) on first request and cached by
      * path. Thread-safe with the same shared-build semantics as preset
-     * entries. A malformed or missing file is fatal, matching
-     * readMatrixMarketFile.
+     * entries. A malformed or missing file throws GraphError (from
+     * readMatrixMarketFile) to the caller and every waiter, and leaves
+     * nothing cached, so a later request retries.
      */
     GraphPtr getFile(const std::string& path);
 

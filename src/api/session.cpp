@@ -169,6 +169,9 @@ Session::validate(const RunPlan& plan) const
     if (plan.plannedScale() &&
         (*plan.plannedScale() <= 0.0 || *plan.plannedScale() > 1.0))
         return "plan scale must be in (0, 1]";
+    if (plan.plannedScale() &&
+        GraphStore::quantizeScale(*plan.plannedScale()) <= 0)
+        return "plan scale rounds to zero; the smallest is 5e-7";
     if (plan.plannedScale() && !plan.plannedPreset())
         return "plan scale applies to preset inputs only";
     if (!plan.badConfigName().empty())
@@ -178,6 +181,9 @@ Session::validate(const RunPlan& plan) const
     if (!entry->validConfig(*plan.plannedConfig()))
         return entry->name + " " + entry->configRequirement() + ", got " +
                plan.plannedConfig()->name();
+    if (const std::optional<std::string> why =
+            plan.plannedParams().value_or(opts_.params).check())
+        return "plan params: " + *why;
     return std::nullopt;
 }
 
@@ -193,13 +199,21 @@ Session::tryRun(const RunPlan& plan, std::string* error)
 
     GraphStore::GraphPtr graph = plan.customGraph();
     std::string graph_name = plan.graphLabel();
-    if (!graph && !plan.plannedFile().empty()) {
-        graph = graphs().getFile(plan.plannedFile());
-        graph_name = plan.plannedFile();
-    } else if (!graph) {
-        const double scale = plan.plannedScale().value_or(opts_.scale);
-        graph = graphs().get(*plan.plannedPreset(), scale);
-        graph_name = presetName(*plan.plannedPreset());
+    try {
+        if (!graph && !plan.plannedFile().empty()) {
+            graph = graphs().getFile(plan.plannedFile());
+            graph_name = plan.plannedFile();
+        } else if (!graph) {
+            const double scale = plan.plannedScale().value_or(opts_.scale);
+            graph = graphs().get(*plan.plannedPreset(), scale);
+            graph_name = presetName(*plan.plannedPreset());
+        }
+    } catch (const std::exception& err) {
+        // The plan's input, not the process, is at fault.
+        if (error)
+            *error = std::string("cannot build the input graph: ") +
+                     err.what();
+        return std::nullopt;
     }
 
     RunOutcome out;

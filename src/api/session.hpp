@@ -233,13 +233,16 @@ class Session
 
     /**
      * Why @p plan cannot run — missing app/graph/config, malformed config
-     * name, or an app x config mismatch — or nullopt when it is valid.
+     * name, an app x config mismatch, a scale that rounds to zero, or
+     * SimParams that fail SimParams::check — or nullopt when it is valid.
      */
     std::optional<std::string> validate(const RunPlan& plan) const;
 
     /**
      * Run @p plan; returns nullopt (and the reason via @p error) instead
-     * of aborting when the plan is invalid.
+     * of aborting when the plan is invalid or its input graph cannot be
+     * built (an unreadable MatrixMarket file, a preset too small to
+     * synthesize).
      */
     std::optional<RunOutcome> tryRun(const RunPlan& plan,
                                      std::string* error = nullptr);

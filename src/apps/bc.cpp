@@ -83,13 +83,9 @@ bcFwdPush(Warp& w, BcState& st)
     kutil::addRange(rd, st.level, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    bool any = false;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.level[v0 + l] == lv;
-        any |= active[l];
-    }
-    if (!any)
+    const kutil::EdgeWalk walk(
+        st.g, w, [&](VertexId v) { return st.level[v] == lv; });
+    if (!walk.any())
         co_return;
 
     rd.clear();
@@ -97,46 +93,23 @@ bcFwdPush(Warp& w, BcState& st)
     kutil::addRange(rd, st.sigma, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
-    AddrSet el, ll, words, newly;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        ll.clear();
-        words.clear();
-        newly.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    for (std::uint32_t j = 0; j < walk.steps(); ++j) {
+        AddrSet el, ll, words, newly;
+        walk.gatherCol(el, st.gb.col, j, st.lb);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                kutil::addElem(ll, st.level, t, st.lb);
-            }
-        }
+        walk.gatherNbr(ll, st.level, j, st.lb);
         // Target-level gather: the tpred cost BC's push cannot avoid.
         co_await w.load(ll);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                if (st.level[t] == kInfDist) {
-                    st.level[t] = lv + 1; // benign same-value race
-                    kutil::addElem(newly, st.level, t, st.lb);
-                }
-                if (st.level[t] == lv + 1) {
-                    st.sigma[t] += st.sigma[v];
-                    words.pushUnique(kutil::wordOf(st.sigma, t));
-                }
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            if (st.level[x.nbr] == kInfDist) {
+                st.level[x.nbr] = lv + 1; // benign same-value race
+                kutil::addElem(newly, st.level, x.nbr, st.lb);
             }
-        }
+            if (st.level[x.nbr] == lv + 1) {
+                st.sigma[x.nbr] += st.sigma[x.v];
+                words.pushUnique(kutil::wordOf(st.sigma, x.nbr));
+            }
+        });
         if (!words.empty())
             co_await w.atomic(words, /*needs_value=*/false);
         if (!newly.empty())
@@ -156,74 +129,40 @@ bcFwdPull(Warp& w, BcState& st)
     kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    double acc[32] = {};
-    bool found[32] = {};
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.level[v0 + l] == kInfDist;
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
-    if (maxd == 0)
-        co_return;
-
-    AddrSet el, ll, sl;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        ll.clear();
-        sl.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    const kutil::EdgeWalk walk(
+        st.g, w, [&](VertexId v) { return st.level[v] == kInfDist; });
+    kutil::Lanes<double> acc{};
+    kutil::Lanes<bool> found{};
+    for (std::uint32_t j = 0; j < walk.steps(); ++j) {
+        AddrSet el, ll, sl;
+        walk.gatherCol(el, st.gb.col, j, st.lb);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                kutil::addElem(ll, st.level, s, st.lb);
-            }
-        }
+        walk.gatherNbr(ll, st.level, j, st.lb);
         co_await w.load(ll);
-        bool any = false;
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                if (st.level[s] == lv) {
-                    kutil::addElem(sl, st.sigma, s, st.lb);
-                    any = true;
-                }
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            if (st.level[x.nbr] == lv)
+                kutil::addElem(sl, st.sigma, x.nbr, st.lb);
+        });
+        if (sl.empty())
+            continue;
+        co_await w.load(sl);
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            if (st.level[x.nbr] == lv) {
+                acc[x.lane] += st.sigma[x.nbr];
+                found[x.lane] = true;
             }
-        }
-        if (any) {
-            co_await w.load(sl);
-            for (std::uint32_t l = 0; l < lanes; ++l) {
-                const VertexId v = v0 + l;
-                if (active[l] && j < st.g.degree(v)) {
-                    const VertexId s =
-                        st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                    if (st.level[s] == lv) {
-                        acc[l] += st.sigma[s];
-                        found[l] = true;
-                    }
-                }
-            }
-            co_await w.compute(1);
-        }
+        });
+        co_await w.compute(1);
     }
     AddrSet wr;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        const VertexId v = v0 + l;
+    walk.forEachLane([&](std::uint32_t l, VertexId v) {
         if (found[l]) {
             st.level[v] = lv + 1;
             st.sigma[v] = acc[l];
             kutil::addElem(wr, st.level, v, st.lb);
             kutil::addElem(wr, st.sigma, v, st.lb);
         }
-    }
+    });
     if (!wr.empty())
         co_await w.store(wr);
 }
@@ -241,13 +180,9 @@ bcBwdPush(Warp& w, BcState& st)
     kutil::addRange(rd, st.level, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    bool any = false;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.level[v0 + l] == lv + 1;
-        any |= active[l];
-    }
-    if (!any)
+    const kutil::EdgeWalk walk(
+        st.g, w, [&](VertexId v) { return st.level[v] == lv + 1; });
+    if (!walk.any())
         co_return;
 
     rd.clear();
@@ -256,40 +191,18 @@ bcBwdPush(Warp& w, BcState& st)
     kutil::addRange(rd, st.delta, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
-    AddrSet el, ll, words;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        ll.clear();
-        words.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId u = v0 + l;
-            if (active[l] && j < st.g.degree(u))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(u) + j, st.lb);
-        }
+    for (std::uint32_t j = 0; j < walk.steps(); ++j) {
+        AddrSet el, ll, words;
+        walk.gatherCol(el, st.gb.col, j, st.lb);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId u = v0 + l;
-            if (active[l] && j < st.g.degree(u)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(u) + j);
-                kutil::addElem(ll, st.level, t, st.lb);
-            }
-        }
+        walk.gatherNbr(ll, st.level, j, st.lb);
         co_await w.load(ll);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId u = v0 + l;
-            if (active[l] && j < st.g.degree(u)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(u) + j);
-                if (st.level[t] == lv && st.sigma[u] > 0.0) {
-                    st.acc[t] += (1.0 + st.delta[u]) / st.sigma[u];
-                    words.pushUnique(kutil::wordOf(st.acc, t));
-                }
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            if (st.level[x.nbr] == lv && st.sigma[x.v] > 0.0) {
+                st.acc[x.nbr] += (1.0 + st.delta[x.v]) / st.sigma[x.v];
+                words.pushUnique(kutil::wordOf(st.acc, x.nbr));
             }
-        }
+        });
         if (!words.empty())
             co_await w.atomic(words, /*needs_value=*/false);
     }
@@ -304,13 +217,9 @@ bcBwdFinalize(Warp& w, BcState& st)
     AddrSet rd;
     kutil::addRange(rd, st.level, v0, lanes, st.lb);
     co_await w.load(rd);
-    bool active[32];
-    bool any = false;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.level[v0 + l] == lv;
-        any |= active[l];
-    }
-    if (!any)
+    const kutil::EdgeWalk walk(
+        st.g, w, [&](VertexId v) { return st.level[v] == lv; });
+    if (!walk.any())
         co_return;
     rd.clear();
     kutil::addRange(rd, st.acc, v0, lanes, st.lb);
@@ -318,13 +227,10 @@ bcBwdFinalize(Warp& w, BcState& st)
     co_await w.load(rd);
     co_await w.compute(2);
     AddrSet wr;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        const VertexId v = v0 + l;
-        if (active[l]) {
-            st.delta[v] = st.sigma[v] * st.acc[v];
-            kutil::addElem(wr, st.delta, v, st.lb);
-        }
-    }
+    walk.forEachLane([&](std::uint32_t, VertexId v) {
+        st.delta[v] = st.sigma[v] * st.acc[v];
+        kutil::addElem(wr, st.delta, v, st.lb);
+    });
     co_await w.store(wr);
 }
 
@@ -340,13 +246,9 @@ bcBwdPull(Warp& w, BcState& st)
     kutil::addRange(rd, st.level, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    bool any = false;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.level[v0 + l] == lv;
-        any |= active[l];
-    }
-    if (!any)
+    const kutil::EdgeWalk walk(
+        st.g, w, [&](VertexId v) { return st.level[v] == lv; });
+    if (!walk.any())
         co_return;
 
     rd.clear();
@@ -354,65 +256,33 @@ bcBwdPull(Warp& w, BcState& st)
     kutil::addRange(rd, st.sigma, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
-    double acc[32] = {};
-    AddrSet el, ll, sl;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        ll.clear();
-        sl.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    kutil::Lanes<double> acc{};
+    for (std::uint32_t j = 0; j < walk.steps(); ++j) {
+        AddrSet el, ll, sl;
+        walk.gatherCol(el, st.gb.col, j, st.lb);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                kutil::addElem(ll, st.level, t, st.lb);
-            }
-        }
+        walk.gatherNbr(ll, st.level, j, st.lb);
         co_await w.load(ll);
-        bool hit = false;
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                if (st.level[t] == lv + 1) {
-                    kutil::addElem(sl, st.sigma, t, st.lb);
-                    kutil::addElem(sl, st.delta, t, st.lb);
-                    hit = true;
-                }
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            if (st.level[x.nbr] == lv + 1) {
+                kutil::addElem(sl, st.sigma, x.nbr, st.lb);
+                kutil::addElem(sl, st.delta, x.nbr, st.lb);
             }
-        }
-        if (hit) {
-            co_await w.load(sl);
-            for (std::uint32_t l = 0; l < lanes; ++l) {
-                const VertexId v = v0 + l;
-                if (active[l] && j < st.g.degree(v)) {
-                    const VertexId t =
-                        st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                    if (st.level[t] == lv + 1 && st.sigma[t] > 0.0)
-                        acc[l] += (1.0 + st.delta[t]) / st.sigma[t];
-                }
-            }
-            co_await w.compute(1);
-        }
+        });
+        if (sl.empty())
+            continue;
+        co_await w.load(sl);
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            if (st.level[x.nbr] == lv + 1 && st.sigma[x.nbr] > 0.0)
+                acc[x.lane] += (1.0 + st.delta[x.nbr]) / st.sigma[x.nbr];
+        });
+        co_await w.compute(1);
     }
     AddrSet wr;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        const VertexId v = v0 + l;
-        if (active[l]) {
-            st.delta[v] = st.sigma[v] * acc[l];
-            kutil::addElem(wr, st.delta, v, st.lb);
-        }
-    }
+    walk.forEachLane([&](std::uint32_t l, VertexId v) {
+        st.delta[v] = st.sigma[v] * acc[l];
+        kutil::addElem(wr, st.delta, v, st.lb);
+    });
     co_await w.store(wr);
 }
 

@@ -38,6 +38,28 @@ struct CcState
     bool changed = false;
 };
 
+/**
+ * One lock-step step of a root chase, the racy atomic loads whose values
+ * feed control flow: each lane with its bit set in @p on that is not at
+ * a root moves r[l] one parent up when @p climb, and @p words collects
+ * the parent words of the lanes still short of a root. The chase ends
+ * when words is empty.
+ */
+void
+chaseStep(const CcState& st, kutil::Lanes<VertexId>& r, std::uint32_t on,
+          std::uint32_t lanes, bool climb, AddrSet& words)
+{
+    words.clear();
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+        if (!((on >> l) & 1u) || st.parent[r[l]] == r[l])
+            continue;
+        if (climb)
+            r[l] = st.parent[r[l]];
+        if (st.parent[r[l]] != r[l])
+            words.pushUnique(kutil::wordOf(st.parent, r[l]));
+    }
+}
+
 WarpTask
 ccInit(Warp& w, CcState& st)
 {
@@ -59,69 +81,44 @@ ccHook(Warp& w, CcState& st)
     kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
     co_await w.load(rd);
 
-    // Lock-step root chase of each lane's own vertex: racy atomic loads,
-    // values needed for control flow.
-    VertexId rv[32];
+    // Chase each lane's own vertex to its root.
+    kutil::Lanes<VertexId> rv;
     for (std::uint32_t l = 0; l < lanes; ++l)
         rv[l] = v0 + l;
     AddrSet words;
-    while (true) {
-        words.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            if (st.parent[rv[l]] != rv[l])
-                words.pushUnique(kutil::wordOf(st.parent, rv[l]));
-        }
-        if (words.empty())
-            break;
+    chaseStep(st, rv, ~0u, lanes, /*climb=*/false, words);
+    while (!words.empty()) {
         co_await w.atomic(words, /*needs_value=*/true);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            if (st.parent[rv[l]] != rv[l])
-                rv[l] = st.parent[rv[l]];
-        }
+        chaseStep(st, rv, ~0u, lanes, /*climb=*/true, words);
     }
 
-    const std::uint32_t maxd = kutil::maxDegree(st.g, v0, lanes);
-    AddrSet el;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        VertexId ru[32];
-        bool work[32] = {};
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v)) {
-                const VertexId u = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                if (u > v) { // each undirected pair processed once
-                    ru[l] = u;
-                    work[l] = true;
-                    kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j,
-                                   st.lb);
-                }
+    const kutil::EdgeWalk walk(st.g, w);
+    for (std::uint32_t j = 0; j < walk.steps(); ++j) {
+        AddrSet el;
+        kutil::Lanes<VertexId> ru;
+        std::uint32_t work = 0; // bit l: lane l has a u > v edge
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            if (x.nbr > x.v) { // each undirected pair processed once
+                ru[x.lane] = x.nbr;
+                work |= 1u << x.lane;
+                kutil::addElem(el, st.gb.col, x.e, st.lb);
             }
-        }
+        });
         if (el.empty())
             continue;
         co_await w.load(el);
 
-        // Lock-step chase of the neighbors' roots.
-        while (true) {
-            words.clear();
-            for (std::uint32_t l = 0; l < lanes; ++l) {
-                if (work[l] && st.parent[ru[l]] != ru[l])
-                    words.pushUnique(kutil::wordOf(st.parent, ru[l]));
-            }
-            if (words.empty())
-                break;
+        // Chase the neighbors to their roots.
+        chaseStep(st, ru, work, lanes, /*climb=*/false, words);
+        while (!words.empty()) {
             co_await w.atomic(words, /*needs_value=*/true);
-            for (std::uint32_t l = 0; l < lanes; ++l) {
-                if (work[l] && st.parent[ru[l]] != ru[l])
-                    ru[l] = st.parent[ru[l]];
-            }
+            chaseStep(st, ru, work, lanes, /*climb=*/true, words);
         }
 
         // Union: CAS the higher root under the lower.
         words.clear();
         for (std::uint32_t l = 0; l < lanes; ++l) {
-            if (!work[l] || rv[l] == ru[l])
+            if (!((work >> l) & 1u) || rv[l] == ru[l])
                 continue;
             const VertexId hi = std::max(rv[l], ru[l]);
             const VertexId lo = std::min(rv[l], ru[l]);
@@ -144,23 +141,14 @@ ccCompress(Warp& w, CcState& st)
 {
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
-    VertexId r[32];
+    kutil::Lanes<VertexId> r;
     for (std::uint32_t l = 0; l < lanes; ++l)
         r[l] = v0 + l;
     AddrSet words;
-    while (true) {
-        words.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            if (st.parent[r[l]] != r[l])
-                words.pushUnique(kutil::wordOf(st.parent, r[l]));
-        }
-        if (words.empty())
-            break;
+    chaseStep(st, r, ~0u, lanes, /*climb=*/false, words);
+    while (!words.empty()) {
         co_await w.atomic(words, /*needs_value=*/true);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            if (st.parent[r[l]] != r[l])
-                r[l] = st.parent[r[l]];
-        }
+        chaseStep(st, r, ~0u, lanes, /*climb=*/true, words);
     }
     AddrSet wr;
     for (std::uint32_t l = 0; l < lanes; ++l) {

@@ -11,8 +11,8 @@
 
 #include "api/registry.hpp"
 #include "apps/kernel_util.hpp"
+#include "apps/nbr_max.hpp"
 #include "support/log.hpp"
-#include "support/rng.hpp"
 
 namespace gga {
 
@@ -47,21 +47,6 @@ struct MisState
     std::uint32_t round = 0;
 };
 
-/**
- * Unique deterministic 32-bit priority: hashed bits above, the id below
- * (Pannotia-style int priorities, made collision-free). @p seed perturbs
- * the hashed bits only — uniqueness comes from the id bits — and seed 0
- * reproduces the unseeded paper runs exactly.
- */
-std::uint32_t
-priorityOf(VertexId v, VertexId n, std::uint64_t seed)
-{
-    std::uint32_t id_bits = 1;
-    while ((1u << id_bits) < n)
-        ++id_bits;
-    return (static_cast<std::uint32_t>(hashMix64(v ^ seed)) << id_bits) | v;
-}
-
 WarpTask
 misInit(Warp& w, MisState& st)
 {
@@ -78,130 +63,6 @@ misInit(Warp& w, MisState& st)
     kutil::addRange(wr, st.pri, v0, lanes, st.lb);
     kutil::addRange(wr, st.winnerRound, v0, lanes, st.lb);
     co_await w.store(wr);
-}
-
-WarpTask
-misReset(Warp& w, MisState& st)
-{
-    const VertexId v0 = w.firstThread();
-    const std::uint32_t lanes = w.laneCount();
-    AddrSet rd;
-    kutil::addRange(rd, st.state, v0, lanes, st.lb);
-    co_await w.load(rd);
-    AddrSet wr;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        const VertexId v = v0 + l;
-        if (st.state[v] == kUndecided) {
-            st.nbrMax[v] = 0;
-            kutil::addElem(wr, st.nbrMax, v, st.lb);
-        }
-    }
-    if (!wr.empty())
-        co_await w.store(wr);
-}
-
-WarpTask
-misPropPush(Warp& w, MisState& st)
-{
-    const VertexId v0 = w.firstThread();
-    const std::uint32_t lanes = w.laneCount();
-    AddrSet rd;
-    kutil::addRange(rd, st.state, v0, lanes, st.lb);
-    kutil::addRange(rd, st.pri, v0, lanes, st.lb);
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
-    co_await w.load(rd);
-
-    bool active[32];
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.state[v0 + l] == kUndecided;
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
-
-    AddrSet el, words;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        words.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
-        co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                st.nbrMax[t] = std::max(st.nbrMax[t], st.pri[v]);
-                words.pushUnique(kutil::wordOf(st.nbrMax, t));
-            }
-        }
-        // Unconditional atomicMax: no target-state gather on the push path.
-        co_await w.atomic(words, /*needs_value=*/false);
-    }
-}
-
-WarpTask
-misPropPull(Warp& w, MisState& st)
-{
-    const VertexId v0 = w.firstThread();
-    const std::uint32_t lanes = w.laneCount();
-    AddrSet rd;
-    kutil::addRange(rd, st.state, v0, lanes, st.lb);
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
-    co_await w.load(rd);
-
-    bool active[32];
-    std::uint32_t acc[32] = {};
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.state[v0 + l] == kUndecided;
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
-
-    AddrSet el, sl;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        sl.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
-        co_await w.load(el);
-        // state[s] and pri[s] are independent loads off the same index;
-        // the kernel issues them as one gather (compiler-scheduled ILP).
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                kutil::addElem(sl, st.state, s, st.lb);
-                kutil::addElem(sl, st.pri, s, st.lb);
-            }
-        }
-        co_await w.load(sl);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                if (st.state[s] == kUndecided)
-                    acc[l] = std::max(acc[l], st.pri[s]);
-            }
-        }
-        co_await w.compute(1);
-    }
-    AddrSet wr;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        const VertexId v = v0 + l;
-        if (active[l]) {
-            st.nbrMax[v] = acc[l];
-            kutil::addElem(wr, st.nbrMax, v, st.lb);
-        }
-    }
-    if (!wr.empty())
-        co_await w.store(wr);
 }
 
 WarpTask
@@ -239,32 +100,17 @@ misOutPush(Warp& w, MisState& st)
     kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.winnerRound[v0 + l] == st.round;
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
-    AddrSet el, words;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        words.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    const kutil::EdgeWalk walk(
+        st.g, w, [&](VertexId v) { return st.winnerRound[v] == st.round; });
+    for (std::uint32_t j = 0; j < walk.steps(); ++j) {
+        AddrSet el, words;
+        walk.gatherCol(el, st.gb.col, j, st.lb);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                if (st.state[t] == kUndecided)
-                    st.state[t] = kOut;
-                words.pushUnique(kutil::wordOf(st.state, t));
-            }
-        }
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            if (st.state[x.nbr] == kUndecided)
+                st.state[x.nbr] = kOut;
+            words.pushUnique(kutil::wordOf(st.state, x.nbr));
+        });
         co_await w.atomic(words, /*needs_value=*/false);
     }
 }
@@ -279,42 +125,24 @@ misOutPull(Warp& w, MisState& st)
     kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
     co_await w.load(rd);
 
-    bool active[32];
-    bool drop[32] = {};
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.state[v0 + l] == kUndecided;
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
-    AddrSet el, sl;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        sl.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && !drop[l] && j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    // A lane that drops out stops gathering.
+    kutil::EdgeWalk walk(
+        st.g, w, [&](VertexId v) { return st.state[v] == kUndecided; });
+    kutil::Lanes<bool> drop{};
+    for (std::uint32_t j = 0; j < walk.steps(); ++j) {
+        AddrSet el, sl;
+        walk.gatherCol(el, st.gb.col, j, st.lb);
         if (el.empty())
             break;
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && !drop[l] && j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                kutil::addElem(sl, st.state, s, st.lb);
-            }
-        }
+        walk.gatherNbr(sl, st.state, j, st.lb);
         co_await w.load(sl);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && !drop[l] && j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                if (st.state[s] == kInSet)
-                    drop[l] = true;
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            if (st.state[x.nbr] == kInSet) {
+                drop[x.lane] = true;
+                walk.retire(x.lane);
             }
-        }
+        });
     }
     AddrSet wr;
     for (std::uint32_t l = 0; l < lanes; ++l) {
@@ -339,16 +167,11 @@ runMis(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     const VertexId n = g.numVertices();
     const bool push = cfg.prop == UpdateProp::Push;
 
+    const NbrMaxView nbr{"mis", g, st.gb, st.state, kUndecided,
+                         st.pri, st.nbrMax, st.lb};
     gpu.launch("mis.init", n, [&st](Warp& w) { return misInit(w, st); });
     for (st.round = 1; st.round <= kMaxSweeps; ++st.round) {
-        gpu.launch("mis.reset", n,
-                   [&st](Warp& w) { return misReset(w, st); });
-        if (push)
-            gpu.launch("mis.prop.push", n,
-                       [&st](Warp& w) { return misPropPush(w, st); });
-        else
-            gpu.launch("mis.prop.pull", n,
-                       [&st](Warp& w) { return misPropPull(w, st); });
+        launchNbrMaxRound(gpu, nbr, push);
         gpu.launch("mis.decide", n,
                    [&st](Warp& w) { return misDecide(w, st); });
         if (push)

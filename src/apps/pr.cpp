@@ -84,25 +84,15 @@ prPush(Warp& w, PrState& st)
     kutil::addRange(rd, st.contrib, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    const std::uint32_t maxd = kutil::maxDegree(st.g, v0, lanes);
-    AddrSet el, words;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        words.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    const kutil::EdgeWalk walk(st.g, w);
+    for (std::uint32_t j = 0; j < walk.steps(); ++j) {
+        AddrSet el, words;
+        walk.gatherCol(el, st.gb.col, j, st.lb);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v)) {
-                const VertexId t = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                st.next[t] += st.contrib[v];
-                words.pushUnique(kutil::wordOf(st.next, t));
-            }
-        }
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            st.next[x.nbr] += st.contrib[x.v];
+            words.pushUnique(kutil::wordOf(st.next, x.nbr));
+        });
         co_await w.atomic(words, /*needs_value=*/false);
     }
 }
@@ -116,34 +106,18 @@ prPull(Warp& w, PrState& st)
     kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
     co_await w.load(rd);
 
-    float acc[32] = {};
-    const std::uint32_t maxd = kutil::maxDegree(st.g, v0, lanes);
-    AddrSet el, pl;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        pl.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    const kutil::EdgeWalk walk(st.g, w);
+    kutil::Lanes<float> acc{};
+    for (std::uint32_t j = 0; j < walk.steps(); ++j) {
+        AddrSet el, pl;
+        walk.gatherCol(el, st.gb.col, j, st.lb);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                kutil::addElem(pl, st.contrib, s, st.lb);
-            }
-        }
+        walk.gatherNbr(pl, st.contrib, j, st.lb);
         // Blocking sparse remote reads: the defining pull cost.
         co_await w.load(pl);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                acc[l] += st.contrib[s];
-            }
-        }
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            acc[x.lane] += st.contrib[x.nbr];
+        });
         co_await w.compute(1);
     }
     for (std::uint32_t l = 0; l < lanes; ++l)

@@ -73,13 +73,9 @@ ssspPush(Warp& w, SsspState& st)
     kutil::addRange(rd, st.stamp, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    bool active[32] = {};
-    bool any = false;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        active[l] = st.stamp[v0 + l] == iter;
-        any |= active[l];
-    }
-    if (!any)
+    const kutil::EdgeWalk walk(
+        st.g, w, [&](VertexId v) { return st.stamp[v] == iter; });
+    if (!walk.any())
         co_return; // whole warp elided by the source predicate
 
     rd.clear();
@@ -87,44 +83,27 @@ ssspPush(Warp& w, SsspState& st)
     kutil::addRange(rd, st.dist, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    std::uint32_t maxd = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        if (active[l])
-            maxd = std::max(maxd, st.g.degree(v0 + l));
-    }
-
     const bool weighted = st.g.hasWeights();
-    AddrSet el, words, stamped;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        words.clear();
-        stamped.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const EdgeId e = st.g.edgeBegin(v) + j;
-                kutil::addElem(el, st.gb.col, e, st.lb);
-                if (weighted)
-                    kutil::addElem(el, st.gb.weight, e, st.lb);
-            }
-        }
+    for (std::uint32_t j = 0; j < walk.steps(); ++j) {
+        AddrSet el, words, stamped;
+        // Each lane's col line, then its weight line.
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            kutil::addElem(el, st.gb.col, x.e, st.lb);
+            if (weighted)
+                kutil::addElem(el, st.gb.weight, x.e, st.lb);
+        });
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (active[l] && j < st.g.degree(v)) {
-                const EdgeId e = st.g.edgeBegin(v) + j;
-                const VertexId t = st.g.edgeTarget(e);
-                const std::uint64_t nd =
-                    static_cast<std::uint64_t>(st.dist[v]) +
-                    st.g.edgeWeight(e);
-                words.pushUnique(kutil::wordOf(st.dist, t));
-                if (nd < st.dist[t]) {
-                    st.dist[t] = static_cast<std::uint32_t>(nd);
-                    st.stamp[t] = iter + 1;
-                    kutil::addElem(stamped, st.stamp, t, st.lb);
-                }
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            const std::uint64_t nd =
+                static_cast<std::uint64_t>(st.dist[x.v]) +
+                st.g.edgeWeight(x.e);
+            words.pushUnique(kutil::wordOf(st.dist, x.nbr));
+            if (nd < st.dist[x.nbr]) {
+                st.dist[x.nbr] = static_cast<std::uint32_t>(nd);
+                st.stamp[x.nbr] = iter + 1;
+                kutil::addElem(stamped, st.stamp, x.nbr, st.lb);
             }
-        }
+        });
         // Unconditional sparse remote atomicMin — off the critical path.
         co_await w.atomic(words, /*needs_value=*/false);
         if (!stamped.empty())
@@ -144,75 +123,49 @@ ssspPull(Warp& w, SsspState& st)
     kutil::addRange(rd, st.dist, v0, lanes, st.lb);
     co_await w.load(rd);
 
-    const std::uint32_t maxd = kutil::maxDegree(st.g, v0, lanes);
+    const kutil::EdgeWalk walk(st.g, w);
     const bool weighted = st.g.hasWeights();
-    std::uint64_t best[32];
+    kutil::Lanes<std::uint64_t> best;
     for (std::uint32_t l = 0; l < lanes; ++l)
         best[l] = st.dist[v0 + l];
 
-    AddrSet el, sl, dl;
-    for (std::uint32_t j = 0; j < maxd; ++j) {
-        el.clear();
-        sl.clear();
-        dl.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v))
-                kutil::addElem(el, st.gb.col, st.g.edgeBegin(v) + j, st.lb);
-        }
+    for (std::uint32_t j = 0; j < walk.steps(); ++j) {
+        AddrSet el, sl, dl;
+        walk.gatherCol(el, st.gb.col, j, st.lb);
         co_await w.load(el);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v)) {
-                const VertexId s = st.g.edgeTarget(st.g.edgeBegin(v) + j);
-                kutil::addElem(sl, st.stamp, s, st.lb);
-            }
-        }
+        walk.gatherNbr(sl, st.stamp, j, st.lb);
         // Sparse remote reads of the frontier stamps (blocking).
         co_await w.load(sl);
-        bool any_active = false;
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const VertexId v = v0 + l;
-            if (j < st.g.degree(v)) {
-                const EdgeId e = st.g.edgeBegin(v) + j;
-                const VertexId s = st.g.edgeTarget(e);
-                if (st.stamp[s] == iter) {
-                    kutil::addElem(dl, st.dist, s, st.lb);
-                    if (weighted)
-                        kutil::addElem(dl, st.gb.weight, e, st.lb);
-                    any_active = true;
-                }
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            if (st.stamp[x.nbr] == iter) {
+                kutil::addElem(dl, st.dist, x.nbr, st.lb);
+                if (weighted)
+                    kutil::addElem(dl, st.gb.weight, x.e, st.lb);
             }
-        }
-        if (any_active) {
-            co_await w.load(dl);
-            for (std::uint32_t l = 0; l < lanes; ++l) {
-                const VertexId v = v0 + l;
-                if (j < st.g.degree(v)) {
-                    const EdgeId e = st.g.edgeBegin(v) + j;
-                    const VertexId s = st.g.edgeTarget(e);
-                    if (st.stamp[s] == iter) {
-                        const std::uint64_t nd =
-                            static_cast<std::uint64_t>(st.dist[s]) +
-                            st.g.edgeWeight(e);
-                        best[l] = std::min(best[l], nd);
-                    }
-                }
+        });
+        if (dl.empty())
+            continue;
+        co_await w.load(dl);
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            if (st.stamp[x.nbr] == iter) {
+                const std::uint64_t nd =
+                    static_cast<std::uint64_t>(st.dist[x.nbr]) +
+                    st.g.edgeWeight(x.e);
+                best[x.lane] = std::min(best[x.lane], nd);
             }
-            co_await w.compute(1);
-        }
+        });
+        co_await w.compute(1);
     }
 
     AddrSet wr;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        const VertexId v = v0 + l;
+    walk.forEachLane([&](std::uint32_t l, VertexId v) {
         if (best[l] < st.dist[v]) {
             st.dist[v] = static_cast<std::uint32_t>(best[l]);
             st.stamp[v] = iter + 1;
             kutil::addElem(wr, st.dist, v, st.lb);
             kutil::addElem(wr, st.stamp, v, st.lb);
         }
-    }
+    });
     if (!wr.empty())
         co_await w.store(wr);
 }

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 
 #include "api/graph_store.hpp"
 #include "api/registry.hpp"
@@ -79,7 +80,11 @@ simParamsFromJson(const Json& j)
         bool known = false;
 #define GGA_X(field)                                                        \
         if (key == #field) {                                                \
-            p.field = static_cast<decltype(p.field)>(value.asU64());        \
+            const std::uint64_t v = value.asU64();                          \
+            if (v > std::numeric_limits<decltype(p.field)>::max())          \
+                throw EvalError("SimParams member '" + key + "' = " +       \
+                                std::to_string(v) + " is out of range");    \
+            p.field = static_cast<decltype(p.field)>(v);                    \
             known = true;                                                   \
         }
         GGA_SIM_PARAMS_FIELDS(GGA_X)
@@ -182,6 +187,9 @@ WorkUnit::fromJson(const Json& j)
             u.scale = scale->asDouble();
         if (u.scale <= 0.0 || u.scale > 1.0)
             throw EvalError("work-unit scale must be in (0, 1]");
+        if (GraphStore::quantizeScale(u.scale) <= 0)
+            throw EvalError(
+                "work-unit scale rounds to zero; the smallest is 5e-7");
     } else if (const Json* path = input.find("path")) {
         if (input.find("scale"))
             throw EvalError(
@@ -201,8 +209,11 @@ WorkUnit::fromJson(const Json& j)
 
     if (const Json* seed = j.find("seed"))
         u.seed = seed->asU64();
-    if (const Json* params = j.find("params"))
+    if (const Json* params = j.find("params")) {
         u.params = simParamsFromJson(*params);
+        if (const std::optional<std::string> why = u.params->check())
+            throw EvalError("work-unit params: " + *why);
+    }
     if (const Json* collect = j.find("collect_outputs"))
         u.collectOutputs = collect->asBool();
     return u;

@@ -13,12 +13,25 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "support/types.hpp"
 
 namespace gga {
+
+/**
+ * An input graph that cannot be built: a missing or malformed
+ * MatrixMarket file, or a synthetic spec the generator cannot meet. An
+ * exception, not a fatal, so a served unit with a bad input fails alone.
+ */
+class GraphError : public std::runtime_error
+{
+  public:
+    explicit GraphError(const std::string& why) : std::runtime_error(why) {}
+};
 
 /**
  * An immutable CSR graph. Edges are directed; the builders in this library

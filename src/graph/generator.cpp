@@ -469,8 +469,8 @@ generateGraph(const GenSpec& spec, unsigned build_threads)
                 static_cast<std::size_t>(rng.nextBounded(total));
             if (i < num_protected) {
                 if (++protected_hits >= 256)
-                    GGA_FATAL("cannot trim graph ", spec.name,
-                              ": too many protected pairs");
+                    throw GraphError("cannot trim graph " + spec.name +
+                                     ": too many protected pairs");
                 continue;
             }
             protected_hits = 0;
@@ -510,8 +510,9 @@ generateGraph(const GenSpec& spec, unsigned build_threads)
                 (curDeg[a] < spec.maxDegree && curDeg[b] < spec.maxDegree);
             if (a == b || !cap_ok || !member.insert(pairKey(a, b))) {
                 if (++failures > 64 * target_pairs)
-                    GGA_FATAL("cannot pad graph ", spec.name, " to ",
-                              target_pairs, " pairs");
+                    throw GraphError("cannot pad graph " + spec.name +
+                                     " to " + std::to_string(target_pairs) +
+                                     " pairs");
                 continue;
             }
             free_pairs.push_back(pairKey(a, b));

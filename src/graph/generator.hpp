@@ -119,7 +119,8 @@ struct GenSpec
  * whether it runs on 1 thread or 8. 0 = defaultThreads(). The
  * result is directed symmetric with no self-loops and exactly
  * spec.numDirectedEdges edges, with deterministic per-pair weights
- * attached.
+ * attached. Throws GraphError when the edge target cannot be met (too
+ * few pairs to trim, as at very small preset scales, or no room to pad).
  */
 CsrGraph generateGraph(const GenSpec& spec, unsigned build_threads = 0);
 

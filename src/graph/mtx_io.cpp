@@ -2,16 +2,19 @@
 
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
 
 #include "graph/builder.hpp"
-#include "support/log.hpp"
 
 namespace gga {
 
 namespace {
+
+/** Vertex ids are 32-bit; a larger size line cannot be a graph here. */
+constexpr std::uint64_t kMaxVertices = std::numeric_limits<VertexId>::max();
 
 std::string
 lower(std::string s)
@@ -28,21 +31,21 @@ readMatrixMarket(std::istream& in, bool with_weights, bool keep_self_loops)
 {
     std::string line;
     if (!std::getline(in, line))
-        GGA_FATAL("empty MatrixMarket stream");
+        throw GraphError("empty MatrixMarket stream");
 
     std::istringstream hdr(line);
     std::string banner, object, format, field, symmetry;
     hdr >> banner >> object >> format >> field >> symmetry;
     if (lower(banner) != "%%matrixmarket")
-        GGA_FATAL("not a MatrixMarket stream: ", line);
+        throw GraphError("not a MatrixMarket stream: " + line);
     if (lower(object) != "matrix" || lower(format) != "coordinate")
-        GGA_FATAL("only 'matrix coordinate' supported, got: ", line);
+        throw GraphError("only 'matrix coordinate' supported, got: " + line);
     const std::string f = lower(field);
     if (f != "pattern" && f != "real" && f != "integer")
-        GGA_FATAL("unsupported field type: ", field);
+        throw GraphError("unsupported field type: " + field);
     const std::string sym = lower(symmetry);
     if (sym != "general" && sym != "symmetric")
-        GGA_FATAL("unsupported symmetry: ", symmetry);
+        throw GraphError("unsupported symmetry: " + symmetry);
 
     // Skip comments and blank lines to the size line.
     while (std::getline(in, line)) {
@@ -52,10 +55,10 @@ readMatrixMarket(std::istream& in, bool with_weights, bool keep_self_loops)
     std::istringstream size_line(line);
     std::uint64_t rows = 0, cols = 0, nnz = 0;
     size_line >> rows >> cols >> nnz;
-    if (rows == 0 || cols == 0)
-        GGA_FATAL("bad MatrixMarket size line: ", line);
+    if (rows == 0 || cols == 0 || rows > kMaxVertices)
+        throw GraphError("bad MatrixMarket size line: " + line);
     if (rows != cols)
-        GGA_FATAL("adjacency matrix must be square, got ", rows, "x", cols);
+        throw GraphError("adjacency matrix must be square, got " + line);
 
     GraphBuilder builder(static_cast<VertexId>(rows));
     builder.keepSelfLoops(keep_self_loops);
@@ -67,15 +70,16 @@ readMatrixMarket(std::istream& in, bool with_weights, bool keep_self_loops)
         std::uint64_t r = 0, c = 0;
         row >> r >> c;
         if (r == 0 || c == 0 || r > rows || c > cols)
-            GGA_FATAL("bad MatrixMarket entry: ", line);
+            throw GraphError("bad MatrixMarket entry: " + line);
         // Values (real/integer) are ignored; builder symmetrizes anyway.
         builder.addEdge(static_cast<VertexId>(r - 1),
                         static_cast<VertexId>(c - 1));
         ++seen;
     }
     if (seen != nnz)
-        GGA_FATAL("MatrixMarket stream truncated: expected ", nnz,
-                  " entries, got ", seen);
+        throw GraphError("MatrixMarket stream truncated: expected " +
+                         std::to_string(nnz) + " entries, got " +
+                         std::to_string(seen));
     return builder.build(with_weights);
 }
 
@@ -85,7 +89,7 @@ readMatrixMarketFile(const std::string& path, bool with_weights,
 {
     std::ifstream in(path);
     if (!in)
-        GGA_FATAL("cannot open MatrixMarket file: ", path);
+        throw GraphError("cannot open MatrixMarket file: " + path);
     return readMatrixMarket(in, with_weights, keep_self_loops);
 }
 

@@ -24,12 +24,12 @@ namespace gga {
  * write->read round trip of graphs that carry self-edges; the default
  * matches the paper's canonicalization (Sec. V-A).
  *
- * Calls GGA_FATAL on malformed input.
+ * Throws GraphError on malformed input.
  */
 CsrGraph readMatrixMarket(std::istream& in, bool with_weights = false,
                           bool keep_self_loops = false);
 
-/** Convenience overload reading from a file path. */
+/** Convenience overload reading from a file path; GraphError if absent. */
 CsrGraph readMatrixMarketFile(const std::string& path,
                               bool with_weights = false,
                               bool keep_self_loops = false);

@@ -10,12 +10,14 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <system_error>
 #include <thread>
 #include <utility>
 
 #include "support/faults.hpp"
 #include "support/log.hpp"
+#include "support/parse.hpp"
 
 namespace gga {
 
@@ -453,15 +455,22 @@ HttpServer::serveConnection(int fd)
         buf.erase(0, headEnd + 4);
 
         std::size_t bodyLen = 0;
+        bool tooLarge = false;
         if (const auto it = req.headers.find("content-length");
             it != req.headers.end()) {
-            try {
-                bodyLen = std::stoull(it->second);
-            } catch (...) {
-                bodyLen = kMaxBodyBytes + 1;
+            const std::optional<std::uint64_t> len =
+                parseUnsigned(it->second, kMaxBodyBytes, &tooLarge);
+            if (!len && !tooLarge) {
+                sendAll(fd, formatResponse(
+                                {400, "application/json",
+                                 "{\"error\":\"malformed content-length\"}",
+                                 {}},
+                                /*close=*/true));
+                goto done;
             }
+            bodyLen = len.value_or(0);
         }
-        if (bodyLen > kMaxBodyBytes) {
+        if (tooLarge) {
             sendAll(fd, formatResponse(
                             {413, "application/json",
                              "{\"error\":\"body too large\"}",

@@ -1,9 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <utility>
 
 #include "harness/figures.hpp"
@@ -11,6 +9,7 @@
 #include "serve/journal.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
+#include "support/parse.hpp"
 
 namespace gga {
 
@@ -29,20 +28,6 @@ errorResponse(int status, const std::string& why)
     Json j = Json::object();
     j.set("error", Json(why));
     return jsonResponse(status, std::move(j));
-}
-
-/** Strict non-negative integer query parameter; nullopt on garbage. */
-std::optional<std::uint64_t>
-parseU64(const std::string& s)
-{
-    if (s.empty())
-        return std::nullopt;
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size())
-        return std::nullopt;
-    return static_cast<std::uint64_t>(v);
 }
 
 /** Split "/v1/jobs/job-3/render" into segments. */
@@ -329,9 +314,9 @@ HttpResponse
 Service::jobStatus(const HttpRequest& req, const std::string& id)
 {
     const std::optional<std::uint64_t> waitMs =
-        parseU64(req.queryOr("wait_ms", "0"));
+        parseUnsigned<std::uint64_t>(req.queryOr("wait_ms", "0"));
     const std::optional<std::uint64_t> since =
-        parseU64(req.queryOr("since", "0"));
+        parseUnsigned<std::uint64_t>(req.queryOr("since", "0"));
     if (!waitMs || !since)
         return errorResponse(400, "wait_ms/since must be integers");
     std::optional<JobSnapshot> snap =
@@ -350,7 +335,7 @@ HttpResponse
 Service::jobResults(const HttpRequest& req, const std::string& id)
 {
     const std::optional<std::uint64_t> after =
-        parseU64(req.queryOr("after", "0"));
+        parseUnsigned<std::uint64_t>(req.queryOr("after", "0"));
     if (!after)
         return errorResponse(400, "after must be an integer");
     const std::optional<JobTable::RowsPage> page =

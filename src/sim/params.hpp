@@ -11,10 +11,19 @@
 #define GGA_SIM_PARAMS_HPP
 
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "support/types.hpp"
 
 namespace gga {
+
+/**
+ * Most lanes a warp may have. Kernels keep per-lane state in arrays of
+ * this size and a 32-bit lane mask (kutil::EdgeWalk), and an AddrSet
+ * holds two lines per lane.
+ */
+inline constexpr std::uint32_t kMaxWarpLanes = 32;
 
 /** All tunable hardware parameters of the simulated CPU-GPU system. */
 struct SimParams
@@ -77,7 +86,15 @@ struct SimParams
         return (threadBlockSize + warpSize - 1) / warpSize;
     }
 
-    /** Panic if the parameter combination is unusable. */
+    /**
+     * Why the parameter combination is unusable, or nullopt when it is
+     * fine: the checks that keep a run from asserting or exhausting host
+     * memory part way through. Inputs from outside (work units, plans)
+     * go through this before they run.
+     */
+    std::optional<std::string> check() const;
+
+    /** Panic if check() finds the combination unusable. */
     void validate() const;
 
     /**

@@ -11,6 +11,7 @@
 #include <coroutine>
 #include <cstdint>
 
+#include "sim/params.hpp"
 #include "sim/stall.hpp"
 #include "support/inline_vec.hpp"
 #include "support/types.hpp"
@@ -18,13 +19,12 @@
 namespace gga {
 
 class SmCore;
-struct SimParams;
 
 /**
  * Unique lines/words of one warp instruction after coalescing. Capacity
  * allows two fused per-lane gathers (e.g. edge id + weight).
  */
-using AddrSet = InlineVec<Addr, 64>;
+using AddrSet = InlineVec<Addr, 2 * kMaxWarpLanes>;
 
 /** Coroutine return type for warp programs. */
 class WarpTask

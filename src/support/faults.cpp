@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "support/log.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -69,15 +70,11 @@ envDoneFlag()
 std::uint64_t
 parseU64Strict(const std::string& text, const std::string& entry)
 {
-    if (text.empty() || text[0] == '-')
+    const std::optional<std::uint64_t> v = parseUnsigned<std::uint64_t>(text);
+    if (!v)
         throw std::invalid_argument("GGA_FAULTS: bad count in '" + entry +
                                     "'");
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size())
-        throw std::invalid_argument("GGA_FAULTS: bad count in '" + entry +
-                                    "'");
-    return static_cast<std::uint64_t>(v);
+    return *v;
 }
 
 Plan

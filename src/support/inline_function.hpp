@@ -1,9 +1,10 @@
 /**
  * @file
- * InlineFunction: a tiny fixed-capacity, non-allocating std::function
- * substitute for the simulator's hot event path. Millions of events flow
- * through the engine per run; keeping callbacks heap-free roughly halves
- * event overhead.
+ * InlineFunction: a tiny fixed-capacity, non-allocating, move-only
+ * std::function substitute. It backs TaskPool::Task, the executor's
+ * queue element, and L2System::RecallFn, the DeNovo ownership-recall
+ * callback. The engine's event callbacks use their own trivially
+ * copyable EventFn (sim/engine.hpp) instead.
  */
 
 #ifndef GGA_SUPPORT_INLINE_FUNCTION_HPP

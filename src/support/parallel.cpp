@@ -1,29 +1,28 @@
 #include "support/parallel.hpp"
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 
 #include "support/log.hpp"
+#include "support/parse.hpp"
 
 namespace gga {
 
 unsigned
 parseThreadCount(std::string_view text)
 {
-    std::uint64_t count = 0;
-    const char* const last = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), last, count);
-    if (ptr != last || ec == std::errc::invalid_argument ||
-        (ec == std::errc() && count == 0)) {
-        GGA_WARN("thread count '", text, "' is invalid; using 1");
-        return 1;
-    }
-    if (ec == std::errc::result_out_of_range || count > kMaxThreads) {
+    bool too_large = false;
+    const std::optional<std::uint64_t> count =
+        parseUnsigned(text, kMaxThreads, &too_large);
+    if (too_large) {
         GGA_WARN("thread count '", text, "' clamped to ", kMaxThreads);
         return kMaxThreads;
     }
-    return static_cast<unsigned>(count);
+    if (!count || *count == 0) {
+        GGA_WARN("thread count '", text, "' is invalid; using 1");
+        return 1;
+    }
+    return static_cast<unsigned>(*count);
 }
 
 unsigned

@@ -32,9 +32,9 @@ namespace gga {
 inline constexpr unsigned kMaxThreads = 512;
 
 /**
- * Parse a thread count. The whole of @p text must be a decimal number:
- * 0, a sign or any other character warns and gives 1, and a count above
- * kMaxThreads (64-bit overflow included) warns and gives kMaxThreads.
+ * Parse a thread count with parseUnsigned: 0, a sign or any other
+ * character warns and gives 1, and a count above kMaxThreads (64-bit
+ * overflow included) warns and gives kMaxThreads.
  */
 unsigned parseThreadCount(std::string_view text);
 

@@ -166,6 +166,55 @@ TEST(RunPlan, ValidationRejectsInvalidAppConfigPair)
               "CC has a dynamic traversal and requires PushPull, got SG1");
 }
 
+TEST(RunPlan, ValidationRejectsUnusableParamsAndScales)
+{
+    Session session;
+    SimParams wide;
+    wide.warpSize = 2 * kMaxWarpLanes; // once ran past 32-lane arrays
+    const RunPlan plan = RunPlan{}
+                             .app(AppId::Pr)
+                             .graph(GraphPreset::Raj)
+                             .scale(0.01)
+                             .config("TG0")
+                             .params(wide);
+    const std::optional<std::string> why = session.validate(plan);
+    ASSERT_TRUE(why.has_value());
+    EXPECT_NE(why->find("warpSize"), std::string::npos);
+    std::string error;
+    EXPECT_FALSE(session.tryRun(plan, &error).has_value());
+    EXPECT_EQ(error, *why);
+    EXPECT_THROW(session.submit(plan).get(), PlanError);
+    // A scale that rounds to zero is a plan error, not a GraphStore panic.
+    EXPECT_TRUE(session
+                    .validate(RunPlan{}
+                                  .app(AppId::Pr)
+                                  .graph(GraphPreset::Raj)
+                                  .scale(1e-7)
+                                  .config("TG0"))
+                    .has_value());
+}
+
+TEST(RunPlan, UnbuildableGraphFailsThePlanNotTheProcess)
+{
+    Session session;
+    const RunPlan missing =
+        RunPlan{}.app(AppId::Pr).graphFile("no/such/input.mtx").config(
+            "TG0");
+    EXPECT_FALSE(session.validate(missing).has_value());
+    std::string error;
+    EXPECT_FALSE(session.tryRun(missing, &error).has_value());
+    EXPECT_NE(error.find("cannot open MatrixMarket file"), std::string::npos)
+        << error;
+    EXPECT_THROW(session.submit(missing).get(), PlanError);
+    // A preset too small to synthesize fails the same way.
+    const RunPlan tiny =
+        RunPlan{}.app(AppId::Pr).graph(GraphPreset::Dct).scale(1e-4).config(
+            "TG0");
+    EXPECT_FALSE(session.tryRun(tiny, &error).has_value());
+    EXPECT_NE(error.find("cannot trim graph DCT"), std::string::npos)
+        << error;
+}
+
 TEST(Seed, ZeroSeedMatchesUnseededPaperRuns)
 {
     // seed=0 must be bit-identical to a plan that never sets a seed, for

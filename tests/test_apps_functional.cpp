@@ -3,14 +3,20 @@
  * Functional validation: every application, on small graphs, across the
  * full configuration space, must produce results matching the sequential
  * CPU references (exactly for discrete outputs, within tolerance for
- * floating-point ones).
+ * floating-point ones). The lock-step edge walk all kernels share is
+ * pinned directly too: its visit order fixes the order each warp issues
+ * lines in, and so every simulated count.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/session.hpp"
+#include "apps/kernel_util.hpp"
 #include "apps/reference.hpp"
 #include "graph/generator.hpp"
 #include "graph/presets.hpp"
@@ -132,6 +138,136 @@ INSTANTIATE_TEST_SUITE_P(DesignSpace, AllConfigs,
 INSTANTIATE_TEST_SUITE_P(DesignSpace, DynConfigs,
                          ::testing::Values("DG0", "DG1", "DGR", "DD0", "DD1",
                                            "DDR"));
+
+// --- the lock-step edge walk ----------------------------------------------
+
+/** One visit of an EdgeWalk. */
+struct Visit
+{
+    std::uint32_t step;
+    std::uint32_t lane;
+    VertexId v;
+    EdgeId e;
+    VertexId nbr;
+
+    bool operator==(const Visit&) const = default;
+};
+
+/** What the walk kernel saw in each warp, keyed by the warp's v0. */
+struct WalkLog
+{
+    std::map<VertexId, std::uint32_t> steps;
+    std::map<VertexId, std::vector<Visit>> visits;
+    std::map<VertexId, std::vector<std::vector<Addr>>> colLines;
+};
+
+/** The walk's rules under test: lanes on multiples of 3 start inactive. */
+bool
+walkActive(VertexId v)
+{
+    return v % 3 != 0;
+}
+
+/** ...and a lane retires once it visits an odd neighbor. */
+bool
+walkRetires(VertexId nbr)
+{
+    return nbr % 2 == 1;
+}
+
+WarpTask
+walkKernel(Warp& w, const CsrGraph& g, const GraphBuffers& gb,
+           std::uint32_t lb, WalkLog& log)
+{
+    kutil::EdgeWalk walk(g, w, walkActive);
+    const VertexId v0 = w.firstThread();
+    log.steps[v0] = walk.steps();
+    for (std::uint32_t j = 0; j < walk.steps(); ++j) {
+        AddrSet el;
+        walk.gatherCol(el, gb.col, j, lb);
+        log.colLines[v0].emplace_back(el.begin(), el.end());
+        walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
+            log.visits[v0].push_back({j, x.lane, x.v, x.e, x.nbr});
+            if (walkRetires(x.nbr))
+                walk.retire(x.lane);
+        });
+        co_await w.compute(1);
+    }
+}
+
+TEST(EdgeWalk, VisitsLanesInOrderAndRetiresThem)
+{
+    // 36 vertices of degree v % 4 (0 to 3), adjacent to the next ones
+    // around the ring: one full warp of 32 lanes and a partial one of 4.
+    constexpr VertexId n = 36;
+    std::vector<EdgeId> offsets{0};
+    std::vector<VertexId> cols;
+    for (VertexId v = 0; v < n; ++v) {
+        std::vector<VertexId> row;
+        for (VertexId k = 0; k < v % 4; ++k)
+            row.push_back((v + 1 + k) % n);
+        std::sort(row.begin(), row.end());
+        cols.insert(cols.end(), row.begin(), row.end());
+        offsets.push_back(static_cast<EdgeId>(cols.size()));
+    }
+    const CsrGraph g(std::move(offsets), std::move(cols));
+
+    Gpu gpu(SimParams{}, CoherenceKind::Gpu, ConsistencyKind::Drf0);
+    const GraphBuffers gb(gpu.mem(), g);
+    const std::uint32_t lb = gpu.params().lineBytes;
+    WalkLog log;
+    gpu.launch("walk", n, [&](Warp& w) {
+        return walkKernel(w, g, gb, lb, log);
+    });
+    ASSERT_EQ(log.steps.size(), 2u);
+
+    // The partial warp, by hand. Lane 1 (v33) is inactive and lane 0
+    // (v32) has no edges, so v34's two edges and v35's three set three
+    // steps. Lanes visit in lane order; both retire at step 1 on odd
+    // neighbors (35 and 1), so v35's third edge is never visited.
+    const EdgeId e34 = g.edgeBegin(34);
+    const EdgeId e35 = g.edgeBegin(35);
+    EXPECT_EQ(log.steps[32], 3u);
+    EXPECT_EQ(log.visits[32], (std::vector<Visit>{
+                                  {0, 2, 34, e34, 0},
+                                  {0, 3, 35, e35, 0},
+                                  {1, 2, 34, e34 + 1, 35},
+                                  {1, 3, 35, e35 + 1, 1},
+                              }));
+
+    // The full warp against the rule spelled out as a plain loop.
+    std::vector<Visit> want;
+    std::uint32_t steps = 0;
+    for (VertexId v = 0; v < 32; ++v) {
+        if (walkActive(v))
+            steps = std::max(steps, g.degree(v));
+    }
+    std::vector<bool> retired(32, false);
+    for (std::uint32_t j = 0; j < steps; ++j) {
+        for (std::uint32_t l = 0; l < 32; ++l) {
+            if (!walkActive(l) || retired[l] || j >= g.degree(l))
+                continue;
+            const EdgeId e = g.edgeBegin(l) + j;
+            want.push_back({j, l, l, e, g.edgeTarget(e)});
+            retired[l] = walkRetires(g.edgeTarget(e));
+        }
+    }
+    EXPECT_EQ(log.steps[0], steps);
+    EXPECT_EQ(log.visits[0], want);
+
+    // Each step's column gather holds the col lines of that step's
+    // visits, first occurrence first.
+    for (const auto& [v0, visits] : log.visits) {
+        std::vector<std::vector<Addr>> lines(log.steps[v0]);
+        for (const Visit& x : visits) {
+            const Addr line = kutil::lineOf(gb.col.addrOf(x.e), lb);
+            std::vector<Addr>& step = lines[x.step];
+            if (std::find(step.begin(), step.end(), line) == step.end())
+                step.push_back(line);
+        }
+        EXPECT_EQ(log.colLines[v0], lines) << "warp at " << v0;
+    }
+}
 
 } // namespace
 } // namespace gga

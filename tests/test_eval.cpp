@@ -169,6 +169,50 @@ TEST(WorkUnit, FromJsonRejectsGarbage)
         EvalError);
 }
 
+TEST(WorkUnit, FromJsonRejectsUnitsThatCannotRun)
+{
+    // Each of these parsed before and then aborted (or, for warpSize 64,
+    // overran the kernels' lane arrays in) the process that ran it.
+    const auto unit = [](const std::string& input,
+                         const std::string& params) {
+        return "{\"app\": \"PR\", \"input\": " + input +
+               ", \"config\": \"TG0\", \"params\": " + params + "}";
+    };
+    const std::string raj = "{\"preset\": \"RAJ\", \"scale\": 0.01}";
+    for (const char* params :
+         {"{\"numSms\": 99}", "{\"warpSize\": 64}",
+          "{\"warpSize\": 4294967328}", // 2^32 + 32 narrowed to 32
+          "{\"threadBlockSize\": 0}", "{\"l1Assoc\": 0}",
+          "{\"lineBytes\": 2}", "{\"l1Mshrs\": 0}",
+          "{\"l2SizeKiB\": 4194304}", "{\"l2SizeKiB\": 1048576}"}) {
+        EXPECT_THROW(WorkUnit::fromJson(Json::parse(unit(raj, params))),
+                     EvalError)
+            << params;
+    }
+    EXPECT_NO_THROW(WorkUnit::fromJson(
+        Json::parse(unit(raj, "{\"warpSize\": 16}"))));
+    // A scale that rounds to zero cannot key or build a graph.
+    EXPECT_THROW(
+        WorkUnit::fromJson(Json::parse(
+            unit("{\"preset\": \"RAJ\", \"scale\": 1e-7}", "{}"))),
+        EvalError);
+    EXPECT_NO_THROW(WorkUnit::fromJson(Json::parse(
+        unit("{\"preset\": \"RAJ\", \"scale\": 5e-7}", "{}"))));
+}
+
+TEST(SimParams, CheckNamesWhatCannotRun)
+{
+    EXPECT_EQ(SimParams{}.check(), std::nullopt);
+    SimParams p;
+    p.warpSize = 2 * kMaxWarpLanes;
+    ASSERT_TRUE(p.check().has_value());
+    EXPECT_NE(p.check()->find("warpSize"), std::string::npos);
+    p.warpSize = kMaxWarpLanes;
+    p.l1SizeKiB = 0;
+    ASSERT_TRUE(p.check().has_value());
+    EXPECT_NE(p.check()->find("L1"), std::string::npos);
+}
+
 // --- Manifest ------------------------------------------------------------
 
 Manifest

@@ -209,5 +209,12 @@ TEST(Generator, RejectsOddEdgeTarget)
     EXPECT_DEATH(generateGraph(s), "even");
 }
 
+TEST(Generator, UnreachableEdgeTargetThrows)
+{
+    // At 1e-4, DCT's protected pairs alone exceed its edge target. A
+    // served unit must fail on that, so it is an exception, not a fatal.
+    EXPECT_THROW(buildPresetScaled(GraphPreset::Dct, 1e-4), GraphError);
+}
+
 } // namespace
 } // namespace gga

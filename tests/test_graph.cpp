@@ -239,6 +239,28 @@ TEST(MtxIo, ParsesSymmetricRealAndIgnoresValues)
     EXPECT_TRUE(g.hasNoSelfLoops());
 }
 
+TEST(MtxIo, MalformedOrMissingInputThrows)
+{
+    const char* const bad[] = {
+        "",
+        "%%NotMatrixMarket matrix coordinate pattern general\n1 1 0\n",
+        "%%MatrixMarket matrix array real general\n1 1\n",
+        "%%MatrixMarket matrix coordinate complex general\n1 1 0\n",
+        "%%MatrixMarket matrix coordinate pattern hermitian\n1 1 0\n",
+        "%%MatrixMarket matrix coordinate pattern general\n0 0 0\n",
+        "%%MatrixMarket matrix coordinate pattern general\n2 3 0\n",
+        "%%MatrixMarket matrix coordinate pattern general\n"
+        "4294967296 4294967296 0\n", // more vertices than ids
+        "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n",
+        "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 2\n",
+    };
+    for (const char* text : bad) {
+        std::istringstream in(text);
+        EXPECT_THROW(readMatrixMarket(in), GraphError) << text;
+    }
+    EXPECT_THROW(readMatrixMarketFile("no/such/input.mtx"), GraphError);
+}
+
 TEST(MtxIo, RoundTrips)
 {
     GraphBuilder b(6);

@@ -261,6 +261,33 @@ TEST(ServeSubmit, RejectsMalformedBodies)
     EXPECT_EQ(post("{\"plan\": {\"app\": \"NOPE\"}}"), 400);
 }
 
+TEST(ServeSubmit, UnitsThatCannotRunAre400AndTheServerStaysUp)
+{
+    Service svc(quickOptions());
+    svc.start();
+    const auto plan = [](const std::string& input,
+                         const std::string& params) {
+        return "{\"plan\": {\"app\": \"PR\", \"input\": " + input +
+               ", \"config\": \"TG0\", \"params\": " + params + "}}";
+    };
+    const std::string raj = "{\"preset\": \"RAJ\", \"scale\": 0.01}";
+    // Each of these was once answered 202 and then aborted, hung or
+    // silently misran the unit on the server.
+    const std::string bodies[] = {
+        plan(raj, "{\"numSms\": 99}"),
+        plan(raj, "{\"warpSize\": 64}"),
+        plan(raj, "{\"warpSize\": 4294967328}"),
+        plan("{\"preset\": \"RAJ\", \"scale\": 1e-7}", "{}"),
+    };
+    for (const std::string& body : bodies) {
+        const HttpResponse r =
+            httpRequest(svc.port(), "POST", "/v1/jobs", body);
+        EXPECT_EQ(r.status, 400) << body << " -> " << r.body;
+        EXPECT_EQ(httpRequest(svc.port(), "GET", "/healthz").status, 200);
+    }
+    svc.stop();
+}
+
 TEST(ServeSubmit, BadPriorityIs400AndStatsExposeExecutorLanes)
 {
     Service svc(quickOptions());
@@ -434,6 +461,27 @@ TEST(ServeLocal, SinglePlanJobAndInvalidPlanFails)
         svc.handle(request("GET", "/v1/jobs/" + badId)));
     EXPECT_NE(snap.at("error").asString().find("invalid run plan"),
               std::string::npos);
+}
+
+TEST(ServeLocal, MissingInputFileFailsTheJobAndTheServerStaysUp)
+{
+    Service svc(quickOptions());
+    svc.start();
+    const HttpResponse sub = httpRequest(
+        svc.port(), "POST", "/v1/jobs",
+        "{\"plan\": {\"app\": \"PR\", \"input\": {\"path\": "
+        "\"no/such/input.mtx\"}, \"config\": \"TG0\"}}");
+    ASSERT_EQ(sub.status, 202) << sub.body;
+    const std::string id = parseBody(sub).at("id").asString();
+    EXPECT_EQ(awaitTerminal(svc, id), "failed");
+    const Json snap =
+        parseBody(httpRequest(svc.port(), "GET", "/v1/jobs/" + id));
+    EXPECT_NE(snap.at("error").asString().find(
+                  "cannot open MatrixMarket file: no/such/input.mtx"),
+              std::string::npos)
+        << snap.dump();
+    EXPECT_EQ(httpRequest(svc.port(), "GET", "/healthz").status, 200);
+    svc.stop();
 }
 
 // --- remote orchestration ------------------------------------------------
@@ -771,6 +819,58 @@ TEST(ServeRateLimit, AdmissionBound429CarriesNoRetryAfter)
     EXPECT_EQ(full.status, 429);
     // Quota 429 clears when a job finishes, not on a clock — no header.
     EXPECT_EQ(full.headers.count("Retry-After"), 0u);
+}
+
+// --- numbers from the wire -----------------------------------------------
+
+TEST(ServeHttp, NegativeOrMalformedWaitMsIs400)
+{
+    Service svc(quickOptions());
+    svc.start();
+    // With no workers connected, a remote job never changes state.
+    const HttpResponse sub = svc.handle(request(
+        "POST", "/v1/jobs", {},
+        "{\"manifest\": " + tinyManifest().toJson().dump() +
+            ", \"execution\": \"remote\", \"shards\": 1}"));
+    ASSERT_EQ(sub.status, 202) << sub.body;
+    const std::string job = "/v1/jobs/" + parseBody(sub).at("id").asString();
+    // strtoull read "-1" as 2^64 - 1, a 60 s long-poll.
+    EXPECT_EQ(httpRequest(svc.port(), "GET", job + "?wait_ms=-1").status,
+              400);
+    EXPECT_EQ(httpRequest(svc.port(), "GET", job + "?wait_ms=abc").status,
+              400);
+    EXPECT_EQ(httpRequest(svc.port(), "GET", job + "?since=-1").status,
+              400);
+    EXPECT_EQ(httpRequest(svc.port(), "GET", job + "?wait_ms=0").status,
+              200);
+    svc.stop();
+}
+
+TEST(ServeHttp, MalformedContentLengthIs400)
+{
+    Service svc(quickOptions());
+    svc.start();
+    // A body the server would admit, announced with a length that has
+    // trailing garbage: std::stoull read "<n>abc" as n and answered 202.
+    const std::string body =
+        "{\"plan\": " + unitFor(AppId::Mis, "SG1").toJson().dump() + "}";
+    const int fd = connectRaw(svc.port());
+    ASSERT_GE(fd, 0);
+    const std::string req = "POST /v1/jobs HTTP/1.1\r\nContent-Length: " +
+                            std::to_string(body.size()) + "abc\r\n\r\n" +
+                            body;
+    ASSERT_EQ(::send(fd, req.data(), req.size(), 0),
+              static_cast<ssize_t>(req.size()));
+    const std::string resp = readToClose(fd);
+    ::close(fd);
+    EXPECT_EQ(resp.rfind("HTTP/1.1 400", 0), 0u) << resp;
+    EXPECT_EQ(httpRequest(svc.port(), "GET", "/healthz").status, 200);
+    EXPECT_EQ(parseBody(svc.handle(request("GET", "/stats")))
+                  .at("jobs")
+                  .at("total")
+                  .asU64(),
+              0u);
+    svc.stop();
 }
 
 // --- slow-loris defense --------------------------------------------------

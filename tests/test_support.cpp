@@ -6,7 +6,9 @@
  * thread-count parse.
  */
 
+#include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <unordered_map>
@@ -21,6 +23,7 @@
 #include "support/inline_vec.hpp"
 #include "support/object_pool.hpp"
 #include "support/parallel.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -500,6 +503,57 @@ TEST(ThreadCount, ParsesWholeDecimalsAndClampsTheRest)
     for (const Row& row : rows)
         EXPECT_EQ(parseThreadCount(row.text), row.want)
             << "'" << row.text << "'";
+}
+
+TEST(ParseUnsigned, TakesWholeDecimalsUpToTheTargetMaximum)
+{
+    constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+    struct Row
+    {
+        const char* text;
+        std::uint64_t max;
+        std::optional<std::uint64_t> want;
+        bool tooLarge;
+    };
+    const Row rows[] = {
+        {"0", 10, 0, false},
+        {"10", 10, 10, false},
+        {"007", 10, 7, false},
+        {"11", 10, std::nullopt, true},
+        {"", 10, std::nullopt, false},
+        {"-1", kU64Max, std::nullopt, false}, // no wrap to 2^64 - 1
+        {"+1", 10, std::nullopt, false},
+        {" 1", 10, std::nullopt, false},
+        {"1 ", 10, std::nullopt, false},
+        {"4x", 10, std::nullopt, false}, // trailing garbage, not 4
+        {"0x10", kU64Max, std::nullopt, false},
+        {"1e3", kU64Max, std::nullopt, false},
+        {"18446744073709551615", kU64Max, kU64Max, false},
+        {"18446744073709551616", kU64Max, std::nullopt, true},
+        {"99999999999999999999x", kU64Max, std::nullopt, false},
+    };
+    for (const Row& row : rows) {
+        bool tooLarge = !row.tooLarge;
+        EXPECT_EQ(parseUnsigned(row.text, row.max, &tooLarge), row.want)
+            << "'" << row.text << "'";
+        EXPECT_EQ(tooLarge, row.tooLarge) << "'" << row.text << "'";
+    }
+    // The typed form stops at its type's maximum instead of narrowing:
+    // a port of 65536 or 4294967300 threads is an error, not 0 or 4.
+    EXPECT_EQ(parseUnsigned<std::uint16_t>("65535"), 65535u);
+    EXPECT_EQ(parseUnsigned<std::uint16_t>("65536"), std::nullopt);
+    EXPECT_EQ(parseUnsigned<unsigned>("4294967295"), 4294967295u);
+    EXPECT_EQ(parseUnsigned<unsigned>("4294967300"), std::nullopt);
+    EXPECT_EQ(parseUnsigned<std::uint64_t>("4294967300"), 4294967300u);
+}
+
+TEST(ParseUnsignedDeathTest, FlagOutOfRangeIsFatal)
+{
+    EXPECT_DEATH(parseFlag<std::uint16_t>("--port", "65536"),
+                 "--port wants a whole number from 0 to 65535");
+    EXPECT_DEATH(parseFlag<unsigned>("--threads", "4294967300"),
+                 "--threads wants a whole number");
+    EXPECT_EQ(parseFlag<std::uint16_t>("--port", "0"), 0u);
 }
 
 } // namespace

@@ -52,6 +52,7 @@
 #include "graph/snapshot.hpp"
 #include "support/log.hpp"
 #include "support/parallel.hpp"
+#include "support/parse.hpp"
 
 namespace {
 
@@ -122,12 +123,7 @@ main(int argc, char** argv)
                 GGA_FATAL("--scale wants a value in (0, 1], got '", text,
                           "'");
         } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-            const char* text = argv[++i];
-            char* end = nullptr;
-            threads = static_cast<unsigned>(std::strtoul(text, &end, 10));
-            if (end == text || *end != '\0' || text[0] == '-')
-                GGA_FATAL("--threads wants a non-negative integer, got '",
-                          text, "'");
+            threads = gga::parseFlag<unsigned>("--threads", argv[++i]);
         } else if (!std::strcmp(argv[i], "--verify")) {
             verify = true;
         } else if (!std::strcmp(argv[i], "--force")) {

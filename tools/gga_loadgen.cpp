@@ -46,21 +46,12 @@
 #include "serve/http.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
+#include "support/parse.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** Strict non-negative integer argument parse; fatal on garbage. */
-unsigned long
-parseCount(const char* flag, const char* text)
-{
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || text[0] == '-')
-        GGA_FATAL(flag, " wants a non-negative integer, got '", text, "'");
-    return v;
-}
 
 double
 parseScale(const char* flag, const char* text)
@@ -302,21 +293,19 @@ main(int argc, char** argv)
     Options opt;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--port") && i + 1 < argc) {
-            opt.port = static_cast<std::uint16_t>(
-                parseCount("--port", argv[++i]));
+            opt.port = gga::parseFlag<std::uint16_t>("--port", argv[++i]);
         } else if (!std::strcmp(argv[i], "--duration-s") && i + 1 < argc) {
             opt.durationS = std::strtod(argv[++i], nullptr);
             if (opt.durationS <= 0)
                 GGA_FATAL("--duration-s wants a positive number");
         } else if (!std::strcmp(argv[i], "--interactive") && i + 1 < argc) {
-            opt.interactiveClients = static_cast<unsigned>(
-                parseCount("--interactive", argv[++i]));
+            opt.interactiveClients =
+                gga::parseFlag<unsigned>("--interactive", argv[++i]);
         } else if (!std::strcmp(argv[i], "--batch") && i + 1 < argc) {
-            opt.batchClients = static_cast<unsigned>(
-                parseCount("--batch", argv[++i]));
+            opt.batchClients = gga::parseFlag<unsigned>("--batch", argv[++i]);
         } else if (!std::strcmp(argv[i], "--batch-units") && i + 1 < argc) {
-            opt.batchUnits = static_cast<unsigned>(
-                parseCount("--batch-units", argv[++i]));
+            opt.batchUnits =
+                gga::parseFlag<unsigned>("--batch-units", argv[++i]);
             if (opt.batchUnits == 0)
                 GGA_FATAL("--batch-units must be at least 1");
         } else if (!std::strcmp(argv[i], "--scale") && i + 1 < argc) {

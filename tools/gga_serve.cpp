@@ -49,6 +49,7 @@
 #include "serve/server.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
+#include "support/parse.hpp"
 
 namespace {
 
@@ -60,16 +61,6 @@ onSignal(int)
     g_stop.store(true);
 }
 
-/** Strict non-negative integer argument parse; fatal on garbage. */
-unsigned long
-parseCount(const char* flag, const char* text)
-{
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || text[0] == '-')
-        GGA_FATAL(flag, " wants a non-negative integer, got '", text, "'");
-    return v;
-}
 
 } // namespace
 
@@ -82,39 +73,37 @@ main(int argc, char** argv)
     bool verbose = false;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--port") && i + 1 < argc) {
-            opts.port = static_cast<std::uint16_t>(
-                parseCount("--port", argv[++i]));
+            opts.port = gga::parseFlag<std::uint16_t>("--port", argv[++i]);
         } else if (!std::strcmp(argv[i], "--port-file") && i + 1 < argc) {
             port_file = argv[++i];
         } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-            opts.session.threads = static_cast<unsigned>(
-                parseCount("--threads", argv[++i]));
+            opts.session.threads =
+                gga::parseFlag<unsigned>("--threads", argv[++i]);
         } else if (!std::strcmp(argv[i], "--max-queued-per-tenant") &&
                    i + 1 < argc) {
-            opts.maxQueuedPerTenant = static_cast<std::size_t>(
-                parseCount("--max-queued-per-tenant", argv[++i]));
+            opts.maxQueuedPerTenant = gga::parseFlag<std::size_t>(
+                "--max-queued-per-tenant", argv[++i]);
             if (opts.maxQueuedPerTenant == 0)
                 GGA_FATAL("--max-queued-per-tenant must be at least 1");
         } else if (!std::strcmp(argv[i], "--lease-ms") && i + 1 < argc) {
-            opts.retry.leaseMs = static_cast<unsigned>(
-                parseCount("--lease-ms", argv[++i]));
+            opts.retry.leaseMs =
+                gga::parseFlag<unsigned>("--lease-ms", argv[++i]);
         } else if (!std::strcmp(argv[i], "--retry-base-ms") &&
                    i + 1 < argc) {
-            opts.retry.retryBaseMs = static_cast<unsigned>(
-                parseCount("--retry-base-ms", argv[++i]));
+            opts.retry.retryBaseMs =
+                gga::parseFlag<unsigned>("--retry-base-ms", argv[++i]);
         } else if (!std::strcmp(argv[i], "--retry-cap-ms") &&
                    i + 1 < argc) {
-            opts.retry.retryCapMs = static_cast<unsigned>(
-                parseCount("--retry-cap-ms", argv[++i]));
+            opts.retry.retryCapMs =
+                gga::parseFlag<unsigned>("--retry-cap-ms", argv[++i]);
         } else if (!std::strcmp(argv[i], "--max-attempts") &&
                    i + 1 < argc) {
-            opts.retry.maxAttempts = static_cast<unsigned>(
-                parseCount("--max-attempts", argv[++i]));
+            opts.retry.maxAttempts =
+                gga::parseFlag<unsigned>("--max-attempts", argv[++i]);
             if (opts.retry.maxAttempts == 0)
                 GGA_FATAL("--max-attempts must be at least 1");
         } else if (!std::strcmp(argv[i], "--tick-ms") && i + 1 < argc) {
-            opts.tickMs = static_cast<unsigned>(
-                parseCount("--tick-ms", argv[++i]));
+            opts.tickMs = gga::parseFlag<unsigned>("--tick-ms", argv[++i]);
             if (opts.tickMs == 0)
                 GGA_FATAL("--tick-ms must be at least 1");
         } else if (!std::strcmp(argv[i], "--state-dir") && i + 1 < argc) {
@@ -133,15 +122,14 @@ main(int argc, char** argv)
                           text, "'");
         } else if (!std::strcmp(argv[i], "--io-timeout-ms") &&
                    i + 1 < argc) {
-            opts.ioTimeoutMs = static_cast<unsigned>(
-                parseCount("--io-timeout-ms", argv[++i]));
+            opts.ioTimeoutMs =
+                gga::parseFlag<unsigned>("--io-timeout-ms", argv[++i]);
         } else if (!std::strcmp(argv[i], "--drain-ms") && i + 1 < argc) {
-            opts.drainMs = static_cast<unsigned>(
-                parseCount("--drain-ms", argv[++i]));
+            opts.drainMs = gga::parseFlag<unsigned>("--drain-ms", argv[++i]);
         } else if (!std::strcmp(argv[i], "--graph-budget-mb") &&
                    i + 1 < argc) {
-            budget_mb = static_cast<std::size_t>(
-                parseCount("--graph-budget-mb", argv[++i]));
+            budget_mb =
+                gga::parseFlag<std::size_t>("--graph-budget-mb", argv[++i]);
         } else if (!std::strcmp(argv[i], "--graph-cache") && i + 1 < argc) {
             opts.session.graphCacheDir = argv[++i];
         } else if (!std::strcmp(argv[i], "--verbose")) {

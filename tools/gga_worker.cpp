@@ -48,19 +48,10 @@
 #include "eval/run.hpp"
 #include "serve/worker_client.hpp"
 #include "support/log.hpp"
+#include "support/parse.hpp"
 
 namespace {
 
-/** Strict non-negative integer argument parse; fatal on garbage. */
-unsigned long
-parseCount(const char* flag, const char* text)
-{
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || text[0] == '-')
-        GGA_FATAL(flag, " wants a non-negative integer, got '", text, "'");
-    return v;
-}
 
 } // namespace
 
@@ -85,17 +76,18 @@ main(int argc, char** argv)
             // Strict parse: a malformed index must not silently become
             // shard 0 and burn a whole shard's compute on the wrong
             // slice (the merge would only catch it as duplicates later).
-            const char* spec = argv[++i];
-            char* end = nullptr;
-            shard_index =
-                static_cast<std::size_t>(std::strtoul(spec, &end, 10));
-            if (end == spec || *end != '/' || spec[0] == '-')
+            const std::string_view spec = argv[++i];
+            const std::size_t slash = spec.find('/');
+            const auto index =
+                gga::parseUnsigned<std::size_t>(spec.substr(0, slash));
+            const auto count =
+                slash == std::string_view::npos
+                    ? std::nullopt
+                    : gga::parseUnsigned<std::size_t>(spec.substr(slash + 1));
+            if (!index || !count)
                 GGA_FATAL("--shard wants I/N, got '", spec, "'");
-            const char* count_text = end + 1;
-            shard_count = static_cast<std::size_t>(
-                std::strtoul(count_text, &end, 10));
-            if (end == count_text || *end != '\0' || count_text[0] == '-')
-                GGA_FATAL("--shard wants I/N, got '", spec, "'");
+            shard_index = *index;
+            shard_count = *count;
         } else if (!std::strcmp(argv[i], "--policy") && i + 1 < argc) {
             const std::string p = argv[++i];
             if (p == "rr")
@@ -108,29 +100,28 @@ main(int argc, char** argv)
             out = argv[++i];
         } else if (!std::strcmp(argv[i], "--connect") && i + 1 < argc) {
             connect = true;
-            client.port = static_cast<std::uint16_t>(
-                parseCount("--connect", argv[++i]));
+            client.port =
+                gga::parseFlag<std::uint16_t>("--connect", argv[++i]);
         } else if (!std::strcmp(argv[i], "--name") && i + 1 < argc) {
             client.name = argv[++i];
         } else if (!std::strcmp(argv[i], "--token") && i + 1 < argc) {
             client.token = argv[++i];
         } else if (!std::strcmp(argv[i], "--idle-exit-ms") && i + 1 < argc) {
-            client.idleExitMs = static_cast<unsigned>(
-                parseCount("--idle-exit-ms", argv[++i]));
+            client.idleExitMs =
+                gga::parseFlag<unsigned>("--idle-exit-ms", argv[++i]);
         } else if (!std::strcmp(argv[i], "--poll-ms") && i + 1 < argc) {
-            client.pollMs = static_cast<unsigned>(
-                parseCount("--poll-ms", argv[++i]));
+            client.pollMs = gga::parseFlag<unsigned>("--poll-ms", argv[++i]);
         } else if (!std::strcmp(argv[i], "--exit-after-assignments") &&
                    i + 1 < argc) {
-            client.exitAfterAssignments = static_cast<unsigned>(
-                parseCount("--exit-after-assignments", argv[++i]));
+            client.exitAfterAssignments = gga::parseFlag<unsigned>(
+                "--exit-after-assignments", argv[++i]);
         } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
             threads =
-                static_cast<unsigned>(parseCount("--threads", argv[++i]));
+                gga::parseFlag<unsigned>("--threads", argv[++i]);
         } else if (!std::strcmp(argv[i], "--graph-budget-mb") &&
                    i + 1 < argc) {
-            budget_mb = static_cast<std::size_t>(
-                parseCount("--graph-budget-mb", argv[++i]));
+            budget_mb =
+                gga::parseFlag<std::size_t>("--graph-budget-mb", argv[++i]);
         } else if (!std::strcmp(argv[i], "--graph-cache") && i + 1 < argc) {
             graph_cache = argv[++i];
         } else if (!std::strcmp(argv[i], "--verbose")) {
