@@ -1,7 +1,8 @@
 /**
  * @file
- * Wall-clock scaling of a parallel sweep (submitSweep): sweep one
- * workload's full configuration space on Sessions of increasing width,
+ * Wall-clock scaling of a parallel sweep (buildSweepSpec -> runManifest
+ * -> sweepFromResults): sweep one workload's full configuration space on
+ * Sessions of increasing width,
  * verify every run is bit-identical to the serial sweep, and report the
  * speedup. The per-config simulations are independent, so on a
  * multi-core host the fan-out is embarrassingly parallel up to the
@@ -48,7 +49,10 @@ sweepSeconds(const gga::Workload& wl,
     opts.threads = threads;
     gga::Session session(opts);
     const auto start = std::chrono::steady_clock::now();
-    out = gga::submitSweep(session, wl, configs).collect();
+    const gga::SweepSpec spec =
+        gga::buildSweepSpec(wl, configs, gga::SimParams{}, scale);
+    out = gga::sweepFromResults(
+        spec, gga::runManifest(session, gga::manifestForSpecs({spec})));
     const auto stop = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(stop - start).count();
 }
@@ -78,9 +82,8 @@ main(int argc, char** argv)
     gga::setVerbose(false);
     gga::Session session;
     const std::string app_name = argc > 1 ? argv[1] : "MIS";
-    const gga::AppRegistry::Entry* entry =
-        session.registry().findByName(app_name);
-    if (!entry)
+    const std::optional<gga::AppId> app = gga::appFromName(app_name);
+    if (!app)
         GGA_FATAL("unknown app '", app_name, "'");
     const gga::GraphPreset preset = parsePreset(argc > 2 ? argv[2] : "RAJ");
     const double scale = argc > 3 ? std::atof(argv[3]) : 0.25;
@@ -89,10 +92,10 @@ main(int argc, char** argv)
     const unsigned max_threads = static_cast<unsigned>(
         std::clamp<long>(argc > 4 ? std::atol(argv[4]) : 8, 1, 256));
 
-    const bool dynamic = entry->properties.traversal ==
+    const bool dynamic = gga::algoProperties(*app).traversal ==
                          gga::TraversalKind::Dynamic;
     const auto configs = gga::allConfigs(dynamic);
-    const gga::Workload wl{entry->id, preset};
+    const gga::Workload wl{*app, preset};
 
     // Pre-build the graph so timings measure simulation only.
     const auto graph = session.graphs().get(preset, scale);

@@ -1,9 +1,8 @@
 /**
  * @file
  * Reproduces the paper's Table III: the algorithmic properties (traversal,
- * control, information) of the six applications, as self-registered by
- * each app in the AppRegistry, plus the size of each app's valid
- * configuration space under the registry's config predicate.
+ * control, information) of the six applications, plus the size of each
+ * app's valid configuration space under acceptsConfig.
  *
  * Usage: table3_algo_props [--csv]
  */
@@ -11,7 +10,9 @@
 #include <cstring>
 #include <iostream>
 
-#include "api/registry.hpp"
+#include <algorithm>
+
+#include "model/algo_props.hpp"
 #include "support/table.hpp"
 
 int
@@ -19,23 +20,26 @@ main(int argc, char** argv)
 {
     const bool csv = argc > 1 && !std::strcmp(argv[1], "--csv");
 
-    // All 18 raw design points; the registry predicate selects each
-    // app's valid subset (12 static / 6 dynamic).
+    // All 18 raw design points; acceptsConfig selects each app's valid
+    // subset (12 static / 6 dynamic).
     std::vector<gga::SystemConfig> candidates = gga::allConfigs(false);
     for (const gga::SystemConfig& c : gga::allConfigs(true))
         candidates.push_back(c);
 
-    const gga::AppRegistry& reg = gga::AppRegistry::instance();
     gga::TextTable table;
     table.setHeader({"App", "Traversal", "Control", "Information",
                      "ValidConfigs"});
-    for (const gga::AppRegistry::Entry& e : reg.entries()) {
-        const gga::AlgoProperties& p = e.properties;
-        table.addRow({e.name, gga::traversalLabel(p.traversal),
+    for (const gga::AppId app : gga::kAllApps) {
+        const gga::AlgoProperties& p = gga::algoProperties(app);
+        const auto valid = std::count_if(
+            candidates.begin(), candidates.end(),
+            [app](const gga::SystemConfig& c) {
+                return gga::acceptsConfig(app, c);
+            });
+        table.addRow({gga::appName(app), gga::traversalLabel(p.traversal),
                       gga::preferenceLabel(p.control),
                       gga::preferenceLabel(p.information),
-                      std::to_string(
-                          reg.validConfigs(e.id, candidates).size())});
+                      std::to_string(valid)});
     }
     std::cout << "Table III: algorithmic properties per application\n\n";
     std::cout << (csv ? table.toCsv() : table.toText());

@@ -47,17 +47,16 @@ main(int argc, char** argv)
     gga::Session session;
     const std::string graph_name = argc > 1 ? argv[1] : "RAJ";
     const std::string app_name = argc > 2 ? argv[2] : "PR";
-    const gga::AppRegistry::Entry* entry =
-        session.registry().findByName(app_name);
-    if (!entry)
+    const std::optional<gga::AppId> app = gga::appFromName(app_name);
+    if (!app)
         GGA_FATAL("unknown app '", app_name, "'");
 
     const auto graph_ptr = loadGraph(session, graph_name);
     const gga::CsrGraph& graph = *graph_ptr;
     const gga::TaxonomyProfile profile = gga::profileGraph(graph);
-    const gga::AlgoProperties& props = entry->properties;
+    const gga::AlgoProperties& props = gga::algoProperties(*app);
 
-    std::cout << "=== workload: " << entry->name << " on "
+    std::cout << "=== workload: " << app_name << " on "
               << graph_name << " (|V|=" << graph.numVertices()
               << ", |E|=" << graph.numEdges() << ") ===\n\n";
 

@@ -53,34 +53,30 @@ main(int argc, char** argv)
             std::clamp<long>(std::atol(argv[4]), 1, 256));
     gga::Session session(opts);
     const std::string app_name = argc > 1 ? argv[1] : "PR";
-    const gga::AppRegistry::Entry* entry =
-        session.registry().findByName(app_name);
-    if (!entry)
+    const std::optional<gga::AppId> app = gga::appFromName(app_name);
+    if (!app)
         GGA_FATAL("unknown app '", app_name, "'");
     const gga::GraphPreset preset =
         parsePreset(argc > 2 ? argv[2] : "RAJ");
     const double scale = argc > 3 ? std::atof(argv[3]) : 0.25;
 
     const auto graph = session.graphs().get(preset, scale);
-    std::cout << "workload: " << entry->name << " on "
+    std::cout << "workload: " << app_name << " on "
               << gga::presetName(preset) << " x" << scale << "  (|V|="
               << graph->numVertices() << ", |E|=" << graph->numEdges()
               << ")\n\n";
 
-    // The registry's valid-config predicate filters the raw design points
-    // down to this app's space (12 static / 6 dynamic).
-    std::vector<gga::SystemConfig> candidates = gga::allConfigs(false);
-    for (const gga::SystemConfig& c : gga::allConfigs(true))
-        candidates.push_back(c);
-    const auto configs =
-        session.registry().validConfigs(entry->id, candidates);
+    // Table III's traversal column picks this app's design space (12
+    // static / 6 dynamic configurations).
+    const auto configs = gga::allConfigs(
+        gga::algoProperties(*app).traversal == gga::TraversalKind::Dynamic);
 
     // One work unit per design point, all in flight on the session
     // executor.
     gga::Manifest manifest;
     for (const gga::SystemConfig& cfg : configs) {
         gga::WorkUnit unit;
-        unit.app = entry->id;
+        unit.app = *app;
         unit.preset = preset;
         unit.scale = scale;
         unit.config = cfg;

@@ -52,8 +52,8 @@ main(int argc, char** argv)
     for (const auto& [app, preset] : suite) {
         const auto graph = session.graphs().get(preset, scale);
         const gga::TaxonomyProfile profile = gga::profileGraph(*graph);
-        const gga::SystemConfig chosen = gga::predictFullDesignSpace(
-            profile, session.registry().at(app).properties);
+        const gga::SystemConfig chosen =
+            gga::predictFullDesignSpace(profile, gga::algoProperties(app));
 
         const gga::RunPlan base = gga::RunPlan{}.app(app).graph(preset);
         const auto tg0 = session.run(gga::RunPlan(base).config("TG0"));

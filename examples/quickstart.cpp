@@ -42,9 +42,9 @@ main()
               << "(" << gga::levelChar(profile.imbalanceLevel) << ")\n";
 
     const gga::AppId app = gga::AppId::Pr;
-    const gga::SystemConfig predicted = gga::predictFullDesignSpace(
-        profile, session.registry().at(app).properties);
-    std::cout << "model prediction for " << session.registry().at(app).name
+    const gga::SystemConfig predicted =
+        gga::predictFullDesignSpace(profile, gga::algoProperties(app));
+    std::cout << "model prediction for " << gga::appName(app)
               << ": " << predicted.name() << " ("
               << gga::propLabel(predicted.prop) << " / "
               << gga::cohLabel(predicted.coh) << " / "

@@ -58,10 +58,11 @@ port=$(cat "$work/port")
 echo "serve up on port $port"
 
 # The first worker connects alone, so it is guaranteed to win the first
-# shard assignment — on which it dies (exit 17), leaving an expired
-# lease for the orchestrator to notice and reassign.
-"$build_dir/gga_worker" --connect "$port" --name crashy --poll-ms 50 \
-  --exit-after-assignments 1 &
+# shard assignment — on which its crash.worker.assignment fault site
+# kills it (exit 41), leaving an expired lease for the orchestrator to
+# notice and reassign.
+GGA_FAULTS=crash.worker.assignment=1 \
+  "$build_dir/gga_worker" --connect "$port" --name crashy --poll-ms 50 &
 crashy_pid=$!
 
 # Submit the remote job (2 shards) and a local single-plan job.
@@ -96,17 +97,17 @@ with open(f"{work}/jobs", "w") as f:
     f.write(f"{remote} {local}\n")
 EOF
 
-# The crash hook must actually fire (exit code 17) once the job exists.
+# The crash site must actually fire (exit code 41) once the job exists.
 set +e
 wait "$crashy_pid"
 crashy_status=$?
 set -e
 crashy_pid=""
-if [[ "$crashy_status" -ne 17 ]]; then
-  echo "crashy worker exited with $crashy_status, expected 17" >&2
+if [[ "$crashy_status" -ne 41 ]]; then
+  echo "crashy worker exited with $crashy_status, expected 41" >&2
   exit 1
 fi
-echo "crashy worker died on schedule (exit 17)"
+echo "crashy worker died on schedule (exit 41)"
 
 # The second worker runs the other shard at once and the orphaned shard
 # after its lease expires; its idle window must outlast that lease.

@@ -26,6 +26,20 @@ GraphStore::quantizeScale(double scale)
     return std::llround(scale * static_cast<double>(kScaleUnits));
 }
 
+std::optional<std::string>
+GraphStore::presetError(GraphPreset p, double scale)
+{
+    const std::int64_t units = quantizeScale(scale);
+    if (units <= 0)
+        return "scale rounds to zero; the smallest is 5e-7";
+    // The spec get() would build: the quantized scale's.
+    const std::optional<std::string> why = synthesisError(presetSpecScaled(
+        p, static_cast<double>(units) / static_cast<double>(kScaleUnits)));
+    if (!why)
+        return std::nullopt;
+    return "scale is too small to synthesize " + presetName(p) + ": " + *why;
+}
+
 GraphStore::GraphPtr
 GraphStore::get(GraphPreset p, double scale)
 {

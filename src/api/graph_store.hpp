@@ -34,6 +34,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -169,6 +170,15 @@ class GraphStore
      * equal keys always mean bit-identical graphs.
      */
     static std::int64_t quantizeScale(double scale);
+
+    /**
+     * Why preset @p p cannot be built at @p scale in (0, 1] — the scale
+     * quantizes to zero, or the scaled spec fails synthesisError — or
+     * nullopt. Costs no synthesis: the admission check that WorkUnit
+     * and Session::validate share.
+     */
+    static std::optional<std::string> presetError(GraphPreset p,
+                                                  double scale);
 
   private:
     /**

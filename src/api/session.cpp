@@ -104,13 +104,6 @@ RunPlan::collectOutputs(bool on)
     return *this;
 }
 
-RunPlan&
-RunPlan::priority(Lane lane)
-{
-    priority_ = lane;
-    return *this;
-}
-
 std::string
 RunOutcome::name() const
 {
@@ -141,12 +134,6 @@ Session::Session(SessionOptions opts) : opts_(std::move(opts))
     graphs().setBuildThreads(threads());
 }
 
-const AppRegistry&
-Session::registry() const
-{
-    return AppRegistry::instance();
-}
-
 GraphStore&
 Session::graphs() const
 {
@@ -158,28 +145,27 @@ Session::validate(const RunPlan& plan) const
 {
     if (!plan.plannedApp())
         return "plan has no application (RunPlan::app)";
-    const AppRegistry::Entry* entry = registry().find(*plan.plannedApp());
-    if (!entry)
-        return "application " +
-               std::to_string(static_cast<int>(*plan.plannedApp())) +
-               " is not registered";
+    const AppId app = *plan.plannedApp();
     if (!plan.plannedPreset() && plan.plannedFile().empty() &&
         !plan.customGraph())
         return "plan has no input graph (RunPlan::graph / graphFile)";
     if (plan.plannedScale() &&
         (*plan.plannedScale() <= 0.0 || *plan.plannedScale() > 1.0))
         return "plan scale must be in (0, 1]";
-    if (plan.plannedScale() &&
-        GraphStore::quantizeScale(*plan.plannedScale()) <= 0)
-        return "plan scale rounds to zero; the smallest is 5e-7";
     if (plan.plannedScale() && !plan.plannedPreset())
         return "plan scale applies to preset inputs only";
+    if (plan.plannedPreset()) {
+        if (const std::optional<std::string> why = GraphStore::presetError(
+                *plan.plannedPreset(),
+                plan.plannedScale().value_or(opts_.scale)))
+            return "plan " + *why;
+    }
     if (!plan.badConfigName().empty())
         return "malformed configuration name '" + plan.badConfigName() + "'";
     if (!plan.plannedConfig())
         return "plan has no configuration (RunPlan::config)";
-    if (!entry->validConfig(*plan.plannedConfig()))
-        return entry->name + " " + entry->configRequirement() + ", got " +
+    if (!acceptsConfig(app, *plan.plannedConfig()))
+        return appName(app) + " " + configRequirement(app) + ", got " +
                plan.plannedConfig()->name();
     if (const std::optional<std::string> why =
             plan.plannedParams().value_or(opts_.params).check())
@@ -195,8 +181,6 @@ Session::tryRun(const RunPlan& plan, std::string* error)
             *error = *why;
         return std::nullopt;
     }
-    const AppRegistry::Entry& entry = registry().at(*plan.plannedApp());
-
     GraphStore::GraphPtr graph = plan.customGraph();
     std::string graph_name = plan.graphLabel();
     try {
@@ -217,8 +201,8 @@ Session::tryRun(const RunPlan& plan, std::string* error)
     }
 
     RunOutcome out;
-    out.app = entry.id;
-    out.appName = entry.name;
+    out.app = *plan.plannedApp();
+    out.appName = appName(out.app);
     out.graphName = std::move(graph_name);
     out.config = *plan.plannedConfig();
     const SimParams params = plan.plannedParams().value_or(opts_.params);
@@ -228,8 +212,8 @@ Session::tryRun(const RunPlan& plan, std::string* error)
     if (opts_.verboseRuns)
         GGA_INFORM("session: running ", out.appName, "-", out.graphName,
                    " on ", out.config.name());
-    out.result = entry.run(*graph, out.config, params, plan.plannedSeed(),
-                           collect ? &out.output : nullptr);
+    out.result = runApp(out.app, *graph, out.config, params,
+                        plan.plannedSeed(), collect ? &out.output : nullptr);
     return out;
 }
 
@@ -239,7 +223,7 @@ Session::run(const RunPlan& plan)
     std::string error;
     std::optional<RunOutcome> out = tryRun(plan, &error);
     if (!out)
-        GGA_FATAL("invalid run plan: ", error);
+        GGA_FATAL(validate(plan) ? "invalid run plan: " : "", error);
     return std::move(*out);
 }
 
@@ -265,48 +249,6 @@ Session::executor()
         poolStarted_.store(true, std::memory_order_release);
     });
     return *pool_;
-}
-
-std::future<RunOutcome>
-Session::submit(RunPlan plan)
-{
-    const Lane lane = plan.plannedPriority();
-    return executor().submit(
-        [this, plan = std::move(plan)]() -> RunOutcome {
-            std::string error;
-            std::optional<RunOutcome> out = tryRun(plan, &error);
-            if (!out)
-                throw PlanError(error);
-            return std::move(*out);
-        },
-        lane);
-}
-
-std::vector<std::future<RunOutcome>>
-Session::submitAll(std::vector<RunPlan> plans)
-{
-    // Batch per lane through postAll: each lane's plans join its queue
-    // under one lock and start in plan order.
-    std::vector<std::future<RunOutcome>> futures;
-    futures.reserve(plans.size());
-    std::vector<TaskPool::Task> lanes[kLaneCount];
-    for (RunPlan& plan : plans) {
-        const unsigned lane = static_cast<unsigned>(plan.plannedPriority());
-        TaskPool::Task task;
-        futures.push_back(TaskPool::package(
-            [this, plan = std::move(plan)]() -> RunOutcome {
-                std::string error;
-                std::optional<RunOutcome> out = tryRun(plan, &error);
-                if (!out)
-                    throw PlanError(error);
-                return std::move(*out);
-            },
-            task));
-        lanes[lane].push_back(std::move(task));
-    }
-    executor().postAll(std::move(lanes[0]), Lane::Interactive);
-    executor().postAll(std::move(lanes[1]), Lane::Batch);
-    return futures;
 }
 
 TaskPool::Stats

@@ -1,7 +1,7 @@
 /**
  * @file
  * The Plan/Session workload API: declarative per-run plans, validated
- * against the AppRegistry, executed through the thread-safe GraphStore.
+ * against Table III, executed through the thread-safe GraphStore.
  *
  *   Session session;
  *   RunOutcome out = session.run(RunPlan{}
@@ -13,26 +13,24 @@
  *   out.pr()->ranks;        // typed functional output
  *
  * The Session is the one way to run a workload: the figures, manifests,
- * gga_serve and the benches all reach the simulator through it.
+ * gga_serve and the benches all reach the simulator through it. Batches
+ * go through its executor by manifest (eval/run.hpp: submitManifest,
+ * runManifest).
  */
 
 #ifndef GGA_API_SESSION_HPP
 #define GGA_API_SESSION_HPP
 
 #include <atomic>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "api/graph_store.hpp"
-#include "api/outputs.hpp"
-#include "api/registry.hpp"
 #include "api/task_pool.hpp"
+#include "apps/app.hpp"
 #include "graph/presets.hpp"
 #include "model/config.hpp"
 #include "sim/params.hpp"
@@ -98,13 +96,6 @@ class RunPlan
      */
     RunPlan& collectOutputs(bool on = true);
 
-    /**
-     * Executor lane for submit/submitAll (Lane::Interactive by default:
-     * a directly-submitted plan is someone waiting on a result). Manifest
-     * execution plans it to Lane::Batch. Irrelevant to synchronous run().
-     */
-    RunPlan& priority(Lane lane);
-
     // --- introspection (used by Session and tests) ---
     std::optional<AppId> plannedApp() const { return app_; }
     std::optional<GraphPreset> plannedPreset() const { return preset_; }
@@ -121,7 +112,6 @@ class RunPlan
     std::uint64_t plannedSeed() const { return seed_; }
     /** nullopt = inherit the session default. */
     std::optional<bool> outputsRequested() const { return collectOutputs_; }
-    Lane plannedPriority() const { return priority_; }
 
   private:
     std::optional<AppId> app_;
@@ -135,7 +125,6 @@ class RunPlan
     std::optional<SimParams> params_;
     std::uint64_t seed_ = 0;
     std::optional<bool> collectOutputs_;
-    Lane priority_ = Lane::Interactive;
 };
 
 /** Everything one run produced: identity, timing, typed outputs. */
@@ -176,10 +165,10 @@ struct SessionOptions
     bool collectOutputs = true;
     bool verboseRuns = false; ///< GGA_INFORM one line per run
     /**
-     * Worker threads of the session's executor (Session::submit). 0 = the
-     * GGA_SESSION_THREADS environment default — see defaultThreads()
-     * (support/parallel.hpp). The executor starts lazily on the first
-     * submit, so purely synchronous sessions never spawn threads.
+     * Worker threads of the session's executor (Session::executor). 0 =
+     * the GGA_SESSION_THREADS environment default — see defaultThreads()
+     * (support/parallel.hpp). The executor starts lazily on first use,
+     * so purely synchronous sessions never spawn threads.
      */
     unsigned threads = 0;
     /**
@@ -205,22 +194,12 @@ struct SessionOptions
 /** GGA_GRAPH_CACHE environment value, or "" when unset. */
 std::string defaultGraphCacheDir();
 
-/** What Session::submit's future throws for a plan that fails validate(). */
-class PlanError : public std::runtime_error
-{
-  public:
-    explicit PlanError(const std::string& why)
-        : std::runtime_error("invalid run plan: " + why)
-    {
-    }
-};
-
 /**
- * Facade over the registry, the graph store, and the simulator: validates
- * RunPlans and executes them, synchronously (run/tryRun) or on the
- * session's fixed-size executor (submit/submitAll). Stateless between
- * runs apart from the shared GraphStore and the lazily-started TaskPool;
- * one Session may serve many threads concurrently.
+ * Facade over the apps, the graph store, and the simulator: validates
+ * RunPlans and runs them (run/tryRun), and owns the fixed-size executor
+ * that manifests fan out on. Stateless between runs apart from the
+ * shared GraphStore and the lazily-started TaskPool; one Session may
+ * serve many threads concurrently.
  */
 class Session
 {
@@ -228,13 +207,13 @@ class Session
     explicit Session(SessionOptions opts = {});
 
     const SessionOptions& options() const { return opts_; }
-    const AppRegistry& registry() const;
     GraphStore& graphs() const;
 
     /**
      * Why @p plan cannot run — missing app/graph/config, malformed config
-     * name, an app x config mismatch, a scale that rounds to zero, or
-     * SimParams that fail SimParams::check — or nullopt when it is valid.
+     * name, an app x config mismatch, a scale that rounds to zero or is
+     * too small to synthesize its preset, or SimParams that fail
+     * SimParams::check — or nullopt when it is valid.
      */
     std::optional<std::string> validate(const RunPlan& plan) const;
 
@@ -247,26 +226,9 @@ class Session
     std::optional<RunOutcome> tryRun(const RunPlan& plan,
                                      std::string* error = nullptr);
 
-    /** Run @p plan; fatal on an invalid plan. */
+    /** Run @p plan; fatal when tryRun fails (the message says
+     *  "invalid run plan" only when validate does). */
     RunOutcome run(const RunPlan& plan);
-
-    /**
-     * Execute @p plan asynchronously on the session executor. An invalid
-     * plan is reported as a PlanError thrown from future::get() — never a
-     * fatal — so one bad plan in a batch doesn't take the process down.
-     * The Session must outlive the returned future's completion (the
-     * destructor drains the executor, so outstanding futures always
-     * complete).
-     */
-    std::future<RunOutcome> submit(RunPlan plan);
-
-    /**
-     * Submit a batch; futures are returned in plan order, so gathering
-     * them in order yields results bit-identical to a serial run() loop.
-     * Goes through TaskPool::postAll per lane, so each lane's plans join
-     * its queue under one lock and start in plan order.
-     */
-    std::vector<std::future<RunOutcome>> submitAll(std::vector<RunPlan> plans);
 
     /**
      * Executor width: the running TaskPool's actual width once the
@@ -276,7 +238,8 @@ class Session
      */
     unsigned threads() const;
 
-    /** The shared executor, started on first use. */
+    /** The shared executor, started on first use; the destructor drains
+     *  it, so every posted unit finishes. */
     TaskPool& executor();
 
     /** Executor telemetry; zero-valued before the executor's lazy start. */

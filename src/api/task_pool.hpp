@@ -1,7 +1,7 @@
 /**
  * @file
- * TaskPool: the priority-aware executor behind Session::submit and every
- * gga_serve job.
+ * TaskPool: the priority-aware executor behind every Session manifest
+ * and every gga_serve job.
  *
  * Two priority lanes, Interactive and Batch, each one FIFO under one
  * mutex. A worker takes the head of the interactive queue when it has
@@ -151,9 +151,8 @@ class TaskPool
     }
 
     /**
-     * Wrap a callable into a queue element without posting it — the
-     * helper Session::submitAll uses to build postAll batches that
-     * carry futures.
+     * Wrap a callable into a queue element without posting it, so a
+     * postAll batch can carry futures.
      */
     template <typename Fn>
     static auto

@@ -1,5 +1,7 @@
 #include "apps/app.hpp"
 
+#include "support/log.hpp"
+
 namespace gga {
 
 GraphBuffers::GraphBuffers(AddressSpace& space, const CsrGraph& g)
@@ -19,6 +21,27 @@ collectResult(Gpu& gpu)
     r.kernels = gpu.kernelsLaunched();
     r.events = gpu.engine().processedEvents();
     return r;
+}
+
+RunResult
+runApp(AppId app, const CsrGraph& g, const SystemConfig& cfg,
+       const SimParams& params, std::uint64_t seed, AppOutput* out)
+{
+    switch (app) {
+      case AppId::Pr:
+        return runPr(g, cfg, params, seed, out);
+      case AppId::Sssp:
+        return runSssp(g, cfg, params, seed, out);
+      case AppId::Mis:
+        return runMis(g, cfg, params, seed, out);
+      case AppId::Clr:
+        return runClr(g, cfg, params, seed, out);
+      case AppId::Bc:
+        return runBc(g, cfg, params, seed, out);
+      case AppId::Cc:
+        return runCc(g, cfg, params, seed, out);
+    }
+    GGA_FATAL("unknown application ", static_cast<int>(app));
 }
 
 } // namespace gga

@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared application scaffolding: graph device buffers and run results.
+ * Shared application scaffolding: graph device buffers, run results, and
+ * the one dispatch from an AppId to its runner.
  */
 
 #ifndef GGA_APPS_APP_HPP
@@ -8,7 +9,10 @@
 
 #include <cstdint>
 
+#include "apps/outputs.hpp"
 #include "graph/csr.hpp"
+#include "model/algo_props.hpp"
+#include "model/config.hpp"
 #include "sim/address_space.hpp"
 #include "sim/gpu.hpp"
 #include "sim/mem_stats.hpp"
@@ -41,6 +45,25 @@ struct RunResult
 
 /** Collect a RunResult from a finished Gpu. */
 RunResult collectResult(Gpu& gpu);
+
+/**
+ * An app runner: runs the app on the graph under the configuration
+ * (which must satisfy acceptsConfig) and, when the AppOutput* is
+ * non-null, moves the app's output into it. The std::uint64_t is the
+ * run's RNG seed (see RunPlan::seed): apps without stochastic choices
+ * ignore it, and seed 0 reproduces the paper runs exactly (the
+ * determinism goldens pin this).
+ */
+using AppRunner = RunResult(const CsrGraph&, const SystemConfig&,
+                            const SimParams&, std::uint64_t, AppOutput*);
+
+/** The six runners, one per app translation unit. */
+AppRunner runPr, runSssp, runMis, runClr, runBc, runCc;
+
+/** Run @p app through its runner. */
+RunResult runApp(AppId app, const CsrGraph& g, const SystemConfig& cfg,
+                 const SimParams& params, std::uint64_t seed,
+                 AppOutput* out);
 
 /** Iteration safety caps (deterministic termination with a warning). */
 inline constexpr std::uint32_t kMaxSweeps = 4096;

@@ -8,7 +8,7 @@
  * into sigma / the backward accumulator; pull gathers from neighbors.
  */
 
-#include "api/registry.hpp"
+#include "apps/app.hpp"
 #include "apps/kernel_util.hpp"
 #include "support/log.hpp"
 
@@ -286,6 +286,8 @@ bcBwdPull(Warp& w, BcState& st)
     co_await w.store(wr);
 }
 
+} // namespace
+
 RunResult
 runBc(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
       std::uint64_t /*seed: the source is fixed*/, AppOutput* out)
@@ -337,17 +339,6 @@ runBc(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
                         std::move(st.level.host()),
                         std::move(st.sigma.host())};
     return collectResult(gpu);
-}
-
-} // namespace
-
-void
-registerBcApp(AppRegistry& reg)
-{
-    reg.add({.id = AppId::Bc,
-             .name = appName(AppId::Bc),
-             .properties = algoProperties(AppId::Bc),
-             .run = &runBc});
 }
 
 } // namespace gga

@@ -13,7 +13,7 @@
  * the warp must wait for each returned value regardless of relaxation.
  */
 
-#include "api/registry.hpp"
+#include "apps/app.hpp"
 #include "apps/kernel_util.hpp"
 #include "support/log.hpp"
 
@@ -162,6 +162,8 @@ ccCompress(Warp& w, CcState& st)
         co_await w.store(wr);
 }
 
+} // namespace
+
 RunResult
 runCc(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
       std::uint64_t /*seed: CC has no stochastic choices*/, AppOutput* out)
@@ -185,17 +187,6 @@ runCc(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     if (out)
         *out = CcOutput{std::move(st.parent.host())};
     return collectResult(gpu);
-}
-
-} // namespace
-
-void
-registerCcApp(AppRegistry& reg)
-{
-    reg.add({.id = AppId::Cc,
-             .name = appName(AppId::Cc),
-             .properties = algoProperties(AppId::Cc),
-             .run = &runCc});
 }
 
 } // namespace gga

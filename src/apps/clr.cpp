@@ -9,7 +9,7 @@
  * takes color r.
  */
 
-#include "api/registry.hpp"
+#include "apps/app.hpp"
 #include "apps/kernel_util.hpp"
 #include "apps/nbr_max.hpp"
 #include "support/log.hpp"
@@ -85,6 +85,8 @@ clrAssign(Warp& w, ClrState& st)
         co_await w.store(wr);
 }
 
+} // namespace
+
 RunResult
 runClr(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
        std::uint64_t seed, AppOutput* out)
@@ -113,17 +115,6 @@ runClr(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     if (out)
         *out = ClrOutput{std::move(st.color.host())};
     return collectResult(gpu);
-}
-
-} // namespace
-
-void
-registerClrApp(AppRegistry& reg)
-{
-    reg.add({.id = AppId::Clr,
-             .name = appName(AppId::Clr),
-             .properties = algoProperties(AppId::Clr),
-             .run = &runClr});
 }
 
 } // namespace gga

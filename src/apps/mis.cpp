@@ -9,7 +9,7 @@
  * its neighbors drop out.
  */
 
-#include "api/registry.hpp"
+#include "apps/app.hpp"
 #include "apps/kernel_util.hpp"
 #include "apps/nbr_max.hpp"
 #include "support/log.hpp"
@@ -156,6 +156,8 @@ misOutPull(Warp& w, MisState& st)
         co_await w.store(wr);
 }
 
+} // namespace
+
 RunResult
 runMis(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
        std::uint64_t seed, AppOutput* out)
@@ -190,17 +192,6 @@ runMis(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     if (out)
         *out = MisOutput{std::move(st.state.host())};
     return collectResult(gpu);
-}
-
-} // namespace
-
-void
-registerMisApp(AppRegistry& reg)
-{
-    reg.add({.id = AppId::Mis,
-             .name = appName(AppId::Mis),
-             .properties = algoProperties(AppId::Mis),
-             .run = &runMis});
 }
 
 } // namespace gga

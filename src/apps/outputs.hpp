@@ -1,14 +1,14 @@
 /**
  * @file
- * Typed per-application functional outputs for the Plan/Session API.
+ * Typed per-application functional outputs.
  *
  * Each application publishes a dedicated result struct; a run returns the
  * matching alternative inside the AppOutput variant, as owned, type-safe
  * values the app's runner moves out of its simulated buffers.
  */
 
-#ifndef GGA_API_OUTPUTS_HPP
-#define GGA_API_OUTPUTS_HPP
+#ifndef GGA_APPS_OUTPUTS_HPP
+#define GGA_APPS_OUTPUTS_HPP
 
 #include <cstdint>
 #include <variant>
@@ -69,4 +69,4 @@ using AppOutput = std::variant<std::monostate, PrOutput, SsspOutput,
 
 } // namespace gga
 
-#endif // GGA_API_OUTPUTS_HPP
+#endif // GGA_APPS_OUTPUTS_HPP

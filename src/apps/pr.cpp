@@ -9,7 +9,7 @@
  * (rank = (1-d)/N + d*next).
  */
 
-#include "api/registry.hpp"
+#include "apps/app.hpp"
 #include "apps/kernel_util.hpp"
 #include "support/log.hpp"
 
@@ -148,6 +148,8 @@ prFinalize(Warp& w, PrState& st)
     co_await w.store(wr);
 }
 
+} // namespace
+
 RunResult
 runPr(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
       std::uint64_t /*seed: PageRank has no stochastic choices*/,
@@ -177,17 +179,6 @@ runPr(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     if (out)
         *out = PrOutput{std::move(st.rank.host())};
     return collectResult(gpu);
-}
-
-} // namespace
-
-void
-registerPrApp(AppRegistry& reg)
-{
-    reg.add({.id = AppId::Pr,
-             .name = appName(AppId::Pr),
-             .properties = algoProperties(AppId::Pr),
-             .run = &runPr});
 }
 
 } // namespace gga

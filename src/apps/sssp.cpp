@@ -9,7 +9,7 @@
  * stamp the target with i+1.
  */
 
-#include "api/registry.hpp"
+#include "apps/app.hpp"
 #include "apps/kernel_util.hpp"
 #include "support/log.hpp"
 
@@ -170,6 +170,8 @@ ssspPull(Warp& w, SsspState& st)
         co_await w.store(wr);
 }
 
+} // namespace
+
 RunResult
 runSssp(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
         std::uint64_t /*seed: the source is fixed*/, AppOutput* out)
@@ -203,17 +205,6 @@ runSssp(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     if (out)
         *out = SsspOutput{std::move(st.dist.host())};
     return collectResult(gpu);
-}
-
-} // namespace
-
-void
-registerSsspApp(AppRegistry& reg)
-{
-    reg.add({.id = AppId::Sssp,
-             .name = appName(AppId::Sssp),
-             .properties = algoProperties(AppId::Sssp),
-             .run = &runSssp});
 }
 
 } // namespace gga

@@ -1,7 +1,5 @@
 #include "eval/manifest.hpp"
 
-#include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "api/graph_store.hpp"
@@ -39,17 +37,8 @@ Manifest::contains(const std::string& key) const
     return keys_.count(key) != 0;
 }
 
-double
-Manifest::unitCost(const WorkUnit& unit)
-{
-    if (!unit.preset)
-        return 1.0; // file size unknown until loaded; assume uniform
-    return static_cast<double>(paperStats(*unit.preset).edges) * unit.scale;
-}
-
 Manifest
-Manifest::shard(std::size_t index, std::size_t count,
-                ShardPolicy policy) const
+Manifest::shard(std::size_t index, std::size_t count) const
 {
     if (count == 0)
         throw EvalError("shard count must be positive");
@@ -61,31 +50,7 @@ Manifest::shard(std::size_t index, std::size_t count,
     out.meta = meta;
     out.meta["shard"] =
         std::to_string(index) + "/" + std::to_string(count);
-    if (policy == ShardPolicy::RoundRobin) {
-        for (std::size_t i = index; i < units_.size(); i += count)
-            out.append(units_[i]);
-        return out;
-    }
-    // ByCost: greedy LPT — visit units by descending estimated cost
-    // (stable on the enumeration index, so the assignment is fully
-    // deterministic) and assign each to the currently lightest shard.
-    std::vector<std::size_t> order(units_.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [this](std::size_t a, std::size_t b) {
-                         return unitCost(units_[a]) > unitCost(units_[b]);
-                     });
-    std::vector<double> load(count, 0.0);
-    std::vector<std::vector<std::size_t>> members(count);
-    for (std::size_t i : order) {
-        const std::size_t lightest = static_cast<std::size_t>(
-            std::min_element(load.begin(), load.end()) - load.begin());
-        load[lightest] += unitCost(units_[i]);
-        members[lightest].push_back(i);
-    }
-    // Keep enumeration order within the shard.
-    std::sort(members[index].begin(), members[index].end());
-    for (std::size_t i : members[index])
+    for (std::size_t i = index; i < units_.size(); i += count)
         out.append(units_[i]);
     return out;
 }

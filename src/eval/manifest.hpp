@@ -5,8 +5,8 @@
  *
  * Every figure/table/bench is expressed as a manifest instead of an
  * imperative loop over Session: enumerate the matrix once, shard it
- * across workers (round-robin or cost-balanced), round-trip it through
- * JSON, and execute each shard anywhere. Because
+ * across workers round-robin, round-trip it through JSON, and execute
+ * each shard anywhere. Because
  * WorkUnit keys are deterministic and the simulator is deterministic,
  * the merged results never depend on the shard count.
  */
@@ -22,13 +22,6 @@
 #include "eval/work_unit.hpp"
 
 namespace gga {
-
-/** How Manifest::shard distributes units across workers. */
-enum class ShardPolicy
-{
-    RoundRobin, ///< unit i goes to shard i % count
-    ByCost,     ///< greedy longest-processing-time on estimated unit cost
-};
 
 class Manifest
 {
@@ -61,23 +54,12 @@ class Manifest
     bool contains(const std::string& key) const;
 
     /**
-     * The sub-manifest shard @p index of @p count. Deterministic for a
-     * given (manifest, policy, count): every unit lands in exactly one
-     * shard, and the union over all indices is the whole manifest.
-     * RoundRobin preserves enumeration order within a shard; ByCost
-     * balances estimated work (greedy LPT over unitCost) so one slow
-     * shard doesn't gate the merge. Throws EvalError on index >= count
-     * or count == 0.
+     * The sub-manifest shard @p index of @p count, round-robin: unit i
+     * goes to shard i % count, in enumeration order. Every unit lands in
+     * exactly one shard, and the union over all indices is the whole
+     * manifest. Throws EvalError on index >= count or count == 0.
      */
-    Manifest shard(std::size_t index, std::size_t count,
-                   ShardPolicy policy = ShardPolicy::RoundRobin) const;
-
-    /**
-     * Estimated relative cost of @p unit: the input's directed edge count
-     * at the unit's scale (file inputs fall back to a uniform constant —
-     * their size is unknown until loaded). Cheap (no graph builds).
-     */
-    static double unitCost(const WorkUnit& unit);
+    Manifest shard(std::size_t index, std::size_t count) const;
 
     /** One distinct input graph a manifest's units reference. */
     struct GraphInput

@@ -5,6 +5,7 @@
 
 #include "support/log.hpp"
 #include "support/rng.hpp"
+#include "support/thread_annotations.hpp"
 
 namespace gga {
 
@@ -81,50 +82,6 @@ manifestLane(const Manifest& manifest)
     return Lane::Batch;
 }
 
-PendingManifest
-submitManifest(Session& session, const Manifest& manifest)
-{
-    const Lane lane = manifestLane(manifest);
-    PendingManifest pending;
-    pending.keys_.reserve(manifest.size());
-    std::vector<RunPlan> plans;
-    plans.reserve(manifest.size());
-    for (const WorkUnit& u : manifest.units()) {
-        pending.keys_.push_back(u.key());
-        plans.push_back(planForUnit(u).priority(lane));
-    }
-    pending.futures_ = session.submitAll(std::move(plans));
-    return pending;
-}
-
-ResultSet
-PendingManifest::collect()
-{
-    std::vector<UnitResult> rows;
-    rows.reserve(futures_.size());
-    for (std::size_t i = 0; i < futures_.size(); ++i) {
-        try {
-            RunOutcome outcome = futures_[i].get();
-            UnitResult r;
-            r.key = keys_[i];
-            r.run = outcome.result;
-            r.output = summarizeOutput(outcome);
-            rows.push_back(std::move(r));
-        } catch (const PlanError& err) {
-            throw EvalError("work unit '" + keys_[i] + "': " + err.what());
-        }
-    }
-    futures_.clear();
-    keys_.clear();
-    return ResultSet::fromRows(std::move(rows));
-}
-
-ResultSet
-runManifest(Session& session, const Manifest& manifest)
-{
-    return submitManifest(session, manifest).collect();
-}
-
 namespace {
 
 /**
@@ -149,7 +106,14 @@ runStreamedUnit(const StreamedUnit& unit)
     ev.key = unit.key;
     std::string why;
     const auto t0 = std::chrono::steady_clock::now();
-    if (std::optional<RunOutcome> out = unit.session->tryRun(unit.plan, &why)) {
+    std::optional<RunOutcome> out;
+    try {
+        out = unit.session->tryRun(unit.plan, &why);
+    } catch (const std::exception& err) {
+        // Escaping a pool task would end the process; the unit fails.
+        why = err.what();
+    }
+    if (out) {
         UnitResult r;
         r.key = unit.key;
         r.run = out->result;
@@ -157,7 +121,11 @@ runStreamedUnit(const StreamedUnit& unit)
         ev.result = std::move(r);
         ev.appName = out->appName;
     } else {
-        ev.error = "work unit '" + unit.key + "': invalid run plan: " + why;
+        // Only a plan that fails validation is an invalid plan; a valid
+        // one whose input cannot be built reports tryRun's reason as is.
+        const bool invalid = unit.session->validate(unit.plan).has_value();
+        ev.error = "work unit '" + unit.key + "': " +
+                   (invalid ? "invalid run plan: " : "") + why;
     }
     ev.millis = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
@@ -168,11 +136,10 @@ runStreamedUnit(const StreamedUnit& unit)
 } // namespace
 
 void
-submitManifestStreamed(Session& session, const Manifest& manifest,
-                       std::function<void(const UnitEvent&)> onUnit)
+submitManifest(Session& session, const Manifest& manifest,
+               std::function<void(const UnitEvent&)> onUnit)
 {
-    GGA_ASSERT(onUnit, "submitManifestStreamed needs a callback");
-    const Lane lane = manifestLane(manifest);
+    GGA_ASSERT(onUnit, "submitManifest needs a callback");
     // One shared copy of the callback: the caller's functor may be heavy.
     auto cb = std::make_shared<std::function<void(const UnitEvent&)>>(
         std::move(onUnit));
@@ -185,12 +152,49 @@ submitManifestStreamed(Session& session, const Manifest& manifest,
         unit->cb = cb;
         unit->index = index;
         unit->key = u.key();
-        unit->plan = planForUnit(u).priority(lane);
+        unit->plan = planForUnit(u);
         tasks.emplace_back(
             [unit = std::move(unit)] { runStreamedUnit(*unit); });
         ++index;
     }
-    session.executor().postAll(std::move(tasks), lane);
+    session.executor().postAll(std::move(tasks), manifestLane(manifest));
+}
+
+ResultSet
+runManifest(Session& session, const Manifest& manifest)
+{
+    // Events land in manifest-order slots. The callback shares ownership,
+    // so the state outlives this frame until the last unit has reported.
+    struct Gather
+    {
+        explicit Gather(std::size_t units) : events(units) {}
+        Mutex mu;
+        CondVar cv;
+        std::vector<UnitEvent> events GGA_GUARDED_BY(mu);
+        std::size_t done GGA_GUARDED_BY(mu) = 0;
+    };
+    auto gather = std::make_shared<Gather>(manifest.size());
+    submitManifest(session, manifest, [gather](const UnitEvent& ev) {
+        MutexLock lock(gather->mu);
+        gather->events[ev.index] = ev;
+        ++gather->done;
+        gather->cv.notify_one();
+    });
+    std::vector<UnitEvent> events;
+    {
+        MutexLock lock(gather->mu);
+        while (gather->done < manifest.size())
+            gather->cv.wait(gather->mu);
+        events = std::move(gather->events);
+    }
+    std::vector<UnitResult> rows;
+    rows.reserve(events.size());
+    for (UnitEvent& ev : events) {
+        if (!ev.result)
+            throw EvalError(ev.error);
+        rows.push_back(std::move(*ev.result));
+    }
+    return ResultSet::fromRows(std::move(rows));
 }
 
 } // namespace gga

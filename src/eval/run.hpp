@@ -1,22 +1,21 @@
 /**
  * @file
- * Manifest execution on the in-process Session executor — the fast path
- * the worker CLI and the bench binaries share.
+ * Manifest execution on the in-process Session executor — the one path
+ * every batch takes: the worker CLI, gga_serve's local jobs, the benches
+ * and the figures.
  *
- * submitManifest enqueues every unit on the session's TaskPool in
- * manifest order (exactly the submitAll ordering the pre-manifest
- * benches used) without blocking; PendingManifest::collect gathers the
- * futures and returns the key-sorted ResultSet. Because every unit is an
- * independent deterministic simulation, the results are bit-identical at
- * any executor width and any sharding of the manifest.
+ * submitManifest posts every unit on the session's TaskPool in manifest
+ * order, as one postAll batch on the manifest's lane, and reports each
+ * unit as it finishes; runManifest waits for those reports and returns
+ * the key-sorted ResultSet. Because every unit is an independent
+ * deterministic simulation, the results are bit-identical at any
+ * executor width and any sharding of the manifest.
  */
 
 #ifndef GGA_EVAL_RUN_HPP
 #define GGA_EVAL_RUN_HPP
 
 #include <functional>
-#include <future>
-#include <vector>
 
 #include "api/session.hpp"
 #include "eval/manifest.hpp"
@@ -39,37 +38,11 @@ RunPlan planForUnit(const WorkUnit& unit);
 Lane manifestLane(const Manifest& manifest);
 
 /**
- * A manifest whose runs are enqueued on a Session executor but not yet
- * gathered. Move-only; collect() may be called once; the Session must
- * outlive it.
- */
-class PendingManifest
-{
-  public:
-    /** Block until every unit finishes; throws EvalError if any plan
-     *  failed validation (naming the unit). */
-    ResultSet collect();
-
-    std::size_t size() const { return keys_.size(); }
-
-  private:
-    friend PendingManifest submitManifest(Session&, const Manifest&);
-
-    std::vector<std::string> keys_;
-    std::vector<std::future<RunOutcome>> futures_;
-};
-
-/** Enqueue every unit of @p manifest on @p session's executor. */
-PendingManifest submitManifest(Session& session, const Manifest& manifest);
-
-/** submitManifest + collect: the blocking in-process fast path. */
-ResultSet runManifest(Session& session, const Manifest& manifest);
-
-/**
- * One unit's completion notice for streaming consumers (the resident
- * service's job table). Exactly one of result/error is meaningful: on
- * success @c result is set; when the unit's plan fails validation
- * @c error carries the reason and @c result stays empty.
+ * One unit's completion notice. Exactly one of result/error is
+ * meaningful: on success @c result is set; when the unit cannot run,
+ * @c error names the unit and the reason and @c result stays empty.
+ * Only a plan that fails Session::validate reads "invalid run plan: ";
+ * a valid plan whose input cannot be built says so instead.
  */
 struct UnitEvent
 {
@@ -77,24 +50,29 @@ struct UnitEvent
     std::string key;       ///< WorkUnit::key()
     std::optional<UnitResult> result;
     std::string error;
-    std::string appName; ///< "PR", "BC", ... (empty on a plan error)
+    std::string appName; ///< "PR", "BC", ... (empty on an error)
     double millis = 0;   ///< wall time of the unit's run
 };
 
 /**
- * Enqueue every unit of @p manifest and invoke @p onUnit as each one
- * finishes, in completion order (not manifest order). The callback runs
- * on executor threads — possibly several at once — so it must be
- * thread-safe and cheap; a unit whose plan fails validation produces an
- * error event instead of throwing. The caller is responsible for
- * counting manifest.size() events before tearing anything down, and the
- * Session (plus whatever the callback captures) must stay alive until
- * then. UnitResult rows carry the same data as runManifest's, so a
- * ResultSet assembled from the events is bit-identical to the blocking
- * path's.
+ * Post every unit of @p manifest on @p session's executor and invoke
+ * @p onUnit as each one finishes, in completion order (not manifest
+ * order). The callback runs on executor threads — possibly several at
+ * once — so it must be thread-safe and cheap; a unit that cannot run
+ * produces an error event instead of throwing. The caller is
+ * responsible for counting manifest.size() events before tearing
+ * anything down, and the Session (plus whatever the callback captures)
+ * must stay alive until then.
  */
-void submitManifestStreamed(Session& session, const Manifest& manifest,
-                            std::function<void(const UnitEvent&)> onUnit);
+void submitManifest(Session& session, const Manifest& manifest,
+                    std::function<void(const UnitEvent&)> onUnit);
+
+/**
+ * submitManifest, then wait for every unit: the blocking in-process
+ * path. Throws EvalError naming the first failed unit in manifest
+ * order.
+ */
+ResultSet runManifest(Session& session, const Manifest& manifest);
 
 } // namespace gga
 

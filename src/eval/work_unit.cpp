@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "api/graph_store.hpp"
-#include "api/registry.hpp"
 #include "support/rng.hpp"
 
 namespace gga {
@@ -165,11 +164,10 @@ WorkUnit::fromJson(const Json& j)
     }
     WorkUnit u;
     const std::string& app_name = j.at("app").asString();
-    const AppRegistry::Entry* app =
-        AppRegistry::instance().findByName(app_name);
+    const std::optional<AppId> app = appFromName(app_name);
     if (!app)
         throw EvalError("unknown application '" + app_name + "'");
-    u.app = app->id;
+    u.app = *app;
 
     const Json& input = j.at("input");
     for (const auto& [key, value] : input.asObject()) {
@@ -187,9 +185,9 @@ WorkUnit::fromJson(const Json& j)
             u.scale = scale->asDouble();
         if (u.scale <= 0.0 || u.scale > 1.0)
             throw EvalError("work-unit scale must be in (0, 1]");
-        if (GraphStore::quantizeScale(u.scale) <= 0)
-            throw EvalError(
-                "work-unit scale rounds to zero; the smallest is 5e-7");
+        if (const std::optional<std::string> why =
+                GraphStore::presetError(*u.preset, u.scale))
+            throw EvalError("work-unit " + *why);
     } else if (const Json* path = input.find("path")) {
         if (input.find("scale"))
             throw EvalError(

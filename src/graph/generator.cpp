@@ -434,6 +434,9 @@ generateGraph(const GenSpec& spec, unsigned build_threads)
     GGA_ASSERT(spec.numVertices > 1, "graph needs >= 2 vertices");
     GGA_ASSERT(spec.numDirectedEdges % 2 == 0,
                "directed edge target must be even (symmetric graph)");
+    if (const std::optional<std::string> why = synthesisError(spec))
+        throw GraphError("cannot synthesize graph " + spec.name + ": " +
+                         *why);
 
     const unsigned threads =
         build_threads == 0 ? defaultThreads() : build_threads;
@@ -532,6 +535,26 @@ generateGraph(const GenSpec& spec, unsigned build_threads)
     for (std::uint64_t key : free_pairs)
         builder.addEdge(keyLo(key), keyHi(key));
     return builder.build(/*with_weights=*/true);
+}
+
+std::optional<std::string>
+synthesisError(const GenSpec& spec)
+{
+    std::uint64_t protected_pairs = 0;
+    if (spec.topology == Topology::Grid2d) {
+        const std::uint64_t grid_n =
+            std::uint64_t{spec.gridRows} * spec.gridCols;
+        protected_pairs = spec.numVertices > grid_n
+                              ? spec.numVertices - grid_n
+                              : 0;
+    } else if (spec.backbone) {
+        protected_pairs = spec.numVertices - 1;
+    }
+    const std::uint64_t target = spec.numDirectedEdges / 2;
+    if (protected_pairs <= target)
+        return std::nullopt;
+    return "its backbone needs " + std::to_string(protected_pairs) +
+           " pairs, above its edge target of " + std::to_string(target);
 }
 
 std::uint64_t

@@ -28,6 +28,7 @@
 #define GGA_GRAPH_GENERATOR_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "graph/csr.hpp"
@@ -119,10 +120,20 @@ struct GenSpec
  * whether it runs on 1 thread or 8. 0 = defaultThreads(). The
  * result is directed symmetric with no self-loops and exactly
  * spec.numDirectedEdges edges, with deterministic per-pair weights
- * attached. Throws GraphError when the edge target cannot be met (too
- * few pairs to trim, as at very small preset scales, or no room to pad).
+ * attached. Throws GraphError when the edge target cannot be met: with
+ * synthesisError's reason before anything is drawn (as at very small
+ * preset scales), or when there is no room to pad.
  */
 CsrGraph generateGraph(const GenSpec& spec, unsigned build_threads = 0);
+
+/**
+ * Why generateGraph cannot meet @p spec's edge target, or nullopt,
+ * computed from the spec alone. Synthesis never trims its protected
+ * pairs (a degree-driven backbone's numVertices - 1, a grid's pendant
+ * attachments), so it fails exactly when they exceed the target of
+ * numDirectedEdges / 2 pairs.
+ */
+std::optional<std::string> synthesisError(const GenSpec& spec);
 
 /**
  * Version of the synthesis algorithm, folded into specContentHash. Bump

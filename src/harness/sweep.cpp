@@ -141,42 +141,4 @@ manifestForSpecs(const std::vector<SweepSpec>& specs)
     return manifest;
 }
 
-PendingSweep
-submitSweep(Session& session, const Workload& workload,
-            std::vector<SystemConfig> configs,
-            std::optional<SimParams> params, double scale)
-{
-    // Unset knobs defer to the session — the same defaults every plain
-    // run() on this session uses — so one Session never mixes scales or
-    // hardware parameters between sweeps and direct runs.
-    const double graph_scale =
-        scale > 0.0 ? scale : session.options().scale;
-    const SimParams run_params = params.value_or(session.options().params);
-
-    PendingSweep pending;
-    pending.spec_ =
-        buildSweepSpec(workload, std::move(configs), run_params, graph_scale);
-    Manifest manifest;
-    // addUnique: a duplicated configuration in the caller's list is not
-    // an error; the single shared unit fans back out to one result slot
-    // per list entry in sweepFromResults.
-    for (const WorkUnit& u : pending.spec_.units)
-        manifest.addUnique(u);
-    pending.pending_ = submitManifest(session, manifest);
-    return pending;
-}
-
-SweepResult
-PendingSweep::collect()
-{
-    GGA_ASSERT(pending_.size() > 0 && !spec_.units.empty(),
-               "PendingSweep collected twice or never submitted");
-    try {
-        const ResultSet results = pending_.collect();
-        return sweepFromResults(spec_, results);
-    } catch (const EvalError& err) {
-        GGA_FATAL("sweep of ", spec_.workload.name(), ": ", err.what());
-    }
-}
-
 } // namespace gga

@@ -6,16 +6,17 @@
  * A sweep is a SweepSpec — an ordered configuration list (baseline and
  * the model's prediction appended when missing) plus the serializable
  * WorkUnits realizing it. Execution goes through the eval pipeline:
- * submitSweep() turns the spec into a manifest on the session's shared
- * executor, and sweepFromResults() reassembles a SweepResult from any
- * ResultSet covering the spec's units — in-process or merged from worker
- * shards — bit-identically to a serial run() loop.
+ *
+ *   sweepFromResults(spec, runManifest(session, manifestForSpecs({spec})))
+ *
+ * reassembles a SweepResult from any ResultSet covering the spec's units
+ * — in-process or merged from worker shards — bit-identically to a
+ * serial run() loop.
  */
 
 #ifndef GGA_HARNESS_SWEEP_HPP
 #define GGA_HARNESS_SWEEP_HPP
 
-#include <optional>
 #include <vector>
 
 #include "api/session.hpp"
@@ -95,50 +96,6 @@ SweepResult sweepFromResults(const SweepSpec& spec, const ResultSet& results);
 
 /** The deduplicating union of the specs' units (shared meta untouched). */
 Manifest manifestForSpecs(const std::vector<SweepSpec>& specs);
-
-/**
- * A sweep whose runs are enqueued on a Session executor but not yet
- * gathered. Move-only; collect() may be called once. The Session must
- * outlive the PendingSweep's collect().
- */
-class PendingSweep
-{
-  public:
-    const Workload& workload() const { return spec_.workload; }
-
-    /**
-     * Block until every run finishes and assemble the SweepResult,
-     * bit-identical at any executor width.
-     */
-    SweepResult collect();
-
-  private:
-    friend PendingSweep submitSweep(Session&, const Workload&,
-                                    std::vector<SystemConfig>,
-                                    std::optional<SimParams>, double);
-
-    SweepSpec spec_;
-    PendingManifest pending_;
-};
-
-/**
- * Enqueue @p workload under every configuration in @p configs (the
- * baseline and the model's prediction are added when missing) on
- * @p session's executor, without blocking on the runs. @p params and
- * @p scale default to the session's SessionOptions (nullopt / 0), the
- * same defaults every plain run() on the session uses, so a sweep is
- * never silently inconsistent with direct runs on the same session.
- *
- * The model prediction (graph build + profiling) happens here, on the
- * caller's thread, because the spec's unit list depends on it — a
- * deliberate trade for serializable sweeps. Callers submitting many
- * sweeps over many *distinct* inputs should pre-warm the graphs (see
- * figureSet's concurrent warm) or use figureSet directly.
- */
-PendingSweep submitSweep(Session& session, const Workload& workload,
-                         std::vector<SystemConfig> configs,
-                         std::optional<SimParams> params = std::nullopt,
-                         double scale = 0.0);
 
 /** The baseline configuration a workload's Fig. 5 group normalizes to. */
 SystemConfig baselineConfig(const Workload& workload);

@@ -36,6 +36,32 @@ appName(AppId app)
     return names[static_cast<int>(app)];
 }
 
+std::optional<AppId>
+appFromName(std::string_view name)
+{
+    for (AppId app : kAllApps) {
+        if (appName(app) == name)
+            return app;
+    }
+    return std::nullopt;
+}
+
+bool
+acceptsConfig(AppId app, const SystemConfig& cfg)
+{
+    const bool dynamic =
+        algoProperties(app).traversal == TraversalKind::Dynamic;
+    return dynamic == (cfg.prop == UpdateProp::PushPull);
+}
+
+const char*
+configRequirement(AppId app)
+{
+    return algoProperties(app).traversal == TraversalKind::Dynamic
+               ? "has a dynamic traversal and requires PushPull"
+               : "has a static traversal and requires Push or Pull";
+}
+
 const std::string&
 traversalLabel(TraversalKind t)
 {

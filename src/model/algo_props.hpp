@@ -8,7 +8,11 @@
 #define GGA_MODEL_ALGO_PROPS_HPP
 
 #include <array>
+#include <optional>
 #include <string>
+#include <string_view>
+
+#include "model/config.hpp"
 
 namespace gga {
 
@@ -60,6 +64,18 @@ const AlgoProperties& algoProperties(AppId app);
 
 /** Short uppercase name ("PR", "SSSP", ...). */
 const std::string& appName(AppId app);
+
+/** The app whose appName is @p name (case-sensitive), or nullopt. */
+std::optional<AppId> appFromName(std::string_view name);
+
+/**
+ * Does @p app accept @p cfg? Table III's traversal column decides: a
+ * dynamic traversal requires PushPull, a static one Push or Pull.
+ */
+bool acceptsConfig(AppId app, const SystemConfig& cfg);
+
+/** acceptsConfig's rule in words, for validation messages. */
+const char* configRequirement(AppId app);
 
 /** Human-readable labels for table output. */
 const std::string& traversalLabel(TraversalKind t);

@@ -140,6 +140,16 @@ Orchestrator::partArrived(const std::string& worker,
     return outcome;
 }
 
+Orchestrator::PartOutcome
+Orchestrator::partFailed(const std::string& worker, const std::string& jobId,
+                         std::size_t shard, const std::string& why)
+{
+    std::optional<Finalize> fin; // stays empty: a failure never finishes
+    MutexLock lock(mu_);
+    return partArrivedLocked(worker, jobId, shard, ResultSet{}, why,
+                             nullptr, fin);
+}
+
 void
 Orchestrator::finalizeJob(const std::string& jobId, Finalize fin)
 {

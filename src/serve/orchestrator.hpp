@@ -122,6 +122,16 @@ class Orchestrator
                                 std::nullopt);
 
     /**
+     * A worker could not run its shard: @p why rejects the attempt like
+     * a part that failed verification — a retry with backoff (another
+     * worker may succeed), then the job fails with "exhausted retries:
+     * <why>".
+     */
+    PartOutcome partFailed(const std::string& worker,
+                           const std::string& jobId, std::size_t shard,
+                           const std::string& why);
+
+    /**
      * Re-admit a journal-recovered remote job: shards with a recovered
      * part are Done (counted in recovered_parts_total, never
      * re-executed); the rest are leased out as usual. When every shard

@@ -305,7 +305,7 @@ Service::submitJob(const HttpRequest& req)
 void
 Service::startLocalJob(const std::string& id, const Manifest& manifest)
 {
-    submitManifestStreamed(
+    submitManifest(
         session_, manifest,
         [this, id](const UnitEvent& ev) { jobs_.unitDone(id, ev); });
 }
@@ -411,18 +411,26 @@ Service::workerEndpoint(const HttpRequest& req, const std::string& action)
         const Json* jobJson = body.find("job");
         const Json* shardJson = body.find("shard");
         const Json* resultsJson = body.find("results");
-        if (!jobJson || !shardJson || !resultsJson)
-            return errorResponse(
-                400, "body needs \"job\", \"shard\", \"results\"");
-        ResultSet part = ResultSet::fromJson(*resultsJson);
-        std::optional<std::uint64_t> checksum;
-        if (const Json* c = body.find("checksum"))
-            checksum = c->asU64();
+        const Json* errorJson = body.find("error");
+        if (!jobJson || !shardJson || !resultsJson == !errorJson)
+            return errorResponse(400, "body needs \"job\", \"shard\" and "
+                                      "one of \"results\" or \"error\"");
+        const std::string job = jobJson->asString();
+        const auto shard = static_cast<std::size_t>(shardJson->asU64());
         std::string why;
-        const Orchestrator::PartOutcome outcome = orch_.partArrived(
-            worker, jobJson->asString(),
-            static_cast<std::size_t>(shardJson->asU64()), std::move(part),
-            &why, checksum);
+        Orchestrator::PartOutcome outcome;
+        if (errorJson) {
+            // The worker could not run its shard: a rejected part.
+            why = errorJson->asString();
+            outcome = orch_.partFailed(worker, job, shard, why);
+        } else {
+            std::optional<std::uint64_t> checksum;
+            if (const Json* c = body.find("checksum"))
+                checksum = c->asU64();
+            outcome = orch_.partArrived(worker, job, shard,
+                                        ResultSet::fromJson(*resultsJson),
+                                        &why, checksum);
+        }
         switch (outcome) {
         case Orchestrator::PartOutcome::Accepted: {
             Json j = Json::object();

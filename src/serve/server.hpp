@@ -21,8 +21,10 @@
  *   POST /v1/workers/register          {"name": ...} -> {"worker","lease_ms"}
  *   POST /v1/workers/poll              {"worker"} -> 200 assignment | 204
  *   POST /v1/workers/parts             {"worker","job","shard","results"}
+ *                                      or, for a shard the worker could
+ *                                      not run, "error" for "results"
  *
- * Local jobs run on the Session's TaskPool via submitManifestStreamed;
+ * Local jobs run on the Session's TaskPool via submitManifest;
  * remote jobs are sharded by the Orchestrator across connected
  * gga_worker processes. Either path ends in the same key-sorted
  * ResultSet, so /render output is byte-identical to the offline

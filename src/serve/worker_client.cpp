@@ -1,7 +1,5 @@
 #include "serve/worker_client.hpp"
 
-#include <unistd.h>
-
 #include <chrono>
 #include <thread>
 
@@ -39,7 +37,6 @@ runWorkerClient(Session& session, const WorkerClientOptions& opts)
     const std::string poll = pollBody.dump();
 
     std::size_t posted = 0;
-    unsigned assignments = 0;
     auto lastWork = std::chrono::steady_clock::now();
     while (true) {
         HttpResponse resp;
@@ -70,43 +67,51 @@ runWorkerClient(Session& session, const WorkerClientOptions& opts)
         const Json a = Json::parse(resp.body);
         const std::string job = a.at("job").asString();
         const std::uint64_t shard = a.at("shard").asU64();
-        ++assignments;
-        if (opts.exitAfterAssignments != 0 &&
-            assignments >= opts.exitAfterAssignments) {
-            // Fault injection: die holding the lease, part never posted.
-            GGA_INFORM("worker ", worker, ": crash hook firing on "
-                       "assignment ", assignments);
-            ::_exit(kCrashExitCode);
+        // Fault injection: die holding the lease, part never posted.
+        faults::crashPoint("crash.worker.assignment");
+        std::string body;
+        try {
+            const Manifest manifest = Manifest::fromJson(a.at("manifest"));
+            GGA_INFORM("worker ", worker, ": running shard ", shard + 1,
+                       "/", a.at("shard_count").asU64(), " of ", job, " (",
+                       manifest.size(), " units)");
+            ResultSet results = runManifest(session, manifest);
+
+            // Fault injection: drop the last row BEFORE the checksum is
+            // taken — the checksum matches the thinned payload, so the
+            // server's sub-manifest verification is what catches it.
+            if (faults::fire("worker.part.thin") && !results.empty()) {
+                Json arr = Json::array();
+                const std::vector<UnitResult>& rows = results.results();
+                for (std::size_t i = 0; i + 1 < rows.size(); ++i)
+                    arr.push(rows[i].toJson());
+                Json thin = Json::object();
+                thin.set("results", std::move(arr));
+                results = ResultSet::fromJson(thin);
+            }
+
+            std::string canon = results.toJson().dump();
+            const std::uint64_t checksum = fnv1a(canon.data(), canon.size());
+            // Fault injection: corrupt the payload AFTER the checksum,
+            // the bit-rot-in-transit case the server's checksum catches.
+            faults::corrupt("worker.part.corrupt", canon);
+
+            body = "{\"worker\":\"" + worker + "\",\"job\":\"" + job +
+                   "\",\"shard\":" + std::to_string(shard) +
+                   ",\"checksum\":" + std::to_string(checksum) +
+                   ",\"results\":" + canon + "}";
+        } catch (const EvalError& err) {
+            // The shard fails, not the worker: the server retries it
+            // (perhaps on another host), then fails the job with this.
+            GGA_WARN("worker ", worker, ": cannot run shard ", shard + 1,
+                     " of ", job, ": ", err.what());
+            Json failed = Json::object();
+            failed.set("worker", Json(worker));
+            failed.set("job", Json(job));
+            failed.set("shard", Json(shard));
+            failed.set("error", Json(err.what()));
+            body = failed.dump();
         }
-        const Manifest manifest = Manifest::fromJson(a.at("manifest"));
-        GGA_INFORM("worker ", worker, ": running shard ", shard + 1, "/",
-                   a.at("shard_count").asU64(), " of ", job, " (",
-                   manifest.size(), " units)");
-        ResultSet results = runManifest(session, manifest);
-
-        // Fault injection: drop the last row BEFORE the checksum is
-        // taken — the checksum matches the thinned payload, so the
-        // server's sub-manifest verification is what catches it.
-        if (faults::fire("worker.part.thin") && !results.results().empty()) {
-            Json arr = Json::array();
-            const std::vector<UnitResult>& rows = results.results();
-            for (std::size_t i = 0; i + 1 < rows.size(); ++i)
-                arr.push(rows[i].toJson());
-            Json thin = Json::object();
-            thin.set("results", std::move(arr));
-            results = ResultSet::fromJson(thin);
-        }
-
-        std::string canon = results.toJson().dump();
-        const std::uint64_t checksum = fnv1a(canon.data(), canon.size());
-        // Fault injection: corrupt the payload AFTER the checksum, the
-        // bit-rot-in-transit case the server's checksum check catches.
-        faults::corrupt("worker.part.corrupt", canon);
-
-        std::string body = "{\"worker\":\"" + worker + "\",\"job\":\"" +
-                           job + "\",\"shard\":" + std::to_string(shard) +
-                           ",\"checksum\":" + std::to_string(checksum) +
-                           ",\"results\":" + canon + "}";
         // Fault injection: tear the request mid-body (connection lost).
         faults::truncate("worker.part.truncate", body);
         try {
@@ -116,7 +121,7 @@ runWorkerClient(Session& session, const WorkerClientOptions& opts)
                 ++posted;
             else
                 GGA_WARN("worker ", worker, ": part for ", job, " shard ",
-                         shard, " answered HTTP ", pr.status);
+                         shard + 1, " answered HTTP ", pr.status);
         } catch (const ServeError& err) {
             GGA_WARN("worker ", worker, ": posting part failed: ",
                      err.what());

@@ -6,12 +6,17 @@
  * Session (the same runManifest path the offline CLI uses, so parts are
  * bit-identical to offline shards), and posts the ResultSet back.
  *
+ * A shard the worker cannot run (a unit whose input cannot be built)
+ * is reported to the server with the reason in place of results, and
+ * the loop keeps polling: the server retries the shard like a rejected
+ * part, and fails the job with the reason once its attempts run out.
+ *
  * The loop exits when idleExitMs passes without an assignment (so CI
  * workers drain and leave) or when the server becomes unreachable after
- * registration. exitAfterAssignments is a fault-injection hook: the
- * worker hard-exits the process the moment it receives its Nth
- * assignment, before running it — exactly the "worker died mid-job"
- * case the orchestrator's lease retry exists for.
+ * registration. The fault site "crash.worker.assignment" (GGA_FAULTS)
+ * hard-exits the process when an assignment arrives, before running it
+ * — exactly the "worker died mid-job" case the orchestrator's lease
+ * retry exists for.
  *
  * Deliberately single-threaded: one blocking loop, no members, no locks
  * — concurrency lives inside the borrowed Session (annotated classes
@@ -34,16 +39,10 @@ struct WorkerClientOptions
     std::string name;            ///< advisory worker name
     unsigned pollMs = 100;       ///< delay between idle polls
     unsigned idleExitMs = 0;     ///< 0 = poll forever
-    /** Fault injection: _exit(kCrashExitCode) on receiving the Nth
-     *  assignment (1-based); 0 disables. */
-    unsigned exitAfterAssignments = 0;
     /** Sent as X-GGA-Worker-Token on every request when non-empty; must
      *  match the server's --worker-token or everything answers 401. */
     std::string token;
 };
-
-/** The exit code of the exitAfterAssignments crash hook. */
-constexpr int kCrashExitCode = 17;
 
 /**
  * Run the worker loop until idle-exit or server shutdown. Returns the

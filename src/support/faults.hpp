@@ -3,7 +3,8 @@
  * Deterministic fault injection.
  *
  * Every recovery path in gga_serve — short socket reads, corrupt worker
- * parts, expired leases, crashes between journal appends — plus the
+ * parts, expired leases, a worker dying on an assignment, crashes
+ * between journal appends — plus the
  * executor's scheduling perturbation point (pool.yield) is reachable
  * on demand through named *sites* compiled into the hot seams. A site is
  * inert (one atomic load) until armed through the GGA_FAULTS environment
@@ -38,7 +39,8 @@
 
 namespace gga::faults {
 
-/** Exit code of a crashPoint() hit (distinct from the worker's 17). */
+/** Exit code of a crashPoint() hit (crash.worker.assignment,
+ *  crash.journal.*). */
 constexpr int kFaultCrashExit = 41;
 
 /**

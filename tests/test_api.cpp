@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the Plan/Session API layer: registry completeness, plan
+ * Tests for the Plan/Session API layer: the Table III app lookups, plan
  * validation (no aborts on invalid input), typed output collection, the
  * thread-safe GraphStore, and serial-vs-parallel sweep equivalence.
  */
@@ -12,8 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "api/graph_store.hpp"
-#include "api/registry.hpp"
 #include "api/session.hpp"
+#include "eval/run.hpp"
 #include "graph/generator.hpp"
 #include "harness/sweep.hpp"
 #include "harness/workloads.hpp"
@@ -40,56 +40,32 @@ smallGraph()
     return g;
 }
 
-// --- registry -------------------------------------------------------------
+// --- the app table ---------------------------------------------------------
 
-TEST(Registry, AllSixAppsRegistered)
+TEST(AppTable, NamesRoundTrip)
 {
-    const AppRegistry& reg = AppRegistry::instance();
-    EXPECT_EQ(reg.size(), 6u);
-    for (AppId app : kAllApps) {
-        const AppRegistry::Entry* e = reg.find(app);
-        ASSERT_NE(e, nullptr) << appName(app);
-        EXPECT_EQ(e->id, app);
-        EXPECT_EQ(e->name, appName(app));
-        EXPECT_NE(e->run, nullptr);
-    }
-    EXPECT_EQ(reg.find(static_cast<AppId>(99)), nullptr);
+    for (AppId app : kAllApps)
+        EXPECT_EQ(appFromName(appName(app)), app) << appName(app);
+    EXPECT_EQ(appFromName("SSSP"), AppId::Sssp);
+    EXPECT_EQ(appFromName("nope"), std::nullopt);
+    EXPECT_EQ(appFromName("pr"), std::nullopt); // case-sensitive
 }
 
-TEST(Registry, PropertiesMatchAlgoProperties)
+TEST(AppTable, AcceptedConfigsFollowTraversal)
 {
-    for (AppId app : kAllApps) {
-        const AlgoProperties& expected = algoProperties(app);
-        const AlgoProperties& got =
-            AppRegistry::instance().at(app).properties;
-        EXPECT_EQ(got.traversal, expected.traversal) << appName(app);
-        EXPECT_EQ(got.control, expected.control) << appName(app);
-        EXPECT_EQ(got.information, expected.information) << appName(app);
-    }
-}
-
-TEST(Registry, ValidConfigsFollowTraversal)
-{
-    const AppRegistry& reg = AppRegistry::instance();
     std::vector<SystemConfig> all = allConfigs(false);
     for (const SystemConfig& c : allConfigs(true))
         all.push_back(c);
     for (AppId app : kAllApps) {
         const bool dynamic =
             algoProperties(app).traversal == TraversalKind::Dynamic;
-        EXPECT_EQ(reg.validConfigs(app, all).size(), dynamic ? 6u : 12u)
-            << appName(app);
-        EXPECT_EQ(reg.at(app).validConfig(parseConfig("SG1")), !dynamic);
-        EXPECT_EQ(reg.at(app).validConfig(parseConfig("DD1")), dynamic);
+        std::size_t accepted = 0;
+        for (const SystemConfig& c : all)
+            accepted += acceptsConfig(app, c);
+        EXPECT_EQ(accepted, dynamic ? 6u : 12u) << appName(app);
+        EXPECT_EQ(acceptsConfig(app, parseConfig("SG1")), !dynamic);
+        EXPECT_EQ(acceptsConfig(app, parseConfig("DD1")), dynamic);
     }
-}
-
-TEST(Registry, FindByName)
-{
-    const AppRegistry& reg = AppRegistry::instance();
-    ASSERT_NE(reg.findByName("SSSP"), nullptr);
-    EXPECT_EQ(reg.findByName("SSSP")->id, AppId::Sssp);
-    EXPECT_EQ(reg.findByName("nope"), nullptr);
 }
 
 // --- config parsing -------------------------------------------------------
@@ -183,7 +159,22 @@ TEST(RunPlan, ValidationRejectsUnusableParamsAndScales)
     std::string error;
     EXPECT_FALSE(session.tryRun(plan, &error).has_value());
     EXPECT_EQ(error, *why);
-    EXPECT_THROW(session.submit(plan).get(), PlanError);
+    // Through a manifest, the failed validation names the unit.
+    WorkUnit unit;
+    unit.app = AppId::Pr;
+    unit.preset = GraphPreset::Raj;
+    unit.scale = 0.01;
+    unit.config = parseConfig("TG0");
+    unit.params = wide;
+    Manifest manifest;
+    manifest.add(unit);
+    try {
+        runManifest(session, manifest);
+        ADD_FAILURE() << "expected EvalError";
+    } catch (const EvalError& err) {
+        EXPECT_EQ(std::string(err.what()),
+                  "work unit '" + unit.key() + "': invalid run plan: " + *why);
+    }
     // A scale that rounds to zero is a plan error, not a GraphStore panic.
     EXPECT_TRUE(session
                     .validate(RunPlan{}
@@ -205,14 +196,31 @@ TEST(RunPlan, UnbuildableGraphFailsThePlanNotTheProcess)
     EXPECT_FALSE(session.tryRun(missing, &error).has_value());
     EXPECT_NE(error.find("cannot open MatrixMarket file"), std::string::npos)
         << error;
-    EXPECT_THROW(session.submit(missing).get(), PlanError);
-    // A preset too small to synthesize fails the same way.
+    // Through a manifest, the unit's input is at fault, not its plan.
+    WorkUnit unit;
+    unit.app = AppId::Pr;
+    unit.path = "no/such/input.mtx";
+    unit.config = parseConfig("TG0");
+    Manifest manifest;
+    manifest.add(unit);
+    try {
+        runManifest(session, manifest);
+        ADD_FAILURE() << "expected EvalError";
+    } catch (const EvalError& err) {
+        EXPECT_EQ(std::string(err.what()),
+                  "work unit '" + unit.key() + "': " + error);
+    }
+    // A preset too small to synthesize is refused from its spec alone,
+    // before any graph is drawn.
     const RunPlan tiny =
         RunPlan{}.app(AppId::Pr).graph(GraphPreset::Dct).scale(1e-4).config(
             "TG0");
+    const std::optional<std::string> why = session.validate(tiny);
+    ASSERT_TRUE(why.has_value());
+    EXPECT_NE(why->find("too small to synthesize DCT"), std::string::npos)
+        << *why;
     EXPECT_FALSE(session.tryRun(tiny, &error).has_value());
-    EXPECT_NE(error.find("cannot trim graph DCT"), std::string::npos)
-        << error;
+    EXPECT_EQ(error, *why);
 }
 
 TEST(Seed, ZeroSeedMatchesUnseededPaperRuns)
@@ -388,10 +396,12 @@ sweepAtWidth(const Workload& wl, std::vector<SystemConfig> configs,
              unsigned threads)
 {
     SessionOptions opts;
-    opts.scale = evaluationScale();
     opts.threads = threads;
     Session session(opts);
-    return submitSweep(session, wl, std::move(configs)).collect();
+    const SweepSpec spec = buildSweepSpec(wl, std::move(configs),
+                                          SimParams{}, evaluationScale());
+    return sweepFromResults(spec,
+                            runManifest(session, manifestForSpecs({spec})));
 }
 
 TEST(ParallelSweep, BitIdenticalToSerial)

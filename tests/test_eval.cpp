@@ -197,7 +197,21 @@ TEST(WorkUnit, FromJsonRejectsUnitsThatCannotRun)
             unit("{\"preset\": \"RAJ\", \"scale\": 1e-7}", "{}"))),
         EvalError);
     EXPECT_NO_THROW(WorkUnit::fromJson(Json::parse(
-        unit("{\"preset\": \"RAJ\", \"scale\": 5e-7}", "{}"))));
+        unit("{\"preset\": \"WNG\", \"scale\": 5e-7}", "{}"))));
+    // A scale too small to synthesize its preset: DCT's backbone needs
+    // more pairs than its edge target below 7.1e-4.
+    try {
+        WorkUnit::fromJson(Json::parse(
+            unit("{\"preset\": \"DCT\", \"scale\": 5e-4}", "{}")));
+        ADD_FAILURE() << "expected EvalError";
+    } catch (const EvalError& err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      "work-unit scale is too small to synthesize DCT"),
+                  std::string::npos)
+            << err.what();
+    }
+    EXPECT_NO_THROW(WorkUnit::fromJson(Json::parse(
+        unit("{\"preset\": \"DCT\", \"scale\": 1e-3}", "{}"))));
 }
 
 TEST(SimParams, CheckNamesWhatCannotRun)
@@ -254,23 +268,20 @@ TEST(Manifest, JsonAndFileRoundTrip)
 TEST(Manifest, ShardPartitionsExactly)
 {
     const Manifest m = smallManifest();
-    for (const ShardPolicy policy :
-         {ShardPolicy::RoundRobin, ShardPolicy::ByCost}) {
-        for (std::size_t count : {1u, 2u, 3u, 4u}) {
-            std::set<std::string> seen;
-            std::size_t total = 0;
-            for (std::size_t i = 0; i < count; ++i) {
-                const Manifest shard = m.shard(i, count, policy);
-                total += shard.size();
-                for (const WorkUnit& u : shard.units())
-                    EXPECT_TRUE(seen.insert(u.key()).second)
-                        << "unit in two shards: " << u.key();
-                // Deterministic: the same call yields the same shard.
-                EXPECT_EQ(m.shard(i, count, policy), shard);
-            }
-            EXPECT_EQ(total, m.size());
-            EXPECT_EQ(seen.size(), m.size());
+    for (std::size_t count : {1u, 2u, 3u, 4u}) {
+        std::set<std::string> seen;
+        std::size_t total = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            const Manifest shard = m.shard(i, count);
+            total += shard.size();
+            for (const WorkUnit& u : shard.units())
+                EXPECT_TRUE(seen.insert(u.key()).second)
+                    << "unit in two shards: " << u.key();
+            // Deterministic: the same call yields the same shard.
+            EXPECT_EQ(m.shard(i, count), shard);
         }
+        EXPECT_EQ(total, m.size());
+        EXPECT_EQ(seen.size(), m.size());
     }
     EXPECT_THROW(m.shard(2, 2), EvalError);
     EXPECT_THROW(m.shard(0, 0), EvalError);
@@ -470,10 +481,10 @@ TEST(ShardInvariance, DuplicateConfigsInSweepListAreTolerated)
     Session session;
     const std::vector<SystemConfig> configs = {parseConfig("TG0"),
                                                parseConfig("TG0")};
-    const SweepResult sweep =
-        submitSweep(session, {AppId::Mis, GraphPreset::Dct}, configs,
-                    SimParams{}, testScale())
-            .collect();
+    const SweepSpec spec = buildSweepSpec({AppId::Mis, GraphPreset::Dct},
+                                          configs, SimParams{}, testScale());
+    const SweepResult sweep = sweepFromResults(
+        spec, runManifest(session, manifestForSpecs({spec})));
     ASSERT_GE(sweep.results.size(), 2u);
     EXPECT_EQ(sweep.results[0].config, sweep.results[1].config);
     EXPECT_EQ(sweep.results[0].run, sweep.results[1].run);

@@ -216,5 +216,36 @@ TEST(Generator, UnreachableEdgeTargetThrows)
     EXPECT_THROW(buildPresetScaled(GraphPreset::Dct, 1e-4), GraphError);
 }
 
+TEST(Generator, SynthesisErrorMatchesGenerationAtEachPresetsEdge)
+{
+    // Walk each preset up the 1e-5 scale grid to its first buildable
+    // scale by the spec-only check; generation must agree on both sides
+    // of that edge. The edges: AMZ 2e-5, DCT 7.1e-4, EML 1.5e-4, OLS
+    // 1.9e-4, RAJ 7.7e-4; WNG builds at every scale.
+    for (GraphPreset p : kAllGraphPresets) {
+        int k = 1;
+        while (k < 1000 &&
+               synthesisError(presetSpecScaled(p, k * 1e-5)).has_value())
+            ++k;
+        ASSERT_LT(k, 1000) << presetName(p);
+        const GenSpec ok = presetSpecScaled(p, k * 1e-5);
+        EXPECT_NO_THROW(generateGraph(ok, 1)) << presetName(p) << " @ " << k;
+        if (k == 1)
+            continue;
+        const GenSpec bad = presetSpecScaled(p, (k - 1) * 1e-5);
+        const std::optional<std::string> why = synthesisError(bad);
+        ASSERT_TRUE(why.has_value());
+        EXPECT_NE(why->find("backbone needs"), std::string::npos) << *why;
+        try {
+            generateGraph(bad, 1);
+            ADD_FAILURE() << presetName(p) << " @ " << k - 1 << " built";
+        } catch (const GraphError& err) {
+            EXPECT_EQ(std::string(err.what()),
+                      "cannot synthesize graph " + presetName(p) + ": " +
+                          *why);
+        }
+    }
+}
+
 } // namespace
 } // namespace gga

@@ -37,11 +37,11 @@ TEST(Sweep, FindsBestAndIncludesPrediction)
     // MIS on RAJ, the smallest input, at the GGA_SCALE evaluation scale
     // across the figure configs.
     const Workload wl{AppId::Mis, GraphPreset::Raj};
-    SessionOptions opts;
-    opts.scale = evaluationScale();
-    Session session(opts);
-    const SweepResult sweep =
-        submitSweep(session, wl, figureConfigs(false)).collect();
+    Session session;
+    const SweepSpec spec = buildSweepSpec(wl, figureConfigs(false),
+                                          SimParams{}, evaluationScale());
+    const SweepResult sweep = sweepFromResults(
+        spec, runManifest(session, manifestForSpecs({spec})));
     ASSERT_GE(sweep.results.size(), 5u);
     // BEST really is the minimum.
     for (const ConfigResult& r : sweep.results)

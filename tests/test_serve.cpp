@@ -278,6 +278,8 @@ TEST(ServeSubmit, UnitsThatCannotRunAre400AndTheServerStaysUp)
         plan(raj, "{\"warpSize\": 64}"),
         plan(raj, "{\"warpSize\": 4294967328}"),
         plan("{\"preset\": \"RAJ\", \"scale\": 1e-7}", "{}"),
+        // Too small to synthesize: DCT's backbone outgrows its edges.
+        plan("{\"preset\": \"DCT\", \"scale\": 1e-4}", "{}"),
     };
     for (const std::string& body : bodies) {
         const HttpResponse r =
@@ -478,6 +480,10 @@ TEST(ServeLocal, MissingInputFileFailsTheJobAndTheServerStaysUp)
         parseBody(httpRequest(svc.port(), "GET", "/v1/jobs/" + id));
     EXPECT_NE(snap.at("error").asString().find(
                   "cannot open MatrixMarket file: no/such/input.mtx"),
+              std::string::npos)
+        << snap.dump();
+    // The plan was valid; its input was not.
+    EXPECT_EQ(snap.at("error").asString().find("invalid run plan"),
               std::string::npos)
         << snap.dump();
     EXPECT_EQ(httpRequest(svc.port(), "GET", "/healthz").status, 200);
@@ -1094,6 +1100,49 @@ TEST(ServeFaultInjection, ThinPartIsRejectedThenRetriedToDone)
     const std::optional<ResultSet> got = svc.jobs().finalResults(id);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->toJson().dump(), expected.toJson().dump());
+    svc.stop();
+}
+
+TEST(ServeFaultInjection, WorkerReportsAShardItCannotRunAndTheJobFails)
+{
+    // A connected worker that cannot run its shard reports why and keeps
+    // polling: the shard is retried like a rejected part, and the job
+    // fails with the unit's reason instead of waiting on a dead worker.
+    ServiceOptions o = quickOptions();
+    o.retry.leaseMs = 10000; // the retry must come from the report
+    o.retry.maxAttempts = 2;
+    Service svc(o);
+    svc.start();
+    const HttpResponse sub = svc.handle(request(
+        "POST", "/v1/jobs", {},
+        "{\"manifest\": {\"meta\": {}, \"units\": [{\"app\": \"PR\", "
+        "\"input\": {\"path\": \"no/such/input.mtx\"}, \"config\": "
+        "\"TG0\"}]}, \"execution\": \"remote\", \"shards\": 1}"));
+    ASSERT_EQ(sub.status, 202) << sub.body;
+    const std::string id = parseBody(sub).at("id").asString();
+
+    WorkerClientOptions w;
+    w.port = svc.port();
+    w.pollMs = 2;
+    w.idleExitMs = 300;
+    Session workerSession;
+    std::size_t posted = 99;
+    EXPECT_NO_THROW(posted = runWorkerClient(workerSession, w));
+    EXPECT_EQ(posted, 0u);
+
+    EXPECT_EQ(awaitTerminal(svc, id), "failed");
+    const std::string error =
+        parseBody(svc.handle(request("GET", "/v1/jobs/" + id)))
+            .at("error")
+            .asString();
+    EXPECT_NE(error.find("exhausted retries: work unit 'PR-no/such/"
+                         "input.mtx@TG0': cannot build the input graph: "
+                         "cannot open MatrixMarket file"),
+              std::string::npos)
+        << error;
+    const Json orch =
+        parseBody(svc.handle(request("GET", "/stats"))).at("orchestrator");
+    EXPECT_EQ(orch.at("rejected_parts_total").asU64(), 2u);
     svc.stop();
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the async execution layer: the TaskPool executor,
- * Session::submit / submitAll (parity with the synchronous run path,
- * batches in flight at several thread widths, invalid plans surfacing as
- * future errors), and sweeps sharing one executor.
+ * Tests for the async execution layer: the TaskPool executor, manifests
+ * on the Session executor (parity with the synchronous run path, batches
+ * in flight at several thread widths, units that cannot run surfacing as
+ * events and EvalErrors), and sweeps sharing one executor.
  */
 
 #include <atomic>
@@ -23,32 +23,13 @@
 #include "api/task_pool.hpp"
 #include "eval/manifest.hpp"
 #include "eval/run.hpp"
-#include "graph/generator.hpp"
 #include "harness/sweep.hpp"
 #include "harness/workloads.hpp"
 #include "support/faults.hpp"
+#include "support/thread_annotations.hpp"
 
 namespace gga {
 namespace {
-
-const CsrGraph&
-smallGraph()
-{
-    static const CsrGraph g = [] {
-        GenSpec spec;
-        spec.name = "submit-small";
-        spec.numVertices = 500;
-        spec.numDirectedEdges = 2500;
-        spec.dist = DegreeDist::PowerLaw;
-        spec.p1 = 2.2;
-        spec.p2 = 1.4;
-        spec.maxDegree = 40;
-        spec.fracIntraBlock = 0.3;
-        spec.seed = 777;
-        return generateGraph(spec);
-    }();
-    return g;
-}
 
 Session
 makeSession(unsigned threads)
@@ -272,98 +253,130 @@ TEST(SchedulingDeterminism, ManifestBytesIdenticalAcrossWidthsUnderYields)
     }
 }
 
-// --- Session::submit ------------------------------------------------------
+// --- manifests on the Session executor ---------------------------------
 
-TEST(Submit, MatchesRunForEveryApp)
+/** @p app under SG1 (DD1 for the dynamic CC) on RAJ at @p scale. */
+WorkUnit
+rajUnit(AppId app, const SystemConfig& config, bool collect = false)
 {
-    Session serial;
-    Session async = makeSession(2);
-    const CsrGraph& g = smallGraph();
+    WorkUnit u;
+    u.app = app;
+    u.preset = GraphPreset::Raj;
+    u.scale = 0.05;
+    u.config = config;
+    u.collectOutputs = collect;
+    return u;
+}
 
+TEST(Submit, ManifestRowsMatchRunForEveryApp)
+{
+    Manifest manifest;
     for (AppId app : kAllApps) {
         const bool dynamic =
             algoProperties(app).traversal == TraversalKind::Dynamic;
-        const RunPlan plan = RunPlan{}
-                                 .app(app)
-                                 .graph(g, "submit-small")
-                                 .config(dynamic ? "DD1" : "SG1");
-        const RunOutcome want = serial.run(plan);
-        const RunOutcome got = async.submit(plan).get();
-        EXPECT_EQ(got.result.cycles, want.result.cycles) << appName(app);
-        EXPECT_EQ(got.result.kernels, want.result.kernels) << appName(app);
-        EXPECT_EQ(got.result.events, want.result.events) << appName(app);
-        EXPECT_TRUE(got.output == want.output) << appName(app);
-        EXPECT_EQ(got.name(), want.name()) << appName(app);
+        manifest.add(rajUnit(app, parseConfig(dynamic ? "DD1" : "SG1"),
+                             true));
+    }
+    Session serial;
+    Session async = makeSession(2);
+    const ResultSet got = runManifest(async, manifest);
+    ASSERT_EQ(got.size(), manifest.size());
+    for (const WorkUnit& u : manifest.units()) {
+        const RunOutcome want = serial.run(planForUnit(u));
+        const UnitResult& row = got.at(u.key());
+        EXPECT_EQ(row.run, want.result) << u.key();
+        EXPECT_EQ(row.output, summarizeOutput(want)) << u.key();
+        ASSERT_TRUE(row.output.has_value()) << u.key();
+        EXPECT_EQ(row.output->kind, appName(u.app));
     }
 }
 
-TEST(Submit, BatchOfFuturesInFlightAtSeveralWidths)
+TEST(Submit, ManifestInFlightAtSeveralWidths)
 {
-    const CsrGraph& g = smallGraph();
-
     // One batch spanning apps and configs, big enough to keep every
     // width's workers busy simultaneously.
-    std::vector<RunPlan> plans;
+    Manifest manifest;
     for (AppId app : {AppId::Pr, AppId::Mis, AppId::Cc}) {
         const bool dynamic =
             algoProperties(app).traversal == TraversalKind::Dynamic;
         for (const SystemConfig& cfg : figureConfigs(dynamic))
-            plans.push_back(RunPlan{}
-                                .app(app)
-                                .graph(g, "submit-small")
-                                .config(cfg)
-                                .collectOutputs(false));
+            manifest.add(rajUnit(app, cfg));
     }
 
     Session serial;
-    std::vector<RunOutcome> want;
-    for (const RunPlan& plan : plans)
-        want.push_back(serial.run(plan));
+    std::vector<RunResult> want;
+    for (const WorkUnit& u : manifest.units())
+        want.push_back(serial.run(planForUnit(u)).result);
 
     for (unsigned width : {1u, 2u, 4u}) {
         Session async = makeSession(width);
-        std::vector<std::future<RunOutcome>> futures =
-            async.submitAll(plans);
-        ASSERT_EQ(futures.size(), want.size());
-        for (std::size_t i = 0; i < futures.size(); ++i) {
-            const RunOutcome got = futures[i].get();
-            EXPECT_EQ(got.result.cycles, want[i].result.cycles)
-                << want[i].name() << " at width " << width;
-            EXPECT_EQ(got.result.events, want[i].result.events)
-                << want[i].name() << " at width " << width;
-            EXPECT_EQ(got.config, want[i].config) << "ordering at " << i;
+        const ResultSet got = runManifest(async, manifest);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            const std::string& key = manifest.units()[i].key();
+            EXPECT_EQ(got.at(key).run, want[i]) << key << " at " << width;
         }
     }
 }
 
-TEST(Submit, InvalidPlanSurfacesThroughFutureNotFatal)
+TEST(Submit, UnitsThatCannotRunAreEventsThenEvalErrors)
 {
     Session session = makeSession(2);
+    Manifest manifest;
+    const WorkUnit ok = rajUnit(AppId::Pr, parseConfig("SG1"));
     // PR is static: "DD1" fails the app x config predicate.
-    std::future<RunOutcome> bad = session.submit(
-        RunPlan{}.app(AppId::Pr).graph(smallGraph(), "g").config("DD1"));
-    try {
-        bad.get();
-        FAIL() << "expected PlanError";
-    } catch (const PlanError& err) {
-        EXPECT_NE(std::string(err.what()).find("PR"), std::string::npos);
+    const WorkUnit invalid = rajUnit(AppId::Pr, parseConfig("DD1"));
+    WorkUnit missing;
+    missing.app = AppId::Pr;
+    missing.path = "no/such/input.mtx";
+    missing.config = parseConfig("TG0");
+    manifest.add(ok);
+    manifest.add(missing);
+    manifest.add(invalid);
+
+    // Every unit reports, in whatever order it finishes.
+    Mutex mu;
+    CondVar cv;
+    std::vector<UnitEvent> events(manifest.size());
+    std::size_t done = 0;
+    submitManifest(session, manifest, [&](const UnitEvent& ev) {
+        MutexLock lock(mu);
+        events[ev.index] = ev;
+        ++done;
+        cv.notify_one();
+    });
+    {
+        MutexLock lock(mu);
+        while (done < manifest.size())
+            cv.wait(mu);
     }
-    // A malformed config name and an empty plan surface the same way.
-    EXPECT_THROW(session
-                     .submit(RunPlan{}
-                                 .app(AppId::Pr)
-                                 .graph(smallGraph(), "g")
-                                 .config("QQQ"))
-                     .get(),
-                 PlanError);
-    EXPECT_THROW(session.submit(RunPlan{}).get(), PlanError);
-    // The executor survives bad plans.
-    const RunOutcome ok =
-        session
-            .submit(RunPlan{}.app(AppId::Pr).graph(smallGraph(), "g").config(
-                "SG1"))
-            .get();
-    EXPECT_GT(ok.result.cycles, 0u);
+    ASSERT_TRUE(events[0].result.has_value());
+    EXPECT_EQ(events[0].appName, "PR");
+    // A valid plan whose input cannot be built is not an invalid plan.
+    EXPECT_FALSE(events[1].result.has_value());
+    EXPECT_EQ(events[1].error.find("work unit '" + missing.key() + "': "),
+              0u)
+        << events[1].error;
+    EXPECT_NE(events[1].error.find("cannot open MatrixMarket file"),
+              std::string::npos);
+    EXPECT_EQ(events[1].error.find("invalid run plan"), std::string::npos);
+    EXPECT_FALSE(events[2].result.has_value());
+    EXPECT_EQ(events[2].error,
+              "work unit '" + invalid.key() + "': invalid run plan: " +
+                  *session.validate(planForUnit(invalid)));
+
+    // runManifest names the first failed unit in manifest order.
+    try {
+        runManifest(session, manifest);
+        ADD_FAILURE() << "expected EvalError";
+    } catch (const EvalError& err) {
+        EXPECT_EQ(std::string(err.what()), events[1].error);
+    }
+    // The executor survives units that cannot run.
+    Manifest good;
+    good.add(ok);
+    EXPECT_EQ(runManifest(session, good).at(ok.key()).run,
+              events[0].result->run);
 }
 
 TEST(Submit, ThreadsOptionResolves)
@@ -385,29 +398,26 @@ TEST(SubmitSweep, ConcurrentSweepsMatchStandaloneSerial)
 {
     const Workload mis{AppId::Mis, GraphPreset::Raj};
     const Workload cc{AppId::Cc, GraphPreset::Raj};
-    const SimParams params;
-    // Every session sweeps at the GGA_SCALE evaluation scale, so only the
+    // Every sweep runs at the GGA_SCALE evaluation scale, so only the
     // executor width differs between the serial and parallel runs.
-    SessionOptions opts;
-    opts.scale = evaluationScale();
+    const SweepSpec mis_spec = buildSweepSpec(mis, figureConfigs(false),
+                                              SimParams{}, evaluationScale());
+    const SweepSpec cc_spec = buildSweepSpec(cc, figureConfigs(true),
+                                             SimParams{}, evaluationScale());
 
-    opts.threads = 1;
-    Session serial(opts);
-    const SweepResult mis_serial =
-        submitSweep(serial, mis, figureConfigs(false), params).collect();
-    const SweepResult cc_serial =
-        submitSweep(serial, cc, figureConfigs(true), params).collect();
+    Session serial = makeSession(1);
+    const SweepResult mis_serial = sweepFromResults(
+        mis_spec, runManifest(serial, manifestForSpecs({mis_spec})));
+    const SweepResult cc_serial = sweepFromResults(
+        cc_spec, runManifest(serial, manifestForSpecs({cc_spec})));
 
     for (unsigned width : {2u, 4u}) {
-        opts.threads = width;
-        Session session(opts);
-        // Both sweeps in flight on one executor before either collects.
-        PendingSweep a =
-            submitSweep(session, mis, figureConfigs(false), params);
-        PendingSweep b =
-            submitSweep(session, cc, figureConfigs(true), params);
-        const SweepResult mis_par = a.collect();
-        const SweepResult cc_par = b.collect();
+        Session session = makeSession(width);
+        // Both sweeps in flight on one executor, as one manifest.
+        const ResultSet results =
+            runManifest(session, manifestForSpecs({mis_spec, cc_spec}));
+        const SweepResult mis_par = sweepFromResults(mis_spec, results);
+        const SweepResult cc_par = sweepFromResults(cc_spec, results);
 
         for (const auto& [serial, par] :
              {std::pair<const SweepResult&, const SweepResult&>(mis_serial,

@@ -16,21 +16,19 @@
  * that merge bit-identically to a single in-process run. Execution fans
  * out on the in-process TaskPool executor (--threads).
  *
- * Usage: gga_worker --manifest FILE [--shard I/N] [--policy rr|cost]
- *                   [--out FILE] [common options]
+ * Usage: gga_worker --manifest FILE [--shard I/N] [--out FILE]
+ *                   [common options]
  *        gga_worker --connect PORT [--name NAME] [--token T]
- *                   [--idle-exit-ms MS] [--poll-ms MS]
- *                   [--exit-after-assignments N] [common options]
- *   --shard   this worker's slice; default 0/1 (the whole manifest)
- *   --policy  shard assignment: rr (round-robin, default) or cost
- *             (balance estimated edge-work)
+ *                   [--idle-exit-ms MS] [--poll-ms MS] [common options]
+ *   --shard   this worker's round-robin slice; default 0/1 (the whole
+ *             manifest)
  *   --out     output path; default part_<I>.json
  *   --connect  port of a local gga_serve to pull assignments from
  *   --token   worker auth token, when the server runs --worker-token
  *   --idle-exit-ms  exit after this long with no assignment (0 = never)
- *   --exit-after-assignments  test hook: die (exit 17) upon receiving
- *             the Nth assignment, before running it — exercises the
- *             server's lease retry
+ *   A connected worker that cannot run a shard reports why and keeps
+ *   polling. GGA_FAULTS=crash.worker.assignment=1 makes it die (exit 41)
+ *   on its first assignment, which exercises the server's lease retry.
  *   common:
  *   --threads executor width; default GGA_SESSION_THREADS (then 1)
  *   --graph-budget-mb  LRU byte budget for cached input graphs, so many
@@ -50,11 +48,6 @@
 #include "support/log.hpp"
 #include "support/parse.hpp"
 
-namespace {
-
-
-} // namespace
-
 int
 main(int argc, char** argv)
 {
@@ -62,7 +55,6 @@ main(int argc, char** argv)
     std::string out;
     std::size_t shard_index = 0;
     std::size_t shard_count = 1;
-    gga::ShardPolicy policy = gga::ShardPolicy::RoundRobin;
     unsigned threads = 0;
     std::size_t budget_mb = 0;
     std::string graph_cache;
@@ -88,14 +80,6 @@ main(int argc, char** argv)
                 GGA_FATAL("--shard wants I/N, got '", spec, "'");
             shard_index = *index;
             shard_count = *count;
-        } else if (!std::strcmp(argv[i], "--policy") && i + 1 < argc) {
-            const std::string p = argv[++i];
-            if (p == "rr")
-                policy = gga::ShardPolicy::RoundRobin;
-            else if (p == "cost")
-                policy = gga::ShardPolicy::ByCost;
-            else
-                GGA_FATAL("--policy wants rr or cost, got '", p, "'");
         } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
             out = argv[++i];
         } else if (!std::strcmp(argv[i], "--connect") && i + 1 < argc) {
@@ -111,10 +95,6 @@ main(int argc, char** argv)
                 gga::parseFlag<unsigned>("--idle-exit-ms", argv[++i]);
         } else if (!std::strcmp(argv[i], "--poll-ms") && i + 1 < argc) {
             client.pollMs = gga::parseFlag<unsigned>("--poll-ms", argv[++i]);
-        } else if (!std::strcmp(argv[i], "--exit-after-assignments") &&
-                   i + 1 < argc) {
-            client.exitAfterAssignments = gga::parseFlag<unsigned>(
-                "--exit-after-assignments", argv[++i]);
         } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
             threads =
                 gga::parseFlag<unsigned>("--threads", argv[++i]);
@@ -129,10 +109,9 @@ main(int argc, char** argv)
         } else {
             GGA_FATAL("unknown argument '", argv[i],
                       "'; usage: gga_worker --manifest FILE [--shard I/N] "
-                      "[--policy rr|cost] [--out FILE] | --connect PORT "
+                      "[--out FILE] | --connect PORT "
                       "[--name NAME] [--token T] [--idle-exit-ms MS] "
-                      "[--poll-ms MS] "
-                      "[--exit-after-assignments N]  plus [--threads T] "
+                      "[--poll-ms MS]  plus [--threads T] "
                       "[--graph-budget-mb M] [--graph-cache DIR] "
                       "[--verbose]");
         }
@@ -159,8 +138,7 @@ main(int argc, char** argv)
         }
 
         const gga::Manifest manifest = gga::Manifest::load(manifest_path);
-        const gga::Manifest shard =
-            manifest.shard(shard_index, shard_count, policy);
+        const gga::Manifest shard = manifest.shard(shard_index, shard_count);
         if (out.empty())
             out = "part_" + std::to_string(shard_index) + ".json";
 
