@@ -227,15 +227,14 @@ buildFigureSet(const std::string& figure, double scale, bool full,
                     set.partialPredicted.push_back(
                         (*partial_predictions)[index]);
                 } else {
-                    // Computed at build time, not render time: the default
-                    // GpuGeometry, the workload's profile at the figure
-                    // scale, no DRFrlx.
+                    // Computed at build time, not render time: the
+                    // figure's hardware point, the workload's profile at
+                    // the figure scale, no DRFrlx.
                     DesignSpaceRestriction restriction;
                     restriction.allowDrfRlx = false;
-                    GpuGeometry geom;
                     const TaxonomyProfile profile = profileGraph(
                         *GraphStore::instance().get(wl.graph, set.scale),
-                        geom);
+                        geometryOf(params));
                     set.partialPredicted.push_back(
                         predictPartialDesignSpace(
                             profile, algoProperties(wl.app), restriction));

@@ -34,9 +34,8 @@ baselineConfig(const Workload& workload)
     return workload.dynamic() ? parseConfig("DG1") : parseConfig("TG0");
 }
 
-SystemConfig
-predictWorkload(const Workload& workload, const SimParams& params,
-                double scale)
+GpuGeometry
+geometryOf(const SimParams& params)
 {
     GpuGeometry geom;
     geom.numSms = params.numSms;
@@ -44,11 +43,18 @@ predictWorkload(const Workload& workload, const SimParams& params,
     geom.warpSize = params.warpSize;
     geom.l1KiB = params.l1SizeKiB;
     geom.l2KiB = params.l2SizeKiB;
+    return geom;
+}
+
+SystemConfig
+predictWorkload(const Workload& workload, const SimParams& params,
+                double scale)
+{
     // Resolve through the GraphStore so the handle is released after
     // profiling and eviction stays effective.
     const GraphStore::GraphPtr graph =
         GraphStore::instance().get(workload.graph, resolveScale(scale));
-    const TaxonomyProfile profile = profileGraph(*graph, geom);
+    const TaxonomyProfile profile = profileGraph(*graph, geometryOf(params));
     return predictFullDesignSpace(profile, algoProperties(workload.app));
 }
 

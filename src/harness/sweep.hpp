@@ -101,9 +101,15 @@ Manifest manifestForSpecs(const std::vector<SweepSpec>& specs);
 SystemConfig baselineConfig(const Workload& workload);
 
 /**
+ * The GPU geometry the taxonomy profiles a graph against at hardware
+ * point @p params: its SM count, block and warp size, and L1/L2 sizes.
+ */
+GpuGeometry geometryOf(const SimParams& params);
+
+/**
  * The model's prediction for a workload (full design space), profiling
  * the input through the GraphStore at @p scale (0 = the GGA_SCALE
- * evaluation scale).
+ * evaluation scale) under geometryOf(@p params).
  */
 SystemConfig predictWorkload(const Workload& workload,
                              const SimParams& params = SimParams{},

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 
+#include "serve/journal.hpp"
 #include "support/log.hpp"
+#include "support/parse.hpp"
 
 namespace gga {
 
@@ -20,6 +21,13 @@ jobStateName(JobState s)
     case JobState::Canceled: return "canceled";
     }
     return "unknown";
+}
+
+bool
+isTerminal(JobState s)
+{
+    return s == JobState::Done || s == JobState::Failed ||
+           s == JobState::Canceled;
 }
 
 std::optional<JobState>
@@ -103,13 +111,6 @@ JobTable::create(const std::string& tenant, Manifest manifest, bool remote,
 }
 
 void
-JobTable::setObserver(Observer obs)
-{
-    MutexLock lock(mu_);
-    observer_ = std::move(obs);
-}
-
-void
 JobTable::restore(const JobRestore& r)
 {
     MutexLock lock(mu_);
@@ -123,22 +124,22 @@ JobTable::restore(const JobRestore& r)
     j.manifest = r.manifest;
     j.remote = r.remote;
     j.shards = r.shards;
-    j.state = r.state;
+    j.state = r.remote ? r.state : JobState::Queued;
     j.error = r.error;
     j.rows = r.rows;
     // Resume numbering past the restored id so new jobs never collide.
     std::uint64_t seq = 0;
-    if (r.id.rfind("job-", 0) == 0) {
-        char* end = nullptr;
-        seq = std::strtoull(r.id.c_str() + 4, &end, 10);
-        if (end == nullptr || *end != '\0')
-            seq = 0;
-    }
+    if (r.id.rfind("job-", 0) == 0)
+        seq = parseUnsigned<std::uint64_t>(r.id.substr(4)).value_or(0);
     if (seq == 0)
         seq = nextId_ + 1;
     nextId_ = std::max(nextId_, seq);
     j.seq = seq;
-    jobs_.emplace(r.id, std::move(j));
+    Job& restored = jobs_.emplace(r.id, std::move(j)).first->second;
+    // The crash may have hit between a job's last part and its done
+    // record: then its rows already cover the manifest.
+    if (r.remote && !r.rows.empty())
+        progressLocked(restored);
     cv_.notify_all();
 }
 
@@ -156,98 +157,65 @@ void
 JobTable::unitDone(const std::string& id, const UnitEvent& ev)
 {
     MutexLock lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end())
-        return;
-    Job& j = it->second;
     if (!ev.appName.empty())
         latency_[ev.appName].record(ev.millis);
-    if (terminal(j.state))
+    Job* j = liveLocked(id);
+    if (!j)
         return; // late event for a canceled/failed job
-    const JobState before = j.state;
-    if (j.state == JobState::Queued)
-        j.state = JobState::Running;
     if (ev.result) {
-        j.rows.push_back(*ev.result);
+        j->rows.push_back(*ev.result);
     } else {
-        ++j.failedUnits;
-        if (j.error.empty())
-            j.error = ev.error;
+        ++j->failedUnits;
+        if (j->error.empty())
+            j->error = ev.error;
     }
-    maybeFinishLocalLocked(j);
-    if (j.state != before)
-        notifyLocked(j);
-    bumpLocked(j);
+    progressLocked(*j);
 }
 
 void
 JobTable::markRunning(const std::string& id)
 {
     MutexLock lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || it->second.state != JobState::Queued)
-        return;
-    it->second.state = JobState::Running;
-    notifyLocked(it->second);
-    bumpLocked(it->second);
+    Job* j = liveLocked(id);
+    if (j && j->state == JobState::Queued)
+        progressLocked(*j);
 }
 
 void
-JobTable::addRemoteProgress(const std::string& id,
-                            const std::vector<UnitResult>& rows)
+JobTable::addRows(const std::string& id, const std::vector<UnitResult>& rows)
 {
     MutexLock lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second.state))
+    Job* j = liveLocked(id);
+    if (!j)
         return;
-    Job& j = it->second;
-    if (j.state == JobState::Queued) {
-        j.state = JobState::Running;
-        notifyLocked(j);
-    }
-    j.rows.insert(j.rows.end(), rows.begin(), rows.end());
-    bumpLocked(j);
-}
-
-void
-JobTable::finishRemote(const std::string& id, ResultSet merged)
-{
-    MutexLock lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second.state))
-        return;
-    Job& j = it->second;
-    j.finalResults = std::move(merged);
-    j.state = JobState::Done;
-    notifyLocked(j);
-    bumpLocked(j);
+    j->rows.insert(j->rows.end(), rows.begin(), rows.end());
+    progressLocked(*j);
 }
 
 void
 JobTable::fail(const std::string& id, const std::string& why)
 {
     MutexLock lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second.state))
+    Job* j = liveLocked(id);
+    if (!j)
         return;
-    Job& j = it->second;
-    j.state = JobState::Failed;
-    if (j.error.empty())
-        j.error = why;
-    notifyLocked(j);
-    bumpLocked(j);
+    const JobState before = j->state;
+    j->state = JobState::Failed;
+    if (j->error.empty())
+        j->error = why;
+    changedLocked(*j, before);
 }
 
 bool
 JobTable::cancel(const std::string& id)
 {
     MutexLock lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || terminal(it->second.state))
+    Job* j = liveLocked(id);
+    if (!j)
         return false;
-    it->second.state = JobState::Canceled;
-    notifyLocked(it->second);
-    bumpLocked(it->second);
+    const JobState before = j->state;
+    j->state = JobState::Canceled;
+    changedLocked(*j, before);
     return true;
 }
 
@@ -321,19 +289,24 @@ JobTable::resultsAfter(const std::string& id, std::size_t after) const
                              static_cast<std::ptrdiff_t>(after),
                          j.rows.end());
     page.next = j.rows.size();
-    page.terminal = terminal(j.state);
+    page.terminal = isTerminal(j.state);
     return page;
 }
 
 std::optional<ResultSet>
 JobTable::finalResults(const std::string& id) const
 {
-    MutexLock lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || it->second.state != JobState::Done ||
-        !it->second.finalResults)
-        return std::nullopt;
-    return it->second.finalResults;
+    std::vector<UnitResult> rows;
+    {
+        MutexLock lock(mu_);
+        const auto it = jobs_.find(id);
+        if (it == jobs_.end() || it->second.state != JobState::Done)
+            return std::nullopt;
+        rows = it->second.rows;
+    }
+    // Re-sorting by key makes the set bit-identical to the blocking
+    // runManifest path's; the rows were verified when the job finished.
+    return ResultSet::fromRows(std::move(rows));
 }
 
 Json
@@ -399,18 +372,45 @@ JobTable::snapshotLocked(const Job& j) const
     return s;
 }
 
-void
-JobTable::notifyLocked(const Job& j)
+JobTable::Job*
+JobTable::liveLocked(const std::string& id)
 {
-    if (observer_)
-        observer_(snapshotLocked(j));
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end() || isTerminal(it->second.state))
+        return nullptr;
+    return &it->second;
 }
 
 void
-JobTable::bumpLocked(Job& j)
+JobTable::changedLocked(Job& j, JobState before)
 {
+    if (journal_ != nullptr && j.state != before) {
+        journal_->state(j.id, j.state, j.error);
+        if (isTerminal(j.state))
+            journal_->finish(j.id);
+    }
     ++j.version;
     cv_.notify_all();
+}
+
+void
+JobTable::progressLocked(Job& j)
+{
+    const JobState before = j.state;
+    j.state = JobState::Running;
+    if (j.rows.size() + j.failedUnits >= j.manifest.size()) {
+        j.state = JobState::Failed;
+        try {
+            if (j.failedUnits == 0) {
+                ResultSet::fromRows(j.rows).verifyComplete(j.manifest);
+                j.state = JobState::Done;
+            }
+        } catch (const EvalError& err) {
+            if (j.error.empty())
+                j.error = err.what();
+        }
+    }
+    changedLocked(j, before);
 }
 
 std::size_t
@@ -419,33 +419,10 @@ JobTable::liveCountLocked(const std::string& tenant) const
     std::size_t n = 0;
     for (const auto& [id, j] : jobs_) {
         (void)id;
-        if (j.tenant == tenant && !terminal(j.state))
+        if (j.tenant == tenant && !isTerminal(j.state))
             ++n;
     }
     return n;
-}
-
-void
-JobTable::maybeFinishLocalLocked(Job& j)
-{
-    if (j.remote || j.rows.size() + j.failedUnits < j.manifest.size())
-        return;
-    if (j.failedUnits > 0) {
-        j.state = JobState::Failed;
-        return;
-    }
-    // Assembling from rows re-sorts by key, so the final set is
-    // bit-identical to the blocking runManifest path's.
-    try {
-        ResultSet rs = ResultSet::fromRows(j.rows);
-        rs.verifyComplete(j.manifest);
-        j.finalResults = std::move(rs);
-        j.state = JobState::Done;
-    } catch (const EvalError& err) {
-        j.state = JobState::Failed;
-        if (j.error.empty())
-            j.error = err.what();
-    }
 }
 
 } // namespace gga

@@ -1,6 +1,7 @@
 /**
  * @file
- * JobTable: the resident service's multi-tenant job registry.
+ * JobTable: the resident service's multi-tenant job registry, and the one
+ * place a job finishes.
  *
  * Every submitted RunPlan or Manifest becomes a Job with a process-unique
  * id, a tenant, a lifecycle (Queued -> Running -> Done/Failed/Canceled),
@@ -11,9 +12,18 @@
  * Admission is bounded per tenant: a tenant may hold at most
  * maxQueuedPerTenant jobs in Queued+Running at once; the next submit is
  * rejected with AdmissionError (HTTP 429) instead of queueing unbounded
- * work behind a shared executor. Completed unit rows are kept in
- * completion order so clients can stream results incrementally
- * (resultsAfter) while the job still runs.
+ * work behind a shared executor.
+ *
+ * Completion: rows arrive one unit at a time from the local executor
+ * (unitDone) or one verified shard part at a time from the Orchestrator
+ * (addRows). The table holds them once, in completion order, so clients
+ * can stream them (resultsAfter) while the job still runs. Once they
+ * cover the manifest, the job is Done if ResultSet::fromRows of the rows
+ * verifies complete against it, the check gga_merge applies too.
+ *
+ * Every state transition is journaled (one state record, plus a
+ * compaction once the job is terminal) under the table lock: the lock
+ * order is JobTable -> Journal, and the Journal never calls out.
  *
  * Latency telemetry: per-app log2-bucketed histograms of unit wall
  * times, fed by every locally executed unit.
@@ -24,9 +34,9 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,6 +47,8 @@
 #include "support/thread_annotations.hpp"
 
 namespace gga {
+
+class Journal;
 
 /** Thrown when a tenant's admission quota is exhausted (HTTP 429). */
 class AdmissionError : public std::runtime_error
@@ -58,6 +70,9 @@ enum class JobState
 };
 
 std::string jobStateName(JobState s);
+
+/** Done, Failed or Canceled: nothing changes the job any more. */
+bool isTerminal(JobState s);
 
 /** Inverse of jobStateName; nullopt for an unrecognized name. */
 std::optional<JobState> jobStateFromName(const std::string& name);
@@ -96,8 +111,10 @@ struct JobSnapshot
 class JobTable
 {
   public:
-    explicit JobTable(std::size_t maxQueuedPerTenant = 8)
-        : maxQueuedPerTenant_(maxQueuedPerTenant)
+    /** @p journal, when non-null, receives every state transition. */
+    explicit JobTable(std::size_t maxQueuedPerTenant = 8,
+                      Journal* journal = nullptr)
+        : maxQueuedPerTenant_(maxQueuedPerTenant), journal_(journal)
     {
     }
 
@@ -109,15 +126,7 @@ class JobTable
     std::string create(const std::string& tenant, Manifest manifest,
                        bool remote, std::size_t shards);
 
-    /**
-     * Observer called (under the table lock — keep it lock-ordered and
-     * quick) after every job STATE transition, with the fresh snapshot.
-     * The journal's state-record feed. Set before traffic starts.
-     */
-    using Observer = std::function<void(const JobSnapshot&)>;
-    void setObserver(Observer obs);
-
-    /** One journal-recovered job, re-inserted verbatim by restore(). */
+    /** One job as Journal::recovered() rebuilds it from the log. */
     struct JobRestore
     {
         std::string id; ///< original id ("job-<n>"); numbering resumes past it
@@ -127,14 +136,17 @@ class JobTable
         std::size_t shards = 0;
         JobState state = JobState::Queued;
         std::string error;
-        std::vector<UnitResult> rows; ///< already-completed units
+        std::vector<UnitResult> rows;     ///< the recovered parts' rows
+        std::set<std::size_t> doneShards; ///< the shards those parts ran
     };
 
     /**
      * Re-insert a recovered job under its original id, bypassing the
-     * admission bound and the observer (its history is already in the
-     * journal). The id counter resumes past the restored id so new jobs
-     * never collide. Quietly ignores an id that already exists.
+     * admission bound. A local job restarts Queued: it re-runs from
+     * scratch. A remote job keeps its recovered rows, and when they
+     * already cover its manifest it is finished (and journaled) here.
+     * The id counter resumes past the restored id so new jobs never
+     * collide. Quietly ignores an id that already exists.
      */
     void restore(const JobRestore& r);
 
@@ -147,12 +159,11 @@ class JobTable
     /** Remote path: mark running (first shard assigned). */
     void markRunning(const std::string& id);
 
-    /** Remote path: per-shard progress (units another host completed). */
-    void addRemoteProgress(const std::string& id,
-                           const std::vector<UnitResult>& rows);
-
-    /** Remote path: the verified merged results; moves the job to Done. */
-    void finishRemote(const std::string& id, ResultSet merged);
+    /**
+     * Remote path: the rows of one verified shard part. The job finishes
+     * on the part that makes its rows cover the manifest.
+     */
+    void addRows(const std::string& id, const std::vector<UnitResult>& rows);
 
     /** Move the job to Failed with @p why (idempotent once terminal). */
     void fail(const std::string& id, const std::string& why);
@@ -193,9 +204,9 @@ class JobTable
                                          std::size_t after) const;
 
     /**
-     * The finished job's complete ResultSet (key-sorted — for local jobs
-     * assembled from the event rows, for remote jobs the orchestrator's
-     * verified merge); nullopt while not Done or for an unknown id.
+     * The finished job's complete ResultSet, key-sorted from its rows
+     * (verified at completion); nullopt while not Done or for an unknown
+     * id.
      */
     std::optional<ResultSet> finalResults(const std::string& id) const;
 
@@ -218,30 +229,26 @@ class JobTable
         std::size_t failedUnits = 0;
         std::uint64_t version = 1;
         std::string error;
-        std::optional<ResultSet> finalResults;
         std::uint64_t seq = 0; ///< creation order, for list()
     };
 
-    static bool terminal(JobState s)
-    {
-        return s == JobState::Done || s == JobState::Failed ||
-               s == JobState::Canceled;
-    }
-
     JobSnapshot snapshotLocked(const Job& j) const GGA_REQUIRES(mu_);
-    void notifyLocked(const Job& j) GGA_REQUIRES(mu_);
-    void bumpLocked(Job& j) GGA_REQUIRES(mu_);
+    /** The job unless it is unknown or terminal. */
+    Job* liveLocked(const std::string& id) GGA_REQUIRES(mu_);
+    /** Bump the version; journal the state if it moved off @p before. */
+    void changedLocked(Job& j, JobState before) GGA_REQUIRES(mu_);
+    /** Mark Running, finish once the rows cover the manifest, bump. */
+    void progressLocked(Job& j) GGA_REQUIRES(mu_);
     std::size_t liveCountLocked(const std::string& tenant) const
         GGA_REQUIRES(mu_);
-    void maybeFinishLocalLocked(Job& j) GGA_REQUIRES(mu_);
 
     const std::size_t maxQueuedPerTenant_;
+    Journal* const journal_; ///< may be null; internally synchronized
     mutable Mutex mu_;
     mutable CondVar cv_;
     bool shutdown_ GGA_GUARDED_BY(mu_) = false;
     std::uint64_t nextId_ GGA_GUARDED_BY(mu_) = 0;
     std::map<std::string, Job> jobs_ GGA_GUARDED_BY(mu_);
-    Observer observer_ GGA_GUARDED_BY(mu_);
     /** Unit wall-time histograms by app name. */
     std::map<std::string, LatencyHistogram> latency_ GGA_GUARDED_BY(mu_);
 };

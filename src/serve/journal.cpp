@@ -15,17 +15,6 @@
 
 namespace gga {
 
-namespace {
-
-bool
-isTerminal(JobState s)
-{
-    return s == JobState::Done || s == JobState::Failed ||
-           s == JobState::Canceled;
-}
-
-} // namespace
-
 std::string
 Journal::journalPath() const
 {
@@ -49,7 +38,7 @@ Journal::Journal(std::string stateDir) : dir_(std::move(stateDir))
     // --- replay ----------------------------------------------------------
     struct Pending
     {
-        RecoveredJob job;
+        JobTable::JobRestore job;
         JobRecords recs;
     };
     std::vector<std::string> order;
@@ -92,18 +81,27 @@ Journal::Journal(std::string stateDir) : dir_(std::move(stateDir))
                 const auto it = pending.find(job);
                 if (it == pending.end())
                     continue;
+                JobTable::JobRestore& rj = it->second.job;
                 const std::size_t shard =
                     static_cast<std::size_t>(rec.at("shard").asU64());
                 const std::uint64_t sum = rec.at("checksum").asU64();
-                // A part that fails its checksum (or won't parse) is not
-                // tail damage: drop just this shard and let it re-run.
+                // A part that fails its checksum (or won't parse, or is
+                // not one of the job's shards) is not tail damage: drop
+                // just this shard and let it re-run.
                 try {
+                    if (shard >= rj.shards || rj.doneShards.count(shard))
+                        throw EvalError("not an open shard of a " +
+                                        std::to_string(rj.shards) +
+                                        "-shard job");
                     const std::string text =
                         readTextFile(partPath(job, shard));
                     if (fnv1a(text.data(), text.size()) != sum)
                         throw EvalError("part checksum mismatch");
-                    it->second.job.parts[shard] =
+                    const ResultSet part =
                         ResultSet::fromJson(Json::parse(text));
+                    rj.rows.insert(rj.rows.end(), part.results().begin(),
+                                   part.results().end());
+                    rj.doneShards.insert(shard);
                     it->second.recs.partLines[shard] = line;
                 } catch (const std::exception& err) {
                     ++droppedParts_;

@@ -15,18 +15,21 @@
  *                               journal record — a record never points
  *                               at a file that might not exist.
  *
- * Durability contract: a record is flushed before the action it
- * describes is acknowledged, so after any crash the journal describes a
- * prefix of what actually happened. Replay (the constructor) tolerates a
- * torn tail — the first unparseable line is warned about and everything
- * from it on is dropped, recovering to the last good record — and a part
- * file that fails its checksum is dropped so its shard simply re-runs.
+ * Durability contract: a record is flushed (not fsynced) before the
+ * action it describes is acknowledged, so after a process crash the
+ * journal describes a prefix of what actually happened; a power loss may
+ * lose the page cache's tail. Replay (the constructor) tolerates a torn
+ * tail — the first unparseable line is warned about and everything from
+ * it on is dropped, recovering to the last good record — and a part that
+ * fails its checksum, or names a shard its job does not have, is dropped
+ * so its shard simply re-runs.
  *
- * Compaction: when a job reaches a terminal state the server calls
- * finish(), which drops the job's records, deletes its part files, and
- * rewrites journal.jsonl (temp + rename again); terminal jobs found at
- * replay are compacted the same way, so the log stays proportional to
- * live work, not service uptime.
+ * Writers: the Service appends admissions, the JobTable every state
+ * transition, the Orchestrator every verified part. When a job reaches a
+ * terminal state the JobTable calls finish(), which drops the job's
+ * records, deletes its part files, and rewrites journal.jsonl (temp +
+ * rename again); terminal jobs found at replay are compacted the same
+ * way, so the log stays proportional to live work, not service uptime.
  *
  * Thread-safe; append order under mu_ is the replay order.
  */
@@ -41,7 +44,6 @@
 #include <vector>
 
 #include "eval/manifest.hpp"
-#include "eval/result_set.hpp"
 #include "serve/job_table.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -50,20 +52,6 @@ namespace gga {
 class Journal
 {
   public:
-    /** One non-terminal job reconstructed from the log at startup. */
-    struct RecoveredJob
-    {
-        std::string id;
-        std::string tenant;
-        bool remote = false;
-        std::size_t shards = 0;
-        JobState state = JobState::Queued;
-        std::string error;
-        Manifest manifest;
-        /** Verified shard parts by shard index (remote jobs only). */
-        std::map<std::size_t, ResultSet> parts;
-    };
-
     /**
      * Open (creating @p stateDir and its parts/ subdirectory when
      * absent), replay the existing log, compact terminal jobs away, and
@@ -76,8 +64,11 @@ class Journal
     Journal(const Journal&) = delete;
     Journal& operator=(const Journal&) = delete;
 
-    /** Jobs that were live at the last crash, in admission order. */
-    const std::vector<RecoveredJob>& recovered() const
+    /**
+     * Jobs that were live at the last crash, in admission order, each
+     * with the rows of its recovered parts.
+     */
+    const std::vector<JobTable::JobRestore>& recovered() const
     {
         return recovered_;
     }
@@ -134,7 +125,7 @@ class Journal
     std::uint64_t compactions_ GGA_GUARDED_BY(mu_) = 0;
     std::uint64_t droppedParts_ = 0; ///< ctor-only write
     bool tailDamaged_ = false;       ///< ctor-only write
-    std::vector<RecoveredJob> recovered_; ///< ctor-only write
+    std::vector<JobTable::JobRestore> recovered_; ///< ctor-only write
 };
 
 } // namespace gga

@@ -24,11 +24,8 @@ std::string
 Orchestrator::registerWorker(const std::string& name)
 {
     MutexLock lock(mu_);
-    Worker w;
-    w.name = name.empty() ? "worker" : name;
-    w.lastSeen = Clock::now();
     const std::string id = "w-" + std::to_string(++nextWorker_);
-    workers_.emplace(id, std::move(w));
+    workers_.emplace(id, name.empty() ? "worker" : name);
     GGA_INFORM("serve: worker ", id, " (", name, ") registered");
     return id;
 }
@@ -40,31 +37,37 @@ Orchestrator::knownWorker(const std::string& worker) const
     return workers_.count(worker) != 0;
 }
 
-bool
-Orchestrator::enqueueJob(const std::string& jobId, std::size_t shardCount)
+void
+Orchestrator::enqueueJob(const std::string& jobId, std::size_t shardCount,
+                         const std::set<std::size_t>& doneShards)
 {
     GGA_ASSERT(shardCount >= 1, "remote job needs at least one shard");
     const std::optional<Manifest> manifest = jobs_.manifestOf(jobId);
     if (!manifest)
-        return false;
+        return;
+    if (!doneShards.empty())
+        GGA_WARN("serve: restored ", jobId, " with ", doneShards.size(),
+                 "/", shardCount, " shard(s) already done");
     MutexLock lock(mu_);
+    recoveredParts_ += doneShards.size();
+    if (doneShards.size() == shardCount)
+        return;
     RemoteJob rj;
     rj.seq = ++nextJobSeq_;
     rj.manifest = *manifest;
     rj.shards.resize(shardCount);
+    for (const std::size_t s : doneShards)
+        rj.shards.at(s).state = ShardState::Done;
     remote_.emplace(jobId, std::move(rj));
-    return true;
 }
 
 std::optional<Assignment>
 Orchestrator::poll(const std::string& worker)
 {
     MutexLock lock(mu_);
-    const auto wit = workers_.find(worker);
-    if (wit == workers_.end())
+    if (workers_.count(worker) == 0)
         return std::nullopt;
     const auto now = Clock::now();
-    wit->second.lastSeen = now;
 
     // Oldest job first, lowest shard index within it: deterministic and
     // fair, and a retried shard naturally lands on whichever worker
@@ -106,10 +109,25 @@ Orchestrator::poll(const std::string& worker)
     return a;
 }
 
+bool
+Orchestrator::renew(const std::string& worker, const std::string& jobId,
+                    std::size_t shard)
+{
+    MutexLock lock(mu_);
+    const auto jit = remote_.find(jobId);
+    if (jit == remote_.end() || shard >= jit->second.shards.size())
+        return false;
+    Shard& sh = jit->second.shards[shard];
+    if (sh.state != ShardState::Assigned || sh.worker != worker)
+        return false;
+    sh.deadline = Clock::now() + std::chrono::milliseconds(policy_.leaseMs);
+    return true;
+}
+
 Orchestrator::PartOutcome
 Orchestrator::partArrived(const std::string& worker,
                           const std::string& jobId, std::size_t shard,
-                          ResultSet part, std::string* error,
+                          const ResultSet& part, std::string* error,
                           std::optional<std::uint64_t> checksum)
 {
     // Canonical compact JSON of the part, computed outside the lock: the
@@ -124,19 +142,19 @@ Orchestrator::partArrived(const std::string& worker,
         fnv1a(canon.data(), canon.size()) != *checksum)
         preVerifyError = "part checksum mismatch (corrupted in transit)";
 
-    std::optional<Finalize> fin;
     PartOutcome outcome;
     {
         MutexLock lock(mu_);
-        outcome = partArrivedLocked(worker, jobId, shard, std::move(part),
-                                    preVerifyError, error, fin);
+        outcome = partArrivedLocked(worker, jobId, shard, part,
+                                    preVerifyError, error);
     }
-    // Journal before finalize: if the process dies during the merge the
-    // part is already durable and the restart redoes only the merge.
-    if (outcome == PartOutcome::Accepted && journal_ != nullptr)
+    if (outcome != PartOutcome::Accepted)
+        return outcome;
+    // Journal before the rows can finish the job: the part is durable
+    // before the record that says the job is done.
+    if (journal_ != nullptr)
         journal_->part(jobId, shard, canon);
-    if (fin)
-        finalizeJob(jobId, std::move(*fin));
+    jobs_.addRows(jobId, part.results());
     return outcome;
 }
 
@@ -144,83 +162,20 @@ Orchestrator::PartOutcome
 Orchestrator::partFailed(const std::string& worker, const std::string& jobId,
                          std::size_t shard, const std::string& why)
 {
-    std::optional<Finalize> fin; // stays empty: a failure never finishes
     MutexLock lock(mu_);
     return partArrivedLocked(worker, jobId, shard, ResultSet{}, why,
-                             nullptr, fin);
-}
-
-void
-Orchestrator::finalizeJob(const std::string& jobId, Finalize fin)
-{
-    // Strict merge + full-manifest verification — the same checks
-    // gga_merge applies, so a lost or doubled shard can never produce a
-    // quietly wrong table. Runs outside mu_ so polls and other parts
-    // keep flowing during the merge.
-    try {
-        ResultSet merged = ResultSet::merge(fin.parts);
-        merged.verifyComplete(fin.manifest);
-        jobs_.finishRemote(jobId, std::move(merged));
-    } catch (const EvalError& err) {
-        jobs_.fail(jobId, std::string("merge failed: ") + err.what());
-    }
-}
-
-void
-Orchestrator::restoreJob(const std::string& jobId, std::size_t shardCount,
-                         const std::map<std::size_t, ResultSet>& parts)
-{
-    GGA_ASSERT(shardCount >= 1, "remote job needs at least one shard");
-    const std::optional<Manifest> manifest = jobs_.manifestOf(jobId);
-    if (!manifest)
-        return;
-    std::optional<Finalize> fin;
-    std::size_t restored = 0;
-    {
-        MutexLock lock(mu_);
-        RemoteJob rj;
-        rj.seq = ++nextJobSeq_;
-        rj.manifest = *manifest;
-        rj.shards.resize(shardCount);
-        for (const auto& [shard, part] : parts) {
-            if (shard >= shardCount)
-                continue;
-            Shard& sh = rj.shards[shard];
-            sh.state = ShardState::Done;
-            sh.part = part;
-            ++restored;
-        }
-        recoveredParts_ += restored;
-        if (restored == shardCount) {
-            // The crash hit between the last part and the job's done
-            // record: nothing left to execute, just merge and finish.
-            Finalize f;
-            f.parts.reserve(shardCount);
-            for (Shard& s : rj.shards)
-                f.parts.push_back(std::move(*s.part));
-            f.manifest = rj.manifest;
-            fin = std::move(f);
-        } else {
-            remote_.emplace(jobId, std::move(rj));
-        }
-    }
-    GGA_WARN("serve: restored ", jobId, " with ", restored, "/",
-             shardCount, " shard(s) already done");
-    if (fin)
-        finalizeJob(jobId, std::move(*fin));
+                             nullptr);
 }
 
 Orchestrator::PartOutcome
 Orchestrator::partArrivedLocked(const std::string& worker,
                                 const std::string& jobId,
-                                std::size_t shard, ResultSet part,
+                                std::size_t shard, const ResultSet& part,
                                 const std::string& preVerifyError,
-                                std::string* error,
-                                std::optional<Finalize>& fin)
+                                std::string* error)
 {
     if (workers_.count(worker) == 0)
         return PartOutcome::Unknown;
-    workers_.at(worker).lastSeen = Clock::now();
     const auto jit = remote_.find(jobId);
     if (jit == remote_.end() || shard >= jit->second.shards.size())
         return PartOutcome::Unknown;
@@ -268,26 +223,14 @@ Orchestrator::partArrivedLocked(const std::string& worker,
         return PartOutcome::Rejected;
     }
 
-    sh.part = std::move(part);
     sh.state = ShardState::Done;
     sh.worker.clear();
     ++completedShards_;
-    jobs_.addRemoteProgress(jobId, sh.part->results());
-
-    const bool allDone =
-        std::all_of(rj.shards.begin(), rj.shards.end(),
-                    [](const Shard& s) { return s.state == ShardState::Done; });
-    if (!allDone)
-        return PartOutcome::Accepted;
-
-    // Hand the parts to the caller's unlocked finalize step.
-    Finalize f;
-    f.parts.reserve(rj.shards.size());
-    for (Shard& s : rj.shards)
-        f.parts.push_back(std::move(*s.part));
-    f.manifest = rj.manifest;
-    remote_.erase(jit);
-    fin = std::move(f);
+    // The last part takes the job out of the pool: a straggler is Unknown.
+    if (std::all_of(rj.shards.begin(), rj.shards.end(), [](const Shard& s) {
+            return s.state == ShardState::Done;
+        }))
+        remote_.erase(jit);
     return PartOutcome::Accepted;
 }
 

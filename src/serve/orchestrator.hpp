@@ -1,26 +1,27 @@
 /**
  * @file
  * Orchestrator: shard assignment, lease tracking, and retry for remote
- * jobs.
+ * jobs. It knows who holds which shard and until when; the results
+ * themselves live in the JobTable.
  *
  * A remote job is a manifest split into N shards (Manifest::shard, the
  * same deterministic split the offline gga_worker CLI uses). Registered
  * workers pull assignments (poll), run the shard in their own process,
  * and push the shard's ResultSet back (partArrived). Every assignment
- * carries a lease: a worker that dies or stalls past the lease simply
- * never reports, tick() notices the expiry, and the shard is reassigned
- * with capped exponential backoff. A part is verified against its
- * shard's sub-manifest on arrival — a wrong or partial part is rejected
- * and the shard retried — and a duplicate part for a shard that already
- * completed (a slow worker racing its own replacement) is discarded and
- * counted, never merged twice. When the last shard lands, the parts are
- * merged with the same strict ResultSet::merge the offline pipeline
- * uses and verified against the full manifest, so a served remote job is
- * byte-identical to an in-process runManifest.
+ * carries a lease, which the worker renews while it runs the shard: a
+ * worker that dies or stalls stops renewing, tick() notices the expiry,
+ * and the shard is reassigned with capped exponential backoff. A part is
+ * verified against its shard's sub-manifest on arrival — a wrong or
+ * partial part is rejected and the shard retried — and a duplicate part
+ * for a shard that already completed (a slow worker racing its own
+ * replacement) is discarded and counted, never added twice. A verified
+ * part is journaled, then its rows go to JobTable::addRows, where the
+ * job finishes like a local one once the rows cover its manifest — so a
+ * served remote job is byte-identical to an in-process runManifest.
  *
  * Threading: every public method is safe to call from any connection
- * thread; tick() is driven by the server's ticker. Completion and
- * failure are reported through the JobTable passed at construction.
+ * thread; tick() is driven by the server's ticker. Lock order:
+ * Orchestrator -> JobTable -> Journal.
  */
 
 #ifndef GGA_SERVE_ORCHESTRATOR_HPP
@@ -30,6 +31,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -82,19 +84,29 @@ class Orchestrator
     bool knownWorker(const std::string& worker) const;
 
     /**
-     * Add a remote job's shards to the assignment pool. @p shardCount
-     * must be >= 1; the manifest is fetched from the JobTable by id.
-     * Returns false when the job id is unknown.
+     * Add a remote job's shards to the assignment pool, all but
+     * @p doneShards: shards whose parts were recovered from the journal
+     * (counted in recovered_parts_total, never re-executed). A job with
+     * every shard done is not pooled; JobTable::restore finished it.
+     * @p shardCount must be >= 1; the manifest is fetched from the
+     * JobTable by id (an unknown id is ignored).
      */
-    bool enqueueJob(const std::string& jobId, std::size_t shardCount);
+    void enqueueJob(const std::string& jobId, std::size_t shardCount,
+                    const std::set<std::size_t>& doneShards = {});
 
     /**
      * Pull the next runnable shard for @p worker: the oldest job's
-     * lowest-index unassigned shard whose backoff has elapsed. Updates
-     * the worker's liveness stamp. nullopt when nothing is runnable
-     * (idle) or the worker is unknown.
+     * lowest-index unassigned shard whose backoff has elapsed. nullopt
+     * when nothing is runnable (idle) or the worker is unknown.
      */
     std::optional<Assignment> poll(const std::string& worker);
+
+    /**
+     * Push the lease on @p shard of @p jobId to now + leaseMs. False
+     * unless @p worker still holds that lease.
+     */
+    bool renew(const std::string& worker, const std::string& jobId,
+               std::size_t shard);
 
     /** Outcome of partArrived, for the wire layer's status code. */
     enum class PartOutcome
@@ -107,17 +119,16 @@ class Orchestrator
 
     /**
      * A worker's completed shard part. Verifies the part against the
-     * shard's sub-manifest; on the final part, merges and completes the
-     * job through the JobTable (or fails it if the strict merge
-     * rejects). @p error receives the verification failure on Rejected.
-     * @p checksum, when present, is the worker's FNV-1a over the part's
-     * compact JSON; a mismatch (bit rot in transit) is Rejected before
-     * the manifest check. Accepted parts are journaled when a Journal
-     * was wired at construction.
+     * shard's sub-manifest, journals it (when a Journal was wired at
+     * construction), and hands its rows to JobTable::addRows, which
+     * finishes the job on its last part. @p error receives the
+     * verification failure on Rejected. @p checksum, when present, is
+     * the worker's FNV-1a over the part's compact JSON; a mismatch (bit
+     * rot in transit) is Rejected before the manifest check.
      */
     PartOutcome partArrived(const std::string& worker,
                             const std::string& jobId, std::size_t shard,
-                            ResultSet part, std::string* error = nullptr,
+                            const ResultSet& part, std::string* error = nullptr,
                             std::optional<std::uint64_t> checksum =
                                 std::nullopt);
 
@@ -130,16 +141,6 @@ class Orchestrator
     PartOutcome partFailed(const std::string& worker,
                            const std::string& jobId, std::size_t shard,
                            const std::string& why);
-
-    /**
-     * Re-admit a journal-recovered remote job: shards with a recovered
-     * part are Done (counted in recovered_parts_total, never
-     * re-executed); the rest are leased out as usual. When every shard
-     * was already done — the crash hit between the last part and the
-     * job's done record — the job is merged and finished immediately.
-     */
-    void restoreJob(const std::string& jobId, std::size_t shardCount,
-                    const std::map<std::size_t, ResultSet>& parts);
 
     /**
      * Expire overdue leases: a shard assigned longer ago than the lease
@@ -160,7 +161,7 @@ class Orchestrator
     {
         Waiting,  ///< runnable once notBefore has passed
         Assigned, ///< leased to a worker
-        Done,     ///< part verified and stored
+        Done,     ///< part verified and handed to the JobTable
     };
 
     struct Shard
@@ -170,7 +171,6 @@ class Orchestrator
         std::string worker;
         Clock::time_point notBefore{}; ///< backoff gate (Waiting)
         Clock::time_point deadline{};  ///< lease expiry (Assigned)
-        std::optional<ResultSet> part;
     };
 
     struct RemoteJob
@@ -180,43 +180,21 @@ class Orchestrator
         std::vector<Shard> shards;
     };
 
-    struct Worker
-    {
-        std::string name;
-        Clock::time_point lastSeen{};
-    };
-
     /** Fails the job and drops its shard state. */
     void failJobLocked(const std::string& jobId, const std::string& why)
         GGA_REQUIRES(mu_);
 
     /**
-     * The last shard's payload, extracted under mu_ by
-     * partArrivedLocked and merged by partArrived after the lock is
-     * gone — merging a full manifest's results is too much work to do
-     * while holding the assignment lock.
-     */
-    struct Finalize
-    {
-        std::vector<ResultSet> parts;
-        Manifest manifest;
-    };
-
-    /**
-     * The locked body of partArrived; fills @p fin on the final part.
+     * The locked body of partArrived and partFailed: verifies @p part
+     * and marks the shard Done, or counts the attempt and retries it.
      * @p preVerifyError, when non-empty, fails verification outright
      * (the caller's checksum check, done outside the lock).
      */
     PartOutcome partArrivedLocked(const std::string& worker,
                                   const std::string& jobId,
-                                  std::size_t shard, ResultSet part,
+                                  std::size_t shard, const ResultSet& part,
                                   const std::string& preVerifyError,
-                                  std::string* error,
-                                  std::optional<Finalize>& fin)
-        GGA_REQUIRES(mu_);
-
-    /** Merge @p fin and complete/fail the job. Call without mu_. */
-    void finalizeJob(const std::string& jobId, Finalize fin);
+                                  std::string* error) GGA_REQUIRES(mu_);
 
     JobTable& jobs_;
     const RetryPolicy policy_;
@@ -224,7 +202,8 @@ class Orchestrator
     mutable Mutex mu_;
     std::uint64_t nextWorker_ GGA_GUARDED_BY(mu_) = 0;
     std::uint64_t nextJobSeq_ GGA_GUARDED_BY(mu_) = 0;
-    std::map<std::string, Worker> workers_ GGA_GUARDED_BY(mu_);
+    /** Registered worker ids -> advisory names. */
+    std::map<std::string, std::string> workers_ GGA_GUARDED_BY(mu_);
     std::map<std::string, RemoteJob> remote_ GGA_GUARDED_BY(mu_);
     // Lifetime counters (monotonic).
     std::uint64_t assignments_ GGA_GUARDED_BY(mu_) = 0;

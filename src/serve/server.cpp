@@ -57,53 +57,23 @@ Service::Service(ServiceOptions opts)
                    ? nullptr
                    : std::make_unique<Journal>(opts_.stateDir)),
       limiter_(opts_.ratePerTenant),
-      jobs_(opts_.maxQueuedPerTenant),
+      jobs_(opts_.maxQueuedPerTenant, journal_.get()),
       orch_(jobs_, opts_.retry, journal_.get()),
       session_(opts_.session),
       http_([this](const HttpRequest& req) { return handle(req); })
 {
     if (!journal_)
         return;
-    // Every state transition lands in the journal; terminal states also
-    // compact the job away. Called under the JobTable lock — the lock
-    // order is JobTable -> Journal, and the Journal never calls out.
-    jobs_.setObserver([this](const JobSnapshot& s) {
-        journal_->state(s.id, s.state, s.error);
-        if (s.state == JobState::Done || s.state == JobState::Failed ||
-            s.state == JobState::Canceled)
-            journal_->finish(s.id);
-    });
     // Replay: resume unfinished work. Remote jobs keep their recovered
     // shards (never re-executed); local jobs are deterministic, so they
     // simply re-run from scratch and land on the same bytes.
-    for (const Journal::RecoveredJob& rj : journal_->recovered()) {
-        JobTable::JobRestore r;
-        r.id = rj.id;
-        r.tenant = rj.tenant;
-        r.manifest = rj.manifest;
-        r.remote = rj.remote;
-        r.shards = rj.shards;
-        r.state = rj.state;
-        r.error = rj.error;
-        if (rj.remote) {
-            for (const auto& [shard, part] : rj.parts) {
-                (void)shard;
-                for (const UnitResult& row : part.results())
-                    r.rows.push_back(row);
-            }
-        } else {
-            r.state = JobState::Queued; // re-executed below
-        }
+    for (const JobTable::JobRestore& r : journal_->recovered()) {
         jobs_.restore(r);
-        ++recoveredJobs_;
-        if (rj.remote)
-            orch_.restoreJob(rj.id, rj.shards, rj.parts);
+        if (r.remote)
+            orch_.enqueueJob(r.id, r.shards, r.doneShards);
         else
-            startLocalJob(rj.id, rj.manifest);
+            startLocalJob(r.id, r.manifest);
     }
-    if (recoveredJobs_ > 0)
-        GGA_INFORM("serve: recovered ", recoveredJobs_,
-                   " unfinished job(s) from ", opts_.stateDir);
 }
 
 Service::~Service()
@@ -407,49 +377,58 @@ Service::workerEndpoint(const HttpRequest& req, const std::string& action)
         j.set("manifest", a->manifest.toJson());
         return jsonResponse(200, std::move(j));
     }
-    if (action == "parts") {
-        const Json* jobJson = body.find("job");
-        const Json* shardJson = body.find("shard");
-        const Json* resultsJson = body.find("results");
-        const Json* errorJson = body.find("error");
-        if (!jobJson || !shardJson || !resultsJson == !errorJson)
-            return errorResponse(400, "body needs \"job\", \"shard\" and "
-                                      "one of \"results\" or \"error\"");
-        const std::string job = jobJson->asString();
-        const auto shard = static_cast<std::size_t>(shardJson->asU64());
-        std::string why;
-        Orchestrator::PartOutcome outcome;
-        if (errorJson) {
-            // The worker could not run its shard: a rejected part.
-            why = errorJson->asString();
-            outcome = orch_.partFailed(worker, job, shard, why);
-        } else {
-            std::optional<std::uint64_t> checksum;
-            if (const Json* c = body.find("checksum"))
-                checksum = c->asU64();
-            outcome = orch_.partArrived(worker, job, shard,
-                                        ResultSet::fromJson(*resultsJson),
-                                        &why, checksum);
-        }
-        switch (outcome) {
-        case Orchestrator::PartOutcome::Accepted: {
-            Json j = Json::object();
-            j.set("status", Json("accepted"));
-            return jsonResponse(200, std::move(j));
-        }
-        case Orchestrator::PartOutcome::Duplicate: {
-            Json j = Json::object();
-            j.set("status", Json("duplicate"));
-            return jsonResponse(200, std::move(j));
-        }
-        case Orchestrator::PartOutcome::Rejected:
-            return errorResponse(400, "part rejected: " + why);
-        case Orchestrator::PartOutcome::Unknown:
-            return errorResponse(404, "unknown job/shard");
-        }
-        return errorResponse(500, "unreachable");
+    if (action != "parts" && action != "renew")
+        return errorResponse(404, "unknown worker action: " + action);
+    const Json* jobJson = body.find("job");
+    const Json* shardJson = body.find("shard");
+    if (!jobJson || !shardJson)
+        return errorResponse(400, "body needs \"job\" and \"shard\"");
+    const std::string job = jobJson->asString();
+    const auto shard = static_cast<std::size_t>(shardJson->asU64());
+    if (action == "renew") {
+        if (!orch_.renew(worker, job, shard))
+            return errorResponse(409, worker + " holds no lease on shard " +
+                                          std::to_string(shard) + " of " +
+                                          job);
+        Json j = Json::object();
+        j.set("status", Json("renewed"));
+        return jsonResponse(200, std::move(j));
     }
-    return errorResponse(404, "unknown worker action: " + action);
+    const Json* resultsJson = body.find("results");
+    const Json* errorJson = body.find("error");
+    if (!resultsJson == !errorJson)
+        return errorResponse(400, "body needs \"job\", \"shard\" and "
+                                  "one of \"results\" or \"error\"");
+    std::string why;
+    Orchestrator::PartOutcome outcome;
+    if (errorJson) {
+        // The worker could not run its shard: a rejected part.
+        why = errorJson->asString();
+        outcome = orch_.partFailed(worker, job, shard, why);
+    } else {
+        std::optional<std::uint64_t> checksum;
+        if (const Json* c = body.find("checksum"))
+            checksum = c->asU64();
+        outcome = orch_.partArrived(worker, job, shard,
+                                    ResultSet::fromJson(*resultsJson), &why,
+                                    checksum);
+    }
+    switch (outcome) {
+    case Orchestrator::PartOutcome::Accepted:
+    case Orchestrator::PartOutcome::Duplicate: {
+        Json j = Json::object();
+        j.set("status",
+              Json(outcome == Orchestrator::PartOutcome::Accepted
+                       ? "accepted"
+                       : "duplicate"));
+        return jsonResponse(200, std::move(j));
+    }
+    case Orchestrator::PartOutcome::Rejected:
+        return errorResponse(400, "part rejected: " + why);
+    case Orchestrator::PartOutcome::Unknown:
+        return errorResponse(404, "unknown job/shard");
+    }
+    return errorResponse(500, "unreachable");
 }
 
 HttpResponse
@@ -493,11 +472,8 @@ Service::statsResponse()
     j.set("executor", std::move(exec));
     j.set("http", std::move(http));
     j.set("orchestrator", orch_.statsJson());
-    if (journal_) {
-        Json jj = journal_->statsJson();
-        jj.set("recovered_jobs_total", Json(recoveredJobs_));
-        j.set("journal", std::move(jj));
-    }
+    if (journal_)
+        j.set("journal", journal_->statsJson());
     if (limiter_.enabled())
         j.set("rate_limiter", limiter_.statsJson());
     j.set("faults", faults::statsJson());

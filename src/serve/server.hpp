@@ -20,15 +20,21 @@
  *   DELETE /v1/jobs/{id}               cancel
  *   POST /v1/workers/register          {"name": ...} -> {"worker","lease_ms"}
  *   POST /v1/workers/poll              {"worker"} -> 200 assignment | 204
+ *   POST /v1/workers/renew             {"worker","job","shard"} -> 200 and
+ *                                      the lease runs leaseMs from now,
+ *                                      or 409 unless the worker holds it
  *   POST /v1/workers/parts             {"worker","job","shard","results"}
  *                                      or, for a shard the worker could
  *                                      not run, "error" for "results"
+ *   (worker endpoints: 400 malformed body, 404 unknown worker, 401
+ *   without the worker token when one is configured)
  *
  * Local jobs run on the Session's TaskPool via submitManifest;
  * remote jobs are sharded by the Orchestrator across connected
- * gga_worker processes. Either path ends in the same key-sorted
- * ResultSet, so /render output is byte-identical to the offline
- * gga_merge --render pipeline.
+ * gga_worker processes. Both feed their rows to the JobTable, which
+ * finishes every job the same way, into the same key-sorted ResultSet,
+ * so /render output is byte-identical to the offline gga_merge --render
+ * pipeline.
  *
  * handle() is exposed directly so tests can drive the full routing
  * logic without sockets; start() binds the real listener.
@@ -69,7 +75,7 @@ struct ServiceOptions
     std::string stateDir;
     /**
      * Shared secret for the worker endpoints. "" leaves them open;
-     * otherwise register/poll/parts require the X-GGA-Worker-Token
+     * otherwise register/poll/renew/parts require the X-GGA-Worker-Token
      * header to match, else 401.
      */
     std::string workerToken;
@@ -126,16 +132,14 @@ class Service
     ServiceOptions opts_;
     // Destruction order matters (members destroy bottom-up): http_ stops
     // first so no new requests arrive, the ticker joins, then session_
-    // drains its executor — whose callbacks touch jobs_ — then jobs_
-    // (whose observer writes to journal_), and journal_ goes last.
+    // drains its executor — whose callbacks touch jobs_ — then orch_
+    // and jobs_ (both write to journal_), and journal_ goes last.
     // No mutex of its own, so nothing here is GUARDED_BY: every member
     // below is internally synchronized (JobTable/Orchestrator/HttpServer/
     // Journal/TenantRateLimiter carry annotated gga::Mutexes; Session is
     // lock-free by design), and the tick thread's only shared state is
-    // the stopping_ flag. recoveredJobs_ is written once in the ctor,
-    // before any thread exists.
+    // the stopping_ flag.
     std::unique_ptr<Journal> journal_; ///< null when stateDir is ""
-    std::uint64_t recoveredJobs_ = 0;
     TenantRateLimiter limiter_;
     JobTable jobs_;
     Orchestrator orch_;

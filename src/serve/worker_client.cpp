@@ -1,6 +1,8 @@
 #include "serve/worker_client.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <future>
 #include <thread>
 
 #include "eval/run.hpp"
@@ -28,8 +30,11 @@ runWorkerClient(Session& session, const WorkerClientOptions& opts)
     if (regResp.status != 200)
         throw ServeError("worker registration failed (HTTP " +
                          std::to_string(regResp.status) + ")");
-    const std::string worker =
-        Json::parse(regResp.body).at("worker").asString();
+    const Json regJson = Json::parse(regResp.body);
+    const std::string worker = regJson.at("worker").asString();
+    // Three renewals per lease, so one late renewal costs nothing.
+    const auto renewEvery = std::chrono::milliseconds(
+        std::max<std::uint64_t>(1, regJson.at("lease_ms").asU64() / 3));
     GGA_INFORM("worker ", worker, ": connected to 127.0.0.1:", opts.port);
 
     Json pollBody = Json::object();
@@ -75,7 +80,26 @@ runWorkerClient(Session& session, const WorkerClientOptions& opts)
             GGA_INFORM("worker ", worker, ": running shard ", shard + 1,
                        "/", a.at("shard_count").asU64(), " of ", job, " (",
                        manifest.size(), " units)");
-            ResultSet results = runManifest(session, manifest);
+            // The shard runs off this thread, which keeps renewing its
+            // lease until it is done. A failed renewal is ignored: the
+            // part, or else the lease's expiry, settles the shard.
+            std::future<ResultSet> run =
+                std::async(std::launch::async,
+                           [&] { return runManifest(session, manifest); });
+            Json renew = Json::object();
+            renew.set("worker", Json(worker));
+            renew.set("job", Json(job));
+            renew.set("shard", Json(shard));
+            while (run.wait_for(renewEvery) != std::future_status::ready) {
+                try {
+                    httpRequest(opts.port, "POST", "/v1/workers/renew",
+                                renew.dump(), auth);
+                } catch (const ServeError& err) {
+                    GGA_WARN("worker ", worker, ": lease renewal failed: ",
+                             err.what());
+                }
+            }
+            ResultSet results = run.get();
 
             // Fault injection: drop the last row BEFORE the checksum is
             // taken — the checksum matches the thinned payload, so the

@@ -4,7 +4,10 @@
  * `gga_worker --connect` runs. Registers with a Service, polls for
  * shard assignments, executes each assigned sub-manifest on its own
  * Session (the same runManifest path the offline CLI uses, so parts are
- * bit-identical to offline shards), and posts the ResultSet back.
+ * bit-identical to offline shards), and posts the ResultSet back. While
+ * a shard runs, the worker renews its lease every third of the lease_ms
+ * its registration reply carried, so a shard may run longer than the
+ * lease.
  *
  * A shard the worker cannot run (a unit whose input cannot be built)
  * is reported to the server with the reason in place of results, and
@@ -18,9 +21,11 @@
  * — exactly the "worker died mid-job" case the orchestrator's lease
  * retry exists for.
  *
- * Deliberately single-threaded: one blocking loop, no members, no locks
- * — concurrency lives inside the borrowed Session (annotated classes
- * one layer down), so there is nothing here for -Wthread-safety to see.
+ * Threads: the loop thread polls, posts, and renews; each shard runs on
+ * one std::async task, which the loop joins before it polls again. The
+ * two share only the borrowed Session (internally synchronized, its
+ * classes annotated one layer down) and the task's future, so there are
+ * no members and no locks here for -Wthread-safety to see.
  */
 
 #ifndef GGA_SERVE_WORKER_CLIENT_HPP

@@ -21,6 +21,7 @@
 #include "harness/figures.hpp"
 #include "harness/sweep.hpp"
 #include "harness/workloads.hpp"
+#include "model/partial_tree.hpp"
 #include "support/json.hpp"
 
 namespace gga {
@@ -819,6 +820,37 @@ TEST(FigureSet, PartialDedupesOverlappingSweeps)
     for (const SweepSpec& s : set.restricted)
         for (const WorkUnit& u : s.units)
             EXPECT_TRUE(set.manifest.contains(u.key()));
+}
+
+TEST(FigureSet, PartialPredictionsProfileTheFiguresHardwarePoint)
+{
+    SimParams p;
+    p.numSms = 1;
+    p.l1SizeKiB = 16;
+    const FigureSet set = figureSet("partial", 0.01, false, p);
+    ASSERT_EQ(set.partialPredicted.size(), 36u);
+    DesignSpaceRestriction noRlx;
+    noRlx.allowDrfRlx = false;
+    const auto predict = [&](const Workload& wl, const GpuGeometry& geom) {
+        return predictPartialDesignSpace(
+            profileGraph(*GraphStore::instance().get(wl.graph, set.scale),
+                         geom),
+            algoProperties(wl.app), noRlx);
+    };
+    std::size_t i = 0, movedByGeometry = 0;
+    for (AppId app : kAllApps) {
+        for (GraphPreset g : kAllGraphPresets) {
+            const Workload wl{app, g};
+            EXPECT_EQ(set.partialPredicted[i].name(),
+                      predict(wl, geometryOf(p)).name())
+                << wl.name();
+            movedByGeometry +=
+                predict(wl, geometryOf(p)) != predict(wl, GpuGeometry{});
+            ++i;
+        }
+    }
+    // Otherwise this hardware point could not tell the two apart.
+    EXPECT_GT(movedByGeometry, 0u);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -129,15 +130,15 @@ TEST(Journal, RoundTripRecoversLiveJobsInAdmissionOrder)
     ASSERT_EQ(j.recovered().size(), 2u);
     // Admission order survives, including ids that don't sort as text
     // ("job-10" < "job-2" lexically).
-    const Journal::RecoveredJob& first = j.recovered()[0];
+    const JobTable::JobRestore& first = j.recovered()[0];
     EXPECT_EQ(first.id, "job-2");
     EXPECT_EQ(first.tenant, "alice");
     EXPECT_TRUE(first.remote);
     EXPECT_EQ(first.shards, 2u);
     EXPECT_EQ(first.state, JobState::Running);
     EXPECT_EQ(first.manifest.toJson().dump(), m.toJson().dump());
-    ASSERT_EQ(first.parts.size(), 1u);
-    EXPECT_EQ(first.parts.at(0).toJson().dump(), part0Json);
+    EXPECT_EQ(first.doneShards, std::set<std::size_t>{0});
+    EXPECT_EQ(ResultSet::fromRows(first.rows).toJson().dump(), part0Json);
     EXPECT_EQ(j.recovered()[1].id, "job-10");
     EXPECT_FALSE(j.recovered()[1].remote);
 }
@@ -238,6 +239,8 @@ TEST(Journal, CorruptPartFileDropsOnlyThatShard)
         j.admit("job-1", "t", true, 2, m);
         j.part("job-1", 0, "{\"results\":[]}");
         j.part("job-1", 1, "{\"results\":[]}");
+        // A record for a shard the job does not have is dropped too.
+        j.part("job-1", 7, "{\"results\":[]}");
     }
     {
         // Flip the stored bytes so the recorded checksum no longer
@@ -247,11 +250,11 @@ TEST(Journal, CorruptPartFileDropsOnlyThatShard)
     }
     Journal j(dir);
     ASSERT_EQ(j.recovered().size(), 1u);
-    const Journal::RecoveredJob& job = j.recovered()[0];
-    EXPECT_EQ(job.parts.count(0), 0u); // dropped: shard 0 will re-run
-    EXPECT_EQ(job.parts.count(1), 1u);
+    // Shard 0 was dropped and will re-run; shard 7 never existed.
+    EXPECT_EQ(j.recovered()[0].doneShards, std::set<std::size_t>{1});
     EXPECT_FALSE(j.tailWasDamaged()); // a bad part is not tail damage
-    EXPECT_EQ(j.statsJson().at("dropped_parts").asU64(), 1u);
+    EXPECT_EQ(j.statsJson().at("dropped_parts").asU64(), 2u);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/parts/job-1.s7.json"));
 }
 
 // --- Service restart -----------------------------------------------------
@@ -330,7 +333,6 @@ TEST(ServeRecovery, RestartMidRemoteJobNeverRerunsCompletedShards)
 
     Json stats = Json::parse(svc.handle(request("GET", "/stats")).body);
     EXPECT_EQ(stats.at("journal").at("recovered_jobs").asU64(), 1u);
-    EXPECT_EQ(stats.at("journal").at("recovered_jobs_total").asU64(), 1u);
     EXPECT_EQ(stats.at("orchestrator").at("recovered_parts_total").asU64(),
               1u);
     EXPECT_EQ(stats.at("orchestrator").at("completed_shards_total").asU64(),
@@ -411,6 +413,8 @@ TEST(ServeRecovery, RestartWithAllShardsRecoveredFinishesImmediately)
               2u);
     EXPECT_EQ(stats.at("orchestrator").at("completed_shards_total").asU64(),
               0u); // nothing re-executed
+    // Finishing at restore was journaled and compacted like any finish.
+    EXPECT_EQ(stats.at("journal").at("live_jobs").asU64(), 0u);
     Session reference;
     const ResultSet expected = runManifest(reference, manifest);
     const std::optional<ResultSet> got = svc.jobs().finalResults(id);

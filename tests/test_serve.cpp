@@ -684,6 +684,46 @@ TEST(ServeRemote, ExpiredLeasesReassignThenFailTheJob)
               2u);
 }
 
+TEST(ServeRemote, LiveWorkerKeepsItsLeasePastTheLeaseTime)
+{
+    // A healthy worker renews its lease while its shard runs, so a shard
+    // that takes several leases is neither expired nor reassigned.
+    ServiceOptions o = quickOptions();
+    o.retry.leaseMs = 200;
+    Service svc(o);
+    svc.start(); // the ticker expires overdue leases every 5 ms
+    Manifest manifest;
+    for (const char* cfg : {"TG0", "SG1", "SGR", "SD1", "SDR"})
+        manifest.add(unitFor(AppId::Pr, cfg, 0.25));
+    const HttpResponse sub = svc.handle(request(
+        "POST", "/v1/jobs", {},
+        "{\"manifest\": " + manifest.toJson().dump() +
+            ", \"execution\": \"remote\", \"shards\": 1}"));
+    ASSERT_EQ(sub.status, 202) << sub.body;
+    const std::string id = parseBody(sub).at("id").asString();
+
+    WorkerClientOptions w;
+    w.port = svc.port();
+    w.pollMs = 2;
+    w.idleExitMs = 300;
+    SessionOptions single;
+    single.threads = 1;
+    Session workerSession(single);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(runWorkerClient(workerSession, w), 1u);
+    const auto ran = std::chrono::steady_clock::now() - start -
+                     std::chrono::milliseconds(w.idleExitMs);
+    EXPECT_EQ(awaitTerminal(svc, id), "done");
+    // Otherwise the shard is too short to need a renewal.
+    EXPECT_GT(ran, std::chrono::milliseconds(2 * o.retry.leaseMs));
+
+    const Json orch =
+        parseBody(svc.handle(request("GET", "/stats"))).at("orchestrator");
+    EXPECT_EQ(orch.at("expired_leases_total").asU64(), 0u);
+    EXPECT_EQ(orch.at("assignments_total").asU64(), 1u);
+    svc.stop();
+}
+
 TEST(ServeRemote, ChecksumMismatchRejectsPartBeforeManifestCheck)
 {
     Service svc(quickOptions());
