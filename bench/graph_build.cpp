@@ -11,8 +11,9 @@
  *   build_serial_ms   CSR construction alone, frozen std::sort path
  *                     (reference/graph.hpp buildReferenceSort)
  *   build_parallel_ms CSR construction alone, counting-sort path
- *   snapshot_load_ms  checksummed .csrbin load, copying (ifstream) path
- *   mmap_load_ms      checksummed .csrbin load, zero-copy mmap path
+ *   snapshot_load_ms  checksummed .csrbin load, Copy mode (one read into
+ *                     a heap image)
+ *   mmap_load_ms      checksummed .csrbin load, Mmap mode (zero-copy)
  *
  * Emits the machine-readable BENCH_graph.json tracked across PRs (via
  * scripts/bench.sh graph); CI gates the largest preset at scale 1.0 on

@@ -29,16 +29,6 @@
 
 namespace {
 
-gga::GraphPreset
-parsePreset(const std::string& name)
-{
-    for (gga::GraphPreset p : gga::kAllGraphPresets) {
-        if (gga::presetName(p) == name)
-            return p;
-    }
-    GGA_FATAL("unknown graph '", name, "'");
-}
-
 double
 sweepSeconds(const gga::Workload& wl,
              const std::vector<gga::SystemConfig>& configs, double scale,
@@ -85,7 +75,11 @@ main(int argc, char** argv)
     const std::optional<gga::AppId> app = gga::appFromName(app_name);
     if (!app)
         GGA_FATAL("unknown app '", app_name, "'");
-    const gga::GraphPreset preset = parsePreset(argc > 2 ? argv[2] : "RAJ");
+    const std::string graph_name = argc > 2 ? argv[2] : "RAJ";
+    const std::optional<gga::GraphPreset> preset =
+        gga::presetFromName(graph_name);
+    if (!preset)
+        GGA_FATAL("unknown graph '", graph_name, "'");
     const double scale = argc > 3 ? std::atof(argv[3]) : 0.25;
     if (!(scale > 0.0 && scale <= 1.0))
         GGA_FATAL("scale must be in (0, 1], got '", argv[3], "'");
@@ -95,10 +89,10 @@ main(int argc, char** argv)
     const bool dynamic = gga::algoProperties(*app).traversal ==
                          gga::TraversalKind::Dynamic;
     const auto configs = gga::allConfigs(dynamic);
-    const gga::Workload wl{*app, preset};
+    const gga::Workload wl{*app, *preset};
 
     // Pre-build the graph so timings measure simulation only.
-    const auto graph = session.graphs().get(preset, scale);
+    const auto graph = session.graphs().get(*preset, scale);
     std::cout << "sweep scaling: " << wl.name() << " x " << configs.size()
               << " configs (|V|=" << graph->numVertices()
               << ", |E|=" << graph->numEdges() << ", host cores="

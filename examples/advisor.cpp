@@ -27,10 +27,8 @@ namespace {
 std::shared_ptr<const gga::CsrGraph>
 loadGraph(gga::Session& session, const std::string& name)
 {
-    for (gga::GraphPreset p : gga::kAllGraphPresets) {
-        if (gga::presetName(p) == name)
-            return session.graphs().get(p);
-    }
+    if (const std::optional<gga::GraphPreset> p = gga::presetFromName(name))
+        return session.graphs().get(*p);
     // MatrixMarket inputs resolve through the session's GraphStore like
     // presets do: cached by path, shared across concurrent users, and
     // usable in RunPlans (RunPlan::graphFile) and work units.

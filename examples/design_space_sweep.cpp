@@ -29,20 +29,6 @@
 #include "support/log.hpp"
 #include "support/table.hpp"
 
-namespace {
-
-gga::GraphPreset
-parsePreset(const std::string& name)
-{
-    for (gga::GraphPreset p : gga::kAllGraphPresets) {
-        if (gga::presetName(p) == name)
-            return p;
-    }
-    GGA_FATAL("unknown graph '", name, "'");
-}
-
-} // namespace
-
 int
 main(int argc, char** argv)
 {
@@ -56,13 +42,16 @@ main(int argc, char** argv)
     const std::optional<gga::AppId> app = gga::appFromName(app_name);
     if (!app)
         GGA_FATAL("unknown app '", app_name, "'");
-    const gga::GraphPreset preset =
-        parsePreset(argc > 2 ? argv[2] : "RAJ");
+    const std::string graph_name = argc > 2 ? argv[2] : "RAJ";
+    const std::optional<gga::GraphPreset> preset =
+        gga::presetFromName(graph_name);
+    if (!preset)
+        GGA_FATAL("unknown graph '", graph_name, "'");
     const double scale = argc > 3 ? std::atof(argv[3]) : 0.25;
 
-    const auto graph = session.graphs().get(preset, scale);
+    const auto graph = session.graphs().get(*preset, scale);
     std::cout << "workload: " << app_name << " on "
-              << gga::presetName(preset) << " x" << scale << "  (|V|="
+              << gga::presetName(*preset) << " x" << scale << "  (|V|="
               << graph->numVertices() << ", |E|=" << graph->numEdges()
               << ")\n\n";
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <utility>
 
@@ -16,7 +17,12 @@ constexpr std::int64_t kScaleUnits = 1000000; // 1.0 in micro-units
 GraphStore&
 GraphStore::instance()
 {
-    static GraphStore store;
+    static GraphStore& store = *[] {
+        static GraphStore s;
+        if (const char* dir = std::getenv("GGA_GRAPH_CACHE"))
+            s.setCacheDir(dir);
+        return &s;
+    }();
     return store;
 }
 

@@ -12,17 +12,17 @@
  * run is still using. Every entry — full-scale presets included — is
  * store-owned, so the budget really bounds paper-sized workers.
  *
- * The byte budget (setBudgetBytes / SessionOptions::graphBudgetBytes)
+ * The byte budget (setBudgetBytes; gga_worker --graph-budget-mb)
  * exists for sharded evaluation: N worker shards on one host must not
  * each hold every input graph. When the cached total exceeds the budget,
  * least-recently-used completed entries are dropped from the cache (their
  * outstanding handles stay valid; a later get() rebuilds).
  *
- * The snapshot cache (setCacheDir / SessionOptions::graphCacheDir /
- * GGA_GRAPH_CACHE) short-circuits preset synthesis entirely: get() first
- * tries the content-addressed .csrbin file for the requested (preset,
- * scale) — see graph/snapshot.hpp — and only synthesizes (then saves,
- * best-effort) on a miss. A corrupt or stale snapshot is rejected with a
+ * The snapshot cache (setCacheDir; --graph-cache; GGA_GRAPH_CACHE, the
+ * process-wide store's initial directory) short-circuits preset
+ * synthesis entirely: get() first tries the content-addressed .csrbin
+ * file for the requested (preset, scale) — see graph/snapshot.hpp — and
+ * only synthesizes (then saves, best-effort) on a miss. A corrupt or stale snapshot is rejected with a
  * loud warning and falls back to synthesis, so the cache can never
  * change results, only cold-start latency.
  */
@@ -75,7 +75,10 @@ class GraphStore
         std::size_t budgetBytes = 0;   ///< 0 = unlimited
     };
 
-    /** The process-wide store. */
+    /**
+     * The process-wide store. Its snapshot directory starts as the
+     * GGA_GRAPH_CACHE environment value, read once (unset = none).
+     */
     static GraphStore& instance();
 
     GraphStore() = default;

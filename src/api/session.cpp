@@ -1,7 +1,6 @@
 #include "api/session.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "support/log.hpp"
@@ -49,9 +48,7 @@ RunPlan::graph(std::shared_ptr<const CsrGraph> g, std::string label)
 RunPlan&
 RunPlan::graph(const CsrGraph& g, std::string label)
 {
-    // Non-owning handle: the caller guarantees the graph outlives the run.
-    return graph(std::shared_ptr<const CsrGraph>(&g, [](const CsrGraph*) {}),
-                 std::move(label));
+    return graph(std::make_shared<const CsrGraph>(g), std::move(label));
 }
 
 RunPlan&
@@ -110,24 +107,10 @@ RunOutcome::name() const
     return appName + "-" + graphName + " @ " + config.name();
 }
 
-std::string
-defaultGraphCacheDir()
-{
-    const char* env = std::getenv("GGA_GRAPH_CACHE");
-    return env ? std::string(env) : std::string{};
-}
-
 Session::Session(SessionOptions opts) : opts_(std::move(opts))
 {
     GGA_ASSERT(opts_.scale > 0.0 && opts_.scale <= 1.0,
                "session scale must be in (0, 1], got ", opts_.scale);
-    if (opts_.graphBudgetBytes != 0)
-        graphs().setBudgetBytes(opts_.graphBudgetBytes);
-    const std::string cache_dir = opts_.graphCacheDir.empty()
-                                      ? defaultGraphCacheDir()
-                                      : opts_.graphCacheDir;
-    if (!cache_dir.empty())
-        graphs().setCacheDir(cache_dir);
     // Give graph builds the executor's width: a cold-start worker spends
     // its first seconds building inputs, and those builds are
     // bit-identical at any thread count.

@@ -60,8 +60,8 @@ class RunPlan
                    std::string label = "custom");
 
     /**
-     * Run on a caller-owned graph without transferring ownership. The
-     * graph must outlive the run.
+     * Run on a copy of @p g. The copy shares g's arrays (O(1)), so the
+     * plan does not depend on g's lifetime.
      */
     RunPlan& graph(const CsrGraph& g, std::string label = "custom");
 
@@ -171,28 +171,7 @@ struct SessionOptions
      * so purely synchronous sessions never spawn threads.
      */
     unsigned threads = 0;
-    /**
-     * LRU byte budget applied to the shared GraphStore (see
-     * GraphStore::setBudgetBytes). 0 = leave the store's current budget
-     * untouched (the default). Nonzero values configure the process-wide
-     * store at session construction — last writer wins — so N worker
-     * shards on one host can bound how many input graphs stay resident.
-     */
-    std::size_t graphBudgetBytes = 0;
-    /**
-     * Snapshot cache directory applied to the shared GraphStore (see
-     * GraphStore::setCacheDir): preset graphs load from prebuilt .csrbin
-     * files instead of re-synthesizing, and newly built graphs are saved
-     * back. Empty = the GGA_GRAPH_CACHE environment default (and when
-     * that is unset too, leave the store's current directory untouched).
-     * Like the budget, configured at session construction, last writer
-     * wins.
-     */
-    std::string graphCacheDir;
 };
-
-/** GGA_GRAPH_CACHE environment value, or "" when unset. */
-std::string defaultGraphCacheDir();
 
 /**
  * Facade over the apps, the graph store, and the simulator: validates

@@ -49,16 +49,6 @@ namespace {
     X(relaxedAtomicWindow)                                                  \
     X(kernelLaunchOverhead)
 
-std::optional<GraphPreset>
-presetByName(const std::string& name)
-{
-    for (GraphPreset p : kAllGraphPresets) {
-        if (presetName(p) == name)
-            return p;
-    }
-    return std::nullopt;
-}
-
 } // namespace
 
 Json
@@ -177,7 +167,7 @@ WorkUnit::fromJson(const Json& j)
     if (const Json* preset = input.find("preset")) {
         if (input.find("path"))
             throw EvalError("work-unit input has both 'preset' and 'path'");
-        u.preset = presetByName(preset->asString());
+        u.preset = presetFromName(preset->asString());
         if (!u.preset)
             throw EvalError("unknown graph preset '" + preset->asString() +
                             "'");
@@ -204,6 +194,9 @@ WorkUnit::fromJson(const Json& j)
     if (!cfg)
         throw EvalError("malformed configuration name '" + cfg_name + "'");
     u.config = *cfg;
+    if (!acceptsConfig(u.app, u.config))
+        throw EvalError(appName(u.app) + " " + configRequirement(u.app) +
+                        ", got " + u.config.name());
 
     if (const Json* seed = j.find("seed"))
         u.seed = seed->asU64();

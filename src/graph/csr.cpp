@@ -1,23 +1,32 @@
 #include "graph/csr.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/log.hpp"
 
 namespace gga {
 
+namespace {
+
+/** The vectors a graph was built from, as its one storage block. */
+struct Arrays
+{
+    std::vector<EdgeId> offsets;
+    std::vector<VertexId> cols;
+    std::vector<std::uint32_t> weights;
+};
+
+} // namespace
+
 CsrGraph::CsrGraph(std::vector<EdgeId> row_offsets,
                    std::vector<VertexId> col_indices,
                    std::vector<std::uint32_t> weights)
-    : numVertices_(row_offsets.empty()
-                       ? 0
-                       : static_cast<VertexId>(row_offsets.size() - 1)),
-      ownedOffsets_(std::move(row_offsets)),
-      ownedCols_(std::move(col_indices)),
-      ownedWeights_(std::move(weights))
 {
-    rebindOwned();
-    validate();
+    const auto arrays = std::make_shared<const Arrays>(
+        Arrays{std::move(row_offsets), std::move(col_indices),
+               std::move(weights)});
+    *this = CsrGraph(arrays->offsets, arrays->cols, arrays->weights, arrays);
 }
 
 CsrGraph::CsrGraph(std::span<const EdgeId> row_offsets,
@@ -27,14 +36,12 @@ CsrGraph::CsrGraph(std::span<const EdgeId> row_offsets,
     : numVertices_(row_offsets.empty()
                        ? 0
                        : static_cast<VertexId>(row_offsets.size() - 1)),
-      ownedOffsets_(),
       rowOffsets_(row_offsets),
       colIndices_(col_indices),
       weights_(weights),
       storage_(std::move(storage))
 {
-    GGA_ASSERT(storage_ != nullptr,
-               "borrowed CSR storage needs a live keeper");
+    GGA_ASSERT(storage_ != nullptr, "CSR arrays need a live storage block");
     validate();
 }
 
@@ -52,57 +59,6 @@ CsrGraph::validate() const
                "weights must be empty or match edge count");
     for (VertexId t : colIndices_)
         GGA_ASSERT(t < numVertices_, "edge target out of range: ", t);
-}
-
-void
-CsrGraph::assignCopy(const CsrGraph& o)
-{
-    numVertices_ = o.numVertices_;
-    storage_ = o.storage_;
-    if (storage_) {
-        // Borrowed: share the keeper, alias the same memory.
-        ownedOffsets_.clear();
-        ownedCols_.clear();
-        ownedWeights_.clear();
-        rowOffsets_ = o.rowOffsets_;
-        colIndices_ = o.colIndices_;
-        weights_ = o.weights_;
-    } else {
-        ownedOffsets_.assign(o.rowOffsets_.begin(), o.rowOffsets_.end());
-        ownedCols_.assign(o.colIndices_.begin(), o.colIndices_.end());
-        ownedWeights_.assign(o.weights_.begin(), o.weights_.end());
-        rebindOwned();
-    }
-}
-
-void
-CsrGraph::assignMove(CsrGraph&& o) noexcept
-{
-    numVertices_ = o.numVertices_;
-    storage_ = std::move(o.storage_);
-    ownedOffsets_ = std::move(o.ownedOffsets_);
-    ownedCols_ = std::move(o.ownedCols_);
-    ownedWeights_ = std::move(o.ownedWeights_);
-    if (storage_) {
-        // Borrowed: spans point into the keeper's memory, not into the
-        // (moved) vectors, so they remain valid verbatim.
-        rowOffsets_ = o.rowOffsets_;
-        colIndices_ = o.colIndices_;
-        weights_ = o.weights_;
-    } else {
-        // Owning: vector move transfers the heap buffers, so rebinding
-        // lands on the same data the source spans viewed.
-        rebindOwned();
-    }
-    // Leave the source destructible/assignable with no dangling spans
-    // (moved-from state: empty arrays; allocation-free, keeps noexcept).
-    o.numVertices_ = 0;
-    o.ownedOffsets_.clear();
-    o.ownedCols_.clear();
-    o.ownedWeights_.clear();
-    o.rowOffsets_ = {};
-    o.colIndices_ = {};
-    o.weights_ = {};
 }
 
 double

@@ -15,7 +15,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "support/types.hpp"
@@ -37,19 +36,20 @@ class GraphError : public std::runtime_error
  * An immutable CSR graph. Edges are directed; the builders in this library
  * always produce symmetric edge sets (u->v present iff v->u present).
  *
- * Two storage modes share one read API:
- *  - **Owning**: constructed from vectors, which the graph holds.
- *  - **Borrowed**: the arrays alias caller-provided memory (e.g. an
- *    mmap'ed snapshot) kept alive by a type-erased keeper, so loading a
- *    multi-hundred-MB graph copies nothing.
+ * The arrays are spans over one shared, immutable storage block: the
+ * vectors the graph was built from, or a snapshot image (a mapped file,
+ * or one read into memory). The graph and every copy of it hold that
+ * block alive, so a copy is O(1) and shares the arrays, and loading a
+ * multi-hundred-MB snapshot copies nothing.
  */
 class CsrGraph
 {
   public:
-    CsrGraph() { rebindOwned(); }
+    /** The graph with no vertices. */
+    CsrGraph() = default;
 
     /**
-     * Construct from raw CSR arrays (owning mode).
+     * Construct from raw CSR arrays, which become the graph's storage.
      *
      * @param row_offsets |V|+1 monotone offsets into col_indices.
      * @param col_indices edge targets, sorted within each row.
@@ -60,34 +60,14 @@ class CsrGraph
              std::vector<std::uint32_t> weights = {});
 
     /**
-     * Borrowed-storage mode: the spans alias memory owned by @p storage
-     * (an mmap'ed snapshot, an arena...), which is held alive for the
-     * graph's lifetime and shared by copies. Same structural
-     * preconditions as the owning constructor.
+     * A graph over arrays that live in @p storage (a snapshot image),
+     * which is held alive for the graph's lifetime and shared by copies.
+     * Same structural preconditions as the vector constructor.
      */
     CsrGraph(std::span<const EdgeId> row_offsets,
              std::span<const VertexId> col_indices,
              std::span<const std::uint32_t> weights,
              std::shared_ptr<const void> storage);
-
-    CsrGraph(const CsrGraph& o) { assignCopy(o); }
-    CsrGraph(CsrGraph&& o) noexcept { assignMove(std::move(o)); }
-
-    CsrGraph&
-    operator=(const CsrGraph& o)
-    {
-        if (this != &o)
-            assignCopy(o);
-        return *this;
-    }
-
-    CsrGraph&
-    operator=(CsrGraph&& o) noexcept
-    {
-        if (this != &o)
-            assignMove(std::move(o));
-        return *this;
-    }
 
     /** Number of vertices. */
     VertexId numVertices() const { return numVertices_; }
@@ -132,8 +112,8 @@ class CsrGraph
 
     /**
      * Resident size of the CSR arrays in bytes (GraphStore budget
-     * accounting / telemetry). Borrowed graphs report the aliased bytes:
-     * mapped pages become resident once touched, so they budget the same.
+     * accounting / telemetry). A mapped snapshot's pages become resident
+     * once touched, so it budgets the same as a graph on the heap.
      */
     std::size_t
     memoryBytes() const
@@ -148,26 +128,20 @@ class CsrGraph
     std::span<const VertexId> colIndices() const { return colIndices_; }
     std::span<const std::uint32_t> weights() const { return weights_; }
 
-    /** True when the arrays alias external storage (e.g. a snapshot map). */
-    bool borrowsStorage() const { return storage_ != nullptr; }
-
     /**
      * Exact structural equality over all CSR arrays (offsets, targets,
      * weights). Used to verify that alternative build paths — the
      * parallel counting-sort builder, parallel synthesis, binary snapshot
-     * round trips — are byte-identical to the reference. Storage mode is
-     * deliberately not part of the comparison.
+     * round trips — are byte-identical to the reference. Where the
+     * storage lives is not part of the comparison.
      */
     bool
     operator==(const CsrGraph& o) const
     {
-        const auto eq = [](const auto& a, const auto& b) {
-            return a.size() == b.size() &&
-                   std::equal(a.begin(), a.end(), b.begin());
-        };
         return numVertices_ == o.numVertices_ &&
-               eq(rowOffsets_, o.rowOffsets_) &&
-               eq(colIndices_, o.colIndices_) && eq(weights_, o.weights_);
+               std::ranges::equal(rowOffsets_, o.rowOffsets_) &&
+               std::ranges::equal(colIndices_, o.colIndices_) &&
+               std::ranges::equal(weights_, o.weights_);
     }
 
     /** True if for every edge u->v the reverse edge v->u exists. */
@@ -179,28 +153,14 @@ class CsrGraph
   private:
     void validate() const;
 
-    /** Point the spans at the owned vectors (owning mode only). */
-    void
-    rebindOwned()
-    {
-        rowOffsets_ = ownedOffsets_;
-        colIndices_ = ownedCols_;
-        weights_ = ownedWeights_;
-    }
-
-    void assignCopy(const CsrGraph& o);
-    void assignMove(CsrGraph&& o) noexcept;
+    /** Row offsets of the graph with no vertices. */
+    static constexpr EdgeId kNoVertices[1] = {0};
 
     VertexId numVertices_ = 0;
-    // Owning mode keeps the arrays here; borrowed mode leaves them empty
-    // and holds the real owner in storage_. The spans are the single
-    // source of truth for readers in both modes.
-    std::vector<EdgeId> ownedOffsets_{0};
-    std::vector<VertexId> ownedCols_;
-    std::vector<std::uint32_t> ownedWeights_;
-    std::span<const EdgeId> rowOffsets_;
+    std::span<const EdgeId> rowOffsets_ = kNoVertices;
     std::span<const VertexId> colIndices_;
     std::span<const std::uint32_t> weights_;
+    /** The block the spans view; copies share it. */
     std::shared_ptr<const void> storage_;
 };
 

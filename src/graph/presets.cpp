@@ -17,6 +17,16 @@ presetName(GraphPreset p)
     return names[static_cast<int>(p)];
 }
 
+std::optional<GraphPreset>
+presetFromName(std::string_view name)
+{
+    for (GraphPreset p : kAllGraphPresets) {
+        if (presetName(p) == name)
+            return p;
+    }
+    return std::nullopt;
+}
+
 const PaperGraphStats&
 paperStats(GraphPreset p)
 {

@@ -11,7 +11,9 @@
 #define GGA_GRAPH_PRESETS_HPP
 
 #include <array>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "graph/csr.hpp"
 #include "graph/generator.hpp"
@@ -36,6 +38,9 @@ inline constexpr std::array<GraphPreset, 6> kAllGraphPresets = {
 
 /** Short uppercase name as used in the paper ("AMZ", ...). */
 const std::string& presetName(GraphPreset p);
+
+/** The preset whose presetName is @p name (case-sensitive), or nullopt. */
+std::optional<GraphPreset> presetFromName(std::string_view name);
 
 /** Published Table II statistics for comparison in tests and benches. */
 struct PaperGraphStats

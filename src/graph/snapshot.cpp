@@ -1,6 +1,5 @@
 #include "graph/snapshot.hpp"
 
-#include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -10,7 +9,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <vector>
 
 #include "support/rng.hpp"
 #include "support/types.hpp"
@@ -53,51 +51,6 @@ blobChecksum(std::span<const EdgeId> offsets, std::span<const VertexId> cols,
     return h;
 }
 
-/**
- * Shared header validation for both load paths; every check throws the
- * same SnapshotError it did when loading was ifstream-only.
- */
-void
-validateHeader(const SnapshotHeader& header, const std::string& path)
-{
-    if (std::memcmp(header.magic, kMagic, sizeof kMagic) != 0)
-        throw SnapshotError("'" + path + "': not a GGA CSR snapshot");
-    if (header.endian != kEndianTag)
-        throw SnapshotError("'" + path +
-                            "': written on a foreign-endian host");
-    if (header.version != kSnapshotFormatVersion)
-        throw SnapshotError(
-            "'" + path + "': format version " +
-            std::to_string(header.version) + ", this build reads " +
-            std::to_string(kSnapshotFormatVersion));
-    if (header.flags & ~kSnapshotHasWeights)
-        throw SnapshotError("'" + path + "': unknown flag bits");
-    // The dims drive allocations below; reject sizes the CSR types
-    // cannot represent before trusting them.
-    if (header.numVertices >= 0xffffffffull ||
-        header.numEdges > 0xffffffffull)
-        throw SnapshotError("'" + path + "': dimensions out of range");
-}
-
-/**
- * Structural validation before the CsrGraph constructor: its GGA_ASSERTs
- * are fatal, and a malformed-but-checksummed file must surface as a
- * catchable SnapshotError instead.
- */
-void
-validateStructure(std::span<const EdgeId> offsets,
-                  std::span<const VertexId> cols, const std::string& path)
-{
-    if (offsets.front() != 0 || offsets.back() != cols.size() ||
-        !std::is_sorted(offsets.begin(), offsets.end()))
-        throw SnapshotError("'" + path + "': malformed row offsets");
-    const std::size_t v = offsets.size() - 1;
-    for (VertexId t : cols) {
-        if (t >= v)
-            throw SnapshotError("'" + path + "': edge target out of range");
-    }
-}
-
 /** RAII keeper for an mmap'ed snapshot; the CsrGraph holds it alive. */
 struct MappedFile
 {
@@ -110,126 +63,109 @@ struct MappedFile
     std::size_t bytes;
 };
 
-CsrGraph
-loadViaCopy(const std::string& path)
+/** A whole snapshot file in memory, and the block that keeps it alive. */
+struct Image
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::span<const unsigned char> bytes;
+    std::shared_ptr<const void> storage;
+};
+
+/**
+ * The bytes of @p path: mapped read-only unless @p mode is Copy, else
+ * (or when Auto cannot map the file) read once into the heap. The
+ * modes differ only here; parseImage judges every image alike.
+ */
+Image
+readImage(const std::string& path, SnapshotLoadMode mode)
+{
+    const auto close_file = [](std::FILE* f) { std::fclose(f); };
+    const std::unique_ptr<std::FILE, decltype(close_file)> file(
+        std::fopen(path.c_str(), "rb"), close_file);
+    struct stat st{};
+    if (!file || ::fstat(::fileno(file.get()), &st) != 0 ||
+        !S_ISREG(st.st_mode))
         throw SnapshotError("cannot open snapshot '" + path + "'");
-
-    SnapshotHeader header{};
-    in.read(reinterpret_cast<char*>(&header), sizeof header);
-    if (in.gcount() != sizeof header)
-        throw SnapshotError("'" + path + "': truncated header");
-    validateHeader(header, path);
-
-    const std::size_t v = static_cast<std::size_t>(header.numVertices);
-    const std::size_t e = static_cast<std::size_t>(header.numEdges);
-    const bool weighted = header.flags & kSnapshotHasWeights;
-    std::vector<EdgeId> offsets(v + 1);
-    std::vector<VertexId> cols(e);
-    std::vector<std::uint32_t> weights(weighted ? e : 0);
-    const auto get = [&in, &path](void* data, std::size_t bytes,
-                                  const char* what) {
-        in.read(static_cast<char*>(data),
-                static_cast<std::streamsize>(bytes));
-        if (static_cast<std::size_t>(in.gcount()) != bytes)
-            throw SnapshotError("'" + path + "': truncated " +
-                                std::string(what) + " blob");
-    };
-    get(offsets.data(), offsets.size() * sizeof(EdgeId), "offsets");
-    get(cols.data(), cols.size() * sizeof(VertexId), "targets");
-    if (weighted)
-        get(weights.data(), weights.size() * sizeof(std::uint32_t),
-            "weights");
-    if (in.peek() != std::ifstream::traits_type::eof())
-        throw SnapshotError("'" + path + "': trailing bytes after payload");
-
-    if (blobChecksum(offsets, cols, weights) != header.checksum)
-        throw SnapshotError("'" + path + "': content checksum mismatch");
-
-    validateStructure(offsets, cols, path);
-    return CsrGraph(std::move(offsets), std::move(cols),
-                    std::move(weights));
+    const auto size = static_cast<std::size_t>(st.st_size);
+    // An empty file cannot be mapped; it reads as a truncated header.
+    if (mode != SnapshotLoadMode::Copy && size != 0) {
+        void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE,
+                           ::fileno(file.get()), 0);
+        if (map != MAP_FAILED)
+            return {{static_cast<const unsigned char*>(map), size},
+                    std::make_shared<MappedFile>(map, size)};
+        if (mode == SnapshotLoadMode::Mmap)
+            throw SnapshotError("cannot mmap snapshot '" + path + "'");
+    }
+    auto heap = std::make_shared_for_overwrite<unsigned char[]>(size);
+    if (std::fread(heap.get(), 1, size, file.get()) != size)
+        throw SnapshotError("cannot read snapshot '" + path + "'");
+    return {{heap.get(), size}, std::move(heap)};
 }
 
 /**
- * Zero-copy load: map the file read-only, validate in place, and return
- * a borrowed-storage graph aliasing the mapping. Only open/stat/mmap
- * syscall failures set @p *unavailable (the cue for Auto to fall back to
- * the copying path); a file that maps but fails validation is corrupt on
- * every path and throws.
+ * The one snapshot parser: check @p image's header, blob sizes,
+ * checksum and CSR structure, and return a graph over its arrays.
+ * Every check throws SnapshotError, never a fatal: a stale cache file
+ * is user input, and the CsrGraph constructor's checks are fatal.
  */
 CsrGraph
-loadViaMmap(const std::string& path, bool* unavailable)
+parseImage(const Image& image, const std::string& path)
 {
-    *unavailable = false;
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
-        *unavailable = true;
-        return {};
-    }
-    struct stat st{};
-    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-        ::close(fd);
-        *unavailable = true;
-        return {};
-    }
-    const std::size_t file_bytes = static_cast<std::size_t>(st.st_size);
-    if (file_bytes < sizeof(SnapshotHeader)) {
-        ::close(fd);
-        throw SnapshotError("'" + path + "': truncated header");
-    }
-    void* map = ::mmap(nullptr, file_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd); // the mapping keeps the file's pages reachable
-    if (map == MAP_FAILED) {
-        *unavailable = true;
-        return {};
-    }
-    auto keeper = std::make_shared<MappedFile>(map, file_bytes);
-
+    const auto fail = [&path](const std::string& why) {
+        return SnapshotError("'" + path + "': " + why);
+    };
     SnapshotHeader header{};
-    std::memcpy(&header, map, sizeof header);
-    validateHeader(header, path);
+    if (image.bytes.size() < sizeof header)
+        throw fail("truncated header");
+    std::memcpy(&header, image.bytes.data(), sizeof header);
+    if (std::memcmp(header.magic, kMagic, sizeof kMagic) != 0)
+        throw fail("not a GGA CSR snapshot");
+    if (header.endian != kEndianTag)
+        throw fail("written on a foreign-endian host");
+    if (header.version != kSnapshotFormatVersion)
+        throw fail("format version " + std::to_string(header.version) +
+                   ", this build reads " +
+                   std::to_string(kSnapshotFormatVersion));
+    if (header.flags & ~kSnapshotHasWeights)
+        throw fail("unknown flag bits");
+    // The dims size the blobs below; reject sizes the CSR types cannot
+    // represent before trusting them.
+    if (header.numVertices >= 0xffffffffull ||
+        header.numEdges > 0xffffffffull)
+        throw fail("dimensions out of range");
 
+    // Every blob is 4-byte aligned: the image starts page- or
+    // heap-aligned, the header is 48 bytes, and both element types are
+    // 4 bytes wide (static_asserts above).
     const std::size_t v = static_cast<std::size_t>(header.numVertices);
     const std::size_t e = static_cast<std::size_t>(header.numEdges);
-    const bool weighted = header.flags & kSnapshotHasWeights;
-    const std::size_t offs_bytes = (v + 1) * sizeof(EdgeId);
-    const std::size_t cols_bytes = e * sizeof(VertexId);
-    const std::size_t wts_bytes = weighted ? e * sizeof(std::uint32_t) : 0;
-
-    // Every blob is 4-byte aligned: the header is 48 bytes and both
-    // element types are 4 bytes wide (static_asserts above).
-    std::size_t at = sizeof(SnapshotHeader);
-    const auto blob = [&](std::size_t bytes,
-                          const char* what) -> const char* {
-        if (file_bytes - at < bytes)
-            throw SnapshotError("'" + path + "': truncated " +
-                                std::string(what) + " blob");
-        const char* p = static_cast<const char*>(map) + at;
+    std::size_t at = sizeof header;
+    const auto blob = [&](std::size_t count, const char* what) {
+        const std::size_t bytes = count * sizeof(std::uint32_t);
+        if (image.bytes.size() - at < bytes)
+            throw fail(std::string("truncated ") + what + " blob");
+        const std::span<const std::uint32_t> out{
+            reinterpret_cast<const std::uint32_t*>(image.bytes.data() + at),
+            count};
         at += bytes;
-        return p;
+        return out;
     };
-    const std::span<const EdgeId> offsets{
-        reinterpret_cast<const EdgeId*>(blob(offs_bytes, "offsets")),
-        v + 1};
-    const std::span<const VertexId> cols{
-        reinterpret_cast<const VertexId*>(blob(cols_bytes, "targets")), e};
-    const std::span<const std::uint32_t> weights{
-        weighted
-            ? reinterpret_cast<const std::uint32_t*>(
-                  blob(wts_bytes, "weights"))
-            : nullptr,
-        weighted ? e : 0};
-    if (at != file_bytes)
-        throw SnapshotError("'" + path + "': trailing bytes after payload");
-
+    const std::span<const EdgeId> offsets = blob(v + 1, "offsets");
+    const std::span<const VertexId> cols = blob(e, "targets");
+    const std::span<const std::uint32_t> weights =
+        blob(header.flags & kSnapshotHasWeights ? e : 0, "weights");
+    if (at != image.bytes.size())
+        throw fail("trailing bytes after payload");
     if (blobChecksum(offsets, cols, weights) != header.checksum)
-        throw SnapshotError("'" + path + "': content checksum mismatch");
-
-    validateStructure(offsets, cols, path);
-    return CsrGraph(offsets, cols, weights, std::move(keeper));
+        throw fail("content checksum mismatch");
+    if (offsets.front() != 0 || offsets.back() != cols.size() ||
+        !std::is_sorted(offsets.begin(), offsets.end()))
+        throw fail("malformed row offsets");
+    for (VertexId t : cols) {
+        if (t >= v)
+            throw fail("edge target out of range");
+    }
+    return CsrGraph(offsets, cols, weights, image.storage);
 }
 
 } // namespace
@@ -292,15 +228,7 @@ saveCsrSnapshot(const std::string& path, const CsrGraph& g)
 CsrGraph
 loadCsrSnapshot(const std::string& path, SnapshotLoadMode mode)
 {
-    if (mode == SnapshotLoadMode::Copy)
-        return loadViaCopy(path);
-    bool unavailable = false;
-    CsrGraph g = loadViaMmap(path, &unavailable);
-    if (!unavailable)
-        return g;
-    if (mode == SnapshotLoadMode::Mmap)
-        throw SnapshotError("cannot mmap snapshot '" + path + "'");
-    return loadViaCopy(path);
+    return parseImage(readImage(path, mode), path);
 }
 
 } // namespace gga

@@ -53,14 +53,15 @@ inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
  */
 void saveCsrSnapshot(const std::string& path, const CsrGraph& g);
 
-/** How loadCsrSnapshot materializes the arrays. */
+/** How loadCsrSnapshot gets a file's bytes; one parser checks them all. */
 enum class SnapshotLoadMode
 {
-    /** mmap when the filesystem supports it, else the copying path. */
+    /** mmap when the filesystem supports it, else Copy. */
     Auto,
-    /** Zero-copy: the graph borrows the mapping (fails if mmap does). */
+    /** Zero-copy: the graph's arrays live in the mapping (fails if mmap
+     *  does). */
     Mmap,
-    /** Read every blob through ifstream into owned vectors. */
+    /** Read the whole file once into a heap image. */
     Copy,
 };
 
@@ -70,12 +71,12 @@ enum class SnapshotLoadMode
  * payload, checksum mismatch, or malformed CSR arrays — never a fatal,
  * so callers can fall back to building from scratch.
  *
- * The default Auto mode maps the file read-only and returns a
- * borrowed-storage CsrGraph aliasing the mapping (the checksum is still
- * verified over the mapped pages), falling back to the copying ifstream
- * path on filesystems where mmap fails. Both modes return graphs that
- * compare equal; the mapping (not the file name) is held alive by the
- * graph, so deleting the snapshot after a load is safe.
+ * Every mode yields the same image of the file, and one parser checks
+ * it — the checksum covers every byte — and returns a graph whose
+ * arrays live in that image, with the same error text in every mode.
+ * The default Auto mode maps the file read-only and falls back to Copy
+ * on filesystems where mmap fails. The image (not the file name) is held
+ * alive by the graph, so deleting the snapshot after a load is safe.
  */
 CsrGraph loadCsrSnapshot(const std::string& path,
                          SnapshotLoadMode mode = SnapshotLoadMode::Auto);

@@ -191,6 +191,11 @@ buildFigureSet(const std::string& figure, double scale, bool full,
     set.scale = static_cast<double>(GraphStore::quantizeScale(scale)) /
                 kScaleUnitsPerOne;
     set.full = full && figure == "fig5";
+    for (GraphPreset g : kAllGraphPresets) {
+        if (const std::optional<std::string> why =
+                GraphStore::presetError(g, set.scale))
+            throw EvalError(figure + ": " + *why);
+    }
 
     if (!predictions) {
         // Warm the input graphs concurrently before the serial spec loop

@@ -46,7 +46,9 @@ struct FigureSet
  * BEST search to the whole space); "partial" adds the restricted
  * no-DRFrlx sweeps, deduplicated against the full ones. The manifest
  * meta records figure/scale/full so figureSetFromManifest can rebuild
- * the rendering structure from the serialized manifest alone.
+ * the rendering structure from the serialized manifest alone. Throws
+ * EvalError when @p scale cannot build one of the six presets
+ * (GraphStore::presetError).
  */
 FigureSet figureSet(const std::string& figure, double scale,
                     bool full = false,

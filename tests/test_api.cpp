@@ -51,6 +51,15 @@ TEST(AppTable, NamesRoundTrip)
     EXPECT_EQ(appFromName("pr"), std::nullopt); // case-sensitive
 }
 
+TEST(PresetTable, NamesRoundTrip)
+{
+    for (GraphPreset p : kAllGraphPresets)
+        EXPECT_EQ(presetFromName(presetName(p)), p) << presetName(p);
+    EXPECT_EQ(presetFromName("RAJ"), GraphPreset::Raj);
+    EXPECT_EQ(presetFromName("nope"), std::nullopt);
+    EXPECT_EQ(presetFromName("amz"), std::nullopt); // case-sensitive
+}
+
 TEST(AppTable, AcceptedConfigsFollowTraversal)
 {
     std::vector<SystemConfig> all = allConfigs(false);
@@ -221,6 +230,26 @@ TEST(RunPlan, UnbuildableGraphFailsThePlanNotTheProcess)
         << *why;
     EXPECT_FALSE(session.tryRun(tiny, &error).has_value());
     EXPECT_EQ(error, *why);
+}
+
+TEST(RunPlan, CustomGraphOutlivesTheCallersGraph)
+{
+    // The plan keeps a copy that shares the graph's arrays, so it still
+    // runs after the caller's graph is gone.
+    Session session;
+    RunPlan plan = RunPlan{}.app(AppId::Pr).config("SG1");
+    {
+        const CsrGraph scoped = smallGraph();
+        plan.graph(scoped, "api-small");
+    }
+    const RunOutcome later = session.run(plan);
+    const RunOutcome direct = session.run(
+        RunPlan{}.app(AppId::Pr).graph(smallGraph(), "api-small").config(
+            "SG1"));
+    EXPECT_EQ(later.result, direct.result);
+    ASSERT_NE(later.pr(), nullptr);
+    ASSERT_NE(direct.pr(), nullptr);
+    EXPECT_EQ(later.pr()->ranks, direct.pr()->ranks);
 }
 
 TEST(Seed, ZeroSeedMatchesUnseededPaperRuns)

@@ -213,6 +213,23 @@ TEST(WorkUnit, FromJsonRejectsUnitsThatCannotRun)
     }
     EXPECT_NO_THROW(WorkUnit::fromJson(Json::parse(
         unit("{\"preset\": \"DCT\", \"scale\": 1e-3}", "{}"))));
+    // An app that cannot take its config, with Session::validate's text.
+    for (const auto& [app, config] :
+         {std::pair{AppId::Pr, "DD1"}, std::pair{AppId::Cc, "SG1"}}) {
+        const std::string text = "{\"app\": \"" + appName(app) +
+                                 "\", \"input\": " + raj +
+                                 ", \"config\": \"" + config + "\"}";
+        const std::optional<std::string> why = Session{}.validate(
+            RunPlan{}.app(app).graph(GraphPreset::Raj).scale(0.01).config(
+                config));
+        ASSERT_TRUE(why.has_value()) << text;
+        try {
+            WorkUnit::fromJson(Json::parse(text));
+            ADD_FAILURE() << "expected EvalError for " << text;
+        } catch (const EvalError& err) {
+            EXPECT_EQ(std::string(err.what()), *why);
+        }
+    }
 }
 
 TEST(SimParams, CheckNamesWhatCannotRun)
@@ -721,10 +738,9 @@ TEST(GraphStoreSnapshot, WorkerBudgetBoundsAFullScaleManifest)
     // Budget below the three graphs' combined footprint (DCT alone is
     // ~1.6 MB) — the worker must shed inputs as it goes.
     const std::size_t budget = 3u << 20;
-    SessionOptions opts;
-    opts.graphBudgetBytes = budget;
-    opts.graphCacheDir = dir;
-    Session session(opts);
+    store.setBudgetBytes(budget);
+    store.setCacheDir(dir);
+    Session session;
     const ResultSet results = runManifest(session, m);
 
     EXPECT_EQ(results.size(), 3u);
@@ -777,6 +793,27 @@ TEST(FigureSet, ManifestMetaRebuildsTheSet)
     EXPECT_THROW(figureSetFromManifest(no_meta), EvalError);
 
     EXPECT_THROW(figureSet("fig9", 0.01), EvalError);
+}
+
+TEST(FigureSet, ScaleThatCannotBuildAPresetIsAnEvalError)
+{
+    // Refused from the presets' specs, before any graph is built.
+    try {
+        figureSet("fig5", 1e-7);
+        ADD_FAILURE() << "expected EvalError";
+    } catch (const EvalError& err) {
+        EXPECT_NE(std::string(err.what()).find("rounds to zero"),
+                  std::string::npos)
+            << err.what();
+    }
+    try {
+        figureSet("fig6", 5e-4);
+        ADD_FAILURE() << "expected EvalError";
+    } catch (const EvalError& err) {
+        EXPECT_NE(std::string(err.what()).find("too small to synthesize DCT"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 TEST(FigureSet, OffGridScaleQuantizesAndRebuilds)

@@ -280,6 +280,9 @@ TEST(ServeSubmit, UnitsThatCannotRunAre400AndTheServerStaysUp)
         plan("{\"preset\": \"RAJ\", \"scale\": 1e-7}", "{}"),
         // Too small to synthesize: DCT's backbone outgrows its edges.
         plan("{\"preset\": \"DCT\", \"scale\": 1e-4}", "{}"),
+        // PR's static traversal cannot take a PushPull config.
+        "{\"plan\": {\"app\": \"PR\", \"input\": " + raj +
+            ", \"config\": \"DD1\"}}",
     };
     for (const std::string& body : bodies) {
         const HttpResponse r =
@@ -451,18 +454,16 @@ TEST(ServeLocal, SinglePlanJobAndInvalidPlanFails)
     EXPECT_EQ(rs->results()[0].key, u.key());
 
     // A structurally valid unit with an invalid app/config pairing is
-    // admitted and then fails at plan validation, not crashes.
+    // refused at admission with the plan validator's reason.
     const HttpResponse bad = svc.handle(
         request("POST", "/v1/jobs", {},
                 "{\"plan\": " +
                     unitFor(AppId::Pr, "DD1").toJson().dump() + "}"));
-    ASSERT_EQ(bad.status, 202) << bad.body;
-    const std::string badId = parseBody(bad).at("id").asString();
-    EXPECT_EQ(awaitTerminal(svc, badId), "failed");
-    const Json snap = parseBody(
-        svc.handle(request("GET", "/v1/jobs/" + badId)));
-    EXPECT_NE(snap.at("error").asString().find("invalid run plan"),
-              std::string::npos);
+    EXPECT_EQ(bad.status, 400) << bad.body;
+    EXPECT_NE(bad.body.find("PR has a static traversal and requires Push "
+                            "or Pull, got DD1"),
+              std::string::npos)
+        << bad.body;
 }
 
 TEST(ServeLocal, MissingInputFileFailsTheJobAndTheServerStaysUp)

@@ -76,16 +76,6 @@ canonicalScale(double scale)
            1e6;
 }
 
-std::optional<gga::GraphPreset>
-parsePresetName(const std::string& name)
-{
-    for (gga::GraphPreset p : gga::kAllGraphPresets) {
-        if (name == gga::presetName(p))
-            return p;
-    }
-    return std::nullopt;
-}
-
 std::string
 snapshotPathFor(const std::string& cache, const Target& t)
 {
@@ -171,7 +161,7 @@ main(int argc, char** argv)
                         start, comma == std::string::npos
                                    ? std::string::npos
                                    : comma - start);
-                    const auto p = parsePresetName(name);
+                    const auto p = gga::presetFromName(name);
                     if (!p)
                         GGA_FATAL("unknown preset '", name,
                                   "' (want AMZ, DCT, EML, OLS, RAJ, WNG)");
@@ -185,6 +175,11 @@ main(int argc, char** argv)
         if (targets.empty())
             GGA_FATAL("nothing to do: the manifest names no preset inputs "
                       "and no --presets were given");
+        for (const Target& t : targets) {
+            const auto why = gga::GraphStore::presetError(t.preset, t.scale);
+            if (why)
+                GGA_FATAL(*why);
+        }
 
         if (!verify)
             std::filesystem::create_directories(cache);

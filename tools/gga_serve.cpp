@@ -46,6 +46,7 @@
 #include <string>
 #include <thread>
 
+#include "api/graph_store.hpp"
 #include "serve/server.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
@@ -69,7 +70,6 @@ main(int argc, char** argv)
 {
     gga::ServiceOptions opts;
     std::string port_file;
-    std::size_t budget_mb = 0;
     bool verbose = false;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--port") && i + 1 < argc) {
@@ -128,10 +128,11 @@ main(int argc, char** argv)
             opts.drainMs = gga::parseFlag<unsigned>("--drain-ms", argv[++i]);
         } else if (!std::strcmp(argv[i], "--graph-budget-mb") &&
                    i + 1 < argc) {
-            budget_mb =
-                gga::parseFlag<std::size_t>("--graph-budget-mb", argv[++i]);
+            gga::GraphStore::instance().setBudgetBytes(
+                gga::parseFlag<std::size_t>("--graph-budget-mb", argv[++i]) *
+                1024 * 1024);
         } else if (!std::strcmp(argv[i], "--graph-cache") && i + 1 < argc) {
-            opts.session.graphCacheDir = argv[++i];
+            gga::GraphStore::instance().setCacheDir(argv[++i]);
         } else if (!std::strcmp(argv[i], "--verbose")) {
             verbose = true;
         } else {
@@ -149,7 +150,6 @@ main(int argc, char** argv)
         }
     }
     gga::setVerbose(verbose);
-    opts.session.graphBudgetBytes = budget_mb * 1024 * 1024;
     // A resident service wants progress lines even when unit-level
     // verbosity is off; GGA_INFORM is gated on setVerbose, so leave the
     // startup line to std::cout below.

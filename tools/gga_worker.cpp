@@ -31,11 +31,12 @@
  *   on its first assignment, which exercises the server's lease retry.
  *   common:
  *   --threads executor width; default GGA_SESSION_THREADS (then 1)
- *   --graph-budget-mb  LRU byte budget for cached input graphs, so many
- *             workers on one host don't each hold every graph
- *   --graph-cache  directory of prebuilt .csrbin snapshots (see
- *             gga_graphs); input graphs load from it instead of being
- *             re-synthesized at cold start. Default GGA_GRAPH_CACHE.
+ *   --graph-budget-mb  LRU byte budget of the process's GraphStore,
+ *             so many workers on one host don't each hold every graph
+ *   --graph-cache  the GraphStore's directory of prebuilt .csrbin
+ *             snapshots (see gga_graphs); input graphs load from it
+ *             instead of being re-synthesized at cold start. Default
+ *             GGA_GRAPH_CACHE, which the store reads once at start.
  */
 
 #include <cstdlib>
@@ -43,6 +44,7 @@
 #include <iostream>
 #include <string>
 
+#include "api/graph_store.hpp"
 #include "eval/run.hpp"
 #include "serve/worker_client.hpp"
 #include "support/log.hpp"
@@ -56,8 +58,6 @@ main(int argc, char** argv)
     std::size_t shard_index = 0;
     std::size_t shard_count = 1;
     unsigned threads = 0;
-    std::size_t budget_mb = 0;
-    std::string graph_cache;
     bool verbose = false;
     gga::WorkerClientOptions client;
     bool connect = false;
@@ -100,10 +100,11 @@ main(int argc, char** argv)
                 gga::parseFlag<unsigned>("--threads", argv[++i]);
         } else if (!std::strcmp(argv[i], "--graph-budget-mb") &&
                    i + 1 < argc) {
-            budget_mb =
-                gga::parseFlag<std::size_t>("--graph-budget-mb", argv[++i]);
+            gga::GraphStore::instance().setBudgetBytes(
+                gga::parseFlag<std::size_t>("--graph-budget-mb", argv[++i]) *
+                1024 * 1024);
         } else if (!std::strcmp(argv[i], "--graph-cache") && i + 1 < argc) {
-            graph_cache = argv[++i];
+            gga::GraphStore::instance().setCacheDir(argv[++i]);
         } else if (!std::strcmp(argv[i], "--verbose")) {
             verbose = true;
         } else {
@@ -123,8 +124,6 @@ main(int argc, char** argv)
     gga::SessionOptions opts;
     opts.threads = threads;
     opts.verboseRuns = verbose;
-    opts.graphBudgetBytes = budget_mb * 1024 * 1024;
-    opts.graphCacheDir = graph_cache;
 
     try {
         gga::Session session(opts);
