@@ -47,15 +47,20 @@ main(int argc, char** argv)
     session_opts.verboseRuns = true;
     gga::Session session(session_opts);
 
-    const gga::FigureSet set =
-        gga::figureSet("fig5", session.options().scale, full);
-    const gga::ResultSet results = gga::runManifest(session, set.manifest);
+    try {
+        const gga::FigureSet set =
+            gga::figureSet("fig5", session.options().scale, full);
+        const gga::ResultSet results =
+            gga::runManifest(session, set.manifest);
 
-    std::cout << "Figure 5: normalized execution-time breakdown per "
-                 "workload\n(baseline: TG0 for static apps, DG1 for CC; "
-                 "scale=" << session.options().scale
-              << ", session threads=" << session.threads()
-              << ")\n\n";
-    std::cout << gga::renderFigure(set, results, csv);
+        std::cout << "Figure 5: normalized execution-time breakdown per "
+                     "workload\n(baseline: TG0 for static apps, DG1 for "
+                     "CC; scale=" << session.options().scale
+                  << ", session threads=" << session.threads()
+                  << ")\n\n";
+        std::cout << gga::renderFigure(set, results, csv);
+    } catch (const std::exception& err) {
+        GGA_FATAL(err.what());
+    }
     return 0;
 }

@@ -36,14 +36,19 @@ main(int argc, char** argv)
     session_opts.verboseRuns = true;
     gga::Session session(session_opts);
 
-    const gga::FigureSet set =
-        gga::figureSet("fig6", session.options().scale);
-    const gga::ResultSet results = gga::runManifest(session, set.manifest);
+    try {
+        const gga::FigureSet set =
+            gga::figureSet("fig6", session.options().scale);
+        const gga::ResultSet results =
+            gga::runManifest(session, set.manifest);
 
-    std::cout << "Figure 6: workloads where SGR (DGR for CC) is not "
-                 "best\n(scale=" << session.options().scale
-              << ", session threads=" << session.threads()
-              << ")\n\n";
-    std::cout << gga::renderFigure(set, results, csv);
+        std::cout << "Figure 6: workloads where SGR (DGR for CC) is not "
+                     "best\n(scale=" << session.options().scale
+                  << ", session threads=" << session.threads()
+                  << ")\n\n";
+        std::cout << gga::renderFigure(set, results, csv);
+    } catch (const std::exception& err) {
+        GGA_FATAL(err.what());
+    }
     return 0;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Graph-construction benchmark: the cold-start cost a sharded worker
- * pays per input, per preset x scale —
+ * pays per input, for every preset at scale 1.0 —
  *
  *   synth_ref_ms      full synthesis, frozen v1 baseline
  *                     (reference/graph.hpp generateGraphReference: one
@@ -15,22 +15,24 @@
  *                     a heap image)
  *   mmap_load_ms      checksummed .csrbin load, Mmap mode (zero-copy)
  *
- * Emits the machine-readable BENCH_graph.json tracked across PRs (via
- * scripts/bench.sh graph); CI gates the largest preset at scale 1.0 on
- * build_speedup >= 2, synth_speedup >= 2.5, mmap_load_ms <=
- * snapshot_load_ms, and load_vs_rebuild (mmap load vs parallel
+ * The current paths' timings are the best of three repetitions; the v1
+ * baseline and the snapshot save run once.
+ * Every preset runs at one thread and at --threads (default: the
+ * GGA_SESSION_THREADS resolution). scripts/bench_gates.py runs this five
+ * times with --threads 4 and gates the medians of the largest preset's
+ * 4-thread row: build_speedup >= 2, synth_speedup >= 2.5, mmap_load_ms
+ * <= snapshot_load_ms, and load_vs_rebuild (mmap load vs parallel
  * synthesis — the two fast paths a worker chooses between) >= 2. Every
  * timed variant except the v1 baseline (whose output intentionally
  * differs) is asserted byte-identical before the numbers are written —
  * a fast wrong build would be worse than a slow right one.
  *
- * Usage: graph_build --json OUT [--scale S] [--threads T] [--reps R]
+ * Usage: graph_build --json OUT [--threads T]
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <filesystem>
@@ -48,6 +50,9 @@
 
 namespace {
 
+constexpr double kScale = 1.0;
+constexpr int kReps = 3;
+
 double
 msSince(std::chrono::steady_clock::time_point start)
 {
@@ -60,7 +65,6 @@ struct Row
 {
     std::string preset;
     unsigned threads = 1;
-    double scale;
     std::uint64_t vertices;
     std::uint64_t edges;
     double synthRefMs;
@@ -77,23 +81,21 @@ struct Row
 };
 
 Row
-benchPreset(gga::GraphPreset p, double scale, unsigned threads, int reps,
-            const std::string& tmp_dir)
+benchPreset(gga::GraphPreset p, unsigned threads, const std::string& tmp_dir)
 {
     Row row;
     row.preset = gga::presetName(p);
     row.threads = threads;
-    row.scale = scale;
-    const gga::GenSpec spec = gga::presetSpecScaled(p, scale);
+    const gga::GenSpec spec = gga::presetSpecScaled(p, kScale);
 
     // Full synthesis, as a cold-start worker without a snapshot pays it:
-    // the current parallel generator (best of reps, the number workers
+    // the current parallel generator (best of kReps, the number workers
     // live with) and the frozen v1 baseline (once — it only anchors the
     // speedup column). Their outputs differ by design, so the baseline
     // is sanity-checked on invariants rather than byte equality.
     gga::CsrGraph g;
     row.synthParallelMs = 1e100;
-    for (int r = 0; r < reps; ++r) {
+    for (int r = 0; r < kReps; ++r) {
         const auto start = std::chrono::steady_clock::now();
         g = gga::generateGraph(spec, threads);
         row.synthParallelMs = std::min(row.synthParallelMs, msSince(start));
@@ -110,7 +112,7 @@ benchPreset(gga::GraphPreset p, double scale, unsigned threads, int reps,
     }
 
     // CSR construction alone: replay the canonical undirected pairs into
-    // a builder and time both paths over the same input, best-of-reps.
+    // a builder and time both paths over the same input, best of kReps.
     gga::GraphBuilder builder(g.numVertices());
     for (gga::VertexId u = 0; u < g.numVertices(); ++u) {
         for (gga::VertexId v : g.neighbors(u)) {
@@ -121,7 +123,7 @@ benchPreset(gga::GraphPreset p, double scale, unsigned threads, int reps,
     row.buildSerialMs = 1e100;
     row.buildParallelMs = 1e100;
     gga::CsrGraph serial, parallel;
-    for (int r = 0; r < reps; ++r) {
+    for (int r = 0; r < kReps; ++r) {
         auto start = std::chrono::steady_clock::now();
         serial = gga::buildReferenceSort(builder, /*with_weights=*/true);
         row.buildSerialMs = std::min(row.buildSerialMs, msSince(start));
@@ -143,7 +145,7 @@ benchPreset(gga::GraphPreset p, double scale, unsigned threads, int reps,
     row.snapshotSaveMs = msSince(start);
     row.snapshotLoadMs = 1e100;
     row.mmapLoadMs = 1e100;
-    for (int r = 0; r < reps; ++r) {
+    for (int r = 0; r < kReps; ++r) {
         start = std::chrono::steady_clock::now();
         const gga::CsrGraph loaded =
             gga::loadCsrSnapshot(snap, gga::SnapshotLoadMode::Copy);
@@ -167,7 +169,7 @@ benchPreset(gga::GraphPreset p, double scale, unsigned threads, int reps,
                  "[bench] %s @ %.2f x%u: synth %.1f -> %.1fms (%.2fx), "
                  "build %.1f -> %.1fms (%.2fx), load %.1f -> %.1fms "
                  "mmap (%.1fx vs resynthesis)\n",
-                 row.preset.c_str(), scale, threads, row.synthRefMs,
+                 row.preset.c_str(), kScale, threads, row.synthRefMs,
                  row.synthParallelMs, row.synthSpeedup(), row.buildSerialMs,
                  row.buildParallelMs, row.buildSpeedup(),
                  row.snapshotLoadMs, row.mmapLoadMs, row.loadVsRebuild());
@@ -180,28 +182,17 @@ int
 main(int argc, char** argv)
 {
     std::string out;
-    double scale = 1.0;
     unsigned threads = 0;
-    int reps = 3;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
             out = argv[++i];
-        } else if (!std::strcmp(argv[i], "--scale") && i + 1 < argc) {
-            scale = std::strtod(argv[++i], nullptr);
-            if (scale <= 0.0 || scale > 1.0)
-                GGA_FATAL("--scale wants a value in (0, 1]");
         } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
             // Strict parse: a typo'd thread count must not silently
-            // record single-threaded numbers in the tracked JSON.
+            // record single-threaded numbers.
             threads = gga::parseFlag<unsigned>("--threads", argv[++i]);
-        } else if (!std::strcmp(argv[i], "--reps") && i + 1 < argc) {
-            reps = std::atoi(argv[++i]);
-            if (reps < 1)
-                GGA_FATAL("--reps wants a positive integer");
         } else {
             GGA_FATAL("unknown argument '", argv[i],
-                      "'; usage: graph_build --json OUT [--scale S] "
-                      "[--threads T] [--reps R]");
+                      "'; usage: graph_build --json OUT [--threads T]");
         }
     }
     if (out.empty())
@@ -213,17 +204,17 @@ main(int argc, char** argv)
     const std::string tmp_dir =
         std::filesystem::temp_directory_path().string();
     // Each preset at one thread AND at the configured budget: the pair
-    // of rows is the parallel-path scaling trajectory the JSON tracks
-    // across PRs (identical work, so the outputs cross-check for free).
+    // of rows is the parallel path's scaling (identical work, so the
+    // outputs cross-check for free).
     std::vector<Row> rows;
     for (gga::GraphPreset p : gga::kAllGraphPresets) {
-        rows.push_back(benchPreset(p, scale, 1, reps, tmp_dir));
+        rows.push_back(benchPreset(p, 1, tmp_dir));
         if (threads != 1)
-            rows.push_back(benchPreset(p, scale, threads, reps, tmp_dir));
+            rows.push_back(benchPreset(p, threads, tmp_dir));
     }
 
-    // The gate row: the largest input at this scale (edge count decides)
-    // benched at the configured thread budget.
+    // The gate row: the largest input (edge count decides) benched at
+    // the configured thread budget.
     const Row* largest = &rows.front();
     for (const Row& r : rows) {
         if (r.threads == threads &&
@@ -242,7 +233,7 @@ main(int argc, char** argv)
     std::fprintf(f, "  \"suite\": \"gga graph_build\",\n");
     std::fprintf(f, "  \"generated\": \"%s\",\n", stamp);
     std::fprintf(f, "  \"threads\": %u,\n", threads);
-    std::fprintf(f, "  \"scale\": %g,\n", scale);
+    std::fprintf(f, "  \"scale\": %g,\n", kScale);
     std::fprintf(f, "  \"largest_preset\": \"%s\",\n",
                  largest->preset.c_str());
     std::fprintf(f, "  \"rows\": [\n");
@@ -258,7 +249,7 @@ main(int argc, char** argv)
             "\"build_speedup\": %.2f, \"snapshot_save_ms\": %.2f, "
             "\"snapshot_load_ms\": %.2f, \"mmap_load_ms\": %.2f, "
             "\"load_vs_rebuild\": %.1f}%s\n",
-            r.preset.c_str(), r.threads, r.scale,
+            r.preset.c_str(), r.threads, kScale,
             static_cast<unsigned long long>(r.vertices),
             static_cast<unsigned long long>(r.edges), r.synthRefMs,
             r.synthParallelMs, r.synthSpeedup(), r.buildSerialMs,

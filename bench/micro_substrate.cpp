@@ -1,20 +1,16 @@
 /**
  * @file
- * Micro-benchmarks of the substrate components: event engine throughput
- * (time wheel vs. the binary-heap reference), cache lookups, k-means,
- * graph generation, taxonomy metrics, and small end-to-end simulations.
- * These track the simulator's own performance (host wall-time), not
- * simulated cycles.
+ * Micro-benchmark of the event engine: the time wheel's host ns/event
+ * against the binary-heap engine it replaced, in a bulk schedule+run loop
+ * and a chained steady state, plus end-to-end run times of PR, CC and
+ * SSSP on a small power-law graph. These measure the simulator's own
+ * performance (host wall-time), not simulated cycles.
  *
- * Two modes:
- *   ./micro_substrate [google-benchmark flags]   interactive tables
- *   ./micro_substrate --json out.json            self-contained suite that
- *       writes the machine-readable BENCH_engine.json consumed by
- *       scripts/bench.sh, tracking events/sec, ns/event, the wheel:heap
- *       speedup, and end-to-end run times across PRs.
+ * Usage: micro_substrate --json OUT
+ *
+ * scripts/bench_gates.py runs it five times and gates the median
+ * speedup_vs_heap of each engine row at >= 1.5.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
@@ -26,13 +22,9 @@
 
 #include "api/session.hpp"
 #include "graph/generator.hpp"
-#include "model/config.hpp"
-#include "sim/cache.hpp"
 #include "sim/engine.hpp"
 #include "support/log.hpp"
 #include "support/rng.hpp"
-#include "taxonomy/kmeans.hpp"
-#include "taxonomy/profile.hpp"
 
 namespace {
 
@@ -204,15 +196,20 @@ bulkNsPerEvent(std::size_t batch, std::uint64_t total)
 {
     const std::vector<gga::Cycles> delays = benchDelays(4096);
     std::uint64_t count = 0;
+    std::uint64_t scheduled = 0;
     const auto start = std::chrono::steady_clock::now();
     EngineT engine;
-    for (std::uint64_t done = 0; done < total; done += batch) {
+    for (; scheduled < total; scheduled += batch) {
         for (std::size_t i = 0; i < batch; ++i)
-            engine.schedule(delays[(done + i) & 4095], [&count] { ++count; });
+            engine.schedule(delays[(scheduled + i) & 4095],
+                            [&count] { ++count; });
         engine.run();
     }
     const auto stop = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(count);
+    // The check also keeps the optimizer from dropping the callbacks.
+    if (count != scheduled)
+        GGA_FATAL("engine ran ", count, " of ", scheduled,
+                  " scheduled events");
     const double ns =
         std::chrono::duration<double, std::nano>(stop - start).count();
     return ns / static_cast<double>(count);
@@ -236,10 +233,6 @@ benchGraph()
     }();
     return g;
 }
-
-// --------------------------------------------------------------------------
-// --json mode: the tracked BENCH_engine.json suite.
-// --------------------------------------------------------------------------
 
 struct EndToEnd
 {
@@ -277,7 +270,7 @@ runEndToEnd(gga::Session& session, const char* app_name, gga::AppId app,
 }
 
 int
-runJsonSuite(const char* path)
+runSuite(const char* path)
 {
     constexpr std::uint64_t kBulkTotal = 4u << 20;
     constexpr std::uint64_t kChainTotal = 4u << 20;
@@ -296,8 +289,7 @@ runJsonSuite(const char* path)
 
     // Three apps spanning the traversal taxonomy: PR (static pull), SSSP
     // (static push/pull with weights), CC (dynamic, PushPull-only) — so
-    // the tracked host-events/sec trajectory covers more than one kernel
-    // shape.
+    // the host events/sec rows cover more than one kernel shape.
     std::fprintf(stderr, "[bench] end-to-end PR/CC/SSSP runs...\n");
     gga::Session session;
     const EndToEnd tg0 = runEndToEnd(session, "PR", gga::AppId::Pr, "TG0");
@@ -359,164 +351,13 @@ runJsonSuite(const char* path)
     return 0;
 }
 
-// --------------------------------------------------------------------------
-// google-benchmark registrations (interactive mode).
-// --------------------------------------------------------------------------
-
-void
-BM_EngineScheduleRun(benchmark::State& state)
-{
-    for (auto _ : state) {
-        gga::Engine engine;
-        std::uint64_t count = 0;
-        for (int i = 0; i < 4096; ++i) {
-            engine.schedule(static_cast<gga::Cycles>(i % 97),
-                            [&count] { ++count; });
-        }
-        engine.run();
-        benchmark::DoNotOptimize(count);
-    }
-    state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_EngineScheduleRun);
-
-void
-BM_HeapEngineScheduleRun(benchmark::State& state)
-{
-    for (auto _ : state) {
-        BinaryHeapEngine engine;
-        std::uint64_t count = 0;
-        for (int i = 0; i < 4096; ++i) {
-            engine.schedule(static_cast<gga::Cycles>(i % 97),
-                            [&count] { ++count; });
-        }
-        engine.run();
-        benchmark::DoNotOptimize(count);
-    }
-    state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_HeapEngineScheduleRun);
-
-void
-BM_EngineChained(benchmark::State& state)
-{
-    for (auto _ : state) {
-        const double ns = chainedNsPerEvent<gga::Engine>(256, 1u << 18);
-        benchmark::DoNotOptimize(ns);
-    }
-    state.SetItemsProcessed(state.iterations() * (1u << 18));
-}
-BENCHMARK(BM_EngineChained)->Unit(benchmark::kMillisecond);
-
-void
-BM_HeapEngineChained(benchmark::State& state)
-{
-    for (auto _ : state) {
-        const double ns = chainedNsPerEvent<BinaryHeapEngine>(256, 1u << 18);
-        benchmark::DoNotOptimize(ns);
-    }
-    state.SetItemsProcessed(state.iterations() * (1u << 18));
-}
-BENCHMARK(BM_HeapEngineChained)->Unit(benchmark::kMillisecond);
-
-void
-BM_CacheLookupInsert(benchmark::State& state)
-{
-    gga::SetAssocCache cache(32 * 1024, 8, 64);
-    gga::Xoshiro256StarStar rng(3);
-    for (auto _ : state) {
-        const gga::Addr line = (rng.next() % 100000) * 64;
-        if (cache.lookup(line) == gga::LineState::Invalid)
-            cache.insert(line, gga::LineState::Valid);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheLookupInsert);
-
-void
-BM_KMeans1d(benchmark::State& state)
-{
-    std::vector<double> values(state.range(0));
-    gga::Xoshiro256StarStar rng(11);
-    for (auto& v : values)
-        v = static_cast<double>(rng.nextBounded(1000));
-    for (auto _ : state) {
-        auto r = gga::kmeans1d2(values);
-        benchmark::DoNotOptimize(r);
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_KMeans1d)->Arg(8)->Arg(64)->Arg(1024);
-
-void
-BM_GenerateGraph(benchmark::State& state)
-{
-    for (auto _ : state) {
-        gga::GenSpec spec;
-        spec.name = "gen";
-        spec.numVertices = static_cast<gga::VertexId>(state.range(0));
-        spec.numDirectedEdges =
-            static_cast<gga::EdgeId>(state.range(0) * 8);
-        spec.dist = gga::DegreeDist::LogNormal;
-        spec.p1 = 2.0;
-        spec.p2 = 0.6;
-        spec.maxDegree = 128;
-        spec.fracIntraBlock = 0.3;
-        spec.seed = 13;
-        auto g = gga::generateGraph(spec);
-        benchmark::DoNotOptimize(g);
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0) * 8);
-}
-BENCHMARK(BM_GenerateGraph)->Arg(1 << 12)->Arg(1 << 14);
-
-void
-BM_TaxonomyProfile(benchmark::State& state)
-{
-    const gga::CsrGraph& g = benchGraph();
-    for (auto _ : state) {
-        auto p = gga::profileGraph(g);
-        benchmark::DoNotOptimize(p);
-    }
-    state.SetItemsProcessed(state.iterations() * g.numEdges());
-}
-BENCHMARK(BM_TaxonomyProfile);
-
-void
-BM_SimulatePr(benchmark::State& state)
-{
-    const gga::CsrGraph& g = benchGraph();
-    gga::Session session;
-    const gga::RunPlan plan =
-        gga::RunPlan{}
-            .app(gga::AppId::Pr)
-            .graph(g, "bench")
-            .config(state.range(0) == 0 ? "TG0" : "SGR")
-            .collectOutputs(false);
-    for (auto _ : state) {
-        auto r = session.run(plan);
-        benchmark::DoNotOptimize(r);
-    }
-    state.SetItemsProcessed(state.iterations() * g.numEdges() * 10);
-}
-BENCHMARK(BM_SimulatePr)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
+    if (argc != 3 || std::strcmp(argv[1], "--json") != 0)
+        GGA_FATAL("usage: micro_substrate --json OUT");
     gga::setVerbose(false);
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--json requires an output path\n");
-                return 1;
-            }
-            return runJsonSuite(argv[i + 1]);
-        }
-    }
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return runSuite(argv[2]);
 }

@@ -40,15 +40,20 @@ main(int argc, char** argv)
     session_opts.verboseRuns = true;
     gga::Session session(session_opts);
 
-    const gga::FigureSet set =
-        gga::figureSet("partial", session.options().scale);
-    const gga::ResultSet results = gga::runManifest(session, set.manifest);
+    try {
+        const gga::FigureSet set =
+            gga::figureSet("partial", session.options().scale);
+        const gga::ResultSet results =
+            gga::runManifest(session, set.manifest);
 
-    std::cout << "Partial design space (no DRFrlx): best configuration "
-                 "and partial-model prediction\n(scale="
-              << session.options().scale
-              << ", session threads=" << session.threads()
-              << ")\n\n";
-    std::cout << gga::renderFigure(set, results, csv);
+        std::cout << "Partial design space (no DRFrlx): best configuration "
+                     "and partial-model prediction\n(scale="
+                  << session.options().scale
+                  << ", session threads=" << session.threads()
+                  << ")\n\n";
+        std::cout << gga::renderFigure(set, results, csv);
+    } catch (const std::exception& err) {
+        GGA_FATAL(err.what());
+    }
     return 0;
 }

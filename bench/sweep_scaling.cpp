@@ -25,6 +25,7 @@
 #include "api/session.hpp"
 #include "harness/sweep.hpp"
 #include "support/log.hpp"
+#include "support/parse.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -80,9 +81,7 @@ main(int argc, char** argv)
         gga::presetFromName(graph_name);
     if (!preset)
         GGA_FATAL("unknown graph '", graph_name, "'");
-    const double scale = argc > 3 ? std::atof(argv[3]) : 0.25;
-    if (!(scale > 0.0 && scale <= 1.0))
-        GGA_FATAL("scale must be in (0, 1], got '", argv[3], "'");
+    const double scale = argc > 3 ? gga::parseScale("scale", argv[3]) : 0.25;
     const unsigned max_threads = static_cast<unsigned>(
         std::clamp<long>(argc > 4 ? std::atol(argv[4]) : 8, 1, 256));
 

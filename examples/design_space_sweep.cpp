@@ -27,6 +27,7 @@
 
 #include "eval/run.hpp"
 #include "support/log.hpp"
+#include "support/parse.hpp"
 #include "support/table.hpp"
 
 int
@@ -47,7 +48,7 @@ main(int argc, char** argv)
         gga::presetFromName(graph_name);
     if (!preset)
         GGA_FATAL("unknown graph '", graph_name, "'");
-    const double scale = argc > 3 ? std::atof(argv[3]) : 0.25;
+    const double scale = argc > 3 ? gga::parseScale("scale", argv[3]) : 0.25;
 
     const auto graph = session.graphs().get(*preset, scale);
     std::cout << "workload: " << app_name << " on "

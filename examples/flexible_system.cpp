@@ -12,7 +12,6 @@
  * Usage: example_flexible_system [scale]   (default 0.25)
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <utility>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "api/session.hpp"
 #include "model/decision_tree.hpp"
 #include "support/log.hpp"
+#include "support/parse.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 #include "taxonomy/profile.hpp"
@@ -28,7 +28,7 @@ int
 main(int argc, char** argv)
 {
     gga::setVerbose(false);
-    const double scale = argc > 1 ? std::atof(argv[1]) : 0.25;
+    const double scale = argc > 1 ? gga::parseScale("scale", argv[1]) : 0.25;
 
     gga::SessionOptions opts;
     opts.scale = scale;

@@ -8,7 +8,10 @@
  *    bench/graph_build's synth_speedup column. test_graph pins its
  *    output by hash.
  *  - buildReferenceSort: the std::sort CSR construction, the oracle and
- *    baseline for GraphBuilder::build's counting construction.
+ *    baseline for GraphBuilder::build's counting construction
+ *    (build_speedup).
+ *
+ * scripts/bench_gates.py graph gates the medians of both speedups.
  */
 
 #ifndef GGA_REFERENCE_GRAPH_HPP

@@ -8,6 +8,7 @@
 
 #include "api/graph_store.hpp"
 #include "support/log.hpp"
+#include "support/parse.hpp"
 
 namespace gga {
 
@@ -29,9 +30,7 @@ evaluationScale()
         const char* env = std::getenv("GGA_SCALE");
         if (!env)
             return 1.0;
-        const double s = std::atof(env);
-        if (s <= 0.0 || s > 1.0)
-            GGA_FATAL("GGA_SCALE must be in (0, 1], got '", env, "'");
+        const double s = parseScale("GGA_SCALE", env);
         if (s < 1.0)
             GGA_WARN("GGA_SCALE=", s, ": inputs are scaled down; results "
                      "are not the paper-sized evaluation");

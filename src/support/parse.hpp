@@ -1,14 +1,15 @@
 /**
  * @file
- * The strict parse of unsigned decimal numbers that come from outside the
- * process: command-line flags, query strings, HTTP headers and
- * environment variables.
+ * The strict parses of numbers that come from outside the process:
+ * command-line flags, query strings, HTTP headers and environment
+ * variables.
  */
 
 #ifndef GGA_SUPPORT_PARSE_HPP
 #define GGA_SUPPORT_PARSE_HPP
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -61,6 +62,39 @@ parseFlag(std::string_view flag, std::string_view text)
     if (!v)
         GGA_FATAL(flag, " wants a whole number from 0 to ",
                   std::numeric_limits<T>::max(), ", got '", text, "'");
+    return *v;
+}
+
+/**
+ * The whole of @p text as a finite number no less than 0, in
+ * std::from_chars's locale-free general form: digits with an optional
+ * fraction and exponent ("0.25", "1", "1e-3") and nothing else, so no
+ * sign, space, hex, "inf" or "nan". nullopt otherwise, or when the value
+ * is out of double's range. Callers check their own range.
+ */
+inline std::optional<double>
+parseNonNegative(std::string_view text)
+{
+    if (text.starts_with('-'))
+        return std::nullopt;
+    double v = 0.0;
+    const char* const end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v))
+        return std::nullopt;
+    return v;
+}
+
+/**
+ * parseNonNegative of a preset scale, which must be in (0, 1]; fatal
+ * otherwise, naming @p name (a flag or an environment variable).
+ */
+inline double
+parseScale(std::string_view name, std::string_view text)
+{
+    const std::optional<double> v = parseNonNegative(text);
+    if (!v || *v <= 0.0 || *v > 1.0)
+        GGA_FATAL(name, " must be in (0, 1], got '", text, "'");
     return *v;
 }
 

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -326,6 +327,41 @@ TEST(ServeSubmit, BadPriorityIs400AndStatsExposeExecutorLanes)
     EXPECT_EQ(exec.at("queue_depth").asU64(),
               exec.at("interactive_depth").asU64() +
                   exec.at("batch_depth").asU64());
+}
+
+TEST(ServeSubmit, PlansTakeTheInteractiveLaneManifestsTheBatchLane)
+{
+    ServiceOptions o = quickOptions();
+    o.session.threads = 1;
+    Service svc(o);
+    // Park the only worker so both jobs stay queued. The gate is declared
+    // after svc: a failed assertion destroys it first, which releases the
+    // worker before the service drains.
+    std::promise<void> gate;
+    std::shared_future<void> opened = gate.get_future().share();
+    svc.session().executor().post([opened] { opened.wait(); });
+    while (svc.session().executorStats().running != 1)
+        std::this_thread::yield();
+
+    // Neither job names a "priority": the kind of job picks the lane.
+    const HttpResponse batch = svc.handle(
+        request("POST", "/v1/jobs", {},
+                "{\"manifest\": " + tinyManifest().toJson().dump() + "}"));
+    ASSERT_EQ(batch.status, 202) << batch.body;
+    const HttpResponse plan = svc.handle(request(
+        "POST", "/v1/jobs", {},
+        "{\"plan\": " + unitFor(AppId::Pr, "SG1").toJson().dump() + "}"));
+    ASSERT_EQ(plan.status, 202) << plan.body;
+    const Json exec =
+        parseBody(svc.handle(request("GET", "/stats"))).at("executor");
+    EXPECT_EQ(exec.at("interactive_depth").asU64(), 1u);
+    EXPECT_EQ(exec.at("batch_depth").asU64(), 4u);
+
+    gate.set_value();
+    EXPECT_EQ(awaitTerminal(svc, parseBody(batch).at("id").asString()),
+              "done");
+    EXPECT_EQ(awaitTerminal(svc, parseBody(plan).at("id").asString()),
+              "done");
 }
 
 TEST(ServeSubmit, UnknownJobIs404)

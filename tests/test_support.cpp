@@ -3,7 +3,7 @@
  * Unit tests for the support layer: RNG determinism and distributions,
  * statistics helpers, table rendering, inline function/vector, the
  * hot-path containers (FlatMap, FlatSet, ObjectPool), forkJoin, and the
- * thread-count parse.
+ * strict parses of numbers from outside.
  */
 
 #include <limits>
@@ -554,6 +554,26 @@ TEST(ParseUnsignedDeathTest, FlagOutOfRangeIsFatal)
     EXPECT_DEATH(parseFlag<unsigned>("--threads", "4294967300"),
                  "--threads wants a whole number");
     EXPECT_EQ(parseFlag<std::uint16_t>("--port", "0"), 0u);
+}
+
+TEST(ParseNonNegative, TakesFiniteNumbersWithoutASign)
+{
+    EXPECT_EQ(parseNonNegative("0.25"), 0.25);
+    EXPECT_EQ(parseNonNegative("1"), 1.0);
+    EXPECT_EQ(parseNonNegative("1e-3"), 1e-3);
+    for (const char* text : {"", "abc", "0.1abc", "-0.1", "nan", "inf"})
+        EXPECT_EQ(parseNonNegative(text), std::nullopt) << "'" << text << "'";
+}
+
+TEST(ParseScaleDeathTest, OutsideZeroToOneIsFatal)
+{
+    EXPECT_EQ(parseScale("GGA_SCALE", "0.25"), 0.25);
+    EXPECT_EQ(parseScale("--scale", "1"), 1.0);
+    EXPECT_DEATH(parseScale("GGA_SCALE", "0"),
+                 "GGA_SCALE must be in \\(0, 1\\], got '0'");
+    EXPECT_DEATH(parseScale("--scale", "1.5"),
+                 "--scale must be in \\(0, 1\\], got '1.5'");
+    EXPECT_DEATH(parseScale("--scale", "0.05abc"), "got '0.05abc'");
 }
 
 } // namespace

@@ -106,12 +106,7 @@ main(int argc, char** argv)
         } else if (!std::strcmp(argv[i], "--presets") && i + 1 < argc) {
             presets_arg = argv[++i];
         } else if (!std::strcmp(argv[i], "--scale") && i + 1 < argc) {
-            const char* text = argv[++i];
-            char* end = nullptr;
-            scale = std::strtod(text, &end);
-            if (end == text || *end != '\0' || scale <= 0.0 || scale > 1.0)
-                GGA_FATAL("--scale wants a value in (0, 1], got '", text,
-                          "'");
+            scale = gga::parseScale("--scale", argv[++i]);
         } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
             threads = gga::parseFlag<unsigned>("--threads", argv[++i]);
         } else if (!std::strcmp(argv[i], "--verify")) {

@@ -16,7 +16,6 @@
  *   --out    output path; default <figure>_manifest.json
  */
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -24,6 +23,7 @@
 #include "harness/figures.hpp"
 #include "harness/workloads.hpp"
 #include "support/log.hpp"
+#include "support/parse.hpp"
 
 int
 main(int argc, char** argv)
@@ -36,12 +36,7 @@ main(int argc, char** argv)
         if (!std::strcmp(argv[i], "--full")) {
             full = true;
         } else if (!std::strcmp(argv[i], "--scale") && i + 1 < argc) {
-            const char* text = argv[++i];
-            char* end = nullptr;
-            scale = std::strtod(text, &end);
-            if (end == text || *end != '\0' || scale <= 0.0 || scale > 1.0)
-                GGA_FATAL("--scale wants a value in (0, 1], got '", text,
-                          "'");
+            scale = gga::parseScale("--scale", argv[++i]);
         } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
             out = argv[++i];
         } else if (argv[i][0] != '-' && figure.empty()) {

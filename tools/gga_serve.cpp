@@ -43,6 +43,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -114,12 +115,11 @@ main(int argc, char** argv)
         } else if (!std::strcmp(argv[i], "--rate-per-tenant") &&
                    i + 1 < argc) {
             const char* text = argv[++i];
-            char* end = nullptr;
-            opts.ratePerTenant = std::strtod(text, &end);
-            if (end == text || *end != '\0' || opts.ratePerTenant < 0)
-                GGA_FATAL("--rate-per-tenant wants a non-negative "
-                          "number, got '",
-                          text, "'");
+            const std::optional<double> rate = gga::parseNonNegative(text);
+            if (!rate)
+                GGA_FATAL("--rate-per-tenant wants a finite number >= 0, "
+                          "got '", text, "'");
+            opts.ratePerTenant = *rate;
         } else if (!std::strcmp(argv[i], "--io-timeout-ms") &&
                    i + 1 < argc) {
             opts.ioTimeoutMs =
