@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -25,6 +24,7 @@
 #include "api/session.hpp"
 #include "harness/sweep.hpp"
 #include "support/log.hpp"
+#include "support/parallel.hpp"
 #include "support/parse.hpp"
 #include "support/table.hpp"
 
@@ -82,8 +82,10 @@ main(int argc, char** argv)
     if (!preset)
         GGA_FATAL("unknown graph '", graph_name, "'");
     const double scale = argc > 3 ? gga::parseScale("scale", argv[3]) : 0.25;
-    const unsigned max_threads = static_cast<unsigned>(
-        std::clamp<long>(argc > 4 ? std::atol(argv[4]) : 8, 1, 256));
+    // Past kMaxThreads every width runs on kMaxThreads workers.
+    const unsigned max_threads = std::min(
+        argc > 4 ? gga::parseFlag<unsigned>("max_threads", argv[4]) : 8u,
+        gga::kMaxThreads);
 
     const bool dynamic = gga::algoProperties(*app).traversal ==
                          gga::TraversalKind::Dynamic;

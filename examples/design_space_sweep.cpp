@@ -15,12 +15,10 @@
  *   APP     in {PR, SSSP, MIS, CLR, BC, CC}    (default PR)
  *   GRAPH   in {AMZ, DCT, EML, OLS, RAJ, WNG}  (default RAJ)
  *   scale   in (0, 1]: graph size multiplier    (default 0.25)
- *   threads: executor width                     (default
+ *   threads: executor width, a whole number     (default and 0:
  *            GGA_SESSION_THREADS, then 1)
  */
 
-#include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -36,8 +34,7 @@ main(int argc, char** argv)
     gga::setVerbose(false);
     gga::SessionOptions opts;
     if (argc > 4)
-        opts.threads = static_cast<unsigned>(
-            std::clamp<long>(std::atol(argv[4]), 1, 256));
+        opts.threads = gga::parseFlag<unsigned>("threads", argv[4]);
     gga::Session session(opts);
     const std::string app_name = argc > 1 ? argv[1] : "PR";
     const std::optional<gga::AppId> app = gga::appFromName(app_name);

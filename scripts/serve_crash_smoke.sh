@@ -7,8 +7,11 @@
 # shard, SIGKILLs the server while the other shard's lease is held,
 # restarts on the same --state-dir, and asserts the recovered job
 # finishes with ZERO completed shards re-executed (orchestrator
-# counters) and a /render byte-identical to the offline pipeline. Also
-# smokes --worker-token (an unauthenticated register must 401).
+# counters) and a /render byte-identical to the offline pipeline. The
+# journal's layout is checked too: after phase A's restart STATE/jobs
+# holds exactly the recovered job's file, and once that job is done
+# STATE holds only empty jobs/ and parts/. Also smokes --worker-token
+# (an unauthenticated register must 401).
 #
 # Usage: scripts/serve_crash_smoke.sh [scale]
 #   scale   manifest scale (default 0.05)
@@ -114,6 +117,12 @@ with urllib.request.urlopen(f"http://127.0.0.1:{sys.argv[1]}/v1/jobs") as r:
     jobs = json.loads(r.read().decode())["jobs"]
 assert len(jobs) == 1, jobs
 print(jobs[0]["id"])' "$port")
+# One file per live job: the recovered job's, and nothing else.
+live_files=("$state"/jobs/*)
+if [[ "${live_files[*]}" != "$state/jobs/$job.jsonl" ]]; then
+  echo "$state/jobs holds ${live_files[*]}, expected only $job.jsonl" >&2
+  exit 1
+fi
 echo "phase A passed (recovered $job)"
 
 # --- worker auth smoke ---------------------------------------------------
@@ -221,6 +230,20 @@ EOF
 
 diff "$work/reference.txt" "$work/served.txt"
 echo "post-crash render is byte-identical to the offline pipeline"
+
+# The done job's file and part files are gone, and nothing else was
+# written under the state dir.
+shopt -s nullglob
+leftovers=("$state"/jobs/* "$state"/parts/*)
+state_entries=("$state"/*)
+shopt -u nullglob
+if (( ${#leftovers[@]} )) ||
+   [[ "${state_entries[*]}" != "$state/jobs $state/parts" ]]; then
+  echo "state dir not clean after the job finished:" \
+    "${state_entries[*]} ${leftovers[*]}" >&2
+  exit 1
+fi
+echo "the finished job left nothing under the state dir"
 
 kill -TERM "$serve_pid"
 wait "$serve_pid"

@@ -30,15 +30,12 @@ isTerminal(JobState s)
            s == JobState::Canceled;
 }
 
-std::optional<JobState>
-jobStateFromName(const std::string& name)
+std::optional<std::uint64_t>
+jobNumber(const std::string& id)
 {
-    for (const JobState s :
-         {JobState::Queued, JobState::Running, JobState::Done,
-          JobState::Failed, JobState::Canceled})
-        if (jobStateName(s) == name)
-            return s;
-    return std::nullopt;
+    if (id.rfind("job-", 0) != 0)
+        return std::nullopt;
+    return parseUnsigned<std::uint64_t>(id.substr(4));
 }
 
 void
@@ -104,6 +101,8 @@ JobTable::create(const std::string& tenant, Manifest manifest, bool remote,
     j.manifest = std::move(manifest);
     j.remote = remote;
     j.shards = shards;
+    if (journal_ != nullptr)
+        journal_->admit(j.id, tenant, remote, shards, j.manifest);
     const std::string id = j.id;
     jobs_.emplace(id, std::move(j));
     cv_.notify_all();
@@ -124,20 +123,16 @@ JobTable::restore(const JobRestore& r)
     j.manifest = r.manifest;
     j.remote = r.remote;
     j.shards = r.shards;
-    j.state = r.remote ? r.state : JobState::Queued;
-    j.error = r.error;
     j.rows = r.rows;
     // Resume numbering past the restored id so new jobs never collide.
-    std::uint64_t seq = 0;
-    if (r.id.rfind("job-", 0) == 0)
-        seq = parseUnsigned<std::uint64_t>(r.id.substr(4)).value_or(0);
+    std::uint64_t seq = jobNumber(r.id).value_or(0);
     if (seq == 0)
         seq = nextId_ + 1;
     nextId_ = std::max(nextId_, seq);
     j.seq = seq;
     Job& restored = jobs_.emplace(r.id, std::move(j)).first->second;
-    // The crash may have hit between a job's last part and its done
-    // record: then its rows already cover the manifest.
+    // The crash may have hit between a job's last part and deleting its
+    // file: then its rows already cover the manifest.
     if (r.remote && !r.rows.empty())
         progressLocked(restored);
     cv_.notify_all();
@@ -199,11 +194,10 @@ JobTable::fail(const std::string& id, const std::string& why)
     Job* j = liveLocked(id);
     if (!j)
         return;
-    const JobState before = j->state;
     j->state = JobState::Failed;
     if (j->error.empty())
         j->error = why;
-    changedLocked(*j, before);
+    changedLocked(*j);
 }
 
 bool
@@ -213,9 +207,8 @@ JobTable::cancel(const std::string& id)
     Job* j = liveLocked(id);
     if (!j)
         return false;
-    const JobState before = j->state;
     j->state = JobState::Canceled;
-    changedLocked(*j, before);
+    changedLocked(*j);
     return true;
 }
 
@@ -382,13 +375,10 @@ JobTable::liveLocked(const std::string& id)
 }
 
 void
-JobTable::changedLocked(Job& j, JobState before)
+JobTable::changedLocked(Job& j)
 {
-    if (journal_ != nullptr && j.state != before) {
-        journal_->state(j.id, j.state, j.error);
-        if (isTerminal(j.state))
-            journal_->finish(j.id);
-    }
+    if (journal_ != nullptr && isTerminal(j.state))
+        journal_->finish(j.id);
     ++j.version;
     cv_.notify_all();
 }
@@ -396,7 +386,6 @@ JobTable::changedLocked(Job& j, JobState before)
 void
 JobTable::progressLocked(Job& j)
 {
-    const JobState before = j.state;
     j.state = JobState::Running;
     if (j.rows.size() + j.failedUnits >= j.manifest.size()) {
         j.state = JobState::Failed;
@@ -410,7 +399,7 @@ JobTable::progressLocked(Job& j)
                 j.error = err.what();
         }
     }
-    changedLocked(j, before);
+    changedLocked(j);
 }
 
 std::size_t

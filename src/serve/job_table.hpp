@@ -21,8 +21,9 @@
  * cover the manifest, the job is Done if ResultSet::fromRows of the rows
  * verifies complete against it, the check gga_merge applies too.
  *
- * Every state transition is journaled (one state record, plus a
- * compaction once the job is terminal) under the table lock: the lock
+ * With a Journal, create() writes the job's admit record before it
+ * returns the id, and the terminal transition deletes the job's file
+ * before the new state is visible, both under the table lock: the lock
  * order is JobTable -> Journal, and the Journal never calls out.
  *
  * Latency telemetry: per-app log2-bucketed histograms of unit wall
@@ -74,8 +75,8 @@ std::string jobStateName(JobState s);
 /** Done, Failed or Canceled: nothing changes the job any more. */
 bool isTerminal(JobState s);
 
-/** Inverse of jobStateName; nullopt for an unrecognized name. */
-std::optional<JobState> jobStateFromName(const std::string& name);
+/** The n of a "job-<n>" id (admission order); nullopt otherwise. */
+std::optional<std::uint64_t> jobNumber(const std::string& id);
 
 /** Log2-bucketed wall-time histogram (bucket i: [2^(i-1), 2^i) ms). */
 struct LatencyHistogram
@@ -111,7 +112,7 @@ struct JobSnapshot
 class JobTable
 {
   public:
-    /** @p journal, when non-null, receives every state transition. */
+    /** @p journal, when non-null, records every admission and finish. */
     explicit JobTable(std::size_t maxQueuedPerTenant = 8,
                       Journal* journal = nullptr)
         : maxQueuedPerTenant_(maxQueuedPerTenant), journal_(journal)
@@ -121,7 +122,7 @@ class JobTable
     /**
      * Admit a job for @p tenant over @p manifest. Throws AdmissionError
      * when the tenant already holds maxQueuedPerTenant live jobs.
-     * Returns the new job id ("job-<n>").
+     * Returns the new job id ("job-<n>"), journaled when it returns.
      */
     std::string create(const std::string& tenant, Manifest manifest,
                        bool remote, std::size_t shards);
@@ -134,17 +135,16 @@ class JobTable
         Manifest manifest;
         bool remote = false;
         std::size_t shards = 0;
-        JobState state = JobState::Queued;
-        std::string error;
         std::vector<UnitResult> rows;     ///< the recovered parts' rows
         std::set<std::size_t> doneShards; ///< the shards those parts ran
     };
 
     /**
      * Re-insert a recovered job under its original id, bypassing the
-     * admission bound. A local job restarts Queued: it re-runs from
-     * scratch. A remote job keeps its recovered rows, and when they
-     * already cover its manifest it is finished (and journaled) here.
+     * admission bound. It restarts Queued: a local job re-runs from
+     * scratch. A remote job keeps its recovered rows, which mark it
+     * Running, and when they already cover its manifest it is finished
+     * (and its file deleted) here.
      * The id counter resumes past the restored id so new jobs never
      * collide. Quietly ignores an id that already exists.
      */
@@ -235,8 +235,8 @@ class JobTable
     JobSnapshot snapshotLocked(const Job& j) const GGA_REQUIRES(mu_);
     /** The job unless it is unknown or terminal. */
     Job* liveLocked(const std::string& id) GGA_REQUIRES(mu_);
-    /** Bump the version; journal the state if it moved off @p before. */
-    void changedLocked(Job& j, JobState before) GGA_REQUIRES(mu_);
+    /** Bump the version; a terminal job's journal file goes first. */
+    void changedLocked(Job& j) GGA_REQUIRES(mu_);
     /** Mark Running, finish once the rows cover the manifest, bump. */
     void progressLocked(Job& j) GGA_REQUIRES(mu_);
     std::size_t liveCountLocked(const std::string& tenant) const

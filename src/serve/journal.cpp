@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <set>
+#include <fstream>
 #include <utility>
 
 #include "support/faults.hpp"
@@ -16,9 +16,9 @@
 namespace gga {
 
 std::string
-Journal::journalPath() const
+Journal::jobPath(const std::string& job) const
 {
-    return dir_ + "/journal.jsonl";
+    return dir_ + "/jobs/" + job + ".jsonl";
 }
 
 std::string
@@ -31,78 +31,96 @@ Journal::Journal(std::string stateDir) : dir_(std::move(stateDir))
 {
     namespace fs = std::filesystem;
     std::error_code ec;
-    fs::create_directories(dir_ + "/parts", ec);
+    for (const char* sub : {"/jobs", "/parts"})
+        if (!ec)
+            fs::create_directories(dir_ + sub, ec);
     if (ec)
         throw ServeError("state-dir '" + dir_ + "': " + ec.message());
+    if (fs::exists(dir_ + "/journal.jsonl", ec))
+        GGA_WARN("journal: ignoring ", dir_,
+                 "/journal.jsonl, the log of an older build; the jobs it "
+                 "holds are not recovered");
 
-    // --- replay ----------------------------------------------------------
-    struct Pending
-    {
-        JobTable::JobRestore job;
-        JobRecords recs;
-    };
-    std::vector<std::string> order;
-    std::map<std::string, Pending> pending;
-    std::ifstream in(journalPath());
-    std::string line;
-    std::size_t lineNo = 0;
-    while (in && std::getline(in, line)) {
-        ++lineNo;
-        if (line.empty())
-            continue;
-        try {
-            const Json rec = Json::parse(line);
+    // Replay in admission order: the number in "job-<n>".
+    std::vector<std::pair<std::uint64_t, std::string>> jobs;
+    for (const auto& entry : fs::directory_iterator(dir_ + "/jobs", ec)) {
+        const std::string job = entry.path().stem().string();
+        const std::optional<std::uint64_t> n = jobNumber(job);
+        if (entry.path().extension() == ".jsonl" && n)
+            jobs.emplace_back(*n, job);
+    }
+    std::sort(jobs.begin(), jobs.end());
+    MutexLock lock(mu_);
+    std::set<std::string> keep;
+    for (const auto& [n, job] : jobs) {
+        (void)n;
+        replayLocked(job, keep);
+    }
+
+    // Delete every file no live job needs: the parts of jobs that
+    // finished between deleting their file and their parts, parts that
+    // failed their checks, and stray temp files from a writer that
+    // crashed mid-rename.
+    for (const char* sub : {"/jobs", "/parts"})
+        for (const auto& entry : fs::directory_iterator(dir_ + sub, ec))
+            if (keep.count(entry.path().string()) == 0)
+                fs::remove(entry.path(), ec);
+    if (!recovered_.empty())
+        GGA_WARN("journal: recovered ", recovered_.size(),
+                 " live job(s) from ", dir_, "/jobs");
+}
+
+void
+Journal::replayLocked(const std::string& job, std::set<std::string>& keep)
+{
+    const std::string path = jobPath(job);
+    JobTable::JobRestore rj;
+    LiveJob live;
+    std::size_t good = 0; ///< bytes up to the end of the last good record
+    try {
+        const std::string text = readTextFile(path);
+        if (text.empty())
+            throw JsonError("the file is empty");
+        while (good < text.size()) {
+            const std::size_t end = text.find('\n', good);
+            if (end == std::string::npos)
+                throw JsonError("the last line has no end");
+            const Json rec =
+                Json::parse(std::string_view(text).substr(good, end - good));
             const std::string t = rec.at("t").asString();
-            const std::string job = rec.at("job").asString();
-            if (t == "admit") {
-                Pending p;
-                p.job.id = job;
-                p.job.tenant = rec.at("tenant").asString();
-                p.job.remote = rec.at("remote").asBool();
-                p.job.shards =
+            const std::string owner = rec.at("job").asString();
+            if (owner != job)
+                throw JsonError("a record of '" + owner + "'");
+            if (live.records == 0) {
+                if (t != "admit")
+                    throw JsonError("a '" + t + "' record comes first");
+                rj.id = job;
+                rj.tenant = rec.at("tenant").asString();
+                rj.remote = rec.at("remote").asBool();
+                rj.shards =
                     static_cast<std::size_t>(rec.at("shards").asU64());
-                p.job.manifest = Manifest::fromJson(rec.at("manifest"));
-                p.recs.admitLine = line;
-                if (pending.emplace(job, std::move(p)).second)
-                    order.push_back(job);
-            } else if (t == "state") {
-                const auto it = pending.find(job);
-                if (it == pending.end())
-                    continue; // job already compacted away
-                const std::string name = rec.at("state").asString();
-                const std::optional<JobState> s = jobStateFromName(name);
-                if (!s)
-                    throw JsonError("unknown job state '" + name + "'");
-                it->second.job.state = *s;
-                if (const Json* e = rec.find("error"))
-                    it->second.job.error = e->asString();
-                it->second.recs.stateLine = line;
+                rj.manifest = Manifest::fromJson(rec.at("manifest"));
             } else if (t == "part") {
-                const auto it = pending.find(job);
-                if (it == pending.end())
-                    continue;
-                JobTable::JobRestore& rj = it->second.job;
                 const std::size_t shard =
                     static_cast<std::size_t>(rec.at("shard").asU64());
                 const std::uint64_t sum = rec.at("checksum").asU64();
                 // A part that fails its checksum (or won't parse, or is
-                // not one of the job's shards) is not tail damage: drop
-                // just this shard and let it re-run.
+                // not one of the job's open shards) is not tail damage:
+                // drop just this shard and let it re-run.
                 try {
                     if (shard >= rj.shards || rj.doneShards.count(shard))
                         throw EvalError("not an open shard of a " +
                                         std::to_string(rj.shards) +
                                         "-shard job");
-                    const std::string text =
+                    const std::string part =
                         readTextFile(partPath(job, shard));
-                    if (fnv1a(text.data(), text.size()) != sum)
+                    if (fnv1a(part.data(), part.size()) != sum)
                         throw EvalError("part checksum mismatch");
-                    const ResultSet part =
-                        ResultSet::fromJson(Json::parse(text));
-                    rj.rows.insert(rj.rows.end(), part.results().begin(),
-                                   part.results().end());
+                    const ResultSet rows =
+                        ResultSet::fromJson(Json::parse(part));
+                    rj.rows.insert(rj.rows.end(), rows.results().begin(),
+                                   rows.results().end());
                     rj.doneShards.insert(shard);
-                    it->second.recs.partLines[shard] = line;
                 } catch (const std::exception& err) {
                     ++droppedParts_;
                     GGA_WARN("journal: dropping part shard ", shard,
@@ -110,126 +128,56 @@ Journal::Journal(std::string stateDir) : dir_(std::move(stateDir))
                              "); the shard will re-run");
                 }
             } else {
-                throw JsonError("unknown record type '" + t + "'");
+                throw JsonError("unexpected record type '" + t + "'");
             }
-        } catch (const std::exception& err) {
-            // Torn or corrupt tail: recover to the last good record and
-            // drop everything after it — loudly, because whatever those
-            // lines described is about to be forgotten.
-            tailDamaged_ = true;
-            GGA_WARN("journal: ", journalPath(), " line ", lineNo,
-                     " unreadable (", err.what(),
-                     "); recovering to the last good record and "
-                     "discarding the rest of the log");
-            break;
+            ++live.records;
+            good = end + 1;
         }
-    }
-    in.close();
-
-    // Terminal jobs are compacted away right here (deferred compaction
-    // for a server that crashed between finishing a job and finish()).
-    MutexLock lock(mu_);
-    for (const std::string& id : order) {
-        Pending& p = pending.at(id);
-        if (isTerminal(p.job.state))
-            continue;
-        p.recs.seq = ++nextSeq_;
-        live_.emplace(id, std::move(p.recs));
-        recovered_.push_back(std::move(p.job));
-    }
-
-    // Delete every part file the compacted log no longer references:
-    // terminal jobs' parts, checksum-failed parts, and orphaned temp
-    // files from a writer that crashed mid-rename.
-    std::set<std::string> keep;
-    for (const auto& [id, recs] : live_)
-        for (const auto& [shard, partLine] : recs.partLines) {
-            (void)partLine;
-            keep.insert(partPath(id, shard));
+    } catch (const std::exception& err) {
+        tailDamaged_ = true;
+        std::error_code ec;
+        if (live.records == 0) {
+            GGA_WARN("journal: ", path, " does not start with ", job,
+                     "'s admit record (", err.what(),
+                     "); the job was never acknowledged, deleting it");
+            std::filesystem::remove(path, ec);
+            return;
         }
-    for (const auto& entry : fs::directory_iterator(dir_ + "/parts", ec)) {
-        const std::string p = entry.path().string();
-        if (keep.count(p) == 0)
-            fs::remove(entry.path(), ec);
+        // Torn or corrupt tail of this job only: recover to its last
+        // good record, loudly, because whatever the rest described is
+        // about to be forgotten.
+        GGA_WARN("journal: ", path, " line ", live.records + 1,
+                 " unreadable (", err.what(),
+                 "); truncating the file after its last good record");
+        std::filesystem::resize_file(path, good, ec);
     }
-
-    rewriteLocked();
-    if (!recovered_.empty())
-        GGA_WARN("journal: recovered ", recovered_.size(),
-                 " live job(s) from ", journalPath());
+    live.shards = rj.shards;
+    live.bytes = good;
+    live_.emplace(job, live);
+    keep.insert(path);
+    for (const std::size_t shard : rj.doneShards)
+        keep.insert(partPath(job, shard));
+    recovered_.push_back(std::move(rj));
 }
 
 void
-Journal::appendLocked(const std::string& line)
+Journal::appendLocked(const std::string& job, const std::string& line)
 {
     faults::crashPoint("crash.journal.before-append");
-    out_ << line << '\n';
-    out_.flush();
-    if (!out_) {
-        // Durability is gone (disk full?): keep serving, but make sure
-        // nobody mistakes this for a recoverable deployment.
-        GGA_WARN("journal: append to ", journalPath(),
-                 " FAILED; state written from here on will not survive "
-                 "a restart");
-        out_.clear();
-    }
-    ++records_;
-    bytes_ += line.size() + 1;
-    faults::crashPoint("crash.journal.after-append");
-}
-
-void
-Journal::rewriteLocked()
-{
-    if (out_.is_open())
-        out_.close();
-    std::vector<std::pair<std::uint64_t, const JobRecords*>> jobs;
-    jobs.reserve(live_.size());
-    for (const auto& [id, recs] : live_) {
-        (void)id;
-        jobs.emplace_back(recs.seq, &recs);
-    }
-    std::sort(jobs.begin(), jobs.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::string text;
-    std::uint64_t records = 0;
-    for (const auto& [seq, recs] : jobs) {
-        (void)seq;
-        text += recs->admitLine + "\n";
-        ++records;
-        if (!recs->stateLine.empty()) {
-            text += recs->stateLine + "\n";
-            ++records;
-        }
-        for (const auto& [shard, partLine] : recs->partLines) {
-            (void)shard;
-            text += partLine + "\n";
-            ++records;
-        }
-    }
-    // Same atomic pattern as the graph snapshots: the journal under its
-    // final name is always a complete, parseable log.
-    const std::string path = journalPath();
-    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
     {
-        std::ofstream f(tmp, std::ios::trunc);
-        if (f)
-            f << text;
-        f.flush();
-        if (!f) {
-            std::remove(tmp.c_str());
-            throw ServeError("cannot write journal '" + tmp + "'");
-        }
+        std::ofstream out(jobPath(job), std::ios::app);
+        out << line << '\n';
+        out.flush();
+        if (!out)
+            // Durability is gone (disk full?): keep serving, but make
+            // sure nobody mistakes this for a recoverable deployment.
+            GGA_WARN("journal: append to ", jobPath(job),
+                     " FAILED; this job will not survive a restart");
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw ServeError("cannot rename '" + tmp + "' to '" + path + "'");
-    }
-    out_.open(path, std::ios::app);
-    if (!out_)
-        throw ServeError("cannot reopen journal '" + path + "'");
-    records_ = records;
-    bytes_ = text.size();
+    LiveJob& live = live_[job];
+    ++live.records;
+    live.bytes += line.size() + 1;
+    faults::crashPoint("crash.journal.after-append");
 }
 
 void
@@ -245,30 +193,8 @@ Journal::admit(const std::string& job, const std::string& tenant,
     rec.set("manifest", manifest.toJson());
     const std::string line = rec.dump();
     MutexLock lock(mu_);
-    JobRecords recs;
-    recs.seq = ++nextSeq_;
-    recs.admitLine = line;
-    live_.emplace(job, std::move(recs));
-    appendLocked(line);
-}
-
-void
-Journal::state(const std::string& job, JobState s,
-               const std::string& error)
-{
-    Json rec = Json::object();
-    rec.set("t", Json("state"));
-    rec.set("job", Json(job));
-    rec.set("state", Json(jobStateName(s)));
-    if (!error.empty())
-        rec.set("error", Json(error));
-    const std::string line = rec.dump();
-    MutexLock lock(mu_);
-    const auto it = live_.find(job);
-    if (it == live_.end())
-        return; // already compacted
-    it->second.stateLine = line;
-    appendLocked(line);
+    live_[job].shards = shards;
+    appendLocked(job, line);
 }
 
 void
@@ -309,53 +235,47 @@ Journal::part(const std::string& job, std::size_t shard,
     rec.set("bytes", Json(static_cast<std::uint64_t>(partJson.size())));
     const std::string line = rec.dump();
     MutexLock lock(mu_);
-    const auto it = live_.find(job);
-    if (it == live_.end()) {
-        // The job finished (and compacted) while this part was being
-        // written — a final-part race. The record must not resurrect it.
+    if (live_.count(job) == 0) {
+        // The job finished while this part was being written — a
+        // final-part race. The record must not resurrect it.
         std::remove(path.c_str());
         return;
     }
-    it->second.partLines[shard] = line;
-    appendLocked(line);
+    appendLocked(job, line);
 }
 
 void
 Journal::finish(const std::string& job)
 {
-    std::vector<std::string> doomed;
-    {
-        MutexLock lock(mu_);
-        const auto it = live_.find(job);
-        if (it == live_.end())
-            return;
-        for (const auto& [shard, partLine] : it->second.partLines) {
-            (void)partLine;
-            doomed.push_back(partPath(job, shard));
-        }
-        live_.erase(it);
-        rewriteLocked();
-        ++compactions_;
-    }
-    for (const std::string& p : doomed)
-        std::remove(p.c_str());
-}
-
-void
-Journal::sync()
-{
     MutexLock lock(mu_);
-    if (out_.is_open())
-        out_.flush();
+    const auto it = live_.find(job);
+    if (it == live_.end())
+        return;
+    // The job file goes first: a crash before its parts are gone leaves
+    // orphans the next replay deletes, never a live job without parts.
+    if (std::remove(jobPath(job).c_str()) != 0)
+        GGA_WARN("journal: cannot delete ", jobPath(job), "; ", job,
+                 " will come back at the next restart");
+    for (std::size_t shard = 0; shard < it->second.shards; ++shard)
+        std::remove(partPath(job, shard).c_str());
+    live_.erase(it);
+    ++compactions_;
 }
 
 Json
 Journal::statsJson() const
 {
     MutexLock lock(mu_);
+    std::uint64_t records = 0;
+    std::uint64_t bytes = 0;
+    for (const auto& [job, live] : live_) {
+        (void)job;
+        records += live.records;
+        bytes += live.bytes;
+    }
     Json j = Json::object();
-    j.set("records", Json(records_));
-    j.set("bytes", Json(bytes_));
+    j.set("records", Json(records));
+    j.set("bytes", Json(bytes));
     j.set("live_jobs", Json(static_cast<std::uint64_t>(live_.size())));
     j.set("compactions_total", Json(compactions_));
     j.set("recovered_jobs",

@@ -3,43 +3,45 @@
  * Journal: the resident service's write-ahead log — what makes a
  * gga_serve restart a non-event instead of a data loss.
  *
- * Layout under --state-dir:
+ * Layout under --state-dir, one append-only file per live job:
  *
- *   journal.jsonl        append-only, one JSON record per line:
+ *   jobs/<job>.jsonl     one JSON record per line:
  *     {"t":"admit","job","tenant","remote","shards","manifest":{...}}
- *     {"t":"state","job","state","error"}
  *     {"t":"part","job","shard","file","checksum","bytes"}
+ *                        the admit record first, then one part record
+ *                        per verified remote part.
  *   parts/<job>.s<shard>.json   one verified shard ResultSet each,
  *                               written atomically (temp + rename, the
  *                               graph-snapshot pattern) BEFORE its
- *                               journal record — a record never points
- *                               at a file that might not exist.
+ *                               record — a record never points at a
+ *                               file that might not exist.
+ *
+ * A job is live exactly while its file exists: finish() deletes the
+ * file, then the job's part files, so no state record is needed and no
+ * other job's file is ever rewritten. A journal.jsonl left by an older
+ * build is not read.
  *
  * Durability contract: a record is flushed (not fsynced) before the
- * action it describes is acknowledged, so after a process crash the
- * journal describes a prefix of what actually happened; a power loss may
- * lose the page cache's tail. Replay (the constructor) tolerates a torn
- * tail — the first unparseable line is warned about and everything from
- * it on is dropped, recovering to the last good record — and a part that
- * fails its checksum, or names a shard its job does not have, is dropped
- * so its shard simply re-runs.
+ * action it describes is acknowledged, so after a process crash each
+ * file describes a prefix of what happened to its job; a power loss may
+ * lose the page cache's tail. Replay (the constructor) reads each file
+ * on its own. A file whose first line is not its job's admit record was
+ * never acknowledged and is deleted. A later unreadable line is a torn
+ * tail of that job only: it is warned about and the file is truncated
+ * after its last good record. A part that fails its checksum, or names a
+ * shard its job does not have, is dropped so its shard simply re-runs.
  *
- * Writers: the Service appends admissions, the JobTable every state
- * transition, the Orchestrator every verified part. When a job reaches a
- * terminal state the JobTable calls finish(), which drops the job's
- * records, deletes its part files, and rewrites journal.jsonl (temp +
- * rename again); terminal jobs found at replay are compacted the same
- * way, so the log stays proportional to live work, not service uptime.
- *
- * Thread-safe; append order under mu_ is the replay order.
+ * Writers: the JobTable writes a job's admit record when it creates the
+ * job and calls finish() on its terminal transition; the Orchestrator
+ * writes every verified part. Thread-safe.
  */
 
 #ifndef GGA_SERVE_JOURNAL_HPP
 #define GGA_SERVE_JOURNAL_HPP
 
 #include <cstdint>
-#include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -53,11 +55,10 @@ class Journal
 {
   public:
     /**
-     * Open (creating @p stateDir and its parts/ subdirectory when
-     * absent), replay the existing log, compact terminal jobs away, and
-     * leave the log open for appending. Throws ServeError when the
-     * directory cannot be created or the compacted log cannot be
-     * written; a damaged log never throws — it recovers.
+     * Open (creating @p stateDir and its jobs/ and parts/ subdirectories
+     * when absent) and replay every job file, then delete every file no
+     * live job needs. Throws ServeError when the directories cannot be
+     * created; a damaged file never throws — it recovers.
      */
     explicit Journal(std::string stateDir);
 
@@ -73,55 +74,48 @@ class Journal
         return recovered_;
     }
 
-    /** Whether replay hit (and dropped) a torn or corrupt tail. */
+    /** Whether replay hit (and dropped) a torn or corrupt record. */
     bool tailWasDamaged() const { return tailDamaged_; }
 
-    /** Record an admission; flushed before returning. */
+    /** Create the job's file with its admit record; flushed. */
     void admit(const std::string& job, const std::string& tenant,
                bool remote, std::size_t shards, const Manifest& manifest);
 
-    /** Record a state transition; flushed before returning. */
-    void state(const std::string& job, JobState s,
-               const std::string& error);
-
     /**
      * Persist a verified shard part (@p partJson is the part's compact
-     * ResultSet JSON): part file first, then the checksummed record.
+     * ResultSet JSON): part file first, then the checksummed record. A
+     * job that is not live gets neither.
      */
     void part(const std::string& job, std::size_t shard,
               const std::string& partJson);
 
-    /** Terminal job: drop its records, delete its parts, compact. */
+    /** Terminal job: delete its file, then its part files. */
     void finish(const std::string& job);
 
-    /** Flush the append stream (drain path). */
-    void sync();
-
-    /** Bytes/records/compaction counters for /stats. */
+    /** Live-file, finish and replay counters for /stats. */
     Json statsJson() const;
 
   private:
-    /** The retained raw lines of one live job, for compaction. */
-    struct JobRecords
+    /** What the journal keeps of one live job's file. */
+    struct LiveJob
     {
-        std::uint64_t seq = 0; ///< admission order, for stable rewrites
-        std::string admitLine;
-        std::string stateLine; ///< latest only; older ones are dead
-        std::map<std::size_t, std::string> partLines;
+        std::size_t shards = 0; ///< part files finish() may delete
+        std::uint64_t records = 0;
+        std::uint64_t bytes = 0;
     };
 
-    void appendLocked(const std::string& line) GGA_REQUIRES(mu_);
-    void rewriteLocked() GGA_REQUIRES(mu_);
+    /** Replay one job file; adds the files it still needs to @p keep. */
+    void replayLocked(const std::string& job, std::set<std::string>& keep)
+        GGA_REQUIRES(mu_);
+    void appendLocked(const std::string& job, const std::string& line)
+        GGA_REQUIRES(mu_);
+    std::string jobPath(const std::string& job) const;
     std::string partPath(const std::string& job, std::size_t shard) const;
-    std::string journalPath() const;
 
     const std::string dir_;
     mutable Mutex mu_;
-    std::ofstream out_ GGA_GUARDED_BY(mu_);
-    std::map<std::string, JobRecords> live_ GGA_GUARDED_BY(mu_);
-    std::uint64_t nextSeq_ GGA_GUARDED_BY(mu_) = 0;
-    std::uint64_t records_ GGA_GUARDED_BY(mu_) = 0;
-    std::uint64_t bytes_ GGA_GUARDED_BY(mu_) = 0;
+    std::map<std::string, LiveJob> live_ GGA_GUARDED_BY(mu_);
+    /** Finished jobs (the /stats key is compactions_total). */
     std::uint64_t compactions_ GGA_GUARDED_BY(mu_) = 0;
     std::uint64_t droppedParts_ = 0; ///< ctor-only write
     bool tailDamaged_ = false;       ///< ctor-only write

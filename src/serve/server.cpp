@@ -104,8 +104,6 @@ Service::stop()
     http_.stop(opts_.drainMs);
     if (ticker_.joinable())
         ticker_.join();
-    if (journal_)
-        journal_->sync();
 }
 
 HttpResponse
@@ -259,9 +257,6 @@ Service::submitJob(const HttpRequest& req)
 
     const std::string id =
         jobs_.create(tenant, manifest, execution == "remote", shards);
-    if (journal_)
-        journal_->admit(id, tenant, execution == "remote", shards,
-                        manifest);
     if (execution == "remote") {
         orch_.enqueueJob(id, shards);
     } else {

@@ -67,10 +67,11 @@ struct ServiceOptions
     SessionOptions session;          ///< executor for local jobs
     /**
      * Durable state directory. "" runs in-memory (the pre-journal
-     * behavior); otherwise every admission, state change, and verified
-     * remote part is journaled there, and construction replays the
-     * journal: unfinished jobs come back, completed shards are never
-     * re-executed, and the final render is byte-identical.
+     * behavior); otherwise each live job has a journal file there (its
+     * admission and verified remote parts) that its end deletes, and
+     * construction replays those files: unfinished jobs come back,
+     * completed shards are never re-executed, and the final render is
+     * byte-identical.
      */
     std::string stateDir;
     /**

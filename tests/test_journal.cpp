@@ -1,22 +1,29 @@
 /**
  * @file
  * Tests for the write-ahead job journal and crash recovery: record
- * round trips, terminal-job compaction, torn-tail tolerance, corrupt
- * part files, and full Service restarts — a recovered remote job never
- * re-executes its completed shards and still merges byte-identically,
- * and a recovered local job simply re-runs to the same bytes.
+ * round trips, one file per live job (finishing one deletes its file and
+ * touches no other), torn tails confined to their job, corrupt part
+ * files, the journal at the admission bound, and full Service restarts
+ * — a recovered remote job never re-executes its completed shards and
+ * still merges byte-identically, and a recovered local job simply
+ * re-runs to the same bytes.
  */
 
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "eval/run.hpp"
+#include "harness/figures.hpp"
 #include "harness/workloads.hpp"
 #include "serve/journal.hpp"
 #include "serve/server.hpp"
@@ -105,6 +112,24 @@ awaitTerminal(Service& svc, const std::string& id)
 
 // --- Journal unit tests --------------------------------------------------
 
+/** The bytes of one file under the state dir. */
+std::string
+slurp(const std::string& path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(f), {});
+}
+
+/** The names of the entries of one state-dir subdirectory. */
+std::set<std::string>
+listDir(const std::string& dir)
+{
+    std::set<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator(dir))
+        names.insert(e.path().filename().string());
+    return names;
+}
+
 TEST(Journal, RoundTripRecoversLiveJobsInAdmissionOrder)
 {
     const std::string dir = freshDir("roundtrip");
@@ -117,13 +142,16 @@ TEST(Journal, RoundTripRecoversLiveJobsInAdmissionOrder)
     {
         Journal j(dir);
         j.admit("job-2", "alice", true, 2, m);
-        j.state("job-2", JobState::Running, "");
         j.part("job-2", 0, part0Json);
         j.admit("job-10", "bob", false, 0, m);
-        // A state record for an unknown (already compacted) job is a
-        // quiet no-op, not a resurrection.
-        j.state("job-99", JobState::Running, "");
+        // A part for an unknown (already finished) job is a quiet
+        // no-op, not a resurrection: neither file is created.
+        j.part("job-99", 0, part0Json);
+        EXPECT_FALSE(std::filesystem::exists(dir + "/jobs/job-99.jsonl"));
+        EXPECT_FALSE(std::filesystem::exists(dir + "/parts/job-99.s0.json"));
     }
+    EXPECT_EQ(listDir(dir + "/jobs"),
+              (std::set<std::string>{"job-2.jsonl", "job-10.jsonl"}));
 
     Journal j(dir);
     EXPECT_FALSE(j.tailWasDamaged());
@@ -135,23 +163,27 @@ TEST(Journal, RoundTripRecoversLiveJobsInAdmissionOrder)
     EXPECT_EQ(first.tenant, "alice");
     EXPECT_TRUE(first.remote);
     EXPECT_EQ(first.shards, 2u);
-    EXPECT_EQ(first.state, JobState::Running);
     EXPECT_EQ(first.manifest.toJson().dump(), m.toJson().dump());
     EXPECT_EQ(first.doneShards, std::set<std::size_t>{0});
     EXPECT_EQ(ResultSet::fromRows(first.rows).toJson().dump(), part0Json);
     EXPECT_EQ(j.recovered()[1].id, "job-10");
     EXPECT_FALSE(j.recovered()[1].remote);
+    // The live files count as they are: two admits and one part.
+    EXPECT_EQ(j.statsJson().at("records").asU64(), 3u);
+    EXPECT_EQ(j.statsJson().at("bytes").asU64(),
+              slurp(dir + "/jobs/job-2.jsonl").size() +
+                  slurp(dir + "/jobs/job-10.jsonl").size());
 }
 
-TEST(Journal, FinishCompactsRecordsAndDeletesPartFiles)
+TEST(Journal, FinishDeletesTheJobFileAndItsParts)
 {
-    const std::string dir = freshDir("compact");
+    const std::string dir = freshDir("finish");
     const Manifest m = tinyManifest();
     Journal j(dir);
     j.admit("job-1", "t", true, 2, m);
     j.part("job-1", 0, "{\"results\":[]}");
-    j.state("job-1", JobState::Done, "");
     EXPECT_EQ(j.statsJson().at("live_jobs").asU64(), 1u);
+    EXPECT_EQ(j.statsJson().at("records").asU64(), 2u);
 
     j.finish("job-1");
     const Json stats = j.statsJson();
@@ -159,30 +191,55 @@ TEST(Journal, FinishCompactsRecordsAndDeletesPartFiles)
     EXPECT_EQ(stats.at("records").asU64(), 0u);
     EXPECT_EQ(stats.at("bytes").asU64(), 0u);
     EXPECT_EQ(stats.at("compactions_total").asU64(), 1u);
+    EXPECT_TRUE(std::filesystem::is_empty(dir + "/jobs"));
     EXPECT_TRUE(std::filesystem::is_empty(dir + "/parts"));
     // finish() on an unknown job is idempotent.
     j.finish("job-1");
+    EXPECT_EQ(j.statsJson().at("compactions_total").asU64(), 1u);
 
     Journal replay(dir);
     EXPECT_TRUE(replay.recovered().empty());
 }
 
-TEST(Journal, TerminalJobsFoundAtReplayAreCompactedAway)
+TEST(Journal, FinishingAJobWritesNoOtherJobsFile)
 {
-    const std::string dir = freshDir("deferred");
+    const std::string dir = freshDir("isolation");
+    // The served benchmark's batch job: 174 units of manifest JSON.
+    const Manifest fig5 = figureSet("fig5", 0.01).manifest;
+    Journal j(dir);
+    j.admit("job-1", "batch", false, 0, fig5);
+    const std::string before = slurp(dir + "/jobs/job-1.jsonl");
+    ASSERT_FALSE(before.empty());
+
+    j.admit("job-2", "t", true, 2, tinyManifest());
+    j.part("job-2", 1, "{\"results\":[]}");
+    j.finish("job-2");
+    EXPECT_EQ(slurp(dir + "/jobs/job-1.jsonl"), before);
+    EXPECT_EQ(listDir(dir + "/jobs"), std::set<std::string>{"job-1.jsonl"});
+    EXPECT_TRUE(std::filesystem::is_empty(dir + "/parts"));
+    EXPECT_EQ(j.statsJson().at("bytes").asU64(), before.size());
+}
+
+TEST(Journal, CrashBetweenDeletingAJobAndItsPartsLeavesOrphansReplayDeletes)
+{
+    const std::string dir = freshDir("orphans");
     const Manifest m = tinyManifest();
     {
-        // Done recorded but the process "died" before finish() compacted.
+        // finish() deleted job-1's file, then the process "died" before
+        // it deleted the part files.
         Journal j(dir);
         j.admit("job-1", "t", true, 2, m);
         j.part("job-1", 0, "{\"results\":[]}");
-        j.state("job-1", JobState::Done, "");
         j.admit("job-2", "t", false, 0, m);
+        std::filesystem::remove(dir + "/jobs/job-1.jsonl");
     }
+    // A writer that crashed mid-rename left a temp file too.
+    std::ofstream(dir + "/parts/job-2.s0.json.tmp.1") << "{";
     Journal j(dir);
     ASSERT_EQ(j.recovered().size(), 1u);
     EXPECT_EQ(j.recovered()[0].id, "job-2");
-    // The terminal job's records and part files were swept at replay.
+    EXPECT_FALSE(j.tailWasDamaged());
+    // The finished job's part file and the temp file were swept.
     EXPECT_TRUE(std::filesystem::is_empty(dir + "/parts"));
 }
 
@@ -192,22 +249,25 @@ TEST(Journal, TornTailIsDroppedAndEarlierRecordsSurvive)
     const Manifest m = tinyManifest();
     {
         Journal j(dir);
-        j.admit("job-1", "t", false, 0, m);
-        j.state("job-1", JobState::Running, "");
+        j.admit("job-1", "t", true, 2, m);
+        j.part("job-1", 1, "{\"results\":[]}");
     }
+    const std::string good = slurp(dir + "/jobs/job-1.jsonl");
     {
         // A crash mid-append leaves a half-written last line.
-        std::ofstream f(dir + "/journal.jsonl", std::ios::app);
-        f << "{\"t\":\"admit\",\"job\":\"job-2\",\"tena";
+        std::ofstream f(dir + "/jobs/job-1.jsonl", std::ios::app);
+        f << "{\"t\":\"part\",\"job\":\"job-1\",\"sha";
     }
     Journal j(dir);
     EXPECT_TRUE(j.tailWasDamaged());
     EXPECT_TRUE(j.statsJson().at("tail_damaged").asBool());
     ASSERT_EQ(j.recovered().size(), 1u);
     EXPECT_EQ(j.recovered()[0].id, "job-1");
-    EXPECT_EQ(j.recovered()[0].state, JobState::Running);
+    EXPECT_EQ(j.recovered()[0].doneShards, std::set<std::size_t>{1});
 
-    // The compacted rewrite healed the log: a second replay is clean.
+    // Replay truncated the file after its last good record: a second
+    // replay is clean.
+    EXPECT_EQ(slurp(dir + "/jobs/job-1.jsonl"), good);
     Journal again(dir);
     EXPECT_FALSE(again.tailWasDamaged());
     EXPECT_EQ(again.recovered().size(), 1u);
@@ -222,12 +282,82 @@ TEST(Journal, GarbageTailAfterGoodRecordsIsTolerated)
         j.admit("job-1", "t", false, 0, m);
     }
     {
-        std::ofstream f(dir + "/journal.jsonl", std::ios::app);
+        std::ofstream f(dir + "/jobs/job-1.jsonl", std::ios::app);
         f << "\xff\xfe not json at all\n{\"t\":\"state\"}\n";
     }
     Journal j(dir);
     EXPECT_TRUE(j.tailWasDamaged());
     ASSERT_EQ(j.recovered().size(), 1u);
+}
+
+TEST(Journal, DamageInOneJobFileLeavesOtherJobsIntact)
+{
+    const std::string dir = freshDir("isolated_damage");
+    const Manifest m = tinyManifest();
+    {
+        Journal j(dir);
+        j.admit("job-1", "t", true, 2, m);
+        j.admit("job-2", "t", true, 2, m);
+        j.part("job-2", 0, "{\"results\":[]}");
+        {
+            std::ofstream f(dir + "/jobs/job-1.jsonl", std::ios::app);
+            f << "garbage\n";
+        }
+        // Written after the damage, so lost with it.
+        j.part("job-1", 0, "{\"results\":[]}");
+        j.part("job-2", 1, "{\"results\":[]}");
+    }
+    Journal j(dir);
+    EXPECT_TRUE(j.tailWasDamaged());
+    ASSERT_EQ(j.recovered().size(), 2u);
+    EXPECT_EQ(j.recovered()[0].id, "job-1");
+    EXPECT_TRUE(j.recovered()[0].doneShards.empty());
+    EXPECT_EQ(j.recovered()[1].id, "job-2");
+    EXPECT_EQ(j.recovered()[1].doneShards,
+              (std::set<std::size_t>{0, 1}));
+    EXPECT_EQ(listDir(dir + "/parts"),
+              (std::set<std::string>{"job-2.s0.json", "job-2.s1.json"}));
+
+    Journal again(dir);
+    EXPECT_FALSE(again.tailWasDamaged());
+    ASSERT_EQ(again.recovered().size(), 2u);
+    EXPECT_TRUE(again.recovered()[0].doneShards.empty());
+    EXPECT_EQ(again.recovered()[1].doneShards.size(), 2u);
+}
+
+TEST(Journal, TornAdmitDropsOnlyThatJob)
+{
+    const std::string dir = freshDir("tornadmit");
+    const Manifest m = tinyManifest();
+    {
+        Journal j(dir);
+        j.admit("job-1", "t", false, 0, m);
+    }
+    {
+        // job-2's admit was never completed, so never acknowledged.
+        std::ofstream f(dir + "/jobs/job-2.jsonl");
+        f << "{\"t\":\"admit\",\"job\":\"job-2\",\"tena";
+    }
+    Journal j(dir);
+    EXPECT_TRUE(j.tailWasDamaged());
+    ASSERT_EQ(j.recovered().size(), 1u);
+    EXPECT_EQ(j.recovered()[0].id, "job-1");
+    EXPECT_EQ(listDir(dir + "/jobs"), std::set<std::string>{"job-1.jsonl"});
+}
+
+TEST(Journal, OlderBuildsLogIsIgnored)
+{
+    const std::string dir = freshDir("oldlog");
+    std::filesystem::create_directories(dir);
+    const std::string old =
+        "{\"t\":\"admit\",\"job\":\"job-1\",\"tenant\":\"t\","
+        "\"remote\":false,\"shards\":0,\"manifest\":" +
+        tinyManifest().toJson().dump() + "}\n";
+    std::ofstream(dir + "/journal.jsonl") << old;
+    Journal j(dir);
+    EXPECT_TRUE(j.recovered().empty());
+    EXPECT_FALSE(j.tailWasDamaged());
+    EXPECT_EQ(slurp(dir + "/journal.jsonl"), old); // left as it was
 }
 
 TEST(Journal, CorruptPartFileDropsOnlyThatShard)
@@ -361,10 +491,12 @@ TEST(ServeRecovery, RestartMidRemoteJobNeverRerunsCompletedShards)
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->toJson().dump(), expected.toJson().dump());
 
-    // Done -> compacted: a third boot has nothing to recover.
+    // Done -> its files are gone: a third boot has nothing to recover.
     const Json jstats = Json::parse(
         svc.handle(request("GET", "/stats")).body);
     EXPECT_EQ(jstats.at("journal").at("live_jobs").asU64(), 0u);
+    EXPECT_TRUE(std::filesystem::is_empty(dir + "/jobs"));
+    EXPECT_TRUE(std::filesystem::is_empty(dir + "/parts"));
 }
 
 TEST(ServeRecovery, RestartWithAllShardsRecoveredFinishesImmediately)
@@ -390,11 +522,10 @@ TEST(ServeRecovery, RestartWithAllShardsRecoveredFinishesImmediately)
         ASSERT_EQ(runAndPost(svc, workerSession, worker, *a1).status, 200);
         ASSERT_EQ(awaitTerminal(svc, id), "done");
         // Rewind the clock: re-journal the job as if the crash hit after
-        // both parts landed but before the done record. (The public API
-        // compacts done jobs instantly, so fabricate the crash state.)
+        // both parts landed but before its file was deleted. (The public
+        // API deletes done jobs instantly, so fabricate the crash state.)
         Journal j(dir);
         j.admit(id, "default", true, 2, manifest);
-        j.state(id, JobState::Running, "");
         j.part(id, 0,
                runManifest(workerSession, manifest.shard(0, 2))
                    .toJson()
@@ -413,8 +544,10 @@ TEST(ServeRecovery, RestartWithAllShardsRecoveredFinishesImmediately)
               2u);
     EXPECT_EQ(stats.at("orchestrator").at("completed_shards_total").asU64(),
               0u); // nothing re-executed
-    // Finishing at restore was journaled and compacted like any finish.
+    // Finishing at restore deleted the job's files like any finish.
     EXPECT_EQ(stats.at("journal").at("live_jobs").asU64(), 0u);
+    EXPECT_TRUE(std::filesystem::is_empty(dir + "/jobs"));
+    EXPECT_TRUE(std::filesystem::is_empty(dir + "/parts"));
     Session reference;
     const ResultSet expected = runManifest(reference, manifest);
     const std::optional<ResultSet> got = svc.jobs().finalResults(id);
@@ -431,7 +564,6 @@ TEST(ServeRecovery, RecoveredLocalJobRerunsToTheSameBytes)
         // by hand (a live Service would have raced it to done).
         Journal j(dir);
         j.admit("job-5", "carol", false, 0, manifest);
-        j.state("job-5", JobState::Running, "");
     }
 
     Service svc(quickOptions(dir));
@@ -452,6 +584,60 @@ TEST(ServeRecovery, RecoveredLocalJobRerunsToTheSameBytes)
         "{\"manifest\": " + manifest.toJson().dump() + "}"));
     ASSERT_EQ(sub.status, 202);
     EXPECT_EQ(Json::parse(sub.body).at("id").asString(), "job-6");
+}
+
+TEST(ServeRecovery, JournalHoldsOneFilePerLiveJobUpToTheAdmissionBound)
+{
+    const std::string dir = freshDir("bound");
+    ServiceOptions o = quickOptions(dir);
+    o.session.threads = 1;
+    o.maxQueuedPerTenant = 3;
+    Service svc(o);
+    // Park the only worker so every job stays live. The gate is declared
+    // after svc: a failed assertion destroys it first, which releases the
+    // worker before the service drains.
+    std::promise<void> gate;
+    std::shared_future<void> opened = gate.get_future().share();
+    svc.session().executor().post([opened] { opened.wait(); });
+    while (svc.session().executorStats().running != 1)
+        std::this_thread::yield();
+
+    const auto submit = [&svc](const char* tenant) {
+        Json body = Json::object();
+        body.set("tenant", Json(tenant));
+        body.set("plan", unitFor(AppId::Mis, "SG1").toJson());
+        return svc.handle(request("POST", "/v1/jobs", {}, body.dump()));
+    };
+    std::vector<std::string> ids;
+    for (const char* tenant : {"alice", "bob"})
+        for (std::size_t i = 0; i < o.maxQueuedPerTenant; ++i) {
+            const HttpResponse r = submit(tenant);
+            ASSERT_EQ(r.status, 202) << r.body;
+            ids.push_back(Json::parse(r.body).at("id").asString());
+        }
+    const std::size_t live = 2 * o.maxQueuedPerTenant;
+    EXPECT_EQ(listDir(dir + "/jobs").size(), live);
+    Json journal = Json::parse(svc.handle(request("GET", "/stats")).body)
+                       .at("journal");
+    EXPECT_EQ(journal.at("live_jobs").asU64(), live);
+    EXPECT_EQ(journal.at("records").asU64(), live);
+
+    // At the bound: 429, and no file for the refused job.
+    const HttpResponse refused = submit("alice");
+    EXPECT_EQ(refused.status, 429) << refused.body;
+    EXPECT_EQ(listDir(dir + "/jobs").size(), live);
+
+    gate.set_value();
+    for (const std::string& id : ids)
+        EXPECT_EQ(awaitTerminal(svc, id), "done");
+    EXPECT_TRUE(std::filesystem::is_empty(dir + "/jobs"));
+    EXPECT_TRUE(std::filesystem::is_empty(dir + "/parts"));
+    journal = Json::parse(svc.handle(request("GET", "/stats")).body)
+                  .at("journal");
+    EXPECT_EQ(journal.at("live_jobs").asU64(), 0u);
+    EXPECT_EQ(journal.at("records").asU64(), 0u);
+    EXPECT_EQ(journal.at("bytes").asU64(), 0u);
+    EXPECT_EQ(journal.at("compactions_total").asU64(), live);
 }
 
 } // namespace
