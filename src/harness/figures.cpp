@@ -13,8 +13,6 @@ namespace gga {
 
 namespace {
 
-constexpr double kScaleUnitsPerOne = 1e6;
-
 /** The restricted (no DRFrlx anywhere) configuration list of a workload. */
 std::vector<SystemConfig>
 restrictedConfigs(bool dynamic)
@@ -188,8 +186,7 @@ buildFigureSet(const std::string& figure, double scale, bool full,
     // Snap to the GraphStore's 1e-6 key grid up front: the manifest meta
     // stores scale_units, and figureSetFromManifest must rebuild units
     // (whose WorkUnit::scale is compared exactly) from that alone.
-    set.scale = static_cast<double>(GraphStore::quantizeScale(scale)) /
-                kScaleUnitsPerOne;
+    set.scale = GraphStore::canonicalScale(scale);
     set.full = full && figure == "fig5";
     for (GraphPreset g : kAllGraphPresets) {
         if (const std::optional<std::string> why =
@@ -339,7 +336,7 @@ figureSetFromManifest(const Manifest& manifest)
     if (ur.ec != std::errc() || ur.ptr != ue)
         throw EvalError("manifest scale_units is not an integer: " +
                         scale_units->second);
-    const double scale = static_cast<double>(units) / kScaleUnitsPerOne;
+    const double scale = static_cast<double>(units) / GraphStore::kScaleUnits;
     const bool full = manifest.meta.count("full") != 0;
 
     const std::vector<SystemConfig> predictions =

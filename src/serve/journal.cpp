@@ -100,6 +100,16 @@ Journal::replayLocked(const std::string& job, std::set<std::string>& keep)
                 rj.shards =
                     static_cast<std::size_t>(rec.at("shards").asU64());
                 rj.manifest = Manifest::fromJson(rec.at("manifest"));
+                // Only what Service::submitJob acknowledges.
+                if (rj.manifest.empty() ||
+                    (rj.remote ? rj.shards < 1 ||
+                                     rj.shards > rj.manifest.size()
+                               : rj.shards != 0))
+                    throw JsonError(
+                        std::string(rj.remote ? "a remote" : "a local") +
+                        " job of " + std::to_string(rj.manifest.size()) +
+                        " unit(s) in " + std::to_string(rj.shards) +
+                        " shard(s)");
             } else if (t == "part") {
                 const std::size_t shard =
                     static_cast<std::size_t>(rec.at("shard").asU64());
@@ -137,9 +147,9 @@ Journal::replayLocked(const std::string& job, std::set<std::string>& keep)
         tailDamaged_ = true;
         std::error_code ec;
         if (live.records == 0) {
-            GGA_WARN("journal: ", path, " does not start with ", job,
-                     "'s admit record (", err.what(),
-                     "); the job was never acknowledged, deleting it");
+            GGA_WARN("journal: ", path, " does not start with an admit "
+                     "record a server acknowledged (", err.what(),
+                     "); deleting it");
             std::filesystem::remove(path, ec);
             return;
         }

@@ -25,11 +25,13 @@
  * action it describes is acknowledged, so after a process crash each
  * file describes a prefix of what happened to its job; a power loss may
  * lose the page cache's tail. Replay (the constructor) reads each file
- * on its own. A file whose first line is not its job's admit record was
- * never acknowledged and is deleted. A later unreadable line is a torn
- * tail of that job only: it is warned about and the file is truncated
- * after its last good record. A part that fails its checksum, or names a
- * shard its job does not have, is dropped so its shard simply re-runs.
+ * on its own. A file whose first line is not an admit record of its job
+ * that a server could have acknowledged — at least one unit, and shards
+ * in [1, units] for a remote job, 0 for a local one — is deleted. A
+ * later unreadable line is a torn tail of that job only: it is warned
+ * about and the file is truncated after its last good record. A part
+ * that fails its checksum, or names a shard its job does not have, is
+ * dropped so its shard simply re-runs.
  *
  * Writers: the JobTable writes a job's admit record when it creates the
  * job and calls finish() on its terminal transition; the Orchestrator

@@ -5,6 +5,7 @@
  * thread-safe GraphStore, and serial-vs-parallel sweep equivalence.
  */
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -366,7 +367,7 @@ TEST(GraphStoreTest, ConcurrentGetSharesOneBuild)
     t2.join();
     ASSERT_NE(a, nullptr);
     EXPECT_EQ(a.get(), b.get()); // one deterministic build, shared
-    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.counters().entries, 1u);
     EXPECT_GE(a->numVertices(), 64u);
 }
 
@@ -378,7 +379,7 @@ TEST(GraphStoreTest, KeysOnPresetAndScale)
     const auto other_preset = store.get(GraphPreset::Raj, 0.05);
     EXPECT_NE(small.get(), other_scale.get());
     EXPECT_NE(small.get(), other_preset.get());
-    EXPECT_EQ(store.size(), 3u);
+    EXPECT_EQ(store.counters().entries, 3u);
     // Same key twice: cached.
     EXPECT_EQ(store.get(GraphPreset::Dct, 0.05).get(), small.get());
 }
@@ -387,21 +388,22 @@ TEST(GraphStoreTest, QuantizesNearlyEqualScaleKeys)
 {
     // 0.1 + 0.2 != 0.3 as raw doubles; a raw-double key would cache two
     // copies of the same graph. The key quantizes to 1e-6, so both
-    // spellings share one entry — and eviction finds it from either.
+    // spellings share one entry: the second get() is a hit.
     GraphStore store;
     const double computed = 0.1 + 0.2;
     ASSERT_NE(computed, 0.3); // the premise: raw doubles differ
     EXPECT_EQ(GraphStore::quantizeScale(computed),
               GraphStore::quantizeScale(0.3));
+    EXPECT_EQ(GraphStore::canonicalScale(computed), 0.3);
     const auto a = store.get(GraphPreset::Dct, 0.3);
     const auto b = store.get(GraphPreset::Dct, computed);
     EXPECT_EQ(a.get(), b.get());
-    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.counters().entries, 1u);
+    EXPECT_EQ(store.counters().hits, 1u);
+    EXPECT_EQ(store.counters().misses, 1u);
     // Scales at least 1e-6 apart stay distinct.
     EXPECT_NE(GraphStore::quantizeScale(0.3),
               GraphStore::quantizeScale(0.300001));
-    EXPECT_TRUE(store.evict(GraphPreset::Dct, computed));
-    EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(GraphStoreTest, EvictionKeepsOutstandingHandlesValid)
@@ -409,12 +411,53 @@ TEST(GraphStoreTest, EvictionKeepsOutstandingHandlesValid)
     GraphStore store;
     const auto g = store.get(GraphPreset::Dct, 0.05);
     const VertexId n = g->numVertices();
-    EXPECT_TRUE(store.evict(GraphPreset::Dct, 0.05));
-    EXPECT_FALSE(store.evict(GraphPreset::Dct, 0.05));
-    EXPECT_EQ(store.size(), 0u);
+    (void)store.get(GraphPreset::Raj, 0.05);
+    // A budget below one graph keeps only the newest entry: g's goes.
+    store.setBudgetBytes(1);
+    EXPECT_EQ(store.counters().entries, 1u);
+    EXPECT_EQ(store.counters().evictions, 1u);
     EXPECT_EQ(g->numVertices(), n); // old handle still usable
+    store.setBudgetBytes(0);
     const auto rebuilt = store.get(GraphPreset::Dct, 0.05);
+    EXPECT_EQ(store.counters().misses, 3u) << "g's entry was not evicted";
     EXPECT_EQ(rebuilt->numVertices(), n); // deterministic rebuild
+    EXPECT_EQ(*rebuilt, *g);
+    store.clear();
+    EXPECT_EQ(store.counters().entries, 0u);
+    EXPECT_EQ(store.counters().evictions, 3u);
+    EXPECT_EQ(g->numVertices(), n);
+}
+
+TEST(GraphStoreTest, InFlightBuildsSurviveBudgetAndClear)
+{
+    // The budget and clear() drop completed entries only. A build they
+    // race keeps its slot, and its graph lands in the store once.
+    GraphStore store;
+    std::atomic<bool> built{false};
+    std::atomic<bool> squeezing{false};
+    std::thread squeezer([&] {
+        while (!built) {
+            store.setBudgetBytes(1);
+            store.clear();
+            store.setBudgetBytes(0);
+            squeezing = true;
+        }
+    });
+    while (!squeezing)
+        std::this_thread::yield();
+    const GraphStore::GraphPtr g = store.get(GraphPreset::Dct, 1.0);
+    built = true;
+    squeezer.join();
+    ASSERT_NE(g, nullptr);
+    EXPECT_EQ(*g, buildPresetScaled(GraphPreset::Dct, 1.0));
+    const GraphStore::Counters c = store.counters();
+    EXPECT_EQ(c.misses, 1u);
+    if (c.entries == 0) {
+        EXPECT_EQ(c.residentBytes, 0u);
+    } else {
+        EXPECT_EQ(c.entries, 1u);
+        EXPECT_EQ(c.residentBytes, g->memoryBytes());
+    }
 }
 
 // --- parallel sweep -------------------------------------------------------

@@ -547,8 +547,15 @@ TEST(GraphStoreFile, FileInputsAreCachedAndRunnable)
     const ResultSet rs = runManifest(session, m);
     EXPECT_EQ(rs.at(u.key()).run, via_file.result);
 
-    EXPECT_TRUE(store.evictFile(path));
-    EXPECT_FALSE(store.evictFile(path));
+    // Keyed by path and budget-governed: squeezed out behind a newer
+    // entry, the file graph's handle stays valid and getFile() reloads.
+    (void)store.get(GraphPreset::Dct, 0.05);
+    store.setBudgetBytes(1);
+    const std::uint64_t misses = store.counters().misses;
+    EXPECT_EQ(*store.getFile(path), *first);
+    EXPECT_EQ(store.counters().misses, misses + 1) << "still cached";
+    store.setBudgetBytes(0);
+    store.clear();
     std::remove(path.c_str());
 
     // Scale is a preset-only knob: a file plan with a scale is invalid.
@@ -572,29 +579,33 @@ TEST(GraphStoreBudget, LruEvictionKeepsTotalUnderBudget)
     const auto a = store.get(GraphPreset::Dct, 0.011);
     const auto b = store.get(GraphPreset::Dct, 0.012);
     const auto c = store.get(GraphPreset::Dct, 0.013);
-    EXPECT_EQ(store.size(), 3u);
-    EXPECT_EQ(store.totalBytes(),
+    EXPECT_EQ(store.counters().entries, 3u);
+    EXPECT_EQ(store.counters().residentBytes,
               a->memoryBytes() + b->memoryBytes() + c->memoryBytes());
-    EXPECT_EQ(store.stats().size(), 3u);
-    // stats() is most-recently-used first.
-    EXPECT_EQ(store.stats().front().name, "DCT");
 
     // Touch `a` so `b` is the LRU victim, then squeeze.
     (void)store.get(GraphPreset::Dct, 0.011);
     store.setBudgetBytes(a->memoryBytes() + c->memoryBytes());
-    EXPECT_EQ(store.budgetBytes(), a->memoryBytes() + c->memoryBytes());
-    EXPECT_EQ(store.size(), 2u) << "LRU entry should have been evicted";
-    EXPECT_LE(store.totalBytes(), store.budgetBytes());
+    const GraphStore::Counters squeezed = store.counters();
+    EXPECT_EQ(squeezed.budgetBytes, a->memoryBytes() + c->memoryBytes());
+    EXPECT_EQ(squeezed.entries, 2u) << "LRU entry should have been evicted";
+    EXPECT_LE(squeezed.residentBytes, squeezed.budgetBytes);
+    // `a` and `c` stayed: getting them again is two hits.
+    (void)store.get(GraphPreset::Dct, 0.011);
+    (void)store.get(GraphPreset::Dct, 0.013);
+    EXPECT_EQ(store.counters().hits, squeezed.hits + 2);
+    EXPECT_EQ(store.counters().misses, squeezed.misses);
     // The evicted handle stays usable; a re-get rebuilds identically.
     EXPECT_GT(b->numVertices(), 0u);
     const auto b2 = store.get(GraphPreset::Dct, 0.012);
+    EXPECT_EQ(store.counters().misses, squeezed.misses + 1);
     EXPECT_EQ(b2->numVertices(), b->numVertices());
     EXPECT_EQ(b2->numEdges(), b->numEdges());
 
     // A budget smaller than any one graph still keeps the newest entry
     // (the store never evicts below one resident graph).
     store.setBudgetBytes(1);
-    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.counters().entries, 1u);
 
     store.setBudgetBytes(0);
     store.clear();
@@ -612,16 +623,17 @@ TEST(GraphStoreBudget, FullScalePresetsAreStoreOwned)
 
     const auto full = store.get(GraphPreset::Dct); // scale 1.0
     EXPECT_EQ(full->numEdges(), paperStats(GraphPreset::Dct).edges);
-    EXPECT_EQ(store.totalBytes(), full->memoryBytes());
-    ASSERT_EQ(store.stats().size(), 1u);
-    EXPECT_EQ(store.stats().front().name, "DCT");
-    EXPECT_DOUBLE_EQ(store.stats().front().scale, 1.0);
-    EXPECT_EQ(store.stats().front().bytes, full->memoryBytes());
+    const GraphStore::Counters built = store.counters();
+    EXPECT_EQ(built.entries, 1u);
+    EXPECT_EQ(built.residentBytes, full->memoryBytes());
+    // The one entry is DCT at 1.0: asking for it again is a hit.
+    EXPECT_EQ(store.get(GraphPreset::Dct, 1.0).get(), full.get());
+    EXPECT_EQ(store.counters().hits, built.hits + 1);
 
-    EXPECT_TRUE(store.evict(GraphPreset::Dct));
-    EXPECT_EQ(store.totalBytes(), 0u);
-    EXPECT_GT(full->numEdges(), 0u) << "outstanding handles stay valid";
     store.clear();
+    EXPECT_EQ(store.counters().residentBytes, 0u);
+    EXPECT_EQ(store.counters().evictions, built.evictions + 1);
+    EXPECT_GT(full->numEdges(), 0u) << "outstanding handles stay valid";
 }
 
 TEST(GraphStoreBudget, EvictionOrdersAcrossEntryKinds)
@@ -640,35 +652,34 @@ TEST(GraphStoreBudget, EvictionOrdersAcrossEntryKinds)
     const auto full = store.get(GraphPreset::Dct); // oldest
     const auto scaled = store.get(GraphPreset::Dct, 0.05);
     const auto file = store.getFile(path); // newest
-    ASSERT_EQ(store.size(), 3u);
-    EXPECT_EQ(store.totalBytes(), full->memoryBytes() +
-                                      scaled->memoryBytes() +
-                                      file->memoryBytes());
-    // stats() is most-recently-used first; all three kinds report bytes.
-    const auto rows = store.stats();
-    ASSERT_EQ(rows.size(), 3u);
-    EXPECT_EQ(rows[0].name, path);
-    EXPECT_EQ(rows[1].name, "DCT");
-    EXPECT_EQ(rows[2].name, "DCT");
-    for (const auto& r : rows)
-        EXPECT_GT(r.bytes, 0u) << r.name;
+    ASSERT_EQ(store.counters().entries, 3u);
+    // All three kinds are charged their bytes.
+    EXPECT_EQ(store.counters().residentBytes, full->memoryBytes() +
+                                                  scaled->memoryBytes() +
+                                                  file->memoryBytes());
 
     // Touch the full-scale entry: the scaled preset becomes LRU and is
     // the first casualty of a squeeze; the file entry goes next.
     (void)store.get(GraphPreset::Dct);
     store.setBudgetBytes(full->memoryBytes() + file->memoryBytes());
-    ASSERT_EQ(store.size(), 2u);
-    EXPECT_EQ(store.stats()[0].name, "DCT");
-    EXPECT_EQ(store.stats()[1].name, path);
+    ASSERT_EQ(store.counters().entries, 2u);
+    // The two kept are the file and DCT at 1.0, both hits; the file is
+    // asked first so DCT at 1.0 stays the most recently used.
+    const GraphStore::Counters kept = store.counters();
+    (void)store.getFile(path);
+    (void)store.get(GraphPreset::Dct);
+    EXPECT_EQ(store.counters().hits, kept.hits + 2);
+    EXPECT_EQ(store.counters().misses, kept.misses);
     store.setBudgetBytes(full->memoryBytes());
-    ASSERT_EQ(store.size(), 1u);
-    EXPECT_EQ(store.stats()[0].name, "DCT");
-    EXPECT_DOUBLE_EQ(store.stats()[0].scale, 1.0);
+    ASSERT_EQ(store.counters().entries, 1u);
+    (void)store.get(GraphPreset::Dct, 1.0);
+    EXPECT_EQ(store.counters().hits, kept.hits + 3) << "DCT at 1.0 went";
 
     // Pinned-while-in-use: the evicted handles are intact, and re-gets
     // rebuild bit-identical graphs.
     EXPECT_EQ(*store.get(GraphPreset::Dct, 0.05), *scaled);
     EXPECT_EQ(*store.getFile(path), *file);
+    EXPECT_EQ(store.counters().misses, kept.misses + 2);
 
     store.setBudgetBytes(0);
     store.clear();
@@ -679,11 +690,10 @@ TEST(GraphStoreBudget, EvictionOrdersAcrossEntryKinds)
 
 TEST(GraphStoreSnapshot, CacheDirServesRejectsAndHeals)
 {
-    GraphStore& store = GraphStore::instance();
-    store.clear();
     const std::string dir = testing::TempDir() + "gga_snap_cache";
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
+    GraphStore store;
     store.setCacheDir(dir);
 
     // First build populates the cache with one .csrbin per entry.
@@ -694,25 +704,45 @@ TEST(GraphStoreSnapshot, CacheDirServesRejectsAndHeals)
     ASSERT_EQ(files.size(), 1u);
     EXPECT_EQ(files[0].extension(), ".csrbin");
 
-    // A fresh get() after eviction is served from the snapshot —
+    // A second store over the directory is served from the snapshot —
     // tampering with the file's payload would be caught, so equality
     // here means the bytes really round-tripped.
-    store.evict(GraphPreset::Raj, 0.1);
-    EXPECT_EQ(*store.get(GraphPreset::Raj, 0.1), *built);
+    {
+        GraphStore reload;
+        reload.setCacheDir(dir);
+        EXPECT_EQ(*reload.get(GraphPreset::Raj, 0.1), *built);
+    }
 
-    // Corrupt the snapshot: the store must reject it, resynthesize the
+    // Corrupt the snapshot: a store must reject it, resynthesize the
     // identical graph, and heal the cache file in passing.
-    store.evict(GraphPreset::Raj, 0.1);
     std::filesystem::resize_file(files[0], 100);
-    EXPECT_EQ(*store.get(GraphPreset::Raj, 0.1), *built);
-    store.evict(GraphPreset::Raj, 0.1);
+    {
+        GraphStore heal;
+        heal.setCacheDir(dir);
+        EXPECT_EQ(*heal.get(GraphPreset::Raj, 0.1), *built);
+    }
     EXPECT_EQ(loadCsrSnapshot(files[0].string()), *built)
         << "the damaged file should have been overwritten with a good copy";
+    std::filesystem::remove_all(dir);
+}
 
-    // The cache is scoped to the directory setting; clearing it returns
-    // the store to pure in-memory behavior for the remaining tests.
-    store.setCacheDir("");
-    store.clear();
+TEST(GraphStoreSnapshot, OffGridScaleWritesTheFileSnapshotPathNames)
+{
+    // gga_graphs prebuilds the file snapshotPath names; a get() at an
+    // off-grid scale must write, and so later read, that same file.
+    const std::string dir = testing::TempDir() + "gga_offgrid_cache";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    GraphStore store;
+    store.setCacheDir(dir);
+    const auto built = store.get(GraphPreset::Raj, 1.0 / 3);
+    const std::string want =
+        GraphStore::snapshotPath(dir, GraphPreset::Raj, 1.0 / 3);
+    std::vector<std::string> files;
+    for (const auto& e : std::filesystem::directory_iterator(dir))
+        files.push_back(e.path().string());
+    EXPECT_EQ(files, std::vector<std::string>{want});
+    EXPECT_EQ(loadCsrSnapshot(want), *built);
     std::filesystem::remove_all(dir);
 }
 
@@ -744,11 +774,12 @@ TEST(GraphStoreSnapshot, WorkerBudgetBoundsAFullScaleManifest)
     const ResultSet results = runManifest(session, m);
 
     EXPECT_EQ(results.size(), 3u);
-    EXPECT_EQ(store.budgetBytes(), budget);
-    EXPECT_LE(store.totalBytes(), budget)
+    const GraphStore::Counters c = store.counters();
+    EXPECT_EQ(c.budgetBytes, budget);
+    EXPECT_LE(c.residentBytes, budget)
         << "resident graph bytes must stay bounded after a full-scale "
            "manifest";
-    EXPECT_LT(store.size(), 3u)
+    EXPECT_LT(c.entries, 3u)
         << "a budget below the combined footprint cannot keep every "
            "full-scale input resident";
 

@@ -2,8 +2,9 @@
  * @file
  * Tests for the write-ahead job journal and crash recovery: record
  * round trips, one file per live job (finishing one deletes its file and
- * touches no other), torn tails confined to their job, corrupt part
- * files, the journal at the admission bound, and full Service restarts
+ * touches no other), torn tails confined to their job, admit records no
+ * server could have acknowledged, corrupt part files, the journal at the
+ * admission bound, and full Service restarts
  * — a recovered remote job never re-executes its completed shards and
  * still merges byte-identically, and a recovered local job simply
  * re-runs to the same bytes.
@@ -343,6 +344,43 @@ TEST(Journal, TornAdmitDropsOnlyThatJob)
     ASSERT_EQ(j.recovered().size(), 1u);
     EXPECT_EQ(j.recovered()[0].id, "job-1");
     EXPECT_EQ(listDir(dir + "/jobs"), std::set<std::string>{"job-1.jsonl"});
+}
+
+TEST(Journal, AdmitRecordsNoServerCouldAcknowledgeAreDropped)
+{
+    // Service::submitJob refuses an empty manifest, a remote job outside
+    // 1 <= shards <= units and a local job with shards. Replay deletes
+    // such a file like a torn admit: a job it recovered could never end
+    // (or would abort the server).
+    struct Case
+    {
+        const char* name;
+        bool remote;
+        std::size_t shards;
+        Manifest manifest;
+    };
+    const Manifest m = tinyManifest();
+    for (const Case& c :
+         {Case{"zero_shards", true, 0, m},
+          Case{"huge_shards", true, 4000000000000, m},
+          Case{"no_units", false, 0, Manifest{}},
+          Case{"local_shards", false, 2, m}}) {
+        SCOPED_TRACE(c.name);
+        const std::string dir = freshDir(std::string("unacked_") + c.name);
+        {
+            Journal j(dir);
+            j.admit("job-1", "t", c.remote, c.shards, c.manifest);
+        }
+        Service svc(quickOptions(dir));
+        const Json stats =
+            Json::parse(svc.handle(request("GET", "/stats")).body);
+        EXPECT_TRUE(stats.at("journal").at("tail_damaged").asBool());
+        EXPECT_TRUE(Json::parse(svc.handle(request("GET", "/v1/jobs")).body)
+                        .at("jobs")
+                        .asArray()
+                        .empty());
+        EXPECT_TRUE(std::filesystem::is_empty(dir + "/jobs"));
+    }
 }
 
 TEST(Journal, OlderBuildsLogIsIgnored)

@@ -2,7 +2,8 @@
  * @file
  * Tests for the resident service: HTTP transport, request routing
  * (driven through the socketless Service::handle seam), multi-tenant
- * admission, local job lifecycle with long-poll and result streaming,
+ * admission, local job lifecycle with long-poll and result streaming
+ * (under a one-byte GraphStore budget too),
  * and the remote orchestration protocol — assignment leases, part
  * verification, duplicate discard, retry with backoff, and the
  * byte-identity of a remotely merged job to an in-process runManifest.
@@ -18,6 +19,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -28,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/graph_store.hpp"
 #include "eval/run.hpp"
 #include "harness/workloads.hpp"
 #include "support/faults.hpp"
@@ -525,6 +528,52 @@ TEST(ServeLocal, MissingInputFileFailsTheJobAndTheServerStaysUp)
         << snap.dump();
     EXPECT_EQ(httpRequest(svc.port(), "GET", "/healthz").status, 200);
     svc.stop();
+}
+
+TEST(ServeLocal, OneByteGraphBudgetUnderThreeTenantsFinishesEveryJob)
+{
+    // The GraphStore budget at its limit with many tenants pinning
+    // graphs: each running unit holds its input's handle while the
+    // budget keeps at most one completed entry resident.
+    constexpr double kScale = 0.02;
+    GraphStore& store = GraphStore::instance();
+    store.clear();
+    store.setBudgetBytes(1);
+    const std::uint64_t evictions = store.counters().evictions;
+    Service svc(quickOptions()); // 2 executor threads
+    std::vector<std::thread> clients;
+    for (const char* tenant : {"alice", "bob", "carol"})
+        clients.emplace_back([&svc, tenant] {
+            std::vector<std::string> ids;
+            for (GraphPreset g : kAllGraphPresets) {
+                WorkUnit u = unitFor(AppId::Pr, "TG0", kScale);
+                u.preset = g;
+                Json body = Json::object();
+                body.set("tenant", Json(tenant));
+                body.set("plan", u.toJson());
+                const HttpResponse r = svc.handle(
+                    request("POST", "/v1/jobs", {}, body.dump()));
+                EXPECT_EQ(r.status, 202) << r.body;
+                if (r.status == 202)
+                    ids.push_back(parseBody(r).at("id").asString());
+            }
+            for (const std::string& id : ids)
+                EXPECT_EQ(awaitTerminal(svc, id), "done") << tenant << id;
+        });
+    for (std::thread& c : clients)
+        c.join();
+
+    std::size_t largest = 0;
+    for (GraphPreset g : kAllGraphPresets)
+        largest = std::max(largest,
+                           buildPresetScaled(g, kScale).memoryBytes());
+    const Json gs =
+        parseBody(svc.handle(request("GET", "/stats"))).at("graph_store");
+    EXPECT_GT(gs.at("evictions").asU64(), evictions);
+    EXPECT_LE(gs.at("resident_bytes").asU64(), largest);
+    EXPECT_EQ(svc.handle(request("GET", "/healthz")).status, 200);
+    store.setBudgetBytes(0);
+    store.clear();
 }
 
 // --- remote orchestration ------------------------------------------------

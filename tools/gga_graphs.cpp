@@ -13,12 +13,12 @@
  * full synthesis cost at every cold start.
  *
  * Usage: gga_graphs --cache DIR [--manifest FILE] [--presets A,B|all]
- *                   [--scale S] [--threads T] [--verify] [--force]
+ *                   [--scale S] [--threads T] [--verify]
  *   --cache    snapshot directory (created if missing)
  *   --manifest prebuild exactly the graphs a manifest needs (file-path
  *              inputs are skipped — they already live on disk)
  *   --presets  comma-separated preset names, or "all"; default: all six
- *              when no manifest is given
+ *              when no manifest is given; an empty list exits 1
  *   --scale    preset scale for --presets entries; default 1.0 (paper size)
  *   --threads  total thread budget, split between concurrent targets and
  *              per-build synthesis threads (pool width = min(T, targets),
@@ -27,7 +27,11 @@
  *              different thread counts, and require all three byte-
  *              identical (exit 1 on any mismatch or unreadable snapshot)
  *              instead of writing anything
- *   --force    rebuild and overwrite snapshots that already load cleanly
+ *
+ * Every target is snapped to the GraphStore's scale grid
+ * (GraphStore::canonicalScale) and written to the file
+ * GraphStore::snapshotPath names, so a worker's store opens exactly the
+ * files this tool wrote, off-grid scales such as 1/3 included.
  *
  * Targets run concurrently on a TaskPool; each target's log lines are
  * buffered and printed in target order, so the output reads the same at
@@ -46,8 +50,6 @@
 #include "api/graph_store.hpp"
 #include "api/task_pool.hpp"
 #include "eval/manifest.hpp"
-#include "graph/builder.hpp"
-#include "graph/generator.hpp"
 #include "graph/presets.hpp"
 #include "graph/snapshot.hpp"
 #include "support/log.hpp"
@@ -59,32 +61,8 @@ namespace {
 struct Target
 {
     gga::GraphPreset preset;
-    double scale;
+    double scale; ///< canonical once checked: what the store builds at
 };
-
-/**
- * The scale the GraphStore will actually build and look up under: its
- * keys quantize to 1e-6 and builds use the quantized value, so the
- * snapshot file name must be derived from the same number — an
- * off-grid scale (1/3) would otherwise hash to a file no worker ever
- * opens, silently leaving the cache cold.
- */
-double
-canonicalScale(double scale)
-{
-    return static_cast<double>(gga::GraphStore::quantizeScale(scale)) /
-           1e6;
-}
-
-std::string
-snapshotPathFor(const std::string& cache, const Target& t)
-{
-    const std::int64_t units = gga::GraphStore::quantizeScale(t.scale);
-    const gga::GenSpec spec = gga::presetSpecScaled(t.preset, t.scale);
-    return cache + "/" +
-           gga::csrSnapshotFileName(gga::presetName(t.preset), units,
-                                    gga::specContentHash(spec));
-}
 
 } // namespace
 
@@ -97,7 +75,6 @@ main(int argc, char** argv)
     double scale = 1.0;
     unsigned threads = 0;
     bool verify = false;
-    bool force = false;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--cache") && i + 1 < argc) {
             cache = argv[++i];
@@ -105,19 +82,19 @@ main(int argc, char** argv)
             manifest_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--presets") && i + 1 < argc) {
             presets_arg = argv[++i];
+            if (presets_arg.empty())
+                GGA_FATAL("--presets is empty; name presets or \"all\"");
         } else if (!std::strcmp(argv[i], "--scale") && i + 1 < argc) {
             scale = gga::parseScale("--scale", argv[++i]);
         } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
             threads = gga::parseFlag<unsigned>("--threads", argv[++i]);
         } else if (!std::strcmp(argv[i], "--verify")) {
             verify = true;
-        } else if (!std::strcmp(argv[i], "--force")) {
-            force = true;
         } else {
             GGA_FATAL("unknown argument '", argv[i],
                       "'; usage: gga_graphs --cache DIR [--manifest FILE] "
                       "[--presets A,B|all] [--scale S] [--threads T] "
-                      "[--verify] [--force]");
+                      "[--verify]");
         }
     }
     if (cache.empty())
@@ -132,8 +109,7 @@ main(int argc, char** argv)
             for (const gga::Manifest::GraphInput& in :
                  manifest.graphInputs()) {
                 if (in.preset)
-                    targets.push_back(
-                        Target{*in.preset, canonicalScale(in.scale)});
+                    targets.push_back(Target{*in.preset, in.scale});
                 else
                     ++skipped_files;
             }
@@ -146,7 +122,7 @@ main(int argc, char** argv)
             (manifest_path.empty() && targets.empty())) {
             if (presets_arg.empty() || presets_arg == "all") {
                 for (gga::GraphPreset p : gga::kAllGraphPresets)
-                    targets.push_back(Target{p, canonicalScale(scale)});
+                    targets.push_back(Target{p, scale});
             } else {
                 std::size_t start = 0;
                 while (start <= presets_arg.size()) {
@@ -160,7 +136,7 @@ main(int argc, char** argv)
                     if (!p)
                         GGA_FATAL("unknown preset '", name,
                                   "' (want AMZ, DCT, EML, OLS, RAJ, WNG)");
-                    targets.push_back(Target{*p, canonicalScale(scale)});
+                    targets.push_back(Target{*p, scale});
                     if (comma == std::string::npos)
                         break;
                     start = comma + 1;
@@ -170,9 +146,10 @@ main(int argc, char** argv)
         if (targets.empty())
             GGA_FATAL("nothing to do: the manifest names no preset inputs "
                       "and no --presets were given");
-        for (const Target& t : targets) {
-            const auto why = gga::GraphStore::presetError(t.preset, t.scale);
-            if (why)
+        for (Target& t : targets) {
+            t.scale = gga::GraphStore::canonicalScale(t.scale);
+            if (const auto why =
+                    gga::GraphStore::presetError(t.preset, t.scale))
                 GGA_FATAL(*why);
         }
 
@@ -195,12 +172,13 @@ main(int argc, char** argv)
             std::string err;
             int failures = 0;
         };
-        const auto process = [&cache, verify, force,
+        const auto process = [&cache, verify,
                               per_build](const Target& t) -> Report {
             Report r;
             std::ostringstream out;
             std::ostringstream err;
-            const std::string path = snapshotPathFor(cache, t);
+            const std::string path =
+                gga::GraphStore::snapshotPath(cache, t.preset, t.scale);
             const std::string label =
                 std::string(gga::presetName(t.preset)) + " @ " +
                 std::to_string(t.scale);
@@ -239,23 +217,17 @@ main(int argc, char** argv)
                 r.err = err.str();
                 return r;
             }
-            bool cached = false;
-            if (!force) {
-                try {
-                    const gga::CsrGraph loaded = gga::loadCsrSnapshot(path);
-                    out << "cached " << label << ": " << path << " ("
-                        << loaded.numEdges() << " edges)\n";
-                    cached = true;
-                } catch (const gga::SnapshotError& e) {
-                    // Missing is a routine cold cache; a present-but-
-                    // unloadable file deserves a loud line before the
-                    // rebuild overwrites it.
-                    if (std::filesystem::exists(path))
-                        err << "rejecting damaged snapshot for " << label
-                            << ": " << e.what() << "; rebuilding\n";
-                }
-            }
-            if (!cached) {
+            try {
+                const gga::CsrGraph loaded = gga::loadCsrSnapshot(path);
+                out << "cached " << label << ": " << path << " ("
+                    << loaded.numEdges() << " edges)\n";
+            } catch (const gga::SnapshotError& e) {
+                // Missing is a routine cold cache; a present-but-
+                // unloadable file deserves a loud line before the
+                // rebuild overwrites it.
+                if (std::filesystem::exists(path))
+                    err << "rejecting damaged snapshot for " << label
+                        << ": " << e.what() << "; rebuilding\n";
                 const gga::CsrGraph built =
                     gga::buildPresetScaled(t.preset, t.scale, per_build);
                 gga::saveCsrSnapshot(path, built);
