@@ -20,7 +20,7 @@ main(int argc, char** argv)
 {
     const bool csv = argc > 1 && !std::strcmp(argv[1], "--csv");
     const gga::SimParams p;
-    const gga::MeshNoc noc(p);
+    const gga::MeshNoc noc;
 
     // Derived latency ranges over all SM/bank placements.
     gga::Cycles l2_min = ~0ull, l2_max = 0;

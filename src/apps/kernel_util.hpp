@@ -15,7 +15,6 @@
 #include "graph/csr.hpp"
 #include "sim/address_space.hpp"
 #include "sim/warp.hpp"
-#include "support/log.hpp"
 
 namespace gga::kutil {
 
@@ -76,7 +75,7 @@ struct LaneEdge
  */
 class EdgeWalk
 {
-    static_assert(kMaxWarpLanes <= 32, "the lane mask is 32 bits wide");
+    static_assert(SimParams::warpSize <= 32, "the lane mask is 32 bits wide");
 
   public:
     /** Every live lane of @p w active. */
@@ -91,8 +90,6 @@ class EdgeWalk
         : g_(g), v0_(w.firstThread())
     {
         const std::uint32_t lanes = w.laneCount();
-        GGA_ASSERT(lanes <= kMaxWarpLanes, "a warp of ", lanes,
-                   " lanes exceeds the ", kMaxWarpLanes, "-lane cap");
         for (std::uint32_t l = 0; l < lanes; ++l) {
             const VertexId v = v0_ + l;
             if (!active(v))
@@ -159,13 +156,13 @@ class EdgeWalk
     VertexId v0_;
     std::uint32_t mask_ = 0;
     std::uint32_t steps_ = 0;
-    std::array<EdgeId, kMaxWarpLanes> begin_{};
-    std::array<std::uint32_t, kMaxWarpLanes> degree_{};
+    std::array<EdgeId, SimParams::warpSize> begin_{};
+    std::array<std::uint32_t, SimParams::warpSize> degree_{};
 };
 
 /** One value per lane of a warp. */
 template <typename T>
-using Lanes = std::array<T, kMaxWarpLanes>;
+using Lanes = std::array<T, SimParams::warpSize>;
 
 } // namespace gga::kutil
 

@@ -12,42 +12,13 @@ namespace gga {
 namespace {
 
 /**
- * One X-macro list drives serialization, deserialization, and hashing —
- * the single table to extend when SimParams grows a field. Nothing
- * enforces the table at compile time, but the failure mode is loud
- * across versions: simParamsFromJson rejects members it doesn't know,
- * so a manifest written by a build with the new field cannot silently
- * run stale hardware on a build without it.
+ * One X-macro list drives serialization, deserialization, and hashing:
+ * the SimParams values a unit may set. The rest of Table IV is
+ * constant, so a member outside this list is refused like a typo.
  */
 #define GGA_SIM_PARAMS_FIELDS(X)                                            \
-    X(numSms)                                                               \
-    X(warpSize)                                                             \
-    X(threadBlockSize)                                                      \
-    X(maxBlocksPerSm)                                                       \
-    X(lineBytes)                                                            \
     X(l1SizeKiB)                                                            \
-    X(l1Assoc)                                                              \
-    X(l1Mshrs)                                                              \
-    X(storeBufferEntries)                                                   \
-    X(l1HitLatency)                                                         \
-    X(l1AtomicLatency)                                                      \
-    X(l1AtomicServiceInterval)                                              \
-    X(flashInvalidateLatency)                                               \
-    X(l2SizeKiB)                                                            \
-    X(l2Banks)                                                              \
-    X(l2Assoc)                                                              \
-    X(l2BankLatency)                                                        \
-    X(l2ServiceInterval)                                                    \
-    X(atomicServiceInterval)                                                \
-    X(directoryServiceInterval)                                             \
-    X(nocPerHopLatency)                                                     \
-    X(nocRouterLatency)                                                     \
-    X(nocPortInterval)                                                      \
-    X(dramLatency)                                                          \
-    X(dramChannels)                                                         \
-    X(dramServiceInterval)                                                  \
-    X(relaxedAtomicWindow)                                                  \
-    X(kernelLaunchOverhead)
+    X(relaxedAtomicWindow)
 
 } // namespace
 

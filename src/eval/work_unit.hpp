@@ -73,14 +73,17 @@ struct WorkUnit
     static WorkUnit fromJson(const Json& j);
 };
 
-/** Full (all fields, fixed order) SimParams serialization. */
+/**
+ * SimParams serialization: its two settable values, l1SizeKiB and
+ * relaxedAtomicWindow, in that order.
+ */
 Json simParamsToJson(const SimParams& p);
 
 /**
  * Rebuild SimParams from JSON: starts from the defaults and applies the
- * members present, so manifests stay readable across parameter additions.
- * Throws EvalError on an unknown member (a typo must not silently run
- * the default hardware).
+ * members present. Throws EvalError on any other member, a Table IV
+ * constant included (a typo, or hardware this build cannot vary, must
+ * not silently run the default system).
  */
 SimParams simParamsFromJson(const Json& j);
 

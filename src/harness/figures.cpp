@@ -236,7 +236,7 @@ buildFigureSet(const std::string& figure, double scale, bool full,
                     restriction.allowDrfRlx = false;
                     const TaxonomyProfile profile = profileGraph(
                         *GraphStore::instance().get(wl.graph, set.scale),
-                        geometryOf(params));
+                        params);
                     set.partialPredicted.push_back(
                         predictPartialDesignSpace(
                             profile, algoProperties(wl.app), restriction));

@@ -34,18 +34,6 @@ baselineConfig(const Workload& workload)
     return workload.dynamic() ? parseConfig("DG1") : parseConfig("TG0");
 }
 
-GpuGeometry
-geometryOf(const SimParams& params)
-{
-    GpuGeometry geom;
-    geom.numSms = params.numSms;
-    geom.threadBlockSize = params.threadBlockSize;
-    geom.warpSize = params.warpSize;
-    geom.l1KiB = params.l1SizeKiB;
-    geom.l2KiB = params.l2SizeKiB;
-    return geom;
-}
-
 SystemConfig
 predictWorkload(const Workload& workload, const SimParams& params,
                 double scale)
@@ -54,7 +42,7 @@ predictWorkload(const Workload& workload, const SimParams& params,
     // profiling and eviction stays effective.
     const GraphStore::GraphPtr graph =
         GraphStore::instance().get(workload.graph, resolveScale(scale));
-    const TaxonomyProfile profile = profileGraph(*graph, geometryOf(params));
+    const TaxonomyProfile profile = profileGraph(*graph, params);
     return predictFullDesignSpace(profile, algoProperties(workload.app));
 }
 

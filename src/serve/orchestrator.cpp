@@ -16,7 +16,7 @@ RetryPolicy::backoffMs(unsigned attempt) const
         return 0;
     unsigned delay = retryBaseMs;
     for (unsigned i = 1; i < attempt && delay < retryCapMs; ++i)
-        delay *= 2;
+        delay = delay > retryCapMs / 2 ? retryCapMs : delay * 2;
     return std::min(delay, retryCapMs);
 }
 

@@ -52,7 +52,7 @@ struct RetryPolicy
     unsigned retryCapMs = 8000;  ///< exponential backoff ceiling
     unsigned maxAttempts = 6;    ///< per shard; exhausted -> job fails
 
-    /** min(base * 2^(attempt-1), cap); attempt is 1-based. */
+    /** min(base * 2^(attempt-1), cap) without wrapping; 1-based. */
     unsigned backoffMs(unsigned attempt) const;
 };
 

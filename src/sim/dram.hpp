@@ -7,9 +7,8 @@
 #ifndef GGA_SIM_DRAM_HPP
 #define GGA_SIM_DRAM_HPP
 
-#include <bit>
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "sim/params.hpp"
 #include "support/rng.hpp"
@@ -21,14 +20,6 @@ namespace gga {
 class Dram
 {
   public:
-    explicit Dram(const SimParams& params)
-        : latency_(params.dramLatency),
-          interval_(params.dramServiceInterval),
-          channelsPow2_(std::has_single_bit(params.dramChannels)),
-          channelFree_(params.dramChannels, 0)
-    {
-    }
-
     /**
      * Access one line at time @p t; returns the completion time (when data
      * is available at the memory controller).
@@ -36,28 +27,23 @@ class Dram
     Cycles
     access(Cycles t, Addr line, bool is_write)
     {
-        const std::uint64_t h = hashMix64(line);
-        const std::size_t ch = channelsPow2_ ? h & (channelFree_.size() - 1)
-                                             : h % channelFree_.size();
-        const Cycles start = std::max(t, channelFree_[ch]);
-        channelFree_[ch] = start + interval_;
+        Cycles& free = channelFree_[hashMix64(line) &
+                                    (SimParams::dramChannels - 1)];
+        const Cycles start = std::max(t, free);
+        free = start + SimParams::dramServiceInterval;
         if (is_write) {
             ++writes_;
-            return start + interval_; // posted write
+            return free; // posted write
         }
         ++reads_;
-        return start + latency_;
+        return start + SimParams::dramLatency;
     }
 
     std::uint64_t reads() const { return reads_; }
     std::uint64_t writes() const { return writes_; }
 
   private:
-    Cycles latency_;
-    Cycles interval_;
-    /** Pick channels by mask; otherwise by exact modulo. */
-    bool channelsPow2_;
-    std::vector<Cycles> channelFree_;
+    std::array<Cycles, SimParams::dramChannels> channelFree_{};
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
 };

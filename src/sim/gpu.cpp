@@ -5,7 +5,7 @@
 namespace gga {
 
 Gpu::Gpu(const SimParams& params, CoherenceKind coh, ConsistencyKind con)
-    : params_(params), coh_(coh), con_(con), noc_(params), dram_(params)
+    : params_(params), coh_(coh), con_(con)
 {
     params_.validate();
     l2_ = std::make_unique<L2System>(engine_, params_, noc_, dram_);

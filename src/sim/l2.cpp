@@ -1,7 +1,5 @@
 #include "sim/l2.hpp"
 
-#include <bit>
-
 #include "support/log.hpp"
 #include "support/rng.hpp"
 
@@ -12,15 +10,8 @@ L2System::L2System(Engine& engine, const SimParams& params,
     : engine_(engine),
       params_(params),
       noc_(noc),
-      dram_(dram),
-      lineShift_(
-          static_cast<std::uint32_t>(std::countr_zero(params.lineBytes))),
-      bankMask_(params.l2Banks - 1)
+      dram_(dram)
 {
-    banks_.reserve(params.l2Banks);
-    for (std::uint32_t b = 0; b < params.l2Banks; ++b)
-        banks_.emplace_back(params);
-    smPortFree_.assign(params.numSms, 0);
 }
 
 Cycles
@@ -37,8 +28,8 @@ L2System::smPortDepart(std::uint32_t sm_id, Cycles extra)
 std::uint32_t
 L2System::bankOf(Addr line) const
 {
-    return static_cast<std::uint32_t>(hashMix64(line >> lineShift_) &
-                                      bankMask_);
+    return static_cast<std::uint32_t>(hashMix64(line / params_.lineBytes) &
+                                      (params_.l2Banks - 1));
 }
 
 Cycles

@@ -13,9 +13,9 @@
 #ifndef GGA_SIM_L2_HPP
 #define GGA_SIM_L2_HPP
 
+#include <array>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "sim/cache.hpp"
 #include "sim/dram.hpp"
@@ -84,15 +84,11 @@ class L2System
   private:
     struct Bank
     {
-        explicit Bank(const SimParams& p)
-            : tags(p.l2SizeKiB * 1024 / p.l2Banks, p.l2Assoc, p.lineBytes)
-        {
-        }
-
         Cycles nextFree = 0;
         /** Dedicated atomic-unit pipeline beside the data port. */
         Cycles atomicNextFree = 0;
-        SetAssocCache tags;
+        SetAssocCache tags{SimParams::l2SizeKiB * 1024 / SimParams::l2Banks,
+                           SimParams::l2Assoc, SimParams::lineBytes};
         /** Per-word serialization of atomics at this bank's atomic unit. */
         FlatMap<Addr, Cycles> wordNextFree;
         /** Per-line serialization of ownership handoffs. */
@@ -126,14 +122,8 @@ class L2System
     /** Depart through the SM's NoC injection port (bandwidth model). */
     Cycles smPortDepart(std::uint32_t sm_id, Cycles extra = 0);
 
-    /**
-     * Line index is line >> lineShift_; & bankMask_ picks the bank
-     * (SimParams::validate() fixes 16 banks and a power-of-two line).
-     */
-    std::uint32_t lineShift_;
-    std::uint32_t bankMask_;
-    std::vector<Bank> banks_;
-    std::vector<Cycles> smPortFree_;
+    std::array<Bank, SimParams::l2Banks> banks_;
+    std::array<Cycles, SimParams::numSms> smPortFree_{};
     /** DeNovo registration directory: line -> owning SM. */
     FlatMap<Addr, std::uint32_t> owner_;
     RecallFn recall_;

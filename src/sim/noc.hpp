@@ -21,11 +21,6 @@ namespace gga {
 class MeshNoc
 {
   public:
-    explicit MeshNoc(const SimParams& params)
-        : perHop_(params.nocPerHopLatency), router_(params.nocRouterLatency)
-    {
-    }
-
     static constexpr std::uint32_t kWidth = 4;
     static constexpr std::uint32_t kNodes = 16;
 
@@ -43,7 +38,8 @@ class MeshNoc
     Cycles
     latency(std::uint32_t a, std::uint32_t b) const
     {
-        return router_ + perHop_ * hops(a, b);
+        return SimParams::nocRouterLatency +
+               SimParams::nocPerHopLatency * hops(a, b);
     }
 
     /** Mesh node of an SM (SM i lives on node i). */
@@ -51,10 +47,6 @@ class MeshNoc
 
     /** Mesh node of an L2 bank (bank i lives on node i). */
     std::uint32_t bankNode(std::uint32_t bank) const { return bank; }
-
-  private:
-    Cycles perHop_;
-    Cycles router_;
 };
 
 } // namespace gga

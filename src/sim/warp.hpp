@@ -24,7 +24,7 @@ class SmCore;
  * Unique lines/words of one warp instruction after coalescing. Capacity
  * allows two fused per-lane gathers (e.g. edge id + weight).
  */
-using AddrSet = InlineVec<Addr, 2 * kMaxWarpLanes>;
+using AddrSet = InlineVec<Addr, 2 * SimParams::warpSize>;
 
 /** Coroutine return type for warp programs. */
 class WarpTask

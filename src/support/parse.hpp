@@ -10,6 +10,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -53,16 +54,27 @@ parseUnsigned(std::string_view text)
     return static_cast<T>(*v);
 }
 
-/** parseUnsigned<T> of a command-line flag's value; fatal otherwise. */
+/**
+ * parseUnsigned of a command-line flag's value, up to @p max (at most
+ * T's largest value); fatal otherwise, naming the flag.
+ */
 template <typename T>
 T
-parseFlag(std::string_view flag, std::string_view text)
+parseFlag(std::string_view flag, std::string_view text,
+          std::uint64_t max = std::numeric_limits<T>::max())
 {
-    const std::optional<T> v = parseUnsigned<T>(text);
+    const std::optional<std::uint64_t> v = parseUnsigned(text, max);
     if (!v)
-        GGA_FATAL(flag, " wants a whole number from 0 to ",
-                  std::numeric_limits<T>::max(), ", got '", text, "'");
-    return *v;
+        GGA_FATAL(flag, " wants a whole number from 0 to ", max, ", got '",
+                  text, "'");
+    return static_cast<T>(*v);
+}
+
+/** parseFlag of a size in MiB, as bytes: fatal past what size_t holds. */
+inline std::size_t
+parseMebibyteFlag(std::string_view flag, std::string_view text)
+{
+    return parseFlag<std::size_t>(flag, text, SIZE_MAX >> 20) << 20;
 }
 
 /**

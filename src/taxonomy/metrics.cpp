@@ -23,15 +23,15 @@ levelChar(Level l)
 }
 
 double
-computeVolumeKb(const CsrGraph& g, const GpuGeometry& geom)
+computeVolumeKb(const CsrGraph& g)
 {
     const double elems = static_cast<double>(g.numVertices()) +
                          static_cast<double>(g.numEdges());
-    return elems * geom.bytesPerElement / geom.numSms / 1024.0;
+    return elems * 4 / SimParams::numSms / 1024.0;
 }
 
 ReuseMetrics
-computeReuse(const CsrGraph& g, const GpuGeometry& geom)
+computeReuse(const CsrGraph& g)
 {
     ReuseMetrics m;
     const VertexId n = g.numVertices();
@@ -42,7 +42,7 @@ computeReuse(const CsrGraph& g, const GpuGeometry& geom)
     // the same thread block (vertex-per-thread mapping).
     std::uint64_t local = 0;
     std::uint64_t remote = 0;
-    const std::uint32_t tb = geom.threadBlockSize;
+    const std::uint32_t tb = SimParams::threadBlockSize;
     for (VertexId v = 0; v < n; ++v) {
         const VertexId block = v / tb;
         for (VertexId nb : g.neighbors(v)) {
@@ -66,14 +66,13 @@ computeReuse(const CsrGraph& g, const GpuGeometry& geom)
 }
 
 double
-computeImbalance(const CsrGraph& g, const GpuGeometry& geom,
-                 const TaxonomyThresholds& thresholds)
+computeImbalance(const CsrGraph& g)
 {
     const VertexId n = g.numVertices();
     if (n == 0)
         return 0.0;
-    const std::uint32_t tb_size = geom.threadBlockSize;
-    const std::uint32_t warp = geom.warpSize;
+    const std::uint32_t tb_size = SimParams::threadBlockSize;
+    const std::uint32_t warp = SimParams::warpSize;
     const VertexId num_tbs = (n + tb_size - 1) / tb_size;
 
     VertexId marked = 0;
@@ -90,19 +89,18 @@ computeImbalance(const CsrGraph& g, const GpuGeometry& geom,
             warp_max.push_back(static_cast<double>(max_deg));
         }
         const KMeans1dResult km = kmeans1d2(warp_max);
-        if (km.centroidGap > thresholds.kmeansCentroidGap)
+        if (km.centroidGap > TaxonomyThresholds::kmeansCentroidGap)
             ++marked;
     }
     return static_cast<double>(marked) / static_cast<double>(num_tbs);
 }
 
 Level
-classifyVolume(double volume_kb, const GpuGeometry& geom,
-               const TaxonomyThresholds& thresholds)
+classifyVolume(double volume_kb, std::uint32_t l1KiB)
 {
-    const double low_cut = thresholds.volumeLowL1Multiple * geom.l1KiB;
-    const double high_cut =
-        static_cast<double>(geom.l2KiB) / static_cast<double>(geom.numSms);
+    const double low_cut = TaxonomyThresholds::volumeLowL1Multiple * l1KiB;
+    const double high_cut = static_cast<double>(SimParams::l2SizeKiB) /
+                            static_cast<double>(SimParams::numSms);
     if (volume_kb < low_cut)
         return Level::Low;
     if (volume_kb > high_cut)
@@ -111,21 +109,21 @@ classifyVolume(double volume_kb, const GpuGeometry& geom,
 }
 
 Level
-classifyReuse(double reuse, const TaxonomyThresholds& thresholds)
+classifyReuse(double reuse)
 {
-    if (reuse < thresholds.reuseLow)
+    if (reuse < TaxonomyThresholds::reuseLow)
         return Level::Low;
-    if (reuse > thresholds.reuseHigh)
+    if (reuse > TaxonomyThresholds::reuseHigh)
         return Level::High;
     return Level::Medium;
 }
 
 Level
-classifyImbalance(double imbalance, const TaxonomyThresholds& thresholds)
+classifyImbalance(double imbalance)
 {
-    if (imbalance < thresholds.imbalanceLow)
+    if (imbalance < TaxonomyThresholds::imbalanceLow)
         return Level::Low;
-    if (imbalance > thresholds.imbalanceHigh)
+    if (imbalance > TaxonomyThresholds::imbalanceHigh)
         return Level::High;
     return Level::Medium;
 }

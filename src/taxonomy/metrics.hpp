@@ -2,6 +2,8 @@
  * @file
  * The paper's graph-structure taxonomy metrics (Sec. III-A):
  * Volume (Eq. 1), Reuse via ANL/ANR (Eqs. 2-6), Imbalance (Eq. 7).
+ * They read the GPU geometry from SimParams' Table IV constants; only
+ * the Volume class takes an L1 size, the one the ablations vary.
  */
 
 #ifndef GGA_TAXONOMY_METRICS_HPP
@@ -10,20 +12,9 @@
 #include <cstdint>
 
 #include "graph/csr.hpp"
+#include "sim/params.hpp"
 
 namespace gga {
-
-/** GPU geometry inputs the taxonomy needs (defaults = paper Table IV). */
-struct GpuGeometry
-{
-    std::uint32_t numSms = 15;
-    std::uint32_t threadBlockSize = 256;
-    std::uint32_t warpSize = 32;
-    std::uint32_t l1KiB = 32;
-    std::uint32_t l2KiB = 4096;
-    /** Bytes per vertex/edge element for the Volume estimate. */
-    std::uint32_t bytesPerElement = 4;
-};
 
 /** Discretized metric level. */
 enum class Level
@@ -40,24 +31,24 @@ char levelChar(Level l);
 struct TaxonomyThresholds
 {
     /** Volume is Low below this multiple of the L1 capacity... */
-    double volumeLowL1Multiple = 1.5;
-    /** ...and High above l2KiB / numSms (each SM's fair share of L2). */
+    static constexpr double volumeLowL1Multiple = 1.5;
+    /** ...and High above l2SizeKiB / numSms (each SM's fair share of L2). */
 
-    double reuseLow = 0.15;
-    double reuseHigh = 0.40;
+    static constexpr double reuseLow = 0.15;
+    static constexpr double reuseHigh = 0.40;
 
-    double imbalanceLow = 0.05;
-    double imbalanceHigh = 0.25;
+    static constexpr double imbalanceLow = 0.05;
+    static constexpr double imbalanceHigh = 0.25;
 
     /** k-means max-degree centroid gap marking a thread block imbalanced. */
-    double kmeansCentroidGap = 10.0;
+    static constexpr double kmeansCentroidGap = 10.0;
 };
 
 /**
- * Eq. 1: Volume(G) = (|V| + |E|) / |SM|, scaled to KB by bytesPerElement.
- * A proxy for the average per-SM working-set size.
+ * Eq. 1: Volume(G) = (|V| + |E|) / |SM|, in KB of 4-byte elements. A
+ * proxy for the average per-SM working-set size.
  */
-double computeVolumeKb(const CsrGraph& g, const GpuGeometry& geom);
+double computeVolumeKb(const CsrGraph& g);
 
 /** ANL/ANR/Reuse bundle (Eqs. 4, 5, 6). */
 struct ReuseMetrics
@@ -71,25 +62,22 @@ struct ReuseMetrics
  * Eqs. 2-6: average numbers of thread-block-local and -remote neighbors,
  * combined into the [0, 1] Reuse score (1 = all edges local).
  */
-ReuseMetrics computeReuse(const CsrGraph& g, const GpuGeometry& geom);
+ReuseMetrics computeReuse(const CsrGraph& g);
 
 /**
  * Eq. 7: fraction of thread blocks whose per-warp max-degree 2-means
  * clustering shows a centroid gap above the threshold.
  */
-double computeImbalance(const CsrGraph& g, const GpuGeometry& geom,
-                        const TaxonomyThresholds& thresholds);
+double computeImbalance(const CsrGraph& g);
 
-/** Discretize Volume (see TaxonomyThresholds). */
-Level classifyVolume(double volume_kb, const GpuGeometry& geom,
-                     const TaxonomyThresholds& thresholds);
+/** Discretize Volume against an L1 of @p l1KiB (see TaxonomyThresholds). */
+Level classifyVolume(double volume_kb, std::uint32_t l1KiB);
 
 /** Discretize Reuse. */
-Level classifyReuse(double reuse, const TaxonomyThresholds& thresholds);
+Level classifyReuse(double reuse);
 
 /** Discretize Imbalance. */
-Level classifyImbalance(double imbalance,
-                        const TaxonomyThresholds& thresholds);
+Level classifyImbalance(double imbalance);
 
 } // namespace gga
 

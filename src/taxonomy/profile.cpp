@@ -3,21 +3,20 @@
 namespace gga {
 
 TaxonomyProfile
-profileGraph(const CsrGraph& g, const GpuGeometry& geom,
-             const TaxonomyThresholds& thresholds)
+profileGraph(const CsrGraph& g, const SimParams& params)
 {
     TaxonomyProfile p;
-    p.volumeKb = computeVolumeKb(g, geom);
-    p.volume = classifyVolume(p.volumeKb, geom, thresholds);
+    p.volumeKb = computeVolumeKb(g);
+    p.volume = classifyVolume(p.volumeKb, params.l1SizeKiB);
 
-    const ReuseMetrics rm = computeReuse(g, geom);
+    const ReuseMetrics rm = computeReuse(g);
     p.anl = rm.anl;
     p.anr = rm.anr;
     p.reuse = rm.reuse;
-    p.reuseLevel = classifyReuse(rm.reuse, thresholds);
+    p.reuseLevel = classifyReuse(rm.reuse);
 
-    p.imbalance = computeImbalance(g, geom, thresholds);
-    p.imbalanceLevel = classifyImbalance(p.imbalance, thresholds);
+    p.imbalance = computeImbalance(g);
+    p.imbalanceLevel = classifyImbalance(p.imbalance);
     return p;
 }
 

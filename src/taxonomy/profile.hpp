@@ -27,12 +27,13 @@ struct TaxonomyProfile
 };
 
 /**
- * Compute the full taxonomy profile for @p g under @p geom, discretized
- * with @p thresholds. This is the input-side half of the specialization
- * model; the algorithm-side half is AlgoProperties.
+ * Compute the full taxonomy profile for @p g at hardware point @p params
+ * (its L1 size; the rest of the geometry is Table IV). This is the
+ * input-side half of the specialization model; the algorithm-side half
+ * is AlgoProperties.
  */
-TaxonomyProfile profileGraph(const CsrGraph& g, const GpuGeometry& geom = {},
-                             const TaxonomyThresholds& thresholds = {});
+TaxonomyProfile profileGraph(const CsrGraph& g,
+                             const SimParams& params = SimParams{});
 
 } // namespace gga
 

@@ -155,17 +155,17 @@ TEST(RunPlan, ValidationRejectsInvalidAppConfigPair)
 TEST(RunPlan, ValidationRejectsUnusableParamsAndScales)
 {
     Session session;
-    SimParams wide;
-    wide.warpSize = 2 * kMaxWarpLanes; // once ran past 32-lane arrays
+    SimParams empty;
+    empty.l1SizeKiB = 0; // no whole set of ways
     const RunPlan plan = RunPlan{}
                              .app(AppId::Pr)
                              .graph(GraphPreset::Raj)
                              .scale(0.01)
                              .config("TG0")
-                             .params(wide);
+                             .params(empty);
     const std::optional<std::string> why = session.validate(plan);
     ASSERT_TRUE(why.has_value());
-    EXPECT_NE(why->find("warpSize"), std::string::npos);
+    EXPECT_NE(why->find("L1"), std::string::npos);
     std::string error;
     EXPECT_FALSE(session.tryRun(plan, &error).has_value());
     EXPECT_EQ(error, *why);
@@ -175,7 +175,7 @@ TEST(RunPlan, ValidationRejectsUnusableParamsAndScales)
     unit.preset = GraphPreset::Raj;
     unit.scale = 0.01;
     unit.config = parseConfig("TG0");
-    unit.params = wide;
+    unit.params = empty;
     Manifest manifest;
     manifest.add(unit);
     try {

@@ -172,8 +172,10 @@ TEST(WorkUnit, FromJsonRejectsGarbage)
 
 TEST(WorkUnit, FromJsonRejectsUnitsThatCannotRun)
 {
-    // Each of these parsed before and then aborted (or, for warpSize 64,
-    // overran the kernels' lane arrays in) the process that ran it.
+    // Each Table IV member here once parsed and then aborted (or, for
+    // warpSize 64, overran the kernels' lane arrays in) the process that
+    // ran it; Table IV is constant now, so even dramLatency at its own
+    // value is an unknown member. The settable values are range-checked.
     const auto unit = [](const std::string& input,
                          const std::string& params) {
         return "{\"app\": \"PR\", \"input\": " + input +
@@ -185,13 +187,15 @@ TEST(WorkUnit, FromJsonRejectsUnitsThatCannotRun)
           "{\"warpSize\": 4294967328}", // 2^32 + 32 narrowed to 32
           "{\"threadBlockSize\": 0}", "{\"l1Assoc\": 0}",
           "{\"lineBytes\": 2}", "{\"l1Mshrs\": 0}",
-          "{\"l2SizeKiB\": 4194304}", "{\"l2SizeKiB\": 1048576}"}) {
+          "{\"l2SizeKiB\": 4194304}", "{\"l2SizeKiB\": 1048576}",
+          "{\"dramLatency\": 170}", "{\"l1SizeKiB\": 0}",
+          "{\"l1SizeKiB\": 4294967328}", "{\"relaxedAtomicWindow\": 0}"}) {
         EXPECT_THROW(WorkUnit::fromJson(Json::parse(unit(raj, params))),
                      EvalError)
             << params;
     }
     EXPECT_NO_THROW(WorkUnit::fromJson(
-        Json::parse(unit(raj, "{\"warpSize\": 16}"))));
+        Json::parse(unit(raj, "{\"l1SizeKiB\": 16}"))));
     // A scale that rounds to zero cannot key or build a graph.
     EXPECT_THROW(
         WorkUnit::fromJson(Json::parse(
@@ -236,10 +240,10 @@ TEST(SimParams, CheckNamesWhatCannotRun)
 {
     EXPECT_EQ(SimParams{}.check(), std::nullopt);
     SimParams p;
-    p.warpSize = 2 * kMaxWarpLanes;
+    p.relaxedAtomicWindow = 0;
     ASSERT_TRUE(p.check().has_value());
-    EXPECT_NE(p.check()->find("warpSize"), std::string::npos);
-    p.warpSize = kMaxWarpLanes;
+    EXPECT_NE(p.check()->find("relaxedAtomicWindow"), std::string::npos);
+    p.relaxedAtomicWindow = 1;
     p.l1SizeKiB = 0;
     ASSERT_TRUE(p.check().has_value());
     EXPECT_NE(p.check()->find("L1"), std::string::npos);
@@ -893,27 +897,24 @@ TEST(FigureSet, PartialDedupesOverlappingSweeps)
 TEST(FigureSet, PartialPredictionsProfileTheFiguresHardwarePoint)
 {
     SimParams p;
-    p.numSms = 1;
-    p.l1SizeKiB = 16;
+    p.l1SizeKiB = 1;
     const FigureSet set = figureSet("partial", 0.01, false, p);
     ASSERT_EQ(set.partialPredicted.size(), 36u);
     DesignSpaceRestriction noRlx;
     noRlx.allowDrfRlx = false;
-    const auto predict = [&](const Workload& wl, const GpuGeometry& geom) {
+    const auto predict = [&](const Workload& wl, const SimParams& params) {
         return predictPartialDesignSpace(
             profileGraph(*GraphStore::instance().get(wl.graph, set.scale),
-                         geom),
+                         params),
             algoProperties(wl.app), noRlx);
     };
     std::size_t i = 0, movedByGeometry = 0;
     for (AppId app : kAllApps) {
         for (GraphPreset g : kAllGraphPresets) {
             const Workload wl{app, g};
-            EXPECT_EQ(set.partialPredicted[i].name(),
-                      predict(wl, geometryOf(p)).name())
+            EXPECT_EQ(set.partialPredicted[i].name(), predict(wl, p).name())
                 << wl.name();
-            movedByGeometry +=
-                predict(wl, geometryOf(p)) != predict(wl, GpuGeometry{});
+            movedByGeometry += predict(wl, p) != predict(wl, SimParams{});
             ++i;
         }
     }

@@ -20,9 +20,7 @@ namespace {
 struct L1Fixture : ::testing::Test
 {
     explicit L1Fixture(CoherenceKind coh = CoherenceKind::Gpu)
-        : noc(params),
-          dram(params),
-          l2(engine, params, noc, dram),
+        : l2(engine, params, noc, dram),
           l1(engine, params, coh, /*sm_id=*/0, l2)
     {
         l2.setRecallHandler(

@@ -18,9 +18,7 @@ namespace {
 
 struct L2Fixture : ::testing::Test
 {
-    L2Fixture() : noc(params), dram(params), l2(engine, params, noc, dram)
-    {
-    }
+    L2Fixture() : l2(engine, params, noc, dram) {}
 
     Cycles
     timedRead(std::uint32_t sm, Addr line)

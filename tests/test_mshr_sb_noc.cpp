@@ -104,8 +104,7 @@ TEST(StoreBufferTest, AcquireRelease)
 
 TEST(Noc, HopDistancesOnMesh)
 {
-    SimParams p;
-    MeshNoc noc(p);
+    MeshNoc noc;
     EXPECT_EQ(noc.hops(0, 0), 0u);
     EXPECT_EQ(noc.hops(0, 3), 3u);   // same row
     EXPECT_EQ(noc.hops(0, 12), 3u);  // same column
@@ -115,17 +114,16 @@ TEST(Noc, HopDistancesOnMesh)
 
 TEST(Noc, LatencyIsRouterPlusHops)
 {
-    SimParams p;
-    MeshNoc noc(p);
-    EXPECT_EQ(noc.latency(0, 0), p.nocRouterLatency);
-    EXPECT_EQ(noc.latency(0, 15),
-              p.nocRouterLatency + 6 * p.nocPerHopLatency);
+    MeshNoc noc;
+    EXPECT_EQ(noc.latency(0, 0), SimParams::nocRouterLatency);
+    EXPECT_EQ(noc.latency(0, 15), SimParams::nocRouterLatency +
+                                      6 * SimParams::nocPerHopLatency);
 }
 
 TEST(DramTest, LatencyAndChannelOccupancy)
 {
     SimParams p;
-    Dram d(p);
+    Dram d;
     const Cycles t1 = d.access(0, 0, /*is_write=*/false);
     EXPECT_EQ(t1, p.dramLatency);
     // Same line (same channel) back-to-back queues behind the interval.
@@ -137,7 +135,7 @@ TEST(DramTest, LatencyAndChannelOccupancy)
 TEST(DramTest, WritesArePosted)
 {
     SimParams p;
-    Dram d(p);
+    Dram d;
     const Cycles t = d.access(10, 64, /*is_write=*/true);
     EXPECT_EQ(t, 10 + p.dramServiceInterval);
     EXPECT_EQ(d.writes(), 1u);
@@ -146,7 +144,7 @@ TEST(DramTest, WritesArePosted)
 TEST(DramTest, ChannelsDrainWhenIdle)
 {
     SimParams p;
-    Dram d(p);
+    Dram d;
     d.access(0, 0, false);
     // Much later, the channel is free again: no residual queueing.
     const Cycles t = d.access(1000, 0, false);

@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -276,11 +277,13 @@ TEST(ServeSubmit, UnitsThatCannotRunAre400AndTheServerStaysUp)
     };
     const std::string raj = "{\"preset\": \"RAJ\", \"scale\": 0.01}";
     // Each of these was once answered 202 and then aborted, hung or
-    // silently misran the unit on the server.
+    // silently misran the unit on the server. Table IV is constant, so a
+    // member of it is refused even at its own value.
     const std::string bodies[] = {
         plan(raj, "{\"numSms\": 99}"),
         plan(raj, "{\"warpSize\": 64}"),
         plan(raj, "{\"warpSize\": 4294967328}"),
+        plan(raj, "{\"dramLatency\": 170}"),
         plan("{\"preset\": \"RAJ\", \"scale\": 1e-7}", "{}"),
         // Too small to synthesize: DCT's backbone outgrows its edges.
         plan("{\"preset\": \"DCT\", \"scale\": 1e-4}", "{}"),
@@ -1284,6 +1287,17 @@ TEST(RetryPolicy, BackoffDoublesAndCaps)
     EXPECT_EQ(p.backoffMs(3), 2000u);
     EXPECT_EQ(p.backoffMs(5), 8000u);
     EXPECT_EQ(p.backoffMs(20), 8000u); // no overflow wraparound
+    // Doubling past the cap would wrap: the delay caps instead.
+    p.retryBaseMs = 3000000000u;
+    p.retryCapMs = 4000000000u;
+    EXPECT_EQ(p.backoffMs(1), 3000000000u);
+    EXPECT_EQ(p.backoffMs(2), 4000000000u);
+    EXPECT_EQ(p.backoffMs(3), 4000000000u);
+    p.retryBaseMs = 2147483649u;
+    p.retryCapMs = UINT_MAX;
+    EXPECT_EQ(p.backoffMs(1), 2147483649u);
+    EXPECT_EQ(p.backoffMs(2), UINT_MAX);
+    EXPECT_EQ(p.backoffMs(3), UINT_MAX);
 }
 
 TEST(LatencyHistogramTest, BucketsByLog2)

@@ -124,13 +124,12 @@ TEST(SimIntegration, ConsistencyOrderingOnAtomicKernel)
 
 TEST(SimIntegration, DeNovoAtomicReuseBeatsGpuAtomics)
 {
-    // All warps hammer a small set of words repeatedly from one SM wave:
-    // DeNovo executes them at the L1 after one registration.
+    // All warps hammer a small set of words repeatedly from one SM wave
+    // (256 threads are one block, on SM 0): DeNovo executes them at the
+    // L1 after one registration.
     Cycles gpu_cycles = 0, denovo_cycles = 0;
     for (CoherenceKind coh : {CoherenceKind::Gpu, CoherenceKind::DeNovo}) {
-        SimParams p;
-        p.numSms = 1; // single SM: pure local-reuse scenario
-        Gpu gpu(p, coh, ConsistencyKind::Drf1);
+        Gpu gpu(SimParams{}, coh, ConsistencyKind::Drf1);
         DeviceBuffer<std::uint32_t> buf(gpu.mem(), 64, "hot");
         gpu.launch("hot-atomics", 256, [&buf](Warp& w) {
             return atomicKernel(w, buf, 64);

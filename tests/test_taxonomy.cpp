@@ -41,7 +41,6 @@ TEST(Volume, MatchesPaperFormula)
 {
     // Eq. 1 with the published |V|,|E| must reproduce the printed KB for
     // every Table II row (4 bytes per element, 15 SMs).
-    GpuGeometry geom;
     for (GraphPreset p : kAllGraphPresets) {
         const PaperGraphStats& s = paperStats(p);
         const double elems = double(s.vertices) + double(s.edges);
@@ -56,12 +55,11 @@ TEST(Volume, MatchesPaperFormula)
 
 TEST(Volume, ClassThresholds)
 {
-    GpuGeometry geom;
-    TaxonomyThresholds th;
-    EXPECT_EQ(classifyVolume(47.9, geom, th), Level::Low);    // < 48
-    EXPECT_EQ(classifyVolume(48.1, geom, th), Level::Medium);
-    EXPECT_EQ(classifyVolume(273.0, geom, th), Level::Medium); // < 4096/15
-    EXPECT_EQ(classifyVolume(274.0, geom, th), Level::High);
+    const std::uint32_t l1 = SimParams{}.l1SizeKiB;
+    EXPECT_EQ(classifyVolume(47.9, l1), Level::Low);    // < 48
+    EXPECT_EQ(classifyVolume(48.1, l1), Level::Medium);
+    EXPECT_EQ(classifyVolume(273.0, l1), Level::Medium); // < 4096/15
+    EXPECT_EQ(classifyVolume(274.0, l1), Level::High);
 }
 
 TEST(Reuse, RingInsideOneBlockIsFullyLocal)
@@ -71,7 +69,7 @@ TEST(Reuse, RingInsideOneBlockIsFullyLocal)
     for (VertexId v = 0; v < 64; ++v)
         b.addUndirected(v, (v + 1) % 64);
     const CsrGraph g = b.build();
-    const ReuseMetrics m = computeReuse(g, GpuGeometry{});
+    const ReuseMetrics m = computeReuse(g);
     EXPECT_DOUBLE_EQ(m.anr, 0.0);
     EXPECT_DOUBLE_EQ(m.anl, 2.0);
     EXPECT_DOUBLE_EQ(m.reuse, 1.0);
@@ -84,7 +82,7 @@ TEST(Reuse, CrossBlockBipartiteIsFullyRemote)
     for (VertexId v = 0; v < 256; ++v)
         b.addUndirected(v, v + 256);
     const CsrGraph g = b.build();
-    const ReuseMetrics m = computeReuse(g, GpuGeometry{});
+    const ReuseMetrics m = computeReuse(g);
     EXPECT_DOUBLE_EQ(m.anl, 0.0);
     EXPECT_DOUBLE_EQ(m.reuse, 0.0);
 }
@@ -92,7 +90,7 @@ TEST(Reuse, CrossBlockBipartiteIsFullyRemote)
 TEST(Reuse, AnlPlusAnrIsAverageDegree)
 {
     const GraphStore::GraphPtr g = GraphStore::instance().get(GraphPreset::Dct);
-    const ReuseMetrics m = computeReuse(*g, GpuGeometry{});
+    const ReuseMetrics m = computeReuse(*g);
     EXPECT_NEAR(m.anl + m.anr, g->avgDegree(), 1e-9);
 }
 
@@ -102,7 +100,7 @@ TEST(Imbalance, UniformDegreesAreBalanced)
     for (VertexId v = 0; v < 512; ++v)
         b.addUndirected(v, (v + 1) % 512);
     const CsrGraph g = b.build();
-    EXPECT_DOUBLE_EQ(computeImbalance(g, GpuGeometry{}, {}), 0.0);
+    EXPECT_DOUBLE_EQ(computeImbalance(g), 0.0);
 }
 
 TEST(Imbalance, OneHubPerBlockMarksAllBlocks)
@@ -117,7 +115,7 @@ TEST(Imbalance, OneHubPerBlockMarksAllBlocks)
         b.addUndirected(256, 256 + t);
     }
     const CsrGraph g = b.build();
-    EXPECT_DOUBLE_EQ(computeImbalance(g, GpuGeometry{}, {}), 1.0);
+    EXPECT_DOUBLE_EQ(computeImbalance(g), 1.0);
 }
 
 TEST(Imbalance, GapBelowThresholdNotMarked)
@@ -129,7 +127,7 @@ TEST(Imbalance, GapBelowThresholdNotMarked)
     for (VertexId t = 2; t < 9; ++t)
         b.addUndirected(0, t);
     const CsrGraph g = b.build();
-    EXPECT_DOUBLE_EQ(computeImbalance(g, GpuGeometry{}, {}), 0.0);
+    EXPECT_DOUBLE_EQ(computeImbalance(g), 0.0);
 }
 
 TEST(Profile, PresetClassesMatchTableII)

@@ -31,7 +31,8 @@
  *   --io-timeout-ms  per-connection socket read deadline (slow-loris
  *                defense; 0 = none; default 30000)
  *   --drain-ms   how long shutdown waits for in-flight requests
- *   --graph-budget-mb / --graph-cache  as in gga_worker
+ *   --graph-budget-mb / --graph-cache  as in gga_worker (a budget
+ *                above 17592186044415 MiB exits 1)
  *
  * Runs until SIGINT/SIGTERM, then drains and exits 0. Deterministic
  * fault injection for tests: set GGA_FAULTS (see src/support/faults.hpp).
@@ -129,8 +130,7 @@ main(int argc, char** argv)
         } else if (!std::strcmp(argv[i], "--graph-budget-mb") &&
                    i + 1 < argc) {
             gga::GraphStore::instance().setBudgetBytes(
-                gga::parseFlag<std::size_t>("--graph-budget-mb", argv[++i]) *
-                1024 * 1024);
+                gga::parseMebibyteFlag("--graph-budget-mb", argv[++i]));
         } else if (!std::strcmp(argv[i], "--graph-cache") && i + 1 < argc) {
             gga::GraphStore::instance().setCacheDir(argv[++i]);
         } else if (!std::strcmp(argv[i], "--verbose")) {

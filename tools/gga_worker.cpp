@@ -31,8 +31,10 @@
  *   on its first assignment, which exercises the server's lease retry.
  *   common:
  *   --threads executor width; default GGA_SESSION_THREADS (then 1)
- *   --graph-budget-mb  LRU byte budget of the process's GraphStore,
- *             so many workers on one host don't each hold every graph
+ *   --graph-budget-mb  LRU budget of the process's GraphStore in MiB,
+ *             so many workers on one host don't each hold every graph;
+ *             0 (the default) is unlimited, and values above
+ *             17592186044415 (SIZE_MAX >> 20) exit 1
  *   --graph-cache  the GraphStore's directory of prebuilt .csrbin
  *             snapshots (see gga_graphs); input graphs load from it
  *             instead of being re-synthesized at cold start. Default
@@ -101,8 +103,7 @@ main(int argc, char** argv)
         } else if (!std::strcmp(argv[i], "--graph-budget-mb") &&
                    i + 1 < argc) {
             gga::GraphStore::instance().setBudgetBytes(
-                gga::parseFlag<std::size_t>("--graph-budget-mb", argv[++i]) *
-                1024 * 1024);
+                gga::parseMebibyteFlag("--graph-budget-mb", argv[++i]));
         } else if (!std::strcmp(argv[i], "--graph-cache") && i + 1 < argc) {
             gga::GraphStore::instance().setCacheDir(argv[++i]);
         } else if (!std::strcmp(argv[i], "--verbose")) {
