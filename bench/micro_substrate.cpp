@@ -22,9 +22,9 @@
 
 #include "api/session.hpp"
 #include "graph/generator.hpp"
+#include "reference/rng.hpp"
 #include "sim/engine.hpp"
 #include "support/log.hpp"
-#include "support/rng.hpp"
 
 namespace {
 

@@ -20,24 +20,24 @@ main(int argc, char** argv)
 {
     const bool csv = argc > 1 && !std::strcmp(argv[1], "--csv");
     const gga::SimParams p;
-    const gga::MeshNoc noc;
 
     // Derived latency ranges over all SM/bank placements.
     gga::Cycles l2_min = ~0ull, l2_max = 0;
     gga::Cycles rl1_min = ~0ull, rl1_max = 0;
     for (std::uint32_t sm = 0; sm < p.numSms; ++sm) {
         for (std::uint32_t bank = 0; bank < p.l2Banks; ++bank) {
-            const gga::Cycles l2 = noc.latency(sm, bank) +
-                                   p.l2BankLatency + noc.latency(bank, sm);
+            const gga::Cycles l2 = gga::meshLatency(sm, bank) +
+                                   p.l2BankLatency +
+                                   gga::meshLatency(bank, sm);
             l2_min = std::min(l2_min, l2);
             l2_max = std::max(l2_max, l2);
             for (std::uint32_t owner = 0; owner < p.numSms; ++owner) {
                 if (owner == sm)
                     continue;
                 const gga::Cycles fwd =
-                    noc.latency(sm, bank) + p.l2BankLatency +
-                    noc.latency(bank, owner) + p.l1HitLatency +
-                    noc.latency(owner, sm);
+                    gga::meshLatency(sm, bank) + p.l2BankLatency +
+                    gga::meshLatency(bank, owner) + p.l1HitLatency +
+                    gga::meshLatency(owner, sm);
                 rl1_min = std::min(rl1_min, fwd);
                 rl1_max = std::max(rl1_max, fwd);
             }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/synth_util.hpp"
+#include "reference/rng.hpp"
 #include "support/flat_map.hpp"
 #include "support/log.hpp"
 #include "support/rng.hpp"

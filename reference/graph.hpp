@@ -1,8 +1,9 @@
 /**
  * @file
- * Frozen graph-path baselines. Not part of the library: only the tests
- * and bench/graph_build link the gga_reference target, the same way the
- * binary-heap engine lives only in bench/micro_substrate.
+ * Frozen graph-path baselines. Not part of the library: only the tests,
+ * bench/graph_build and bench/micro_substrate (for reference/rng.hpp)
+ * link the gga_reference target, the same way the binary-heap engine
+ * lives only in bench/micro_substrate.
  *
  *  - generateGraphReference: generator v1, the measured baseline for
  *    bench/graph_build's synth_speedup column. test_graph pins its

@@ -151,7 +151,7 @@ Session::validate(const RunPlan& plan) const
         return appName(app) + " " + configRequirement(app) + ", got " +
                plan.plannedConfig()->name();
     if (const std::optional<std::string> why =
-            plan.plannedParams().value_or(opts_.params).check())
+            plan.plannedParams().value_or(SimParams{}).check())
         return "plan params: " + *why;
     return std::nullopt;
 }
@@ -188,7 +188,7 @@ Session::tryRun(const RunPlan& plan, std::string* error)
     out.appName = appName(out.app);
     out.graphName = std::move(graph_name);
     out.config = *plan.plannedConfig();
-    const SimParams params = plan.plannedParams().value_or(opts_.params);
+    const SimParams params = plan.plannedParams().value_or(SimParams{});
     // An explicit per-plan collectOutputs wins over the session default.
     const bool collect =
         plan.outputsRequested().value_or(opts_.collectOutputs);

@@ -78,7 +78,7 @@ class RunPlan
      */
     RunPlan& config(std::string_view name);
 
-    /** Hardware-parameter override; defaults to the session's params. */
+    /** Hardware-parameter override; defaults to SimParams{}, Table IV. */
     RunPlan& params(const SimParams& p);
 
     /**
@@ -161,7 +161,6 @@ struct RunOutcome
 struct SessionOptions
 {
     double scale = 1.0;    ///< preset scale for plans without .scale()
-    SimParams params;      ///< hardware parameters for plans without .params()
     bool collectOutputs = true;
     bool verboseRuns = false; ///< GGA_INFORM one line per run
     /**

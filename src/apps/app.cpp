@@ -5,9 +5,9 @@
 namespace gga {
 
 GraphBuffers::GraphBuffers(AddressSpace& space, const CsrGraph& g)
-    : rowOff(space, g.rowOffsets(), "csr.rowOff"),
-      col(space, g.colIndices(), "csr.col"),
-      weight(space, g.weights(), "csr.weight")
+    : rowOff(space, g.rowOffsets()),
+      col(space, g.colIndices()),
+      weight(space, g.weights())
 {
 }
 

@@ -21,11 +21,10 @@ struct BcState
     BcState(Gpu& gpu, const CsrGraph& graph)
         : g(graph),
           gb(gpu.mem(), graph),
-          level(gpu.mem(), graph.numVertices(), "bc.level"),
-          sigma(gpu.mem(), graph.numVertices(), "bc.sigma"),
-          delta(gpu.mem(), graph.numVertices(), "bc.delta"),
-          acc(gpu.mem(), graph.numVertices(), "bc.acc"),
-          lb(gpu.params().lineBytes)
+          level(gpu.mem(), graph.numVertices()),
+          sigma(gpu.mem(), graph.numVertices()),
+          delta(gpu.mem(), graph.numVertices()),
+          acc(gpu.mem(), graph.numVertices())
     {
     }
 
@@ -35,7 +34,6 @@ struct BcState
     DeviceBuffer<double> sigma;
     DeviceBuffer<double> delta;
     DeviceBuffer<double> acc;
-    std::uint32_t lb;
     std::uint32_t curLevel = 0;
 };
 
@@ -52,12 +50,12 @@ bcInit(Warp& w, BcState& st)
         st.acc[v] = 0.0;
     }
     AddrSet wr;
-    kutil::addRange(wr, st.level, v0, lanes, st.lb);
-    kutil::addRange(wr, st.sigma, v0, lanes, st.lb);
+    kutil::addRange(wr, st.level, v0, lanes);
+    kutil::addRange(wr, st.sigma, v0, lanes);
     co_await w.store(wr);
     wr.clear();
-    kutil::addRange(wr, st.delta, v0, lanes, st.lb);
-    kutil::addRange(wr, st.acc, v0, lanes, st.lb);
+    kutil::addRange(wr, st.delta, v0, lanes);
+    kutil::addRange(wr, st.acc, v0, lanes);
     co_await w.store(wr);
 }
 
@@ -67,8 +65,8 @@ bcSeed(Warp& w, BcState& st)
     st.level[0] = 0;
     st.sigma[0] = 1.0;
     AddrSet wr;
-    kutil::addElem(wr, st.level, 0, st.lb);
-    kutil::addElem(wr, st.sigma, 0, st.lb);
+    kutil::addElem(wr, st.level, 0);
+    kutil::addElem(wr, st.sigma, 0);
     co_await w.store(wr);
 }
 
@@ -80,7 +78,7 @@ bcFwdPush(Warp& w, BcState& st)
     const std::uint32_t lv = st.curLevel;
 
     AddrSet rd;
-    kutil::addRange(rd, st.level, v0, lanes, st.lb);
+    kutil::addRange(rd, st.level, v0, lanes);
     co_await w.load(rd);
 
     const kutil::EdgeWalk walk(
@@ -89,21 +87,21 @@ bcFwdPush(Warp& w, BcState& st)
         co_return;
 
     rd.clear();
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
-    kutil::addRange(rd, st.sigma, v0, lanes, st.lb);
+    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1);
+    kutil::addRange(rd, st.sigma, v0, lanes);
     co_await w.load(rd);
 
     for (std::uint32_t j = 0; j < walk.steps(); ++j) {
         AddrSet el, ll, words, newly;
-        walk.gatherCol(el, st.gb.col, j, st.lb);
+        walk.gatherCol(el, st.gb.col, j);
         co_await w.load(el);
-        walk.gatherNbr(ll, st.level, j, st.lb);
+        walk.gatherNbr(ll, st.level, j);
         // Target-level gather: the tpred cost BC's push cannot avoid.
         co_await w.load(ll);
         walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
             if (st.level[x.nbr] == kInfDist) {
                 st.level[x.nbr] = lv + 1; // benign same-value race
-                kutil::addElem(newly, st.level, x.nbr, st.lb);
+                kutil::addElem(newly, st.level, x.nbr);
             }
             if (st.level[x.nbr] == lv + 1) {
                 st.sigma[x.nbr] += st.sigma[x.v];
@@ -125,8 +123,8 @@ bcFwdPull(Warp& w, BcState& st)
     const std::uint32_t lv = st.curLevel;
 
     AddrSet rd;
-    kutil::addRange(rd, st.level, v0, lanes, st.lb);
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
+    kutil::addRange(rd, st.level, v0, lanes);
+    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1);
     co_await w.load(rd);
 
     const kutil::EdgeWalk walk(
@@ -135,13 +133,13 @@ bcFwdPull(Warp& w, BcState& st)
     kutil::Lanes<bool> found{};
     for (std::uint32_t j = 0; j < walk.steps(); ++j) {
         AddrSet el, ll, sl;
-        walk.gatherCol(el, st.gb.col, j, st.lb);
+        walk.gatherCol(el, st.gb.col, j);
         co_await w.load(el);
-        walk.gatherNbr(ll, st.level, j, st.lb);
+        walk.gatherNbr(ll, st.level, j);
         co_await w.load(ll);
         walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
             if (st.level[x.nbr] == lv)
-                kutil::addElem(sl, st.sigma, x.nbr, st.lb);
+                kutil::addElem(sl, st.sigma, x.nbr);
         });
         if (sl.empty())
             continue;
@@ -159,8 +157,8 @@ bcFwdPull(Warp& w, BcState& st)
         if (found[l]) {
             st.level[v] = lv + 1;
             st.sigma[v] = acc[l];
-            kutil::addElem(wr, st.level, v, st.lb);
-            kutil::addElem(wr, st.sigma, v, st.lb);
+            kutil::addElem(wr, st.level, v);
+            kutil::addElem(wr, st.sigma, v);
         }
     });
     if (!wr.empty())
@@ -177,7 +175,7 @@ bcBwdPush(Warp& w, BcState& st)
     const std::uint32_t lv = st.curLevel;
 
     AddrSet rd;
-    kutil::addRange(rd, st.level, v0, lanes, st.lb);
+    kutil::addRange(rd, st.level, v0, lanes);
     co_await w.load(rd);
 
     const kutil::EdgeWalk walk(
@@ -186,16 +184,16 @@ bcBwdPush(Warp& w, BcState& st)
         co_return;
 
     rd.clear();
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
-    kutil::addRange(rd, st.sigma, v0, lanes, st.lb);
-    kutil::addRange(rd, st.delta, v0, lanes, st.lb);
+    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1);
+    kutil::addRange(rd, st.sigma, v0, lanes);
+    kutil::addRange(rd, st.delta, v0, lanes);
     co_await w.load(rd);
 
     for (std::uint32_t j = 0; j < walk.steps(); ++j) {
         AddrSet el, ll, words;
-        walk.gatherCol(el, st.gb.col, j, st.lb);
+        walk.gatherCol(el, st.gb.col, j);
         co_await w.load(el);
-        walk.gatherNbr(ll, st.level, j, st.lb);
+        walk.gatherNbr(ll, st.level, j);
         co_await w.load(ll);
         walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
             if (st.level[x.nbr] == lv && st.sigma[x.v] > 0.0) {
@@ -215,21 +213,21 @@ bcBwdFinalize(Warp& w, BcState& st)
     const std::uint32_t lanes = w.laneCount();
     const std::uint32_t lv = st.curLevel;
     AddrSet rd;
-    kutil::addRange(rd, st.level, v0, lanes, st.lb);
+    kutil::addRange(rd, st.level, v0, lanes);
     co_await w.load(rd);
     const kutil::EdgeWalk walk(
         st.g, w, [&](VertexId v) { return st.level[v] == lv; });
     if (!walk.any())
         co_return;
     rd.clear();
-    kutil::addRange(rd, st.acc, v0, lanes, st.lb);
-    kutil::addRange(rd, st.sigma, v0, lanes, st.lb);
+    kutil::addRange(rd, st.acc, v0, lanes);
+    kutil::addRange(rd, st.sigma, v0, lanes);
     co_await w.load(rd);
     co_await w.compute(2);
     AddrSet wr;
     walk.forEachLane([&](std::uint32_t, VertexId v) {
         st.delta[v] = st.sigma[v] * st.acc[v];
-        kutil::addElem(wr, st.delta, v, st.lb);
+        kutil::addElem(wr, st.delta, v);
     });
     co_await w.store(wr);
 }
@@ -243,7 +241,7 @@ bcBwdPull(Warp& w, BcState& st)
     const std::uint32_t lv = st.curLevel;
 
     AddrSet rd;
-    kutil::addRange(rd, st.level, v0, lanes, st.lb);
+    kutil::addRange(rd, st.level, v0, lanes);
     co_await w.load(rd);
 
     const kutil::EdgeWalk walk(
@@ -252,21 +250,21 @@ bcBwdPull(Warp& w, BcState& st)
         co_return;
 
     rd.clear();
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
-    kutil::addRange(rd, st.sigma, v0, lanes, st.lb);
+    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1);
+    kutil::addRange(rd, st.sigma, v0, lanes);
     co_await w.load(rd);
 
     kutil::Lanes<double> acc{};
     for (std::uint32_t j = 0; j < walk.steps(); ++j) {
         AddrSet el, ll, sl;
-        walk.gatherCol(el, st.gb.col, j, st.lb);
+        walk.gatherCol(el, st.gb.col, j);
         co_await w.load(el);
-        walk.gatherNbr(ll, st.level, j, st.lb);
+        walk.gatherNbr(ll, st.level, j);
         co_await w.load(ll);
         walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
             if (st.level[x.nbr] == lv + 1) {
-                kutil::addElem(sl, st.sigma, x.nbr, st.lb);
-                kutil::addElem(sl, st.delta, x.nbr, st.lb);
+                kutil::addElem(sl, st.sigma, x.nbr);
+                kutil::addElem(sl, st.delta, x.nbr);
             }
         });
         if (sl.empty())
@@ -281,7 +279,7 @@ bcBwdPull(Warp& w, BcState& st)
     AddrSet wr;
     walk.forEachLane([&](std::uint32_t l, VertexId v) {
         st.delta[v] = st.sigma[v] * acc[l];
-        kutil::addElem(wr, st.delta, v, st.lb);
+        kutil::addElem(wr, st.delta, v);
     });
     co_await w.store(wr);
 }

@@ -26,15 +26,13 @@ struct CcState
     CcState(Gpu& gpu, const CsrGraph& graph)
         : g(graph),
           gb(gpu.mem(), graph),
-          parent(gpu.mem(), graph.numVertices(), "cc.parent"),
-          lb(gpu.params().lineBytes)
+          parent(gpu.mem(), graph.numVertices())
     {
     }
 
     const CsrGraph& g;
     GraphBuffers gb;
     DeviceBuffer<std::uint32_t> parent;
-    std::uint32_t lb;
     bool changed = false;
 };
 
@@ -68,7 +66,7 @@ ccInit(Warp& w, CcState& st)
     for (std::uint32_t l = 0; l < lanes; ++l)
         st.parent[v0 + l] = v0 + l;
     AddrSet wr;
-    kutil::addRange(wr, st.parent, v0, lanes, st.lb);
+    kutil::addRange(wr, st.parent, v0, lanes);
     co_await w.store(wr);
 }
 
@@ -78,7 +76,7 @@ ccHook(Warp& w, CcState& st)
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
     AddrSet rd;
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
+    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1);
     co_await w.load(rd);
 
     // Chase each lane's own vertex to its root.
@@ -101,7 +99,7 @@ ccHook(Warp& w, CcState& st)
             if (x.nbr > x.v) { // each undirected pair processed once
                 ru[x.lane] = x.nbr;
                 work |= 1u << x.lane;
-                kutil::addElem(el, st.gb.col, x.e, st.lb);
+                kutil::addElem(el, st.gb.col, x.e);
             }
         });
         if (el.empty())
@@ -155,7 +153,7 @@ ccCompress(Warp& w, CcState& st)
         const VertexId v = v0 + l;
         if (st.parent[v] != r[l]) {
             st.parent[v] = r[l];
-            kutil::addElem(wr, st.parent, v, st.lb);
+            kutil::addElem(wr, st.parent, v);
         }
     }
     if (!wr.empty())

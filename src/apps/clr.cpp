@@ -27,10 +27,9 @@ struct ClrState
         : g(graph),
           salt(kPrioritySalt ^ seed),
           gb(gpu.mem(), graph),
-          color(gpu.mem(), graph.numVertices(), "clr.color"),
-          pri(gpu.mem(), graph.numVertices(), "clr.pri"),
-          nbrMax(gpu.mem(), graph.numVertices(), "clr.nbrMax"),
-          lb(gpu.params().lineBytes)
+          color(gpu.mem(), graph.numVertices()),
+          pri(gpu.mem(), graph.numVertices()),
+          nbrMax(gpu.mem(), graph.numVertices())
     {
     }
 
@@ -40,7 +39,6 @@ struct ClrState
     DeviceBuffer<std::uint32_t> color;
     DeviceBuffer<std::uint32_t> pri;
     DeviceBuffer<std::uint32_t> nbrMax;
-    std::uint32_t lb;
     std::uint32_t round = 0;
 };
 
@@ -56,9 +54,9 @@ clrInit(Warp& w, ClrState& st)
         st.nbrMax[v] = 0;
     }
     AddrSet wr;
-    kutil::addRange(wr, st.color, v0, lanes, st.lb);
-    kutil::addRange(wr, st.pri, v0, lanes, st.lb);
-    kutil::addRange(wr, st.nbrMax, v0, lanes, st.lb);
+    kutil::addRange(wr, st.color, v0, lanes);
+    kutil::addRange(wr, st.pri, v0, lanes);
+    kutil::addRange(wr, st.nbrMax, v0, lanes);
     co_await w.store(wr);
 }
 
@@ -68,9 +66,9 @@ clrAssign(Warp& w, ClrState& st)
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
     AddrSet rd;
-    kutil::addRange(rd, st.color, v0, lanes, st.lb);
-    kutil::addRange(rd, st.pri, v0, lanes, st.lb);
-    kutil::addRange(rd, st.nbrMax, v0, lanes, st.lb);
+    kutil::addRange(rd, st.color, v0, lanes);
+    kutil::addRange(rd, st.pri, v0, lanes);
+    kutil::addRange(rd, st.nbrMax, v0, lanes);
     co_await w.load(rd);
     co_await w.compute(1);
     AddrSet wr;
@@ -78,7 +76,7 @@ clrAssign(Warp& w, ClrState& st)
         const VertexId v = v0 + l;
         if (st.color[v] == kInfDist && st.pri[v] > st.nbrMax[v]) {
             st.color[v] = st.round;
-            kutil::addElem(wr, st.color, v, st.lb);
+            kutil::addElem(wr, st.color, v);
         }
     }
     if (!wr.empty())
@@ -99,7 +97,7 @@ runClr(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     const bool push = cfg.prop == UpdateProp::Push;
 
     const NbrMaxView nbr{"clr", g, st.gb, st.color, kInfDist,
-                         st.pri, st.nbrMax, st.lb};
+                         st.pri, st.nbrMax};
     gpu.launch("clr.init", n, [&st](Warp& w) { return clrInit(w, st); });
     for (st.round = 1; st.round <= kMaxSweeps; ++st.round) {
         launchNbrMaxRound(gpu, nbr, push);

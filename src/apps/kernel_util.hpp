@@ -18,33 +18,25 @@
 
 namespace gga::kutil {
 
-/** Line address containing byte address @p a. */
-inline Addr
-lineOf(Addr a, std::uint32_t line_bytes)
-{
-    return a & ~static_cast<Addr>(line_bytes - 1);
-}
-
 /** Add the (deduplicated) line of element @p idx of @p buf. */
 template <typename T>
 void
-addElem(AddrSet& s, const DeviceBuffer<T>& buf, std::size_t idx,
-        std::uint32_t line_bytes)
+addElem(AddrSet& s, const DeviceBuffer<T>& buf, std::size_t idx)
 {
-    s.pushUnique(lineOf(buf.addrOf(idx), line_bytes));
+    s.pushUnique(lineOf(buf.addrOf(idx)));
 }
 
 /** Add the lines of the contiguous range [first, first+count) of @p buf. */
 template <typename T>
 void
 addRange(AddrSet& s, const DeviceBuffer<T>& buf, std::size_t first,
-         std::size_t count, std::uint32_t line_bytes)
+         std::size_t count)
 {
     if (count == 0)
         return;
-    const Addr lo = lineOf(buf.addrOf(first), line_bytes);
-    const Addr hi = lineOf(buf.addrOf(first + count - 1), line_bytes);
-    for (Addr line = lo; line <= hi; line += line_bytes)
+    const Addr lo = lineOf(buf.addrOf(first));
+    const Addr hi = lineOf(buf.addrOf(first + count - 1));
+    for (Addr line = lo; line <= hi; line += SimParams::lineBytes)
         s.pushUnique(line);
 }
 
@@ -132,23 +124,18 @@ class EdgeWalk
 
     /** Add the col line of each edge j that forEachEdge visits. */
     void
-    gatherCol(AddrSet& s, const DeviceBuffer<VertexId>& col, std::uint32_t j,
-              std::uint32_t line_bytes) const
+    gatherCol(AddrSet& s, const DeviceBuffer<VertexId>& col,
+              std::uint32_t j) const
     {
-        forEachEdge(j, [&](const LaneEdge& x) {
-            addElem(s, col, x.e, line_bytes);
-        });
+        forEachEdge(j, [&](const LaneEdge& x) { addElem(s, col, x.e); });
     }
 
     /** Add the line of buf[nbr] for each edge j that forEachEdge visits. */
     template <typename T>
     void
-    gatherNbr(AddrSet& s, const DeviceBuffer<T>& buf, std::uint32_t j,
-              std::uint32_t line_bytes) const
+    gatherNbr(AddrSet& s, const DeviceBuffer<T>& buf, std::uint32_t j) const
     {
-        forEachEdge(j, [&](const LaneEdge& x) {
-            addElem(s, buf, x.nbr, line_bytes);
-        });
+        forEachEdge(j, [&](const LaneEdge& x) { addElem(s, buf, x.nbr); });
     }
 
   private:

@@ -28,11 +28,10 @@ struct MisState
         : g(graph),
           seed(seed_),
           gb(gpu.mem(), graph),
-          state(gpu.mem(), graph.numVertices(), "mis.state"),
-          pri(gpu.mem(), graph.numVertices(), "mis.pri"),
-          nbrMax(gpu.mem(), graph.numVertices(), "mis.nbrMax"),
-          winnerRound(gpu.mem(), graph.numVertices(), "mis.winnerRound"),
-          lb(gpu.params().lineBytes)
+          state(gpu.mem(), graph.numVertices()),
+          pri(gpu.mem(), graph.numVertices()),
+          nbrMax(gpu.mem(), graph.numVertices()),
+          winnerRound(gpu.mem(), graph.numVertices())
     {
     }
 
@@ -43,7 +42,6 @@ struct MisState
     DeviceBuffer<std::uint32_t> pri;
     DeviceBuffer<std::uint32_t> nbrMax;
     DeviceBuffer<std::uint32_t> winnerRound;
-    std::uint32_t lb;
     std::uint32_t round = 0;
 };
 
@@ -59,9 +57,9 @@ misInit(Warp& w, MisState& st)
         st.winnerRound[v] = kInfDist;
     }
     AddrSet wr;
-    kutil::addRange(wr, st.state, v0, lanes, st.lb);
-    kutil::addRange(wr, st.pri, v0, lanes, st.lb);
-    kutil::addRange(wr, st.winnerRound, v0, lanes, st.lb);
+    kutil::addRange(wr, st.state, v0, lanes);
+    kutil::addRange(wr, st.pri, v0, lanes);
+    kutil::addRange(wr, st.winnerRound, v0, lanes);
     co_await w.store(wr);
 }
 
@@ -71,9 +69,9 @@ misDecide(Warp& w, MisState& st)
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
     AddrSet rd;
-    kutil::addRange(rd, st.state, v0, lanes, st.lb);
-    kutil::addRange(rd, st.pri, v0, lanes, st.lb);
-    kutil::addRange(rd, st.nbrMax, v0, lanes, st.lb);
+    kutil::addRange(rd, st.state, v0, lanes);
+    kutil::addRange(rd, st.pri, v0, lanes);
+    kutil::addRange(rd, st.nbrMax, v0, lanes);
     co_await w.load(rd);
     co_await w.compute(1);
     AddrSet wr;
@@ -82,8 +80,8 @@ misDecide(Warp& w, MisState& st)
         if (st.state[v] == kUndecided && st.pri[v] > st.nbrMax[v]) {
             st.state[v] = kInSet;
             st.winnerRound[v] = st.round;
-            kutil::addElem(wr, st.state, v, st.lb);
-            kutil::addElem(wr, st.winnerRound, v, st.lb);
+            kutil::addElem(wr, st.state, v);
+            kutil::addElem(wr, st.winnerRound, v);
         }
     }
     if (!wr.empty())
@@ -96,15 +94,15 @@ misOutPush(Warp& w, MisState& st)
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
     AddrSet rd;
-    kutil::addRange(rd, st.winnerRound, v0, lanes, st.lb);
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
+    kutil::addRange(rd, st.winnerRound, v0, lanes);
+    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1);
     co_await w.load(rd);
 
     const kutil::EdgeWalk walk(
         st.g, w, [&](VertexId v) { return st.winnerRound[v] == st.round; });
     for (std::uint32_t j = 0; j < walk.steps(); ++j) {
         AddrSet el, words;
-        walk.gatherCol(el, st.gb.col, j, st.lb);
+        walk.gatherCol(el, st.gb.col, j);
         co_await w.load(el);
         walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
             if (st.state[x.nbr] == kUndecided)
@@ -121,8 +119,8 @@ misOutPull(Warp& w, MisState& st)
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
     AddrSet rd;
-    kutil::addRange(rd, st.state, v0, lanes, st.lb);
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
+    kutil::addRange(rd, st.state, v0, lanes);
+    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1);
     co_await w.load(rd);
 
     // A lane that drops out stops gathering.
@@ -131,11 +129,11 @@ misOutPull(Warp& w, MisState& st)
     kutil::Lanes<bool> drop{};
     for (std::uint32_t j = 0; j < walk.steps(); ++j) {
         AddrSet el, sl;
-        walk.gatherCol(el, st.gb.col, j, st.lb);
+        walk.gatherCol(el, st.gb.col, j);
         if (el.empty())
             break;
         co_await w.load(el);
-        walk.gatherNbr(sl, st.state, j, st.lb);
+        walk.gatherNbr(sl, st.state, j);
         co_await w.load(sl);
         walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
             if (st.state[x.nbr] == kInSet) {
@@ -149,7 +147,7 @@ misOutPull(Warp& w, MisState& st)
         const VertexId v = v0 + l;
         if (drop[l]) {
             st.state[v] = kOut;
-            kutil::addElem(wr, st.state, v, st.lb);
+            kutil::addElem(wr, st.state, v);
         }
     }
     if (!wr.empty())
@@ -170,7 +168,7 @@ runMis(const CsrGraph& g, const SystemConfig& cfg, const SimParams& params,
     const bool push = cfg.prop == UpdateProp::Push;
 
     const NbrMaxView nbr{"mis", g, st.gb, st.state, kUndecided,
-                         st.pri, st.nbrMax, st.lb};
+                         st.pri, st.nbrMax};
     gpu.launch("mis.init", n, [&st](Warp& w) { return misInit(w, st); });
     for (st.round = 1; st.round <= kMaxSweeps; ++st.round) {
         launchNbrMaxRound(gpu, nbr, push);

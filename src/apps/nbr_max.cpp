@@ -13,14 +13,14 @@ nbrMaxReset(Warp& w, const NbrMaxView& st)
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
     AddrSet rd;
-    kutil::addRange(rd, st.status, v0, lanes, st.lb);
+    kutil::addRange(rd, st.status, v0, lanes);
     co_await w.load(rd);
     AddrSet wr;
     for (std::uint32_t l = 0; l < lanes; ++l) {
         const VertexId v = v0 + l;
         if (st.status[v] == st.undecided) {
             st.nbrMax[v] = 0;
-            kutil::addElem(wr, st.nbrMax, v, st.lb);
+            kutil::addElem(wr, st.nbrMax, v);
         }
     }
     if (!wr.empty())
@@ -33,16 +33,16 @@ nbrMaxPush(Warp& w, const NbrMaxView& st)
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
     AddrSet rd;
-    kutil::addRange(rd, st.status, v0, lanes, st.lb);
-    kutil::addRange(rd, st.pri, v0, lanes, st.lb);
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
+    kutil::addRange(rd, st.status, v0, lanes);
+    kutil::addRange(rd, st.pri, v0, lanes);
+    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1);
     co_await w.load(rd);
 
     const kutil::EdgeWalk walk(
         st.g, w, [&](VertexId v) { return st.status[v] == st.undecided; });
     for (std::uint32_t j = 0; j < walk.steps(); ++j) {
         AddrSet el, words;
-        walk.gatherCol(el, st.gb.col, j, st.lb);
+        walk.gatherCol(el, st.gb.col, j);
         co_await w.load(el);
         walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
             st.nbrMax[x.nbr] = std::max(st.nbrMax[x.nbr], st.pri[x.v]);
@@ -59,8 +59,8 @@ nbrMaxPull(Warp& w, const NbrMaxView& st)
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
     AddrSet rd;
-    kutil::addRange(rd, st.status, v0, lanes, st.lb);
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
+    kutil::addRange(rd, st.status, v0, lanes);
+    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1);
     co_await w.load(rd);
 
     const kutil::EdgeWalk walk(
@@ -68,13 +68,13 @@ nbrMaxPull(Warp& w, const NbrMaxView& st)
     kutil::Lanes<std::uint32_t> acc{};
     for (std::uint32_t j = 0; j < walk.steps(); ++j) {
         AddrSet el, sl;
-        walk.gatherCol(el, st.gb.col, j, st.lb);
+        walk.gatherCol(el, st.gb.col, j);
         co_await w.load(el);
         // status[s] and pri[s] are independent loads off the same index;
         // the kernel issues them as one gather (compiler-scheduled ILP).
         walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
-            kutil::addElem(sl, st.status, x.nbr, st.lb);
-            kutil::addElem(sl, st.pri, x.nbr, st.lb);
+            kutil::addElem(sl, st.status, x.nbr);
+            kutil::addElem(sl, st.pri, x.nbr);
         });
         co_await w.load(sl);
         walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
@@ -86,7 +86,7 @@ nbrMaxPull(Warp& w, const NbrMaxView& st)
     AddrSet wr;
     walk.forEachLane([&](std::uint32_t l, VertexId v) {
         st.nbrMax[v] = acc[l];
-        kutil::addElem(wr, st.nbrMax, v, st.lb);
+        kutil::addElem(wr, st.nbrMax, v);
     });
     if (!wr.empty())
         co_await w.store(wr);

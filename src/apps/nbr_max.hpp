@@ -26,7 +26,6 @@ struct NbrMaxView
     std::uint32_t undecided; ///< the status of a still undecided vertex
     const DeviceBuffer<std::uint32_t>& pri;
     DeviceBuffer<std::uint32_t>& nbrMax;
-    std::uint32_t lb;
 };
 
 /**

@@ -22,10 +22,9 @@ struct PrState
     PrState(Gpu& gpu, const CsrGraph& graph)
         : g(graph),
           gb(gpu.mem(), graph),
-          rank(gpu.mem(), graph.numVertices(), "pr.rank"),
-          next(gpu.mem(), graph.numVertices(), "pr.next"),
-          contrib(gpu.mem(), graph.numVertices(), "pr.contrib"),
-          lb(gpu.params().lineBytes)
+          rank(gpu.mem(), graph.numVertices()),
+          next(gpu.mem(), graph.numVertices()),
+          contrib(gpu.mem(), graph.numVertices())
     {
     }
 
@@ -34,7 +33,6 @@ struct PrState
     DeviceBuffer<float> rank;
     DeviceBuffer<float> next;
     DeviceBuffer<float> contrib;
-    std::uint32_t lb;
 };
 
 constexpr double kDamping = 0.85;
@@ -48,7 +46,7 @@ prInit(Warp& w, PrState& st)
     for (std::uint32_t l = 0; l < lanes; ++l)
         st.rank[v0 + l] = r0;
     AddrSet wr;
-    kutil::addRange(wr, st.rank, v0, lanes, st.lb);
+    kutil::addRange(wr, st.rank, v0, lanes);
     co_await w.store(wr);
 }
 
@@ -58,8 +56,8 @@ prPrepare(Warp& w, PrState& st)
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
     AddrSet rd;
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
-    kutil::addRange(rd, st.rank, v0, lanes, st.lb);
+    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1);
+    kutil::addRange(rd, st.rank, v0, lanes);
     co_await w.load(rd);
     co_await w.compute(2);
     for (std::uint32_t l = 0; l < lanes; ++l) {
@@ -69,8 +67,8 @@ prPrepare(Warp& w, PrState& st)
         st.next[v] = 0.0f;
     }
     AddrSet wr;
-    kutil::addRange(wr, st.contrib, v0, lanes, st.lb);
-    kutil::addRange(wr, st.next, v0, lanes, st.lb);
+    kutil::addRange(wr, st.contrib, v0, lanes);
+    kutil::addRange(wr, st.next, v0, lanes);
     co_await w.store(wr);
 }
 
@@ -80,14 +78,14 @@ prPush(Warp& w, PrState& st)
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
     AddrSet rd;
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
-    kutil::addRange(rd, st.contrib, v0, lanes, st.lb);
+    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1);
+    kutil::addRange(rd, st.contrib, v0, lanes);
     co_await w.load(rd);
 
     const kutil::EdgeWalk walk(st.g, w);
     for (std::uint32_t j = 0; j < walk.steps(); ++j) {
         AddrSet el, words;
-        walk.gatherCol(el, st.gb.col, j, st.lb);
+        walk.gatherCol(el, st.gb.col, j);
         co_await w.load(el);
         walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
             st.next[x.nbr] += st.contrib[x.v];
@@ -103,16 +101,16 @@ prPull(Warp& w, PrState& st)
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
     AddrSet rd;
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
+    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1);
     co_await w.load(rd);
 
     const kutil::EdgeWalk walk(st.g, w);
     kutil::Lanes<float> acc{};
     for (std::uint32_t j = 0; j < walk.steps(); ++j) {
         AddrSet el, pl;
-        walk.gatherCol(el, st.gb.col, j, st.lb);
+        walk.gatherCol(el, st.gb.col, j);
         co_await w.load(el);
-        walk.gatherNbr(pl, st.contrib, j, st.lb);
+        walk.gatherNbr(pl, st.contrib, j);
         // Blocking sparse remote reads: the defining pull cost.
         co_await w.load(pl);
         walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
@@ -123,7 +121,7 @@ prPull(Warp& w, PrState& st)
     for (std::uint32_t l = 0; l < lanes; ++l)
         st.next[v0 + l] = acc[l];
     AddrSet wr;
-    kutil::addRange(wr, st.next, v0, lanes, st.lb);
+    kutil::addRange(wr, st.next, v0, lanes);
     co_await w.store(wr);
 }
 
@@ -133,7 +131,7 @@ prFinalize(Warp& w, PrState& st)
     const VertexId v0 = w.firstThread();
     const std::uint32_t lanes = w.laneCount();
     AddrSet rd;
-    kutil::addRange(rd, st.next, v0, lanes, st.lb);
+    kutil::addRange(rd, st.next, v0, lanes);
     co_await w.load(rd);
     co_await w.compute(2);
     const float base =
@@ -144,7 +142,7 @@ prFinalize(Warp& w, PrState& st)
             base + static_cast<float>(kDamping) * st.next[v];
     }
     AddrSet wr;
-    kutil::addRange(wr, st.rank, v0, lanes, st.lb);
+    kutil::addRange(wr, st.rank, v0, lanes);
     co_await w.store(wr);
 }
 

@@ -22,9 +22,8 @@ struct SsspState
     SsspState(Gpu& gpu, const CsrGraph& graph)
         : g(graph),
           gb(gpu.mem(), graph),
-          dist(gpu.mem(), graph.numVertices(), "sssp.dist"),
-          stamp(gpu.mem(), graph.numVertices(), "sssp.stamp"),
-          lb(gpu.params().lineBytes)
+          dist(gpu.mem(), graph.numVertices()),
+          stamp(gpu.mem(), graph.numVertices())
     {
     }
 
@@ -32,7 +31,6 @@ struct SsspState
     GraphBuffers gb;
     DeviceBuffer<std::uint32_t> dist;
     DeviceBuffer<std::uint32_t> stamp;
-    std::uint32_t lb;
     std::uint32_t iter = 0;
 };
 
@@ -46,8 +44,8 @@ ssspInit(Warp& w, SsspState& st)
         st.stamp[v0 + l] = 0;
     }
     AddrSet wr;
-    kutil::addRange(wr, st.dist, v0, lanes, st.lb);
-    kutil::addRange(wr, st.stamp, v0, lanes, st.lb);
+    kutil::addRange(wr, st.dist, v0, lanes);
+    kutil::addRange(wr, st.stamp, v0, lanes);
     co_await w.store(wr);
 }
 
@@ -57,8 +55,8 @@ ssspSeed(Warp& w, SsspState& st)
     st.dist[0] = 0;
     st.stamp[0] = 1;
     AddrSet wr;
-    kutil::addElem(wr, st.dist, 0, st.lb);
-    kutil::addElem(wr, st.stamp, 0, st.lb);
+    kutil::addElem(wr, st.dist, 0);
+    kutil::addElem(wr, st.stamp, 0);
     co_await w.store(wr);
 }
 
@@ -70,7 +68,7 @@ ssspPush(Warp& w, SsspState& st)
     const std::uint32_t iter = st.iter;
 
     AddrSet rd;
-    kutil::addRange(rd, st.stamp, v0, lanes, st.lb);
+    kutil::addRange(rd, st.stamp, v0, lanes);
     co_await w.load(rd);
 
     const kutil::EdgeWalk walk(
@@ -79,8 +77,8 @@ ssspPush(Warp& w, SsspState& st)
         co_return; // whole warp elided by the source predicate
 
     rd.clear();
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
-    kutil::addRange(rd, st.dist, v0, lanes, st.lb);
+    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1);
+    kutil::addRange(rd, st.dist, v0, lanes);
     co_await w.load(rd);
 
     const bool weighted = st.g.hasWeights();
@@ -88,9 +86,9 @@ ssspPush(Warp& w, SsspState& st)
         AddrSet el, words, stamped;
         // Each lane's col line, then its weight line.
         walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
-            kutil::addElem(el, st.gb.col, x.e, st.lb);
+            kutil::addElem(el, st.gb.col, x.e);
             if (weighted)
-                kutil::addElem(el, st.gb.weight, x.e, st.lb);
+                kutil::addElem(el, st.gb.weight, x.e);
         });
         co_await w.load(el);
         walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
@@ -101,7 +99,7 @@ ssspPush(Warp& w, SsspState& st)
             if (nd < st.dist[x.nbr]) {
                 st.dist[x.nbr] = static_cast<std::uint32_t>(nd);
                 st.stamp[x.nbr] = iter + 1;
-                kutil::addElem(stamped, st.stamp, x.nbr, st.lb);
+                kutil::addElem(stamped, st.stamp, x.nbr);
             }
         });
         // Unconditional sparse remote atomicMin — off the critical path.
@@ -119,8 +117,8 @@ ssspPull(Warp& w, SsspState& st)
     const std::uint32_t iter = st.iter;
 
     AddrSet rd;
-    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1, st.lb);
-    kutil::addRange(rd, st.dist, v0, lanes, st.lb);
+    kutil::addRange(rd, st.gb.rowOff, v0, lanes + 1);
+    kutil::addRange(rd, st.dist, v0, lanes);
     co_await w.load(rd);
 
     const kutil::EdgeWalk walk(st.g, w);
@@ -131,16 +129,16 @@ ssspPull(Warp& w, SsspState& st)
 
     for (std::uint32_t j = 0; j < walk.steps(); ++j) {
         AddrSet el, sl, dl;
-        walk.gatherCol(el, st.gb.col, j, st.lb);
+        walk.gatherCol(el, st.gb.col, j);
         co_await w.load(el);
-        walk.gatherNbr(sl, st.stamp, j, st.lb);
+        walk.gatherNbr(sl, st.stamp, j);
         // Sparse remote reads of the frontier stamps (blocking).
         co_await w.load(sl);
         walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
             if (st.stamp[x.nbr] == iter) {
-                kutil::addElem(dl, st.dist, x.nbr, st.lb);
+                kutil::addElem(dl, st.dist, x.nbr);
                 if (weighted)
-                    kutil::addElem(dl, st.gb.weight, x.e, st.lb);
+                    kutil::addElem(dl, st.gb.weight, x.e);
             }
         });
         if (dl.empty())
@@ -162,8 +160,8 @@ ssspPull(Warp& w, SsspState& st)
         if (best[l] < st.dist[v]) {
             st.dist[v] = static_cast<std::uint32_t>(best[l]);
             st.stamp[v] = iter + 1;
-            kutil::addElem(wr, st.dist, v, st.lb);
-            kutil::addElem(wr, st.stamp, v, st.lb);
+            kutil::addElem(wr, st.dist, v);
+            kutil::addElem(wr, st.stamp, v);
         }
     });
     if (!wr.empty())

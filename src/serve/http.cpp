@@ -571,16 +571,18 @@ httpRequest(std::uint16_t port, const std::string& method,
     const std::string_view statusLine =
         head.substr(0, lineEnd == std::string_view::npos ? head.size()
                                                          : lineEnd);
-    // "HTTP/1.1 200 OK"
+    // "HTTP/1.1 200 OK": a code of exactly three digits, 100 to 599, then
+    // a space or the end of the line.
     const std::size_t sp = statusLine.find(' ');
     if (sp == std::string_view::npos || statusLine.size() < sp + 4)
         throw ServeError("torn HTTP response (bad status line)");
-    HttpResponse resp;
-    try {
-        resp.status = std::stoi(std::string(statusLine.substr(sp + 1, 3)));
-    } catch (...) {
+    const std::optional<std::uint64_t> code =
+        parseUnsigned(statusLine.substr(sp + 1, 3), 599);
+    if (!code || *code < 100 ||
+        (statusLine.size() > sp + 4 && statusLine[sp + 4] != ' '))
         throw ServeError("torn HTTP response (bad status code)");
-    }
+    HttpResponse resp;
+    resp.status = static_cast<int>(*code);
     resp.body = buf.substr(headEnd + 4);
     return resp;
 }

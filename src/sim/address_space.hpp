@@ -2,7 +2,8 @@
  * @file
  * Simulated unified address space. Functional data lives in host vectors
  * (DeviceBuffer<T>); the simulator only sees addresses, which drive all
- * cache/NoC/DRAM timing.
+ * cache/NoC/DRAM timing. Allocation bumps a pointer and never frees:
+ * a Gpu's buffers keep their addresses for its whole run.
  */
 
 #ifndef GGA_SIM_ADDRESS_SPACE_HPP
@@ -10,7 +11,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "support/log.hpp"
@@ -22,30 +22,18 @@ namespace gga {
 class AddressSpace
 {
   public:
-    /** Allocate @p bytes aligned to a cache line; named for diagnostics. */
+    /** Allocate @p bytes aligned to a cache line. */
     Addr
-    allocate(std::uint64_t bytes, const std::string& name)
+    allocate(std::uint64_t bytes)
     {
         constexpr Addr alignment = 256;
         const Addr base = next_;
         next_ += (bytes + alignment - 1) & ~(alignment - 1);
-        allocations_.push_back({name, base, bytes});
         return base;
     }
 
-    /** Total bytes allocated so far. */
-    Addr bytesAllocated() const { return next_; }
-
   private:
-    struct Allocation
-    {
-        std::string name;
-        Addr base;
-        std::uint64_t bytes;
-    };
-
     Addr next_ = 0x1000; // keep address 0 unused
-    std::vector<Allocation> allocations_;
 };
 
 /**
@@ -58,29 +46,19 @@ class DeviceBuffer
   public:
     DeviceBuffer() = default;
 
-    DeviceBuffer(AddressSpace& space, std::size_t n, const std::string& name,
-                 T init = T{})
-        : data_(n, init), base_(space.allocate(n * sizeof(T), name))
-    {
-    }
-
-    /** Construct from existing host data (e.g. CSR arrays). */
-    DeviceBuffer(AddressSpace& space, std::vector<T> data,
-                 const std::string& name)
-        : data_(std::move(data)),
-          base_(space.allocate(data_.size() * sizeof(T), name))
+    DeviceBuffer(AddressSpace& space, std::size_t n, T init = T{})
+        : data_(n, init), base_(space.allocate(n * sizeof(T)))
     {
     }
 
     /**
-     * Construct by copying borrowed host data (e.g. the arrays of an
-     * mmap-backed CsrGraph); the buffer owns its copy either way since
-     * simulated kernels mutate device memory.
+     * Construct by copying host data (e.g. the arrays of a CsrGraph, which
+     * may be mmap-backed); the buffer owns its copy since simulated
+     * kernels mutate device memory.
      */
-    DeviceBuffer(AddressSpace& space, std::span<const T> data,
-                 const std::string& name)
+    DeviceBuffer(AddressSpace& space, std::span<const T> data)
         : data_(data.begin(), data.end()),
-          base_(space.allocate(data_.size() * sizeof(T), name))
+          base_(space.allocate(data_.size() * sizeof(T)))
     {
     }
 

@@ -6,17 +6,13 @@
 
 namespace gga {
 
-SetAssocCache::SetAssocCache(std::uint32_t size_bytes, std::uint32_t assoc,
-                             std::uint32_t line_bytes)
-    : numSets_(size_bytes / line_bytes / assoc),
+SetAssocCache::SetAssocCache(std::uint32_t size_bytes, std::uint32_t assoc)
+    : numSets_(size_bytes / SimParams::lineBytes / assoc),
       assoc_(assoc),
-      lineShift_(static_cast<std::uint32_t>(std::countr_zero(line_bytes))),
       setsPow2_(std::has_single_bit(numSets_)),
       tags_(static_cast<std::size_t>(numSets_) * assoc),
       lastUse_(tags_.size())
 {
-    GGA_ASSERT(std::has_single_bit(line_bytes) && line_bytes > kStateMask,
-               "line size must be a power of two of at least 4 bytes");
     GGA_ASSERT(numSets_ > 0, "cache too small for its associativity");
 }
 

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/params.hpp"
 #include "support/rng.hpp"
 #include "support/types.hpp"
 
@@ -44,8 +45,8 @@ class SetAssocCache
     /** Way handle meaning "line not present". */
     static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
 
-    SetAssocCache(std::uint32_t size_bytes, std::uint32_t assoc,
-                  std::uint32_t line_bytes);
+    /** @p size_bytes of SimParams::lineBytes lines in sets of @p assoc. */
+    SetAssocCache(std::uint32_t size_bytes, std::uint32_t assoc);
 
     /** Where a line lives: its set and, when present, its way. */
     struct Probe
@@ -146,9 +147,6 @@ class SetAssocCache
     /** Downgrade all Dirty lines to Valid (after a release flush). */
     void cleanDirty();
 
-    std::uint32_t numSets() const { return numSets_; }
-    std::uint32_t assoc() const { return assoc_; }
-
   private:
     /** Low tag bits holding the LineState (lines are 4-byte aligned+). */
     static constexpr Addr kStateMask = 3;
@@ -158,7 +156,7 @@ class SetAssocCache
     setBase(Addr line) const
     {
         // Hash the line index so strided graph arrays spread across sets.
-        const std::uint64_t h = hashMix64(line >> lineShift_);
+        const std::uint64_t h = hashMix64(line / SimParams::lineBytes);
         const std::uint64_t set =
             setsPow2_ ? h & (numSets_ - 1) : h % numSets_;
         return static_cast<std::uint32_t>(set) * assoc_;
@@ -166,7 +164,6 @@ class SetAssocCache
 
     std::uint32_t numSets_;
     std::uint32_t assoc_;
-    std::uint32_t lineShift_;
     /** Index sets by mask; otherwise by exact modulo. */
     bool setsPow2_;
     std::uint64_t useClock_ = 0;

@@ -4,9 +4,8 @@
 
 namespace gga {
 
-SmCore::SmCore(Engine& engine, const SimParams& params, std::uint32_t sm_id,
-               L1Controller& l1, const ConsistencySpec& spec)
-    : engine_(engine), params_(params), smId_(sm_id), l1_(l1), spec_(spec)
+SmCore::SmCore(Engine& engine, L1Controller& l1, const ConsistencySpec& spec)
+    : engine_(engine), l1_(l1), spec_(spec)
 {
 }
 
@@ -18,7 +17,7 @@ SmCore::startBlock(std::uint32_t block_id, std::uint32_t first_thread,
     GGA_ASSERT(!blocks_.contains(block_id), "block already resident");
     BlockRec& rec = blocks_[block_id];
 
-    const std::uint32_t warp_size = params_.warpSize;
+    constexpr std::uint32_t warp_size = SimParams::warpSize;
     const std::uint32_t num_warps =
         (thread_count + warp_size - 1) / warp_size;
     rec.warpsLeft = num_warps;

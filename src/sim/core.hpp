@@ -29,8 +29,7 @@ using WarpFactory = std::function<WarpTask(Warp&)>;
 class SmCore
 {
   public:
-    SmCore(Engine& engine, const SimParams& params, std::uint32_t sm_id,
-           L1Controller& l1, const ConsistencySpec& spec);
+    SmCore(Engine& engine, L1Controller& l1, const ConsistencySpec& spec);
 
     /** Called with the block id whenever a resident block completes. */
     void
@@ -65,8 +64,6 @@ class SmCore
     Engine& engine() { return engine_; }
     L1Controller& l1() { return l1_; }
     const ConsistencySpec& consistency() const { return spec_; }
-    const SimParams& params() const { return params_; }
-    std::uint32_t smId() const { return smId_; }
 
     // --- warp callbacks ---
     void onWarpFinished(Warp& w);
@@ -81,8 +78,6 @@ class SmCore
     };
 
     Engine& engine_;
-    const SimParams& params_;
-    std::uint32_t smId_;
     L1Controller& l1_;
     ConsistencySpec spec_;
     SmAccounting accounting_;

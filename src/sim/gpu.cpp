@@ -5,19 +5,17 @@
 namespace gga {
 
 Gpu::Gpu(const SimParams& params, CoherenceKind coh, ConsistencyKind con)
-    : params_(params), coh_(coh), con_(con)
 {
-    params_.validate();
-    l2_ = std::make_unique<L2System>(engine_, params_, noc_, dram_);
+    params.validate();
+    l2_ = std::make_unique<L2System>(engine_, dram_);
     l2_->setRecallHandler([this](std::uint32_t sm_id, Addr line) {
         l1s_[sm_id]->onRecall(line);
     });
-    const ConsistencySpec spec = makeConsistencySpec(con, params_);
-    for (std::uint32_t s = 0; s < params_.numSms; ++s) {
-        l1s_.push_back(std::make_unique<L1Controller>(engine_, params_, coh,
-                                                      s, *l2_));
-        sms_.push_back(std::make_unique<SmCore>(engine_, params_, s,
-                                                *l1s_[s], spec));
+    const ConsistencySpec spec = makeConsistencySpec(con, params);
+    for (std::uint32_t s = 0; s < SimParams::numSms; ++s) {
+        l1s_.push_back(std::make_unique<L1Controller>(
+            engine_, params.l1SizeKiB, coh, s, *l2_));
+        sms_.push_back(std::make_unique<SmCore>(engine_, *l1s_[s], spec));
         sms_[s]->setBlockCompleteHandler(
             [this, s](std::uint32_t) { onBlockComplete(s); });
     }
@@ -28,12 +26,12 @@ Gpu::~Gpu() = default;
 void
 Gpu::fillSm(SmCore& sm)
 {
-    while (sm.residentBlocks() < params_.maxBlocksPerSm &&
+    while (sm.residentBlocks() < SimParams::maxBlocksPerSm &&
            nextBlock_ < numBlocks_) {
         const std::uint32_t block = nextBlock_++;
-        const std::uint32_t first = block * params_.threadBlockSize;
+        const std::uint32_t first = block * SimParams::threadBlockSize;
         const std::uint32_t count =
-            std::min(params_.threadBlockSize, gridThreads_ - first);
+            std::min(SimParams::threadBlockSize, gridThreads_ - first);
         sm.startBlock(block, first, count, *currentFactory_);
     }
 }
@@ -42,7 +40,7 @@ void
 Gpu::dispatchBlocks()
 {
     // Greedy refill: hand pending blocks to any SM with a free slot.
-    for (std::uint32_t s = 0; s < params_.numSms && nextBlock_ < numBlocks_;
+    for (std::uint32_t s = 0; s < SimParams::numSms && nextBlock_ < numBlocks_;
          ++s)
         fillSm(*sms_[s]);
 }
@@ -63,8 +61,8 @@ Gpu::launch(const std::string& name, std::uint32_t num_threads,
 
     currentFactory_ = &make_warp;
     gridThreads_ = num_threads;
-    numBlocks_ =
-        (num_threads + params_.threadBlockSize - 1) / params_.threadBlockSize;
+    numBlocks_ = (num_threads + SimParams::threadBlockSize - 1) /
+                 SimParams::threadBlockSize;
     nextBlock_ = 0;
     blocksDone_ = 0;
 
@@ -78,7 +76,7 @@ Gpu::launch(const std::string& name, std::uint32_t num_threads,
     for (auto& l1 : l1s_)
         l1->acquireInvalidate([] {});
 
-    engine_.schedule(params_.kernelLaunchOverhead,
+    engine_.schedule(SimParams::kernelLaunchOverhead,
                      [this] { dispatchBlocks(); });
     engine_.run();
 
@@ -89,8 +87,8 @@ Gpu::launch(const std::string& name, std::uint32_t num_threads,
     // protocols drain outstanding stores/atomics. Attribute this window
     // to Sync on each SM, then align every SM to the global end (Idle).
     const Cycles warps_done = engine_.now();
-    std::uint32_t flushes_left = params_.numSms;
-    for (std::uint32_t s = 0; s < params_.numSms; ++s) {
+    std::uint32_t flushes_left = SimParams::numSms;
+    for (std::uint32_t s = 0; s < SimParams::numSms; ++s) {
         sms_[s]->accounting().catchUp(warps_done);
         l1s_[s]->releaseFlush([this, s, warps_done, &flushes_left] {
             sms_[s]->accounting().accountExplicit(WaitCat::Sync, warps_done,

@@ -21,7 +21,6 @@
 #include "sim/l1.hpp"
 #include "sim/l2.hpp"
 #include "sim/mem_stats.hpp"
-#include "sim/noc.hpp"
 #include "sim/params.hpp"
 #include "sim/stall.hpp"
 
@@ -35,6 +34,10 @@ namespace gga {
 class Gpu
 {
   public:
+    /**
+     * The one reader of @p params: the L1 size sizes the L1s and the
+     * DRFrlx window goes into the consistency rules.
+     */
     Gpu(const SimParams& params, CoherenceKind coh, ConsistencyKind con);
     ~Gpu();
 
@@ -62,15 +65,10 @@ class Gpu
     MemStats memStats() const;
 
     std::uint32_t kernelsLaunched() const { return kernelsLaunched_; }
-    const SimParams& params() const { return params_; }
-    CoherenceKind coherence() const { return coh_; }
-    ConsistencyKind consistency() const { return con_; }
 
     // --- component access for white-box tests ---
     Engine& engine() { return engine_; }
-    L2System& l2() { return *l2_; }
     L1Controller& l1(std::uint32_t sm) { return *l1s_[sm]; }
-    SmCore& sm(std::uint32_t sm) { return *sms_[sm]; }
 
   private:
     void dispatchBlocks();
@@ -78,11 +76,7 @@ class Gpu
     /** Start pending blocks on @p sm until it is full or none remain. */
     void fillSm(SmCore& sm);
 
-    SimParams params_;
-    CoherenceKind coh_;
-    ConsistencyKind con_;
     Engine engine_;
-    MeshNoc noc_;
     Dram dram_;
     AddressSpace space_;
     std::unique_ptr<L2System> l2_;

@@ -4,17 +4,16 @@
 
 namespace gga {
 
-L1Controller::L1Controller(Engine& engine, const SimParams& params,
+L1Controller::L1Controller(Engine& engine, std::uint32_t size_kib,
                            CoherenceKind coh, std::uint32_t sm_id,
                            L2System& l2)
     : engine_(engine),
-      params_(params),
       coh_(coh),
       smId_(sm_id),
       l2_(l2),
-      tags_(params.l1SizeKiB * 1024, params.l1Assoc, params.lineBytes),
-      mshr_(engine, params.l1Mshrs),
-      sb_(params.storeBufferEntries)
+      tags_(size_kib * 1024, SimParams::l1Assoc),
+      mshr_(engine, SimParams::l1Mshrs),
+      sb_(SimParams::storeBufferEntries)
 {
 }
 
@@ -113,7 +112,7 @@ void
 L1Controller::pumpMshrWaiters()
 {
     std::uint32_t budget = static_cast<std::uint32_t>(
-        mshr_.full() ? 0 : params_.l1Mshrs - mshr_.inFlight());
+        mshr_.full() ? 0 : SimParams::l1Mshrs - mshr_.inFlight());
     while (budget-- > 0 && !mshrWaiters_.empty())
         engine_.wakeFront(mshrWaiters_, 1);
 }
@@ -178,7 +177,7 @@ L1Controller::load(const Addr* lines, std::uint32_t count, EventFn done)
     if (req->remaining == 1) {
         // Everything hit: complete after the L1 hit latency.
         req->remaining = 0; // ownership moves to the scheduled event
-        engine_.schedule(params_.l1HitLatency,
+        engine_.schedule(SimParams::l1HitLatency,
                          [this, req] { retire(req); });
     } else {
         finishOne(req);
@@ -296,12 +295,12 @@ L1Controller::stepDeNovoAtomic(Addr word, Pending* req)
         // interval (its pipeline is the throughput limit of owned
         // atomics), and same-word atomics additionally serialize.
         const Cycles unit_start = std::max(engine_.now(), atomicUnitFree_);
-        atomicUnitFree_ = unit_start + params_.l1AtomicServiceInterval;
+        atomicUnitFree_ = unit_start + SimParams::l1AtomicServiceInterval;
         Cycles& word_free = l1WordFree_[word];
         const Cycles start =
-            std::max(unit_start + params_.l1AtomicLatency, word_free);
-        word_free = start + params_.l1AtomicServiceInterval;
-        engine_.scheduleAt(start + params_.l1AtomicServiceInterval,
+            std::max(unit_start + SimParams::l1AtomicLatency, word_free);
+        word_free = start + SimParams::l1AtomicServiceInterval;
+        engine_.scheduleAt(start + SimParams::l1AtomicServiceInterval,
                            [this, req] { finishOne(req); });
         return;
     }
@@ -341,7 +340,7 @@ L1Controller::acquireInvalidate(EventFn done)
 {
     const bool keep_owned = coh_ == CoherenceKind::DeNovo;
     stats_.acquireInvalidatedLines += tags_.invalidateForAcquire(keep_owned);
-    engine_.schedule(params_.flashInvalidateLatency, done);
+    engine_.schedule(SimParams::flashInvalidateLatency, done);
 }
 
 void

@@ -62,7 +62,11 @@ struct L1Stats
 class L1Controller
 {
   public:
-    L1Controller(Engine& engine, const SimParams& params, CoherenceKind coh,
+    /**
+     * An L1 of @p size_kib KiB (SimParams::l1SizeKiB, the one settable
+     * value it reads) for SM @p sm_id under @p coh.
+     */
+    L1Controller(Engine& engine, std::uint32_t size_kib, CoherenceKind coh,
                  std::uint32_t sm_id, L2System& l2);
 
     /** Read @p count unique lines; done when all are present. */
@@ -97,8 +101,6 @@ class L1Controller
     void beginKernel();
 
     const L1Stats& stats() const { return stats_; }
-    CoherenceKind coherence() const { return coh_; }
-    std::uint32_t smId() const { return smId_; }
 
     /** In-flight ownership/data fills initiated by stores (diagnostics). */
     std::uint32_t pendingStoreFills() const { return pendingStoreFills_; }
@@ -141,14 +143,7 @@ class L1Controller
     void pumpSbWaiters();
     void pumpMshrWaiters();
 
-    Addr
-    lineOf(Addr a) const
-    {
-        return a & ~static_cast<Addr>(params_.lineBytes - 1);
-    }
-
     Engine& engine_;
-    const SimParams& params_;
     CoherenceKind coh_;
     std::uint32_t smId_;
     L2System& l2_;
@@ -170,8 +165,6 @@ class L1Controller
     /** Scratch for dirty-line collection at releases (reused). */
     std::vector<Addr> flushScratch_;
     L1Stats stats_;
-
-    static constexpr Cycles kRetryInterval = 4;
 };
 
 } // namespace gga

@@ -7,7 +7,9 @@
  * bank). DeNovo registers L1 ownership here and forwards requests to the
  * current owner (the "remote L1 hit" path). The directory is perfect
  * (never evicted) — a common idealization; capacity effects are modeled
- * for data lines only.
+ * for data lines only. Geometry, latencies and service intervals are read
+ * from SimParams' Table IV constants and message latencies from
+ * meshLatency(), so the L2 holds only the engine and the DRAM it drives.
  */
 
 #ifndef GGA_SIM_L2_HPP
@@ -20,7 +22,6 @@
 #include "sim/cache.hpp"
 #include "sim/dram.hpp"
 #include "sim/engine.hpp"
-#include "sim/noc.hpp"
 #include "sim/params.hpp"
 #include "support/flat_map.hpp"
 #include "support/inline_function.hpp"
@@ -51,8 +52,7 @@ struct L2Stats
 class L2System
 {
   public:
-    L2System(Engine& engine, const SimParams& params, const MeshNoc& noc,
-             Dram& dram);
+    L2System(Engine& engine, Dram& dram) : engine_(engine), dram_(dram) {}
 
     /** Handler invoked when an L1 must drop ownership of a line. */
     using RecallFn = InlineFunction<void(std::uint32_t sm_id, Addr line), 48>;
@@ -88,7 +88,7 @@ class L2System
         /** Dedicated atomic-unit pipeline beside the data port. */
         Cycles atomicNextFree = 0;
         SetAssocCache tags{SimParams::l2SizeKiB * 1024 / SimParams::l2Banks,
-                           SimParams::l2Assoc, SimParams::lineBytes};
+                           SimParams::l2Assoc};
         /** Per-word serialization of atomics at this bank's atomic unit. */
         FlatMap<Addr, Cycles> wordNextFree;
         /** Per-line serialization of ownership handoffs. */
@@ -116,8 +116,6 @@ class L2System
     void writeDirty(Bank& bank, Addr line, Cycles service_start);
 
     Engine& engine_;
-    const SimParams& params_;
-    const MeshNoc& noc_;
     Dram& dram_;
     /** Depart through the SM's NoC injection port (bandwidth model). */
     Cycles smPortDepart(std::uint32_t sm_id, Cycles extra = 0);

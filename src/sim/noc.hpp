@@ -1,53 +1,35 @@
 /**
  * @file
  * 4x4 mesh network latency model (Garnet-inspired, paper Sec. V-C):
- * SMs occupy nodes 0-14, the CPU node 15; one L2 bank per node. Latency is
- * hop distance times per-hop latency plus a router constant; bandwidth is
- * modeled at the L2 bank and DRAM channel endpoints.
+ * SMs occupy nodes 0-14, the CPU node 15, and one L2 bank sits on every
+ * node. SM i and bank i both live on node i, so SM and bank ids are mesh
+ * node ids. Latency is hop distance times per-hop latency plus a router
+ * constant; bandwidth is modeled at the L2 bank and DRAM channel
+ * endpoints.
  */
 
 #ifndef GGA_SIM_NOC_HPP
 #define GGA_SIM_NOC_HPP
 
 #include <cstdint>
-#include <cstdlib>
 
 #include "sim/params.hpp"
 #include "support/types.hpp"
 
 namespace gga {
 
-/** Mesh coordinates and latency queries. */
-class MeshNoc
+/** One-way message latency between mesh nodes @p a and @p b. */
+constexpr Cycles
+meshLatency(std::uint32_t a, std::uint32_t b)
 {
-  public:
-    static constexpr std::uint32_t kWidth = 4;
-    static constexpr std::uint32_t kNodes = 16;
-
-    /** Manhattan hop distance between two mesh nodes. */
-    std::uint32_t
-    hops(std::uint32_t a, std::uint32_t b) const
-    {
-        const std::int32_t ax = a % kWidth, ay = a / kWidth;
-        const std::int32_t bx = b % kWidth, by = b / kWidth;
-        return static_cast<std::uint32_t>(std::abs(ax - bx) +
-                                          std::abs(ay - by));
-    }
-
-    /** One-way message latency between nodes @p a and @p b. */
-    Cycles
-    latency(std::uint32_t a, std::uint32_t b) const
-    {
-        return SimParams::nocRouterLatency +
-               SimParams::nocPerHopLatency * hops(a, b);
-    }
-
-    /** Mesh node of an SM (SM i lives on node i). */
-    std::uint32_t smNode(std::uint32_t sm_id) const { return sm_id; }
-
-    /** Mesh node of an L2 bank (bank i lives on node i). */
-    std::uint32_t bankNode(std::uint32_t bank) const { return bank; }
-};
+    constexpr std::uint32_t kWidth = 4;
+    const auto dist = [](std::uint32_t x, std::uint32_t y) {
+        return x > y ? x - y : y - x;
+    };
+    const std::uint32_t hops =
+        dist(a % kWidth, b % kWidth) + dist(a / kWidth, b / kWidth);
+    return SimParams::nocRouterLatency + SimParams::nocPerHopLatency * hops;
+}
 
 } // namespace gga
 

@@ -4,11 +4,15 @@
  *
  * The paper simulates one system and varies only update propagation,
  * coherence and consistency, so every Table IV value is a compile-time
- * constant: edit one here to simulate other hardware. Two values stay
- * settable per run because the ablations sweep them, the L1 size
+ * constant: edit one here to simulate other hardware. Simulator and kernel
+ * code reads each constant where it uses it (`SimParams::lineBytes`,
+ * lineOf() below), never from a stored copy. Two values stay settable per
+ * run because the ablations sweep them, the L1 size
  * (bench/ablation_l1_size) and the DRFrlx window
  * (bench/ablation_mlp_window); they are all a work unit, a manifest or an
- * HTTP plan may set, and check() refuses what of them cannot run.
+ * HTTP plan may set, and check() refuses what of them cannot run. Only
+ * Gpu's constructor reads them: it sizes the L1s and builds the
+ * consistency rules.
  *
  * Latency ranges in the paper (remote L1 hit 35-83, L2 hit 29-61, memory
  * 197-261 cycles) arise here from the 4x4 mesh hop distances plus the fixed
@@ -123,6 +127,13 @@ static_assert(std::has_single_bit(SimParams::dramChannels),
 static_assert(SimParams::l2SizeKiB * 1024 / SimParams::l2Banks /
                       SimParams::lineBytes % SimParams::l2Assoc == 0,
               "an L2 bank splits into whole sets");
+
+/** Line address containing byte address @p a. */
+constexpr Addr
+lineOf(Addr a)
+{
+    return a & ~static_cast<Addr>(SimParams::lineBytes - 1);
+}
 
 } // namespace gga
 

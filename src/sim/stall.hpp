@@ -87,8 +87,6 @@ class SmAccounting
 
     const StallBreakdown& breakdown() const { return bd_; }
 
-    std::uint32_t unfinishedWarps() const { return unfinished_; }
-
   private:
     void account(Cycles up_to);
 

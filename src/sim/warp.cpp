@@ -15,12 +15,6 @@ Warp::Warp(SmCore& sm, std::uint32_t global_warp_id, std::uint32_t block_id,
 {
 }
 
-const SimParams&
-Warp::params() const
-{
-    return sm_.params();
-}
-
 void
 Warp::bindTask(WarpTask task)
 {

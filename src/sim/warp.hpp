@@ -120,8 +120,6 @@ class Warp
     std::uint32_t globalWarpId() const { return globalWarpId_; }
     std::uint32_t blockId() const { return blockId_; }
 
-    const SimParams& params() const;
-
     /** Awaitable issued by kernel code; see the op factories below. */
     struct OpAwaiter
     {
@@ -159,8 +157,6 @@ class Warp
 
     void bindTask(WarpTask task);
     void start();
-    bool finished() const { return finished_; }
-    std::uint32_t outstandingAtomics() const { return outstandingAtomics_; }
 
     /** Resume from a barrier (scheduled by the SM). */
     void resumeFromBarrier();

@@ -4,7 +4,8 @@
  *
  * All stochastic choices in GGA-Sim (graph generation, priorities) flow
  * through these generators with fixed seeds so that every simulation is
- * bit-reproducible across runs and platforms.
+ * bit-reproducible across runs and platforms. The sequential generator
+ * of the frozen v1 graph baseline lives with it, in reference/rng.hpp.
  */
 
 #ifndef GGA_SUPPORT_RNG_HPP
@@ -17,7 +18,7 @@ namespace gga {
 
 /**
  * SplitMix64: tiny, high-quality 64-bit mixer. Used directly for hashing
- * and to seed Xoshiro256StarStar.
+ * and to seed sequential generators.
  */
 class SplitMix64
 {
@@ -79,32 +80,6 @@ fnv1a(const void* data, std::size_t bytes, std::uint64_t seed = kFnv1aBasis)
 }
 
 /**
- * Xoshiro256** — fast, statistically strong sequential generator. It
- * drives the frozen v1 graph baseline (reference/graph.cpp) and test
- * inputs; the current generator draws from SplitRng instead.
- */
-class Xoshiro256StarStar
-{
-  public:
-    explicit Xoshiro256StarStar(std::uint64_t seed);
-
-    /** Next 64 raw bits. */
-    std::uint64_t next();
-
-    /** Uniform integer in [0, bound); bound must be nonzero. */
-    std::uint64_t nextBounded(std::uint64_t bound);
-
-    /** Uniform double in [0, 1). */
-    double nextDouble();
-
-    /** Standard normal via Box-Muller (deterministic, no cached spare). */
-    double nextGaussian();
-
-  private:
-    std::uint64_t s_[4];
-};
-
-/**
  * Counter-based splittable generator: every draw is a pure function of
  * (seed, stream, counter), so any (vertex, block, phase) of a parallel
  * computation can own an independent reproducible stream with no
@@ -139,7 +114,7 @@ class SplitRng
     std::uint64_t
     nextBounded(std::uint64_t bound)
     {
-        // Same modulo policy as Xoshiro256StarStar::nextBounded.
+        // Plain modulo: its bias is negligible for bounds << 2^64.
         return next() % bound;
     }
 

@@ -7,9 +7,9 @@
 #include <new>
 #include <string>
 
-// Mentions of rand(), std::unordered_map, new/delete, std::mutex, and
-// "%f" in comments must never fire: rules run on a comment-stripped
-// view. /* %e inside a block comment is fine too */
+// Mentions of rand(), std::unordered_map, new/delete, std::mutex,
+// std::stoi, and "%f" in comments must never fire: rules run on a
+// comment-stripped view. /* %e inside a block comment is fine too */
 
 namespace gga {
 

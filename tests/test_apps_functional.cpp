@@ -176,15 +176,14 @@ walkRetires(VertexId nbr)
 }
 
 WarpTask
-walkKernel(Warp& w, const CsrGraph& g, const GraphBuffers& gb,
-           std::uint32_t lb, WalkLog& log)
+walkKernel(Warp& w, const CsrGraph& g, const GraphBuffers& gb, WalkLog& log)
 {
     kutil::EdgeWalk walk(g, w, walkActive);
     const VertexId v0 = w.firstThread();
     log.steps[v0] = walk.steps();
     for (std::uint32_t j = 0; j < walk.steps(); ++j) {
         AddrSet el;
-        walk.gatherCol(el, gb.col, j, lb);
+        walk.gatherCol(el, gb.col, j);
         log.colLines[v0].emplace_back(el.begin(), el.end());
         walk.forEachEdge(j, [&](const kutil::LaneEdge& x) {
             log.visits[v0].push_back({j, x.lane, x.v, x.e, x.nbr});
@@ -214,11 +213,9 @@ TEST(EdgeWalk, VisitsLanesInOrderAndRetiresThem)
 
     Gpu gpu(SimParams{}, CoherenceKind::Gpu, ConsistencyKind::Drf0);
     const GraphBuffers gb(gpu.mem(), g);
-    const std::uint32_t lb = gpu.params().lineBytes;
     WalkLog log;
-    gpu.launch("walk", n, [&](Warp& w) {
-        return walkKernel(w, g, gb, lb, log);
-    });
+    gpu.launch("walk", n,
+               [&](Warp& w) { return walkKernel(w, g, gb, log); });
     ASSERT_EQ(log.steps.size(), 2u);
 
     // The partial warp, by hand. Lane 1 (v33) is inactive and lane 0
@@ -260,7 +257,7 @@ TEST(EdgeWalk, VisitsLanesInOrderAndRetiresThem)
     for (const auto& [v0, visits] : log.visits) {
         std::vector<std::vector<Addr>> lines(log.steps[v0]);
         for (const Visit& x : visits) {
-            const Addr line = kutil::lineOf(gb.col.addrOf(x.e), lb);
+            const Addr line = lineOf(gb.col.addrOf(x.e));
             std::vector<Addr>& step = lines[x.step];
             if (std::find(step.begin(), step.end(), line) == step.end())
                 step.push_back(line);

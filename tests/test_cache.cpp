@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/rng.hpp"
 #include "sim/cache.hpp"
 #include "support/rng.hpp"
 
@@ -21,7 +22,7 @@ namespace {
 SetAssocCache
 tinyCache()
 {
-    return SetAssocCache(256, 2, 64);
+    return SetAssocCache(256, 2);
 }
 
 TEST(Cache, MissThenHit)
@@ -35,7 +36,7 @@ TEST(Cache, MissThenHit)
 TEST(Cache, LruOrderRespectsRecency)
 {
     // Direct test with a known-colliding set: use a 1-set cache.
-    SetAssocCache c(128, 2, 64); // 1 set, 2 ways
+    SetAssocCache c(128, 2); // 1 set, 2 ways
     c.insert(0, LineState::Valid);
     c.insert(64, LineState::Valid);
     // Touch line 0 so line 64 is LRU.
@@ -50,7 +51,7 @@ TEST(Cache, LruOrderRespectsRecency)
 
 TEST(Cache, InsertReportsDirtyEviction)
 {
-    SetAssocCache c(128, 2, 64);
+    SetAssocCache c(128, 2);
     c.insert(0, LineState::Dirty);
     c.insert(64, LineState::Valid);
     EXPECT_EQ(c.lookup(64), LineState::Valid); // 0 is LRU now? no: 0 older
@@ -122,7 +123,7 @@ TEST(Cache, ProbeIgnoresInvalidatedCopiesOfTheLine)
 {
     // An invalidated way keeps its line bits; the branch-free match must
     // still read it as absent (state 0), and a refill must be found.
-    SetAssocCache c(128, 2, 64); // 1 set, 2 ways
+    SetAssocCache c(128, 2); // 1 set, 2 ways
     c.insert(0, LineState::Dirty);
     c.invalidate(0);
     EXPECT_EQ(c.probe(0).way, SetAssocCache::kNoWay);
@@ -278,9 +279,9 @@ class CacheDifferential : public ::testing::TestWithParam<Geometry>
 
 TEST_P(CacheDifferential, MatchesReferenceOnRandomStreams)
 {
-    constexpr std::uint32_t kLineBytes = 64;
+    constexpr std::uint32_t kLineBytes = SimParams::lineBytes;
     const Geometry g = GetParam();
-    SetAssocCache cache(g.sizeBytes, g.assoc, kLineBytes);
+    SetAssocCache cache(g.sizeBytes, g.assoc);
     ReferenceCache ref(g.sizeBytes, g.assoc, kLineBytes);
     // Twice as many distinct lines as ways, so sets overflow and evict.
     const std::uint64_t lines = 2ull * g.sizeBytes / kLineBytes;

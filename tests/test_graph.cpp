@@ -24,6 +24,7 @@
 #include "graph/presets.hpp"
 #include "graph/snapshot.hpp"
 #include "reference/graph.hpp"
+#include "reference/rng.hpp"
 #include "support/rng.hpp"
 
 namespace gga {

@@ -11,7 +11,6 @@
 #include "sim/engine.hpp"
 #include "sim/l1.hpp"
 #include "sim/l2.hpp"
-#include "sim/noc.hpp"
 #include "sim/params.hpp"
 
 namespace gga {
@@ -20,8 +19,8 @@ namespace {
 struct L1Fixture : ::testing::Test
 {
     explicit L1Fixture(CoherenceKind coh = CoherenceKind::Gpu)
-        : l2(engine, params, noc, dram),
-          l1(engine, params, coh, /*sm_id=*/0, l2)
+        : l2(engine, dram),
+          l1(engine, SimParams{}.l1SizeKiB, coh, /*sm_id=*/0, l2)
     {
         l2.setRecallHandler(
             [this](std::uint32_t, Addr line) { l1.onRecall(line); });
@@ -59,9 +58,7 @@ struct L1Fixture : ::testing::Test
         engine.run();
     }
 
-    SimParams params;
     Engine engine;
-    MeshNoc noc;
     Dram dram;
     L2System l2;
     L1Controller l1;
@@ -80,9 +77,9 @@ struct DeNovoL1 : L1Fixture
 TEST_F(GpuL1, LoadMissThenHit)
 {
     const Cycles miss = timedLoad({0x1000});
-    EXPECT_GT(miss, params.l2BankLatency);
+    EXPECT_GT(miss, SimParams::l2BankLatency);
     const Cycles hit = timedLoad({0x1000});
-    EXPECT_EQ(hit, params.l1HitLatency);
+    EXPECT_EQ(hit, SimParams::l1HitLatency);
     EXPECT_EQ(l1.stats().loadMisses, 1u);
     EXPECT_EQ(l1.stats().loadHits, 1u);
 }
@@ -91,7 +88,7 @@ TEST_F(GpuL1, MultiLineLoadWaitsForAll)
 {
     timedLoad({0x1000}); // warm one line
     const Cycles mixed = timedLoad({0x1000, 0x2000});
-    EXPECT_GT(mixed, params.l1HitLatency); // the missing line dominates
+    EXPECT_GT(mixed, SimParams::l1HitLatency); // the missing line dominates
 }
 
 TEST_F(GpuL1, StoresCombineAndFlushAtRelease)
@@ -117,7 +114,7 @@ TEST_F(GpuL1, AcquireInvalidatesEverything)
     engine.run();
     EXPECT_GE(l1.stats().acquireInvalidatedLines, 1u);
     const Cycles after = timedLoad({0x1000});
-    EXPECT_GT(after, params.l1HitLatency); // miss again
+    EXPECT_GT(after, SimParams::l1HitLatency); // miss again
 }
 
 TEST_F(GpuL1, AtomicsBypassL1)
@@ -129,7 +126,7 @@ TEST_F(GpuL1, AtomicsBypassL1)
     EXPECT_EQ(l1.stats().atomicL1Hits, 0u);
     // The atomic did not populate the L1.
     const Cycles load = timedLoad({0x5000});
-    EXPECT_GT(load, params.l1HitLatency);
+    EXPECT_GT(load, SimParams::l1HitLatency);
 }
 
 TEST_F(DeNovoL1, StoreObtainsOwnership)
@@ -142,7 +139,7 @@ TEST_F(DeNovoL1, StoreObtainsOwnership)
     // Owned line: subsequent stores are free, loads hit.
     doStore({0x6000});
     EXPECT_EQ(l1.stats().ownershipRequests, 1u);
-    EXPECT_EQ(timedLoad({0x6000}), params.l1HitLatency);
+    EXPECT_EQ(timedLoad({0x6000}), SimParams::l1HitLatency);
 }
 
 TEST_F(DeNovoL1, AcquireKeepsOwnedLines)
@@ -151,22 +148,22 @@ TEST_F(DeNovoL1, AcquireKeepsOwnedLines)
     timedLoad({0x7000});
     l1.acquireInvalidate([] {});
     engine.run();
-    EXPECT_EQ(timedLoad({0x6000}), params.l1HitLatency); // still owned
-    EXPECT_GT(timedLoad({0x7000}), params.l1HitLatency); // was invalidated
+    EXPECT_EQ(timedLoad({0x6000}), SimParams::l1HitLatency); // still owned
+    EXPECT_GT(timedLoad({0x7000}), SimParams::l1HitLatency); // was invalidated
 }
 
 TEST_F(DeNovoL1, AtomicMissesThenHitsLocally)
 {
     const Cycles first = timedAtomic({0x8000});
-    EXPECT_GT(first, params.l1AtomicLatency);
+    EXPECT_GT(first, SimParams::l1AtomicLatency);
     EXPECT_EQ(l1.stats().ownershipRequests, 1u);
     // The miss path re-enters the local unit once ownership lands, so the
     // first atomic already counts one local execution.
     EXPECT_EQ(l1.stats().atomicL1Hits, 1u);
     const Cycles second = timedAtomic({0x8000});
     EXPECT_EQ(l1.stats().atomicL1Hits, 2u);
-    EXPECT_LE(second, 2 * (params.l1AtomicLatency +
-                           params.l1AtomicServiceInterval));
+    EXPECT_LE(second, 2 * (SimParams::l1AtomicLatency +
+                           SimParams::l1AtomicServiceInterval));
     EXPECT_LT(second, first);
 }
 

@@ -10,7 +10,6 @@
 #include "sim/dram.hpp"
 #include "sim/engine.hpp"
 #include "sim/l2.hpp"
-#include "sim/noc.hpp"
 #include "sim/params.hpp"
 
 namespace gga {
@@ -18,7 +17,7 @@ namespace {
 
 struct L2Fixture : ::testing::Test
 {
-    L2Fixture() : l2(engine, params, noc, dram) {}
+    L2Fixture() : l2(engine, dram) {}
 
     Cycles
     timedRead(std::uint32_t sm, Addr line)
@@ -47,9 +46,7 @@ struct L2Fixture : ::testing::Test
         return done;
     }
 
-    SimParams params;
     Engine engine;
-    MeshNoc noc;
     Dram dram;
     L2System l2;
 };
@@ -57,10 +54,10 @@ struct L2Fixture : ::testing::Test
 TEST_F(L2Fixture, ColdReadGoesToDramThenHits)
 {
     const Cycles cold = timedRead(0, 0x1000);
-    EXPECT_GT(cold, params.dramLatency);
+    EXPECT_GT(cold, SimParams::dramLatency);
     const Cycles warm_done = timedRead(0, 0x1000);
     // Second read hits in L2: substantially faster than the cold one.
-    EXPECT_LT(warm_done - cold, params.dramLatency);
+    EXPECT_LT(warm_done - cold, SimParams::dramLatency);
     EXPECT_EQ(l2.stats().reads, 2u);
     EXPECT_EQ(l2.stats().readMisses, 1u);
 }
@@ -79,7 +76,7 @@ TEST_F(L2Fixture, AtomicsToSameWordSerialize)
     ASSERT_EQ(completions.size(), 4u);
     for (std::size_t i = 1; i < completions.size(); ++i) {
         EXPECT_GE(completions[i] - completions[i - 1],
-                  params.atomicServiceInterval);
+                  SimParams::atomicServiceInterval);
     }
 }
 
@@ -99,7 +96,7 @@ TEST_F(L2Fixture, AtomicsToDifferentWordsOverlap)
     ASSERT_EQ(completions.size(), 2u);
     // Different words at (likely) different banks do not serialize by the
     // per-word rule; both finish well within 2x a single round trip.
-    EXPECT_LT(completions[1] - t0, 2 * (params.l2BankLatency + 40));
+    EXPECT_LT(completions[1] - t0, 2 * (SimParams::l2BankLatency + 40));
 }
 
 TEST_F(L2Fixture, OwnershipRegistersAndForwards)

@@ -139,6 +139,27 @@ TEST(Lint, MutexFixtureFires)
                     "raw-mutex");
 }
 
+TEST(Lint, LenientParseFixtureFires)
+{
+    REQUIRE_ENV();
+    expectRuleFires("bad_parse.cpp", "src/serve/x.cpp", "lenient-parse");
+    expectRuleFires("bad_parse.cpp", "src/sim/fixture.cpp", "lenient-parse");
+    // Every lenient parse is named, one finding per call.
+    const LintRun run =
+        runLint("--as src/serve/x.cpp " + fixture("bad_parse.cpp"));
+    for (const char* name :
+         {"stoi", "stol", "stoll", "stoul", "stoull", "atoi", "atol",
+          "atoll", "strtol", "strtoll", "strtoul", "strtoull"})
+        EXPECT_NE(run.output.find(std::string("] ") + name + ":"),
+                  std::string::npos)
+            << name << " not flagged:\n" << run.output;
+    // The rule covers src/ only.
+    EXPECT_EQ(
+        runLint("--as tools/fixture.cpp " + fixture("bad_parse.cpp"))
+            .exitCode,
+        0);
+}
+
 TEST(Lint, RuleScopingIsByPath)
 {
     REQUIRE_ENV();

@@ -104,19 +104,23 @@ TEST(StoreBufferTest, AcquireRelease)
 
 TEST(Noc, HopDistancesOnMesh)
 {
-    MeshNoc noc;
-    EXPECT_EQ(noc.hops(0, 0), 0u);
-    EXPECT_EQ(noc.hops(0, 3), 3u);   // same row
-    EXPECT_EQ(noc.hops(0, 12), 3u);  // same column
-    EXPECT_EQ(noc.hops(0, 15), 6u);  // opposite corner
-    EXPECT_EQ(noc.hops(5, 10), 2u);
+    // Past the router, latency is per hop of the Manhattan distance.
+    const auto hopCycles = [](std::uint32_t a, std::uint32_t b) {
+        return meshLatency(a, b) - SimParams::nocRouterLatency;
+    };
+    constexpr Cycles kHop = SimParams::nocPerHopLatency;
+    EXPECT_EQ(hopCycles(0, 0), 0 * kHop);
+    EXPECT_EQ(hopCycles(0, 3), 3 * kHop);  // same row
+    EXPECT_EQ(hopCycles(0, 12), 3 * kHop); // same column
+    EXPECT_EQ(hopCycles(0, 15), 6 * kHop); // opposite corner
+    EXPECT_EQ(hopCycles(5, 10), 2 * kHop);
+    EXPECT_EQ(hopCycles(10, 5), 2 * kHop); // either direction
 }
 
 TEST(Noc, LatencyIsRouterPlusHops)
 {
-    MeshNoc noc;
-    EXPECT_EQ(noc.latency(0, 0), SimParams::nocRouterLatency);
-    EXPECT_EQ(noc.latency(0, 15), SimParams::nocRouterLatency +
+    EXPECT_EQ(meshLatency(0, 0), SimParams::nocRouterLatency);
+    EXPECT_EQ(meshLatency(0, 15), SimParams::nocRouterLatency +
                                       6 * SimParams::nocPerHopLatency);
 }
 

@@ -1008,6 +1008,60 @@ TEST(ServeHttp, MalformedContentLengthIs400)
     svc.stop();
 }
 
+TEST(ServeHttp, ClientRejectsAMalformedStatusLine)
+{
+    // A loopback listener that reads each request and answers it with the
+    // next status line and an empty body, then closes.
+    const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    ASSERT_EQ(::listen(lfd, 8), 0);
+    ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len),
+              0);
+    // std::stoi read these as 2, -20, 20, 200, 99 and 600.
+    const std::vector<std::string> bad = {
+        "HTTP/1.1 2x0 OK",  "HTTP/1.1 -20 OK", "HTTP/1.1  20 OK",
+        "HTTP/1.1 2000 OK", "HTTP/1.1 099 OK", "HTTP/1.1 600 OK"};
+    std::vector<std::string> lines = bad;
+    lines.push_back("HTTP/1.1 503"); // no reason phrase: still a code
+    std::thread server([&] {
+        for (const std::string& line : lines) {
+            const int fd = ::accept(lfd, nullptr, nullptr);
+            if (fd < 0)
+                return;
+            std::string req;
+            char chunk[512];
+            ssize_t n;
+            while (req.find("\r\n\r\n") == std::string::npos &&
+                   (n = ::recv(fd, chunk, sizeof chunk, 0)) > 0)
+                req.append(chunk, static_cast<std::size_t>(n));
+            const std::string resp = line + "\r\nContent-Length: 0\r\n\r\n";
+            ::send(fd, resp.data(), resp.size(), MSG_NOSIGNAL);
+            ::close(fd);
+        }
+    });
+    const std::uint16_t port = ntohs(addr.sin_port);
+    for (const std::string& line : bad) {
+        try {
+            const int status = httpRequest(port, "GET", "/").status;
+            ADD_FAILURE() << "'" << line << "' read as " << status;
+        } catch (const ServeError& e) {
+            EXPECT_NE(std::string(e.what()).find("bad status code"),
+                      std::string::npos)
+                << line << ": " << e.what();
+        }
+    }
+    int status = 0;
+    EXPECT_NO_THROW(status = httpRequest(port, "GET", "/").status);
+    EXPECT_EQ(status, 503);
+    server.join();
+    ::close(lfd);
+}
+
 // --- slow-loris defense --------------------------------------------------
 
 TEST(ServeHttp, StalledRequestTimesOutWith408)

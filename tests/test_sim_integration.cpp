@@ -27,8 +27,7 @@ WarpTask
 loadKernel(Warp& w, DeviceBuffer<std::uint32_t>& buf)
 {
     AddrSet lines;
-    kutil::addElem(lines, buf, w.globalWarpId() % buf.size(),
-                   w.params().lineBytes);
+    kutil::addElem(lines, buf, w.globalWarpId() % buf.size());
     co_await w.load(lines);
 }
 
@@ -61,7 +60,7 @@ TEST(SimIntegration, BreakdownTotalsMatchWallTime)
                [](Warp& w) { return computeKernel(w, 8); });
     const StallBreakdown b = gpu.totalBreakdown();
     const double expected =
-        static_cast<double>(gpu.now()) * gpu.params().numSms;
+        static_cast<double>(gpu.now()) * SimParams::numSms;
     EXPECT_NEAR(b.total(), expected, expected * 0.01);
     EXPECT_GT(b.busy, 0.0);
     EXPECT_GT(b.comp, 0.0);
@@ -70,7 +69,7 @@ TEST(SimIntegration, BreakdownTotalsMatchWallTime)
 TEST(SimIntegration, LoadsProduceDataStalls)
 {
     Gpu gpu(SimParams{}, CoherenceKind::Gpu, ConsistencyKind::Drf0);
-    DeviceBuffer<std::uint32_t> buf(gpu.mem(), 4096, "buf");
+    DeviceBuffer<std::uint32_t> buf(gpu.mem(), 4096);
     gpu.launch("loads", 2048,
                [&buf](Warp& w) { return loadKernel(w, buf); });
     EXPECT_GT(gpu.totalBreakdown().data, 0.0);
@@ -112,7 +111,7 @@ TEST(SimIntegration, ConsistencyOrderingOnAtomicKernel)
     for (ConsistencyKind con : {ConsistencyKind::Drf0, ConsistencyKind::Drf1,
                                 ConsistencyKind::DrfRlx}) {
         Gpu gpu(SimParams{}, CoherenceKind::Gpu, con);
-        DeviceBuffer<std::uint32_t> buf(gpu.mem(), 1 << 14, "data");
+        DeviceBuffer<std::uint32_t> buf(gpu.mem(), 1 << 14);
         gpu.launch("atomics", 1024, [&buf](Warp& w) {
             return atomicKernel(w, buf, 32);
         });
@@ -130,7 +129,7 @@ TEST(SimIntegration, DeNovoAtomicReuseBeatsGpuAtomics)
     Cycles gpu_cycles = 0, denovo_cycles = 0;
     for (CoherenceKind coh : {CoherenceKind::Gpu, CoherenceKind::DeNovo}) {
         Gpu gpu(SimParams{}, coh, ConsistencyKind::Drf1);
-        DeviceBuffer<std::uint32_t> buf(gpu.mem(), 64, "hot");
+        DeviceBuffer<std::uint32_t> buf(gpu.mem(), 64);
         gpu.launch("hot-atomics", 256, [&buf](Warp& w) {
             return atomicKernel(w, buf, 64);
         });
@@ -146,12 +145,12 @@ TEST(SimIntegration, RelaxedWindowBoundsOutstanding)
     SimParams p1;
     p1.relaxedAtomicWindow = 1;
     Gpu rlx1(p1, CoherenceKind::Gpu, ConsistencyKind::DrfRlx);
-    DeviceBuffer<std::uint32_t> b1(rlx1.mem(), 1 << 14, "d1");
+    DeviceBuffer<std::uint32_t> b1(rlx1.mem(), 1 << 14);
     rlx1.launch("a", 1024,
                 [&b1](Warp& w) { return atomicKernel(w, b1, 16); });
 
     Gpu drf1(SimParams{}, CoherenceKind::Gpu, ConsistencyKind::Drf1);
-    DeviceBuffer<std::uint32_t> b2(drf1.mem(), 1 << 14, "d2");
+    DeviceBuffer<std::uint32_t> b2(drf1.mem(), 1 << 14);
     drf1.launch("a", 1024,
                 [&b2](Warp& w) { return atomicKernel(w, b2, 16); });
 
@@ -163,10 +162,10 @@ TEST(SimIntegration, RelaxedWindowBoundsOutstanding)
 TEST(SimIntegration, KernelEndDrainsStoreBuffers)
 {
     Gpu gpu(SimParams{}, CoherenceKind::DeNovo, ConsistencyKind::DrfRlx);
-    DeviceBuffer<std::uint32_t> buf(gpu.mem(), 1 << 14, "data");
+    DeviceBuffer<std::uint32_t> buf(gpu.mem(), 1 << 14);
     gpu.launch("atomics", 2048,
                [&buf](Warp& w) { return atomicKernel(w, buf, 8); });
-    for (std::uint32_t s = 0; s < gpu.params().numSms; ++s) {
+    for (std::uint32_t s = 0; s < SimParams::numSms; ++s) {
         EXPECT_TRUE(gpu.l1(s).storeBuffer().empty());
         EXPECT_EQ(gpu.l1(s).pendingStoreFills(), 0u);
     }

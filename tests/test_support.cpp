@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/rng.hpp"
 #include "support/faults.hpp"
 #include "support/flat_map.hpp"
 #include "support/inline_function.hpp"
