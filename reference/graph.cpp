@@ -343,8 +343,7 @@ CsrGraph
 buildReferenceSort(const GraphBuilder& builder, bool with_weights)
 {
     // Symmetrize: every raw edge contributes both directions; self-loops
-    // are dropped (or kept as a single u->u edge). Dedup happens after
-    // sorting per row.
+    // are dropped. Dedup happens after sorting per row.
     const std::span<const VertexId> srcs = builder.rawSources();
     const std::span<const VertexId> dsts = builder.rawTargets();
     std::vector<std::uint64_t> pairs;
@@ -352,11 +351,8 @@ buildReferenceSort(const GraphBuilder& builder, bool with_weights)
     for (std::size_t i = 0; i < srcs.size(); ++i) {
         const VertexId u = srcs[i];
         const VertexId v = dsts[i];
-        if (u == v) {
-            if (builder.keepsSelfLoops())
-                pairs.push_back((static_cast<std::uint64_t>(u) << 32) | v);
+        if (u == v)
             continue;
-        }
         pairs.push_back((static_cast<std::uint64_t>(u) << 32) | v);
         pairs.push_back((static_cast<std::uint64_t>(v) << 32) | u);
     }

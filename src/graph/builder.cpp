@@ -64,11 +64,8 @@ GraphBuilder::build(bool with_weights) const
         for (std::size_t i = slice_begin(t); i < end; ++i) {
             const VertexId u = srcs_[i];
             const VertexId v = dsts_[i];
-            if (u == v) {
-                if (keepSelfLoops_)
-                    c[u]++;
+            if (u == v)
                 continue;
-            }
             c[u]++;
             c[v]++;
         }
@@ -98,11 +95,8 @@ GraphBuilder::build(bool with_weights) const
         for (std::size_t i = slice_begin(t); i < end; ++i) {
             const VertexId u = srcs_[i];
             const VertexId v = dsts_[i];
-            if (u == v) {
-                if (keepSelfLoops_)
-                    scratch[cursor[u]++] = u;
+            if (u == v)
                 continue;
-            }
             scratch[cursor[u]++] = v;
             scratch[cursor[v]++] = u;
         }

@@ -48,15 +48,6 @@ class GraphBuilder
     std::span<const VertexId> rawTargets() const { return dsts_; }
 
     /**
-     * Keep self-loops in the built graph (one u->u edge each) instead of
-     * dropping them. Off by default, matching the paper's
-     * canonicalization; the MatrixMarket reader turns it on for lossless
-     * round trips.
-     */
-    void keepSelfLoops(bool keep) { keepSelfLoops_ = keep; }
-    bool keepsSelfLoops() const { return keepSelfLoops_; }
-
-    /**
      * Worker threads for build(). 0 (the default) resolves through
      * defaultThreads() (support/parallel.hpp). The built graph is
      * bit-identical at every thread count — threads only change wall
@@ -65,8 +56,8 @@ class GraphBuilder
     void threads(unsigned t) { threads_ = t; }
 
     /**
-     * Build the canonical graph: drop self-loops (unless keepSelfLoops),
-     * symmetrize, dedupe, sort adjacency lists.
+     * Build the canonical graph: drop self-loops, symmetrize, dedupe,
+     * sort adjacency lists.
      *
      * Runs the two-pass counting-sort construction: per-thread partitions
      * of the raw edge list are counted and scattered into per-row
@@ -86,7 +77,6 @@ class GraphBuilder
 
   private:
     VertexId numVertices_;
-    bool keepSelfLoops_ = false;
     unsigned threads_ = 0;
     std::vector<VertexId> srcs_;
     std::vector<VertexId> dsts_;

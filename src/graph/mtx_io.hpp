@@ -17,27 +17,29 @@ namespace gga {
 
 /**
  * Parse a MatrixMarket "matrix coordinate" stream into a canonical graph
- * (symmetrized; self-loops removed unless @p keep_self_loops). Supports
+ * (symmetrized, self-loops removed: the paper's Sec. V-A). Supports
  * pattern/real/integer fields and general/symmetric symmetry. Numeric
  * values are ignored; use @p with_weights to attach the library's
- * deterministic weights. Set @p keep_self_loops for a lossless
- * write->read round trip of graphs that carry self-edges; the default
- * matches the paper's canonicalization (Sec. V-A).
+ * deterministic weights.
  *
- * Throws GraphError on malformed input.
+ * The parse is strict, and throws GraphError on malformed input. Fields
+ * split on spaces and tabs (a CRLF line's '\r' counts as space). The
+ * banner is exactly five words, the size line three whole decimals, and
+ * an entry two 1-based indices plus, unless the field is pattern, one
+ * number that std::from_chars reads whole. Blank and '%' lines are
+ * skipped; any other line past the nnz-th entry is an error.
  */
-CsrGraph readMatrixMarket(std::istream& in, bool with_weights = false,
-                          bool keep_self_loops = false);
+CsrGraph readMatrixMarket(std::istream& in, bool with_weights = false);
 
 /** Convenience overload reading from a file path; GraphError if absent. */
 CsrGraph readMatrixMarketFile(const std::string& path,
-                              bool with_weights = false,
-                              bool keep_self_loops = false);
+                              bool with_weights = false);
 
 /**
  * Write a graph as "matrix coordinate pattern symmetric": each undirected
- * pair (including self-loops) emitted once with 1-based indices, so a
- * write->read round trip through readMatrixMarket(in, w, true) is exact.
+ * pair (self-loops included) emitted once with 1-based indices.
+ * readMatrixMarket reads it back as the same graph without its
+ * self-loops.
  */
 void writeMatrixMarket(std::ostream& out, const CsrGraph& g);
 

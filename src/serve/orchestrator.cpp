@@ -204,19 +204,13 @@ Orchestrator::partArrivedLocked(const std::string& worker,
     }
     if (!why.empty()) {
         ++rejectedParts_;
-        ++sh.attempts;
         if (error)
             *error = why;
-        if (sh.attempts >= policy_.maxAttempts) {
+        if (!retryLocked(sh)) {
             failJobLocked(jobId, "shard " + std::to_string(shard) +
                                      " exhausted retries: " + why);
             return PartOutcome::Rejected;
         }
-        sh.state = ShardState::Waiting;
-        sh.worker.clear();
-        sh.notBefore = Clock::now() + std::chrono::milliseconds(
-                                          policy_.backoffMs(sh.attempts));
-        ++retries_;
         GGA_WARN("serve: part for shard ", shard + 1, "/",
                  rj.shards.size(), " of ", jobId, " rejected (", why,
                  "); retrying");
@@ -252,11 +246,10 @@ Orchestrator::tick()
                 if (sh.deadline > now && !forced)
                     continue;
                 ++expiredLeases_;
-                ++sh.attempts;
                 GGA_WARN("serve: lease expired on shard ", s + 1, "/",
                          rj.shards.size(), " of ", jobId, " (worker ",
-                         sh.worker, ", attempt ", sh.attempts, ")");
-                if (sh.attempts >= policy_.maxAttempts) {
+                         sh.worker, ", attempt ", sh.attempts + 1, ")");
+                if (!retryLocked(sh)) {
                     failures.emplace_back(
                         jobId, "shard " + std::to_string(s) +
                                    " exhausted " +
@@ -264,12 +257,6 @@ Orchestrator::tick()
                                    " attempts (lost workers)");
                     break;
                 }
-                sh.state = ShardState::Waiting;
-                sh.worker.clear();
-                sh.notBefore =
-                    now + std::chrono::milliseconds(
-                              policy_.backoffMs(sh.attempts));
-                ++retries_;
             }
         }
         for (const auto& [jobId, why] : failures) {
@@ -316,6 +303,19 @@ Orchestrator::statsJson() const
     j.set("duplicate_parts_total", Json(duplicateParts_));
     j.set("recovered_parts_total", Json(recoveredParts_));
     return j;
+}
+
+bool
+Orchestrator::retryLocked(Shard& sh)
+{
+    if (++sh.attempts >= policy_.maxAttempts)
+        return false;
+    sh.state = ShardState::Waiting;
+    sh.worker.clear();
+    sh.notBefore = Clock::now() + std::chrono::milliseconds(
+                                      policy_.backoffMs(sh.attempts));
+    ++retries_;
+    return true;
 }
 
 void

@@ -180,6 +180,10 @@ class Orchestrator
         std::vector<Shard> shards;
     };
 
+    /** Counts a failed attempt on @p sh: false once it is out of
+     *  attempts, else it waits out the backoff as a counted retry. */
+    bool retryLocked(Shard& sh) GGA_REQUIRES(mu_);
+
     /** Fails the job and drops its shard state. */
     void failJobLocked(const std::string& jobId, const std::string& why)
         GGA_REQUIRES(mu_);

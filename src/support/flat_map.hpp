@@ -6,7 +6,8 @@
  * Replaces std::unordered_map/set where per-operation node allocation
  * and pointer chasing dominate: storage is flat arrays (control bytes +
  * slots), probing is linear, and clear() keeps capacity so resets are
- * allocation-free.
+ * allocation-free. FlatSet is a FlatMap whose value is the empty
+ * NoValue, so one core serves both and a valueless slot is just its key.
  *
  * Deliberately minimal: no iterators and no pointer stability —
  * pointers returned by find()/operator[]/tryEmplace() are invalidated by
@@ -161,8 +162,10 @@ class FlatMap
     struct Slot
     {
         K key{};
-        V val{};
+        [[no_unique_address]] V val{};
     };
+    static_assert(!std::is_empty_v<V> || sizeof(Slot) == sizeof(K),
+                  "a valueless slot must hold only its key");
 
     static constexpr std::uint8_t kEmpty = 0;
     static constexpr std::uint8_t kFull = 1;
@@ -250,148 +253,30 @@ class FlatMap
     std::size_t size_ = 0;
 };
 
+/** FlatSet's value: empty, so its slots hold the key alone. */
+struct NoValue
+{
+};
+
 /**
- * Open-addressing hash set with backward-shift deletion — FlatMap
- * without the values. Backs the graph generator's pair-membership tests,
- * where the std::unordered_set node allocations dominated synthesis
- * time. Any key value is legal (occupancy lives in the control bytes, so
- * no sentinel key is reserved).
- *
- * The probing/growth core deliberately mirrors FlatMap's rather than
- * sharing it: instantiating FlatMap with an empty value type would pad
- * every slot (key + empty struct) to twice the key size, and the
- * generator holds millions of live u64 keys. Changes to either table's
- * load-factor or deletion policy belong in both.
+ * Open-addressing hash set, a FlatMap of NoValue. Backs the graph
+ * generator's pair-membership tests, where the std::unordered_set node
+ * allocations dominated synthesis time.
  */
 template <typename K, typename Hash = FlatHash<K>>
 class FlatSet
 {
   public:
-    FlatSet() = default;
-
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-    /** Slots allocated (0 before the first insert or reserve). */
-    std::size_t capacity() const { return ctrl_.size(); }
-
-    bool contains(const K& key) const { return findSlot(key) != kNoSlot; }
-
+    std::size_t size() const { return map_.size(); }
+    std::size_t capacity() const { return map_.capacity(); }
+    bool contains(const K& key) const { return map_.contains(key); }
     /** Insert @p key; returns whether it was newly added. */
-    bool
-    insert(const K& key)
-    {
-        reserveForOne();
-        std::size_t i = probeStart(key);
-        while (ctrl_[i] == kFull) {
-            if (slots_[i] == key)
-                return false;
-            i = (i + 1) & mask();
-        }
-        ctrl_[i] = kFull;
-        slots_[i] = key;
-        ++size_;
-        return true;
-    }
-
-    /** Remove @p key; returns whether it was present. Keeps capacity. */
-    bool
-    erase(const K& key)
-    {
-        const std::size_t i = findSlot(key);
-        if (i == kNoSlot)
-            return false;
-        // Backward shift, as in FlatMap::eraseAt.
-        std::size_t hole = i;
-        for (std::size_t j = (i + 1) & mask(); ctrl_[j] == kFull;
-             j = (j + 1) & mask()) {
-            const std::size_t home = probeStart(slots_[j]);
-            if (((j - home) & mask()) >= ((j - hole) & mask())) {
-                slots_[hole] = slots_[j];
-                hole = j;
-            }
-        }
-        ctrl_[hole] = kEmpty;
-        --size_;
-        return true;
-    }
-
-    /** Drop all entries but keep the table's capacity. */
-    void
-    clear()
-    {
-        std::fill(ctrl_.begin(), ctrl_.end(), kEmpty);
-        size_ = 0;
-    }
-
-    /** Pre-size the table for @p n entries without rehash churn. */
-    void
-    reserve(std::size_t n)
-    {
-        std::size_t cap = kMinCapacity;
-        while (cap * 3 < n * 4) // target load factor <= 3/4
-            cap *= 2;
-        if (cap > ctrl_.size())
-            rehash(cap);
-    }
+    bool insert(const K& key) { return map_.tryEmplace(key).second; }
+    bool erase(const K& key) { return map_.erase(key); }
+    void reserve(std::size_t n) { map_.reserve(n); }
 
   private:
-    static constexpr std::uint8_t kEmpty = 0;
-    static constexpr std::uint8_t kFull = 1;
-    static constexpr std::size_t kMinCapacity = 16;
-    static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
-    std::size_t mask() const { return ctrl_.size() - 1; }
-
-    std::size_t
-    probeStart(const K& key) const
-    {
-        return Hash{}(key) & mask();
-    }
-
-    std::size_t
-    findSlot(const K& key) const
-    {
-        if (ctrl_.empty())
-            return kNoSlot;
-        std::size_t i = probeStart(key);
-        while (ctrl_[i] == kFull) {
-            if (slots_[i] == key)
-                return i;
-            i = (i + 1) & mask();
-        }
-        return kNoSlot;
-    }
-
-    void
-    reserveForOne()
-    {
-        if (ctrl_.empty())
-            rehash(kMinCapacity);
-        else if ((size_ + 1) * 4 > ctrl_.size() * 3)
-            rehash(ctrl_.size() * 2);
-    }
-
-    void
-    rehash(std::size_t new_cap)
-    {
-        std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
-        std::vector<K> old_slots = std::move(slots_);
-        ctrl_.assign(new_cap, kEmpty);
-        slots_.assign(new_cap, K{});
-        for (std::size_t i = 0; i < old_ctrl.size(); ++i) {
-            if (old_ctrl[i] != kFull)
-                continue;
-            std::size_t j = probeStart(old_slots[i]);
-            while (ctrl_[j] == kFull)
-                j = (j + 1) & mask();
-            ctrl_[j] = kFull;
-            slots_[j] = old_slots[i];
-        }
-    }
-
-    std::vector<std::uint8_t> ctrl_;
-    std::vector<K> slots_;
-    std::size_t size_ = 0;
+    FlatMap<K, NoValue, Hash> map_;
 };
 
 } // namespace gga

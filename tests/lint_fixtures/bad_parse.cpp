@@ -2,6 +2,7 @@
 // parse when the file is scoped anywhere into src/. Not compiled —
 // linted as text by test_lint.
 #include <cstdlib>
+#include <sstream>
 #include <string>
 
 namespace gga {
@@ -15,7 +16,9 @@ lenientSum(const std::string& s, const char* c)
     sum += std::strtol(c, nullptr, 10) + std::strtoll(c, nullptr, 10);
     sum += static_cast<long>(std::strtoul(c, nullptr, 10) +
                              std::strtoull(c, nullptr, 10));
-    return sum;
+    long streamed = 0;
+    std::istringstream(s) >> streamed;
+    return sum + streamed;
 }
 
 } // namespace gga

@@ -20,6 +20,7 @@
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
 #include "graph/degree_stats.hpp"
+#include "graph/generator.hpp"
 #include "graph/mtx_io.hpp"
 #include "graph/presets.hpp"
 #include "graph/snapshot.hpp"
@@ -119,18 +120,16 @@ messyBuilder(VertexId n, std::size_t raw_edges, std::uint64_t seed)
 TEST(GraphBuilder, CountingBuildMatchesReferenceSortAtAnyThreadCount)
 {
     // ~79k raw edges: large enough that the builder really fans out
-    // (its minimum slice is ~16k raw edges per worker).
-    for (const bool keep_self_loops : {false, true}) {
-        for (const bool with_weights : {false, true}) {
-            GraphBuilder b = messyBuilder(997, 60000, 42);
-            b.keepSelfLoops(keep_self_loops);
-            const CsrGraph reference = buildReferenceSort(b, with_weights);
-            for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-                b.threads(threads);
-                EXPECT_EQ(b.build(with_weights), reference)
-                    << "threads=" << threads << " weights=" << with_weights
-                    << " self_loops=" << keep_self_loops;
-            }
+    // (its minimum slice is ~16k raw edges per worker). Both builds drop
+    // the messy builder's self-loops.
+    for (const bool with_weights : {false, true}) {
+        GraphBuilder b = messyBuilder(997, 60000, 42);
+        const CsrGraph reference = buildReferenceSort(b, with_weights);
+        EXPECT_TRUE(reference.hasNoSelfLoops());
+        for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+            b.threads(threads);
+            EXPECT_EQ(b.build(with_weights), reference)
+                << "threads=" << threads << " weights=" << with_weights;
         }
     }
 }
@@ -181,6 +180,30 @@ TEST(GeneratorReference, V1OutputIsFrozen)
         for (const unsigned threads : {1u, 4u}) {
             const CsrGraph g =
                 generateGraphReference(presetSpecScaled(preset, 0.1), threads);
+            EXPECT_EQ(csrHash(g), hash)
+                << presetName(preset) << " threads=" << threads;
+        }
+    }
+}
+
+TEST(Generator, V2OutputIsPinned)
+{
+    // What generateGraph draws for every preset at scale 0.1, at any
+    // build-thread count. A change that moves these values must bump
+    // kGeneratorVersion in the same commit: the bump re-addresses every
+    // .csrbin snapshot, so no stale graph is loaded under the new code.
+    const std::pair<GraphPreset, std::uint64_t> golden[] = {
+        {GraphPreset::Amz, 0xbfab771f6f94de25ull},
+        {GraphPreset::Dct, 0xb648770afad3746eull},
+        {GraphPreset::Eml, 0x9bbf877876ead53bull},
+        {GraphPreset::Ols, 0x482b4e515084a25aull},
+        {GraphPreset::Raj, 0x0e82ad39cf89f607ull},
+        {GraphPreset::Wng, 0x06924eae87c975f1ull},
+    };
+    for (const auto& [preset, hash] : golden) {
+        for (const unsigned threads : {1u, 4u}) {
+            const CsrGraph g =
+                generateGraph(presetSpecScaled(preset, 0.1), threads);
             EXPECT_EQ(csrHash(g), hash)
                 << presetName(preset) << " threads=" << threads;
         }
@@ -274,12 +297,40 @@ TEST(MtxIo, MalformedOrMissingInputThrows)
         "4294967296 4294967296 0\n", // more vertices than ids
         "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n",
         "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 2\n",
+        // Shapes a lenient parse would read as a graph.
+        "%%MatrixMarket matrix coordinate pattern general\n5 5\n1 2\n2 3\n",
+        "%%MatrixMarket matrix coordinate pattern general\n"
+        "3 3 2\n1 2xyz\n2 3.9\n",
+        "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n1 2 7 8\n",
+        "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n+1 2\n",
+        "%%MatrixMarket matrix coordinate pattern general\n3 3 1 9\n1 2\n",
+        "%%MatrixMarket matrix coordinate pattern general\n"
+        "3 3 1\n1 2\n2 3\n", // an entry past nnz
+        "%%MatrixMarket matrix coordinate pattern general extra\n"
+        "3 3 1\n1 2\n",
+        "%%MatrixMarket matrix coordinate real general\n3 3 1\n1 2\n",
+        "%%MatrixMarket matrix coordinate real general\n3 3 1\n1 2 abc\n",
     };
     for (const char* text : bad) {
         std::istringstream in(text);
         EXPECT_THROW(readMatrixMarket(in), GraphError) << text;
     }
     EXPECT_THROW(readMatrixMarketFile("no/such/input.mtx"), GraphError);
+}
+
+TEST(MtxIo, AcceptsTabsAndCrlfLineEnds)
+{
+    std::istringstream in(
+        "%%MatrixMarket\tmatrix coordinate real general\r\n"
+        "% comment line\r\n"
+        "3\t3 2\r\n"
+        "1\t2\t0.5\r\n"
+        "3 1\t-2e1 \r\n"
+        "\r\n");
+    const CsrGraph g = readMatrixMarket(in);
+    EXPECT_EQ(g.numVertices(), 3u);
+    EXPECT_EQ(toVec(g.rowOffsets()), (std::vector<EdgeId>{0, 2, 3, 4}));
+    EXPECT_EQ(toVec(g.colIndices()), (std::vector<VertexId>{1, 2, 0, 0}));
 }
 
 TEST(MtxIo, RoundTrips)
@@ -302,37 +353,39 @@ TEST(MtxIo, RoundTrips)
 
 TEST(MtxIo, RoundTripsGraphWithSelfLoops)
 {
-    // The writer must emit v <= u pairs: a strict v < u dropped the
-    // diagonal, so any graph carrying self-loops came back smaller.
-    GraphBuilder b(4);
-    b.keepSelfLoops(true);
-    b.addUndirected(0, 1);
-    b.addUndirected(1, 2);
-    b.addEdge(0, 0);
-    b.addEdge(3, 3);
-    const CsrGraph g = b.build(/*with_weights=*/true);
-    EXPECT_FALSE(g.hasNoSelfLoops());
-    EXPECT_EQ(g.numEdges(), 6u); // 2 pairs doubled + 2 self-loops
-
+    // Edges 0-1 and 1-2 plus self-loops on 0 and 3. The writer emits
+    // v <= u pairs, so each loop appears once (a strict v < u would drop
+    // the diagonal).
+    std::vector<VertexId> cols = {0, 1, 0, 2, 1, 3};
+    std::vector<EdgeId> offsets = {0, 2, 4, 5, 6};
+    std::vector<std::uint32_t> weights;
+    for (VertexId u = 0; u < 4; ++u) {
+        for (EdgeId e = offsets[u]; e < offsets[u + 1]; ++e)
+            weights.push_back(pairWeight(u, cols[e]));
+    }
+    const CsrGraph g(std::move(offsets), std::move(cols), std::move(weights));
     std::ostringstream out;
     writeMatrixMarket(out, g);
+    EXPECT_EQ(out.str(), "%%MatrixMarket matrix coordinate pattern symmetric\n"
+                         "% written by GGA-Sim\n"
+                         "4 4 4\n1 1\n2 1\n3 2\n4 4\n");
 
-    // Lossless path: keep self-loops on re-read.
+    // Reading it back canonicalizes (paper Sec. V-A): the loops are
+    // dropped, and every other edge keeps its target and weight.
     std::istringstream in(out.str());
-    const CsrGraph g2 =
-        readMatrixMarket(in, /*with_weights=*/true,
-                         /*keep_self_loops=*/true);
-    EXPECT_EQ(toVec(g2.rowOffsets()), toVec(g.rowOffsets()));
-    EXPECT_EQ(toVec(g2.colIndices()), toVec(g.colIndices()));
-    // Weights are a deterministic endpoint hash, so they round-trip too.
-    for (EdgeId e = 0; e < g.numEdges(); ++e)
-        EXPECT_EQ(g2.edgeWeight(e), g.edgeWeight(e)) << e;
-
-    // Default read still canonicalizes (paper Sec. V-A): loops dropped.
-    std::istringstream in2(out.str());
-    const CsrGraph canon = readMatrixMarket(in2);
-    EXPECT_TRUE(canon.hasNoSelfLoops());
-    EXPECT_EQ(canon.numEdges(), 4u);
+    const CsrGraph canon = readMatrixMarket(in, /*with_weights=*/true);
+    EXPECT_EQ(toVec(canon.rowOffsets()), (std::vector<EdgeId>{0, 1, 3, 4, 4}));
+    EdgeId kept = 0;
+    for (VertexId u = 0; u < g.numVertices(); ++u) {
+        for (EdgeId e = g.edgeBegin(u); e < g.edgeEnd(u); ++e) {
+            if (g.edgeTarget(e) == u)
+                continue;
+            EXPECT_EQ(canon.edgeTarget(kept), g.edgeTarget(e)) << e;
+            EXPECT_EQ(canon.edgeWeight(kept), g.edgeWeight(e)) << e;
+            ++kept;
+        }
+    }
+    EXPECT_EQ(kept, canon.numEdges());
 }
 
 // --- binary CSR snapshots -------------------------------------------------

@@ -149,7 +149,8 @@ TEST(Lint, LenientParseFixtureFires)
         runLint("--as src/serve/x.cpp " + fixture("bad_parse.cpp"));
     for (const char* name :
          {"stoi", "stol", "stoll", "stoul", "stoull", "atoi", "atol",
-          "atoll", "strtol", "strtoll", "strtoul", "strtoull"})
+          "atoll", "strtol", "strtoll", "strtoul", "strtoull",
+          "istringstream"})
         EXPECT_NE(run.output.find(std::string("] ") + name + ":"),
                   std::string::npos)
             << name << " not flagged:\n" << run.output;

@@ -765,12 +765,15 @@ TEST(ServeRemote, ExpiredLeasesReassignThenFailTheJob)
     const Json snap = parseBody(
         svc.handle(request("GET", "/v1/jobs/" + id)));
     EXPECT_EQ(snap.at("state").asString(), "failed");
-    EXPECT_FALSE(snap.at("error").asString().empty());
+    EXPECT_EQ(snap.at("error").asString(),
+              "shard 0 exhausted 2 attempts (lost workers)");
     EXPECT_FALSE(pollWorker(svc, worker).has_value());
 
+    // Two expiries, and only the first was retried.
     const Json stats = parseBody(svc.handle(request("GET", "/stats")));
     EXPECT_EQ(stats.at("orchestrator").at("expired_leases_total").asU64(),
               2u);
+    EXPECT_EQ(stats.at("orchestrator").at("retries_total").asU64(), 1u);
 }
 
 TEST(ServeRemote, LiveWorkerKeepsItsLeasePastTheLeaseTime)

@@ -32,13 +32,14 @@
  *                          uses the annotated gga::Mutex vocabulary so
  *                          clang -Wthread-safety sees every lock.
  *   lenient-parse          no std::stoi/stol/stoll/stoul/stoull,
- *                          atoi/atol/atoll or strtol/strtoll/strtoul/
- *                          strtoull anywhere in src/: they skip leading
- *                          space, take a sign, stop at trailing garbage
- *                          or wrap, so a number from outside parses to
- *                          something it never said — use parseUnsigned
- *                          (support/parse.hpp), which takes the whole
- *                          text as digits within a bound.
+ *                          atoi/atol/atoll, strtol/strtoll/strtoul/
+ *                          strtoull or istringstream anywhere in src/:
+ *                          they skip leading space, take a sign, stop at
+ *                          trailing garbage or wrap, so a number from
+ *                          outside parses to something it never said —
+ *                          use parseUnsigned (support/parse.hpp), which
+ *                          takes the whole text as digits within a
+ *                          bound.
  *
  * Usage:
  *   gga_lint [--root DIR]              lint src/ and reference/ under DIR
@@ -416,7 +417,7 @@ lintFile(const std::string& relPath, const std::string& text,
         flagIdents(code,
                    {"stoi", "stol", "stoll", "stoul", "stoull", "atoi",
                     "atol", "atoll", "strtol", "strtoll", "strtoul",
-                    "strtoull"},
+                    "strtoull", "istringstream"},
                    "lenient-parse",
                    "lenient number parse (takes leading space, a sign or "
                    "trailing garbage): use parseUnsigned from "
